@@ -10,8 +10,8 @@
 //! the error sampler) — but only *dynamically*, by diffing stdout at
 //! different thread counts. This pass makes the property static: it
 //! walks the [`CallGraph`] from the deterministic-output entry points
-//! (the experiment report functions, the runner fan-out, and the
-//! `perf_suite` kernels) and flags every **nondeterminism source** in
+//! (the experiment report functions and the runner fan-out) and flags
+//! every **nondeterminism source** in
 //! the reachable, non-test function set:
 //!
 //! * iteration over `HashMap`/`HashSet` (`.iter()`, `.keys()`,
@@ -64,21 +64,11 @@ pub const NONDETERMINISM_RULE: &str = "nondeterminism";
 pub const ALLOWED_ENV_VARS: &[&str] = &["SOS_THREADS", "SOS_SEED"];
 
 /// Free functions whose *job* is timing and whose clock readings are
-/// confined to stderr (`RunnerReport`) or to the tolerance-gated perf
-/// baseline: the runner fan-out and the seven `perf_suite` kernels.
-/// Wall-clock and float-reduction hits inside these bodies are counted
-/// as `allowlisted`, not reported. Map iteration and the other source
-/// kinds are still enforced even here.
-pub const STDERR_TIMING_ALLOWLIST: &[&str] = &[
-    "run_tasks",
-    "read_hot",
-    "write_path",
-    "gc_churn",
-    "recovery_scan",
-    "end_to_end_day",
-    "end_to_end_day_t8",
-    "flash_cache_day",
-];
+/// confined to stderr: the runner fan-out, which reports through
+/// `RunnerReport`. Wall-clock and float-reduction hits inside these
+/// bodies are counted as `allowlisted`, not reported. Map iteration and
+/// the other source kinds are still enforced even here.
+pub const STDERR_TIMING_ALLOWLIST: &[&str] = &["run_tasks"];
 
 /// Map methods whose result depends on iteration order.
 const MAP_ITER_METHODS: &[&str] = &[
@@ -100,9 +90,7 @@ const TYPE_WRAPPERS: &[&str] = &["Vec", "VecDeque", "Option", "Box", "Arc", "Rc"
 /// The default entry set: every function whose output must be
 /// byte-identical across `SOS_THREADS` settings and process
 /// invocations — the five experiment report functions (E11, E10, E9,
-/// E12, E17), the parallel runner's fan-out/seed/thread paths, and the
-/// `perf_suite` kernels (whose *structure* — names, seeds, units — is
-/// diffed; their timing values go through the allowlist).
+/// E12, E17) and the parallel runner's fan-out/seed/thread paths.
 pub fn deterministic_entry_points() -> Vec<EntryPoint> {
     [
         "end_to_end_report",
@@ -113,15 +101,6 @@ pub fn deterministic_entry_points() -> Vec<EntryPoint> {
         "run_tasks",
         "task_seed",
         "thread_count",
-        "run_suite",
-        "read_hot",
-        "write_path",
-        "gc_churn",
-        "recovery_scan",
-        "end_to_end_day",
-        "end_to_end_day_t8",
-        "flash_cache_day",
-        "ratchet_advance",
     ]
     .iter()
     .map(|name| EntryPoint::function(name))
@@ -643,12 +622,12 @@ mod tests {
 
     #[test]
     fn wall_clock_is_found_and_allowlisted_in_timing_fns() {
-        let src = "use std::time::Instant;\npub fn report() -> f64 { helper() }\nfn helper() -> f64 { Instant::now().elapsed().as_secs_f64() }\npub fn read_hot() -> f64 { Instant::now().elapsed().as_secs_f64() }\n";
+        let src = "use std::time::Instant;\npub fn report() -> f64 { helper() }\nfn helper() -> f64 { Instant::now().elapsed().as_secs_f64() }\npub fn run_tasks() -> f64 { Instant::now().elapsed().as_secs_f64() }\n";
         let report = run(
             src,
             &[
                 EntryPoint::function("report"),
-                EntryPoint::function("read_hot"),
+                EntryPoint::function("run_tasks"),
             ],
         );
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
@@ -735,14 +714,18 @@ mod tests {
             .iter()
             .map(|e| e.label())
             .collect();
-        for name in [
-            "end_to_end_report",
-            "flash_cache_report",
-            "run_tasks",
-            "read_hot",
-            "flash_cache_day",
-        ] {
-            assert!(labels.contains(&name.to_string()), "missing {name}");
-        }
+        assert_eq!(
+            labels,
+            [
+                "end_to_end_report",
+                "crash_sweep_report",
+                "wl_ablation_report",
+                "capacity_variance_report",
+                "flash_cache_report",
+                "run_tasks",
+                "task_seed",
+                "thread_count",
+            ]
+        );
     }
 }

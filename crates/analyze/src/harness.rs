@@ -480,15 +480,63 @@ pub fn run_crashy_days<C: Classifier>(
     Ok(report)
 }
 
+/// Parses an optional replay input — a positional argument or the
+/// `SOS_SEED` value: `Ok(None)` when it is absent, `Ok(Some(value))`
+/// when it parses, and an error naming `what` when it is present but
+/// malformed.
+fn parse_input<T: std::str::FromStr>(what: &str, raw: Option<&str>) -> Result<Option<T>, String> {
+    raw.map(|text| {
+        text.trim()
+            .parse()
+            .map_err(|_| format!("malformed {what}: {text:?}"))
+    })
+    .transpose()
+}
+
+/// [`parse_input`] for a binary's `main`: a malformed input prints the
+/// error and `usage` to stderr and exits with status 2, so a typo never
+/// silently runs the defaults.
+fn input_or_exit<T: std::str::FromStr>(what: &str, raw: Option<&str>, usage: &str) -> Option<T> {
+    parse_input(what, raw).unwrap_or_else(|message| {
+        eprintln!("{message}\nusage: {usage}");
+        std::process::exit(2)
+    })
+}
+
+/// Reads positional argument `position` (1-based) as `what`: `None`
+/// when absent; exits with status 2 after printing `usage` when it does
+/// not parse.
+pub fn arg_or_exit<T: std::str::FromStr>(position: usize, what: &str, usage: &str) -> Option<T> {
+    input_or_exit(what, std::env::args().nth(position).as_deref(), usage)
+}
+
 /// Reads the harness seed from the `SOS_SEED` environment variable
-/// (decimal), falling back to `default` when unset or unparsable.
+/// (decimal), falling back to `default` when unset. A set but
+/// unparsable value prints a usage line and exits with status 2.
 ///
 /// The bench binaries thread this through device, workload, and crash
 /// schedules, so any logged run can be replayed exactly:
 /// `SOS_SEED=42 cargo run --release --bin exp_crash_sweep`.
 pub fn seed_from_env(default: u64) -> u64 {
-    std::env::var("SOS_SEED")
-        .ok()
-        .and_then(|value| value.trim().parse().ok())
-        .unwrap_or(default)
+    let raw = std::env::var("SOS_SEED").ok();
+    input_or_exit("SOS_SEED", raw.as_deref(), "SOS_SEED=<u64> <binary> [args]").unwrap_or(default)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_input;
+
+    #[test]
+    fn parse_input_handles_unset_valid_and_malformed_values() {
+        assert_eq!(parse_input::<u64>("SOS_SEED", None), Ok(None));
+        assert_eq!(
+            parse_input::<u64>("SOS_SEED", Some("18446744073709551557")),
+            Ok(Some(18_446_744_073_709_551_557))
+        );
+        assert_eq!(parse_input::<u32>("days", Some(" 30 ")), Ok(Some(30)));
+        let error = parse_input::<u32>("days", Some("3O")).unwrap_err();
+        assert!(error.contains("days") && error.contains("3O"), "{error}");
+        assert!(parse_input::<u64>("SOS_SEED", Some("")).is_err());
+        assert!(parse_input::<u32>("days", Some("-1")).is_err());
+    }
 }

@@ -31,7 +31,7 @@
 //!   call graph walked from the recovery entry points — `Ftl::recover`,
 //!   GC, scrub, remount — flagging every reachable panicking construct
 //!   with its call chain), and the **determinism pass** (the same graph
-//!   walked from the experiment/runner/perf entry points, flagging
+//!   walked from the experiment/runner entry points, flagging
 //!   every reachable nondeterminism source: map iteration, wall clock,
 //!   undeclared env reads, thread identity, entropy-seeded RNGs,
 //!   unordered float reduction). Residual risks are suppressed inline
@@ -57,8 +57,8 @@ pub use determinism::{
     deterministic_entry_points, run_determinism, DeterminismReport, NondetFinding, NondetSource,
 };
 pub use harness::{
-    run_audited_days, run_crashy_days, seed_from_env, AuditFinding, AuditedFtl, CoreAuditorSet,
-    CrashSweepReport, RecoveryAuditor,
+    arg_or_exit, run_audited_days, run_crashy_days, seed_from_env, AuditFinding, AuditedFtl,
+    CoreAuditorSet, CrashSweepReport, RecoveryAuditor,
 };
 pub use lint::{run_lints, run_lints_on, LintFinding, LintOutcome};
 pub use panicpath::{

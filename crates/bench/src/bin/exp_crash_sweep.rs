@@ -9,20 +9,23 @@
 //! divided across shards) that run in parallel on the deterministic
 //! runner; shard `i` is seeded `task_seed(SOS_SEED, i)`, so the merged
 //! stdout report is byte-identical for any `SOS_THREADS`. Set
-//! `SOS_SEED` to replay a logged sweep.
+//! `SOS_SEED` to replay a logged sweep. A malformed argument or
+//! `SOS_SEED` exits with status 2.
 
-use sos_analyze::seed_from_env;
+use sos_analyze::{arg_or_exit, seed_from_env};
 use sos_bench::{crash_sweep_report, thread_count, CrashSweepOptions};
+
+const USAGE: &str = "exp_crash_sweep [days] [checkpoint_interval_days] [shards]";
 
 fn main() {
     let mut options = CrashSweepOptions::default();
-    if let Some(days) = std::env::args().nth(1).and_then(|arg| arg.parse().ok()) {
+    if let Some(days) = arg_or_exit(1, "days", USAGE) {
         options.days = days;
     }
-    if let Some(interval) = std::env::args().nth(2).and_then(|arg| arg.parse().ok()) {
+    if let Some(interval) = arg_or_exit(2, "checkpoint_interval_days", USAGE) {
         options.checkpoint_interval = interval;
     }
-    if let Some(shards) = std::env::args().nth(3).and_then(|arg| arg.parse().ok()) {
+    if let Some(shards) = arg_or_exit(3, "shards", USAGE) {
         options.shards = shards;
     }
     options.base_seed = seed_from_env(options.base_seed);

@@ -9,17 +9,20 @@
 //! The three arms run in parallel on the deterministic runner with a
 //! shared workload seed, so stdout is byte-identical for any
 //! `SOS_THREADS`. Set `SOS_SEED` to replay a logged run. Exits non-zero
-//! if FDP placement fails to beat the no-hint baseline on write-amp.
+//! if FDP placement fails to beat the no-hint baseline on write-amp,
+//! and with status 2 on a malformed argument or `SOS_SEED`.
 
-use sos_analyze::seed_from_env;
+use sos_analyze::{arg_or_exit, seed_from_env};
 use sos_bench::{flash_cache_report, thread_count, FlashCacheOptions};
+
+const USAGE: &str = "exp_flash_cache [days] [gets_per_day]";
 
 fn main() {
     let mut options = FlashCacheOptions::default();
-    if let Some(days) = std::env::args().nth(1).and_then(|arg| arg.parse().ok()) {
+    if let Some(days) = arg_or_exit(1, "days", USAGE) {
         options.days = days;
     }
-    if let Some(gets) = std::env::args().nth(2).and_then(|arg| arg.parse().ok()) {
+    if let Some(gets) = arg_or_exit(2, "gets_per_day", USAGE) {
         options.gets_per_day = gets;
     }
     options.base_seed = seed_from_env(options.base_seed);

@@ -5,7 +5,10 @@
 //! Paper claim: "users only wear out a fraction (e.g., 5%) of the total
 //! wear phones can endure during their warranty period" and flash
 //! outlasts the device "by an order of magnitude".
+//!
+//! Usage: `exp_lifetime_gap [days]` (default 900).
 
+use sos_analyze::arg_or_exit;
 use sos_core::{BaselineDevice, ObjectStore, Partition};
 use sos_workload::{DeviceLife, TraceOp, UsageProfile, WorkloadConfig};
 
@@ -48,10 +51,7 @@ fn run(profile: UsageProfile, days: u32) -> (f64, f64) {
 }
 
 fn main() {
-    let days = std::env::args()
-        .nth(1)
-        .and_then(|arg| arg.parse().ok())
-        .unwrap_or(900u32);
+    let days = arg_or_exit(1, "days", "exp_lifetime_gap [days]").unwrap_or(900u32);
     println!("# E4 — endurance consumed over a {days}-day device life (TLC)");
     println!(
         "{:<10} {:>14} {:>22}",

@@ -4,11 +4,8 @@
 //!   workers, task-order merge, per-task seed derivation).
 //! * [`experiments`] — the `exp_*` experiment implementations as pure
 //!   option → report functions, parallelized on the runner.
-//! * [`perf`] — the `perf_suite` micro-kernel timings and their JSON
-//!   baseline format (`BENCH_0005.json`).
 
 pub mod experiments;
-pub mod perf;
 pub mod runner;
 
 pub use experiments::{

@@ -53,8 +53,6 @@ pub use object::{
 };
 pub use pagestore::FtlPageStore;
 pub use partition::{LpnPool, PartitionStore};
-pub use sim::{
-    compare, format_comparison, run_design, warm_classifier, DesignKind, SimConfig, SimResult,
-};
+pub use sim::{compare, format_comparison, run_design, DesignKind, SimConfig, SimResult};
 pub use stripe::StripeManager;
 pub use ufs::{LunDescriptor, ReliabilityClass, UfsDevice, UfsError, UnitAttention};

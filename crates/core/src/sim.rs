@@ -15,7 +15,9 @@ use serde::{Deserialize, Serialize};
 use sos_carbon::EmbodiedModel;
 use sos_classify::{multi_user_corpus, Classifier, FeatureExtractor, LogisticRegression};
 use sos_flash::{CellDensity, ProgramMode};
+use sos_ftl::Ftl;
 use sos_workload::{DeviceLife, UsageProfile, WorkloadConfig};
+use std::time::Instant;
 
 /// Which device design a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -154,35 +156,39 @@ fn trained_classifier(seed: u64) -> (LogisticRegression, FeatureExtractor) {
     trained
 }
 
-/// Pre-trains the classifier for `seed` so later [`run_design`] calls
-/// with the same seed start from the cache.
-///
-/// A deployed SOS device ships with an already-trained model; training
-/// is one-time provisioning, not steady-state work. Benchmarks that
-/// want to measure device-day throughput call this outside their timed
-/// region, matching the other kernels whose setup is untimed.
-pub fn warm_classifier(seed: u64) {
-    let _ = trained_classifier(seed);
-}
-
-fn run_with<D: ObjectStore>(
+/// Runs `device` through the simulated life of `kind` and assembles its
+/// [`SimResult`]. `inspect` names the finished device's FTLs and the
+/// fraction of its bytes on SPARE.
+fn run_life<D, F>(
+    kind: DesignKind,
     device: D,
+    raw_bytes: u64,
     config: &SimConfig,
-    classify: bool,
-) -> (
-    D,
-    ControllerStats,
-    Option<LatencySummary>,
-    Option<f64>,
-    Option<f64>,
-) {
+    inspect: F,
+) -> SimResult
+where
+    D: ObjectStore,
+    F: for<'a> Fn(&'a D) -> (Vec<&'a Ftl>, f64),
+{
+    // sos-lint: allow(nondeterminism, "wall_seconds feeds the stderr-only throughput diagnostics; counter_summary() excludes it from stdout")
+    let started = Instant::now();
+    let density = match kind {
+        DesignKind::TlcBaseline => CellDensity::Tlc,
+        DesignKind::QlcBaseline => CellDensity::Qlc,
+        DesignKind::Sos => CellDensity::Plc,
+    };
+    let capacity = device.capacity_bytes();
     let (model, extractor) = trained_classifier(config.seed);
-    let capacity = if config.workload_bytes > 0 {
+    let workload_bytes = if config.workload_bytes > 0 {
         config.workload_bytes
     } else {
-        device.capacity_bytes()
+        capacity
     };
-    let life = DeviceLife::new(WorkloadConfig::phone(capacity, config.profile, config.seed));
+    let life = DeviceLife::new(WorkloadConfig::phone(
+        workload_bytes,
+        config.profile,
+        config.seed,
+    ));
     let cloud = if config.cloud_coverage > 0.0 {
         CloudConfig {
             coverage: config.cloud_coverage,
@@ -193,7 +199,7 @@ fn run_with<D: ObjectStore>(
         CloudConfig::none()
     };
     let controller_config = ControllerConfig {
-        classify,
+        classify: kind == DesignKind::Sos,
         ..ControllerConfig::default()
     };
     let mut controller =
@@ -204,99 +210,72 @@ fn run_with<D: ObjectStore>(
     controller
         .quality
         .record(controller.life.day() as f64, psnrs);
-    let latency = controller.read_latency.summary();
-    let final_psnr = controller.quality.final_median();
-    let worst = controller.quality.worst_min();
-    (
-        controller.device,
-        controller.stats,
-        latency,
-        final_psnr,
-        worst,
-    )
+    let (ftls, spare_byte_fraction) = inspect(&controller.device);
+    let mut perf = ftl_perf_counters(&ftls);
+    perf.wall_seconds = started.elapsed().as_secs_f64();
+    SimResult {
+        design: kind.name().to_string(),
+        days: config.days,
+        capacity_bytes: capacity,
+        kg_per_exported_gb: carbon_per_exported_gb(
+            &EmbodiedModel::default(),
+            density,
+            raw_bytes,
+            capacity,
+        ),
+        carbon_vs_tlc: 1.0,
+        stats: controller.stats,
+        counters: controller.device.counters(),
+        read_latency: controller.read_latency.summary(),
+        final_median_psnr: controller.quality.final_median(),
+        worst_min_psnr: controller.quality.worst_min(),
+        spare_byte_fraction,
+        perf,
+    }
 }
 
-/// Folds one flash device's stats into a [`PerfCounters`] accumulator.
-fn absorb_flash_stats(perf: &mut PerfCounters, stats: &sos_flash::device::DeviceStats) {
-    perf.rber_cache_hits += stats.rber_cache_hits;
-    perf.rber_cache_misses += stats.rber_cache_misses;
-    perf.pages_read += stats.reads;
-    perf.pages_programmed += stats.programs;
+/// Folds the flash and placement statistics of a design's FTLs into one
+/// [`PerfCounters`].
+fn ftl_perf_counters(ftls: &[&Ftl]) -> PerfCounters {
+    let mut perf = PerfCounters::default();
+    for ftl in ftls {
+        let stats = ftl.device().stats();
+        perf.rber_cache_hits += stats.rber_cache_hits;
+        perf.rber_cache_misses += stats.rber_cache_misses;
+        perf.pages_read += stats.reads;
+        perf.pages_programmed += stats.programs;
+        perf.absorb_placement(&ftl.placement_stats());
+    }
+    perf
 }
 
 /// Runs one design through a simulated device life.
 pub fn run_design(kind: DesignKind, config: &SimConfig) -> SimResult {
-    // sos-lint: allow(nondeterminism, "wall_seconds feeds the stderr-only throughput diagnostics; counter_summary() excludes it from stdout")
-    let started = std::time::Instant::now();
-    let model = EmbodiedModel::default();
     match kind {
         DesignKind::TlcBaseline | DesignKind::QlcBaseline => {
-            let density = if kind == DesignKind::TlcBaseline {
-                CellDensity::Tlc
-            } else {
-                CellDensity::Qlc
-            };
-            let device = if density == CellDensity::Tlc {
+            let device = if kind == DesignKind::TlcBaseline {
                 BaselineDevice::tlc_small(config.seed)
             } else {
                 BaselineDevice::qlc_small(config.seed)
             };
-            let capacity = device.capacity_bytes();
             let raw = device.partition().ftl.device().geometry().raw_bytes();
-            let (device, stats, latency, final_psnr, worst) = run_with(device, config, false);
-            let mut perf = PerfCounters::default();
-            absorb_flash_stats(&mut perf, &device.partition().ftl.device().stats());
-            perf.absorb_placement(&device.partition().ftl.placement_stats());
-            perf.wall_seconds = started.elapsed().as_secs_f64();
-            SimResult {
-                design: kind.name().to_string(),
-                days: config.days,
-                capacity_bytes: capacity,
-                kg_per_exported_gb: carbon_per_exported_gb(&model, density, raw, capacity),
-                carbon_vs_tlc: 1.0,
-                stats,
-                counters: device.counters(),
-                read_latency: latency,
-                final_median_psnr: final_psnr,
-                worst_min_psnr: worst,
-                spare_byte_fraction: 0.0,
-                perf,
-            }
+            run_life(kind, device, raw, config, |device| {
+                (vec![&device.partition().ftl], 0.0)
+            })
         }
         DesignKind::Sos => {
             let sos_config = SosConfig::small(config.seed);
-            let device = SosDevice::new(&sos_config);
-            let capacity = device.capacity_bytes();
             let raw = sos_config.base.geometry.raw_bytes();
-            let (device, stats, latency, final_psnr, worst) = run_with(device, config, true);
-            let mut perf = PerfCounters::default();
-            absorb_flash_stats(
-                &mut perf,
-                &device.partition(Partition::Sys).ftl.device().stats(),
-            );
-            absorb_flash_stats(
-                &mut perf,
-                &device.partition(Partition::Spare).ftl.device().stats(),
-            );
-            perf.absorb_placement(&device.partition(Partition::Sys).ftl.placement_stats());
-            perf.absorb_placement(&device.partition(Partition::Spare).ftl.placement_stats());
-            perf.wall_seconds = started.elapsed().as_secs_f64();
-            let (sys_bytes, spare_bytes) = device.partition_bytes();
-            let total = (sys_bytes + spare_bytes).max(1);
-            SimResult {
-                design: kind.name().to_string(),
-                days: config.days,
-                capacity_bytes: capacity,
-                kg_per_exported_gb: carbon_per_exported_gb(&model, CellDensity::Plc, raw, capacity),
-                carbon_vs_tlc: 1.0,
-                stats,
-                counters: device.counters(),
-                read_latency: latency,
-                final_median_psnr: final_psnr,
-                worst_min_psnr: worst,
-                spare_byte_fraction: spare_bytes as f64 / total as f64,
-                perf,
-            }
+            let device = SosDevice::new(&sos_config);
+            run_life(kind, device, raw, config, |device| {
+                let (sys_bytes, spare_bytes) = device.partition_bytes();
+                let total = (sys_bytes + spare_bytes).max(1);
+                let ftls = vec![
+                    &device.partition(Partition::Sys).ftl,
+                    &device.partition(Partition::Spare).ftl,
+                ];
+                (ftls, spare_bytes as f64 / total as f64)
+            })
         }
     }
 }

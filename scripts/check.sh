@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Full local gate: everything CI runs, in the same order.
+# Full local gate: everything CI runs, in the same order, except the CI
+# crash-sweep job's ignored long sweep (`cargo test --release -p
+# sos-analyze --test crash_sweep -- --include-ignored`).
 # Usage: scripts/check.sh [--fast]
-#   --fast skips the release build and test suite (lint-only gate).
+#   --fast skips the builds and test suites (lint-only gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,12 +30,10 @@ echo "==> determinism JSON report: target/sos-determinism-report.json"
 if [[ "$fast" -eq 0 ]]; then
     run cargo build --release
     run cargo test -q
-    # Perf smoke: quick kernels vs the committed baseline, plus the
-    # improvement ratchet (best-ever per kernel; wins are banked into
-    # BENCH_0010.json — commit it when perf_suite reports an update).
-    # A missing baseline is a graceful skip inside perf_suite itself.
-    run ./target/release/perf_suite --quick --out target/BENCH_0005.json \
-        --check BENCH_0005.json --ratchet BENCH_0010.json
+    # Benchmark contract: traced and untraced digests agree, every
+    # BENCHMARK.json metric is printed, seeds round-trip exactly.
+    run cargo test --offline --manifest-path perfbench/Cargo.toml
+    run cargo build -p sos-analyze --no-default-features
 fi
 
 echo "check.sh: all gates passed"
