@@ -13,7 +13,7 @@ use crate::{StateAuditor, Violation};
 use sos_classify::Classifier;
 use sos_core::{CoreState, Partition, RemountReport, SosController, SosDevice};
 use sos_flash::{FaultAt, FaultKind, FaultPlan, FlashError};
-use sos_ftl::{Ftl, FtlError, ReadResult, ScrubReport, SlotSnapshot, StreamId};
+use sos_ftl::{Ftl, FtlError, ReadResult, ScrubReport, SlotSnapshot};
 
 /// A violation tagged with the state it was found in (`"sys"`,
 /// `"spare"`, `"core"`, or `"ftl"` for a bare [`AuditedFtl`]).
@@ -132,18 +132,6 @@ impl AuditedFtl {
     /// [`Ftl::write`], followed by a full audit.
     pub fn write(&mut self, lpn: u64, data: &[u8]) -> Result<f64, FtlError> {
         let result = self.ftl.write(lpn, data);
-        self.check();
-        result
-    }
-
-    /// [`Ftl::write_stream`], followed by a full audit.
-    pub fn write_stream(
-        &mut self,
-        lpn: u64,
-        data: &[u8],
-        stream: StreamId,
-    ) -> Result<f64, FtlError> {
-        let result = self.ftl.write_stream(lpn, data, stream);
         self.check();
         result
     }

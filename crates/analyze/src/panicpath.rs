@@ -89,8 +89,8 @@ impl EntryPoint {
 
 /// The default entry set: everything that runs during or immediately
 /// after a crash remount, plus the background paths (GC, scrub) whose
-/// abort would take down a device mid-service. The FDP placement
-/// backend is included explicitly: its bookkeeping runs inside the
+/// abort would take down a device mid-service. `StreamPlacement`'s
+/// reclaim-unit bookkeeping is included explicitly: it runs inside the
 /// write, GC, and retire paths, where a panic is a device abort.
 pub fn recovery_entry_points() -> Vec<EntryPoint> {
     [

@@ -14,15 +14,14 @@ use sos_analyze::run_crashy_days;
 use sos_carbon::EmbodiedModel;
 use sos_classify::{multi_user_corpus, Classifier, FeatureExtractor, LogisticRegression};
 use sos_core::{
-    compare, format_comparison, run_design, CloudConfig, ControllerConfig, DesignKind, ObjectStore,
+    format_comparison, run_design, CloudConfig, ControllerConfig, DesignKind, ObjectStore,
     PerfCounters, SimConfig, SimResult, SosConfig, SosController, SosDevice,
 };
 use sos_ecc::PageStatus;
 use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
-use sos_ftl::placement::{STREAM_COLD, STREAM_DEFAULT};
 use sos_ftl::{
-    DataClass, DataTag, Ftl, FtlConfig, FtlError, GcPolicy, PlacementStats, ResuscitationPolicy,
-    Temperature, WearLevelingConfig,
+    DataClass, DataTag, Ftl, FtlConfig, FtlError, GcPolicy, PlacementHandle, PlacementStats,
+    ResuscitationPolicy, Temperature, WearLevelingConfig,
 };
 use sos_workload::{
     CacheBackend, CacheBackendError, CacheClass, CacheDayReport, CacheReadback, CacheTemp,
@@ -75,7 +74,7 @@ pub struct EndToEndOptions {
     /// Base RNG seed.
     pub base_seed: u64,
     /// Workload target bytes shared by every arm; 0 sizes it to the
-    /// SOS device's exported capacity (the [`compare`] rule). Tests
+    /// SOS device's exported capacity (the [`sos_core::compare`] rule). Tests
     /// set this small to keep runs fast.
     pub workload_bytes: u64,
 }
@@ -103,7 +102,7 @@ fn replica_seed(base_seed: u64, replica: usize) -> u64 {
 /// Runs E11: TLC vs QLC vs SOS device lives, `replicas` seeds per
 /// profile, every (profile × replica × design) arm an independent
 /// parallel task. Carbon is normalized to the TLC baseline *of the same
-/// replica*, mirroring the serial [`compare`] semantics.
+/// replica*, mirroring the serial [`sos_core::compare`] semantics.
 pub fn end_to_end_report(options: &EndToEndOptions, threads: usize) -> ExperimentOutput {
     let profiles: &[UsageProfile] = if options.heavy {
         &[UsageProfile::Typical, UsageProfile::Heavy]
@@ -222,20 +221,6 @@ pub fn end_to_end_report(options: &EndToEndOptions, threads: usize) -> Experimen
     output.report.push_str("on PLC but adequate (§4.5).\n");
     output.diagnostics = runner_diagnostics("E11", &runner, &perf_total);
     output
-}
-
-/// Serial reference for E11's primary table: the historical
-/// single-seed [`compare`] path (kept callable so tests can check the
-/// parallel port against it).
-pub fn end_to_end_primary_serial(days: u32, base_seed: u64) -> String {
-    let config = SimConfig {
-        days,
-        profile: UsageProfile::Typical,
-        seed: base_seed,
-        cloud_coverage: 0.0,
-        workload_bytes: 0,
-    };
-    format_comparison(&compare(&config))
 }
 
 // ---------------------------------------------------------------------------
@@ -683,8 +668,8 @@ pub fn capacity_variance_report(threads: usize) -> ExperimentOutput {
 pub enum CachePlacement {
     /// Every write lands on the default stream — the no-FDP baseline.
     NoHints,
-    /// Magic stream numbers, pre-placement-API style: metadata on the
-    /// default stream, every object on one undifferentiated stream.
+    /// Two fixed streams, pre-tag style: metadata on the default
+    /// handle, every object on one undifferentiated cold handle.
     LegacyStreams,
     /// Typed [`DataTag`]s: metadata as SYS/hot, objects as SPARE with
     /// popularity-derived temperature and a TTL hint.
@@ -764,11 +749,11 @@ impl CacheBackend for FtlCacheBackend {
             let result = match self.policy {
                 CachePlacement::NoHints => self.ftl.write(lpn, &self.payload),
                 CachePlacement::LegacyStreams => {
-                    let stream = match meta.class {
-                        CacheClass::Metadata => STREAM_DEFAULT,
-                        CacheClass::Object => STREAM_COLD,
+                    let handle = match meta.class {
+                        CacheClass::Metadata => PlacementHandle::DEFAULT,
+                        CacheClass::Object => PlacementHandle::COLD,
                     };
-                    self.ftl.write_stream(lpn, &self.payload, stream)
+                    self.ftl.write_placed(lpn, &self.payload, handle)
                 }
                 CachePlacement::Fdp => {
                     let tag = match meta.class {
@@ -781,7 +766,7 @@ impl CacheBackend for FtlCacheBackend {
                             DataTag::new(DataClass::Spare, temp).with_ttl(meta.ttl_days)
                         }
                     };
-                    self.ftl.write_tagged(lpn, &self.payload, tag)
+                    self.ftl.write_placed(lpn, &self.payload, tag.handle())
                 }
             };
             result.map_err(map_cache_error)?;

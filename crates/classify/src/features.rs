@@ -78,11 +78,6 @@ impl FeatureExtractor {
             observed_significance,
         ]
     }
-
-    /// Extracts features for a batch of files.
-    pub fn extract_batch(&self, files: &[&FileMeta], now: f64) -> Vec<Vec<f64>> {
-        files.iter().map(|m| self.extract(m, now)).collect()
-    }
 }
 
 fn extension(path: &str) -> &str {

@@ -44,12 +44,3 @@ pub struct CoreState {
     /// Every stored object's placement record, sorted by id.
     pub objects: Vec<ObjectSnapshot>,
 }
-
-impl CoreState {
-    /// Objects stored on a given partition.
-    pub fn objects_on(&self, partition: Partition) -> impl Iterator<Item = &ObjectSnapshot> {
-        self.objects
-            .iter()
-            .filter(move |o| o.partition == partition)
-    }
-}

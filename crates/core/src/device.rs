@@ -273,7 +273,7 @@ impl SosDevice {
                 // again.
                 self.sys
                     .ftl
-                    .write_tagged(lost_lpn, &rebuilt, self.sys.data_tag)?;
+                    .write_placed(lost_lpn, &rebuilt, self.sys.data_tag.handle())?;
                 self.stripes
                     .on_write(&mut self.sys.ftl, lost_lpn, &rebuilt)?;
                 repaired += 1;
@@ -413,7 +413,7 @@ impl SosDevice {
                         if let Some(rebuilt) = self.stripes.reconstruct(&mut self.sys.ftl, lpn) {
                             self.sys
                                 .ftl
-                                .write_tagged(lpn, &rebuilt, self.sys.data_tag)?;
+                                .write_placed(lpn, &rebuilt, self.sys.data_tag.handle())?;
                             report.sys_repaired += 1;
                         } else {
                             // Beyond parity's reach: declare the loss so

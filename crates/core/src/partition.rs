@@ -142,7 +142,7 @@ impl PartitionStore {
             if start < bytes.len() {
                 buffer[..end - start].copy_from_slice(&bytes[start..end]);
             }
-            match self.ftl.write_tagged(lpn, &buffer, self.data_tag) {
+            match self.ftl.write_placed(lpn, &buffer, self.data_tag.handle()) {
                 Ok(_) => {}
                 Err(FtlError::NoSpace) => {
                     // Roll back what we wrote; physical space exhausted

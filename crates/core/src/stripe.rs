@@ -8,11 +8,6 @@
 use sos_ftl::{Ftl, FtlError, PlacementHandle};
 use std::collections::BTreeMap;
 
-// Parity pages use the dedicated parity handle (kept apart from data
-// reclaim units: parity is rewritten far more often); the constant
-// lives with the rest of the placement surface in `sos_ftl::placement`.
-pub use sos_ftl::placement::STREAM_PARITY;
-
 /// Stripe parity manager over a SYS-partition FTL.
 ///
 /// Data LPN `l` belongs to stripe `l / width`; each stripe has one
@@ -76,22 +71,9 @@ impl StripeManager {
     /// whose membership changed. Returns the number of stripes
     /// refreshed.
     pub fn scrub_parity(&mut self, ftl: &mut Ftl) -> Result<u64, FtlError> {
-        let stripes: Vec<u64> = self.members.keys().copied().collect();
         let mut refreshed = 0;
-        for stripe in stripes {
-            let members = match self.members.get(&stripe) {
-                Some(members) => members.clone(),
-                None => continue,
-            };
-            let mut parity = vec![0u8; ftl.page_bytes()];
-            for &member in &members {
-                if let Ok(result) = ftl.read(member) {
-                    for (p, &b) in parity.iter_mut().zip(&result.data) {
-                        *p ^= b;
-                    }
-                }
-            }
-            ftl.write_placed(self.parity_lpn(stripe), &parity, PlacementHandle::PARITY)?;
+        for (&stripe, members) in &self.members {
+            write_parity(ftl, self.parity_lpn(stripe), members, None)?;
             refreshed += 1;
         }
         Ok(refreshed)
@@ -142,56 +124,28 @@ impl StripeManager {
     pub fn on_write(&mut self, ftl: &mut Ftl, lpn: u64, page: &[u8]) -> Result<(), FtlError> {
         debug_assert!(lpn < self.parity_base, "parity range written as data");
         let stripe = self.stripe_of(lpn);
+        let parity_lpn = self.parity_lpn(stripe);
         let members = self.members.entry(stripe).or_default();
         if !members.contains(&lpn) {
             members.push(lpn);
         }
-        let members = members.clone();
-        let mut parity = vec![0u8; page.len()];
-        for &member in &members {
-            if member == lpn {
-                for (p, &b) in parity.iter_mut().zip(page) {
-                    *p ^= b;
-                }
-                continue;
-            }
-            // Peers that fail to read cleanly are skipped: their stripe
-            // contribution is unknown, and the parity protects the
-            // readable majority (repair of the failed peer happens via
-            // `reconstruct` before the next write, or the data is lost).
-            if let Ok(result) = ftl.read(member) {
-                for (p, &b) in parity.iter_mut().zip(&result.data) {
-                    *p ^= b;
-                }
-            }
-        }
-        ftl.write_placed(self.parity_lpn(stripe), &parity, PlacementHandle::PARITY)?;
-        Ok(())
+        write_parity(ftl, parity_lpn, members, Some((lpn, page)))
     }
 
     /// Records a member deletion and refreshes parity.
     pub fn on_trim(&mut self, ftl: &mut Ftl, lpn: u64) -> Result<(), FtlError> {
         let stripe = self.stripe_of(lpn);
+        let parity_lpn = self.parity_lpn(stripe);
         let Some(members) = self.members.get_mut(&stripe) else {
             return Ok(());
         };
         members.retain(|&m| m != lpn);
-        let members = members.clone();
         if members.is_empty() {
             self.members.remove(&stripe);
-            let _ = ftl.trim(self.parity_lpn(stripe));
+            let _ = ftl.trim(parity_lpn);
             return Ok(());
         }
-        let mut parity = vec![0u8; ftl.page_bytes()];
-        for &member in &members {
-            if let Ok(result) = ftl.read(member) {
-                for (p, &b) in parity.iter_mut().zip(&result.data) {
-                    *p ^= b;
-                }
-            }
-        }
-        ftl.write_placed(self.parity_lpn(stripe), &parity, PlacementHandle::PARITY)?;
-        Ok(())
+        write_parity(ftl, parity_lpn, members, None)
     }
 
     /// Drops a member whose data is irrecoverably lost, without touching
@@ -219,24 +173,50 @@ impl StripeManager {
         if !members.contains(&lpn) {
             return None;
         }
-        let mut rebuilt = match ftl.read(self.parity_lpn(stripe)) {
-            Ok(result) => result.data,
-            Err(_) => return None,
-        };
+        let mut rebuilt = ftl.read(self.parity_lpn(stripe)).ok()?.data;
         for &member in members {
-            if member == lpn {
-                continue;
-            }
-            match ftl.read(member) {
-                Ok(result) => {
-                    for (r, &b) in rebuilt.iter_mut().zip(&result.data) {
-                        *r ^= b;
-                    }
-                }
-                Err(_) => return None,
+            if member != lpn {
+                xor_into(&mut rebuilt, &ftl.read(member).ok()?.data);
             }
         }
         Some(rebuilt)
+    }
+}
+
+/// Recomputes a stripe's parity as the XOR of its `members`, read in
+/// order, and writes it to `parity_lpn` on the dedicated parity handle
+/// (kept apart from data reclaim units: parity is rewritten far more
+/// often). `written` is a member whose payload was just written: it is
+/// XORed in directly rather than read back. Peers that fail to read
+/// cleanly are skipped: their stripe contribution is unknown, and the
+/// parity protects the readable majority (repair of the failed peer
+/// happens via [`StripeManager::reconstruct`] before the next write, or
+/// the data is lost).
+fn write_parity(
+    ftl: &mut Ftl,
+    parity_lpn: u64,
+    members: &[u64],
+    written: Option<(u64, &[u8])>,
+) -> Result<(), FtlError> {
+    let mut parity = vec![0u8; ftl.page_bytes()];
+    for &member in members {
+        match written {
+            Some((lpn, page)) if lpn == member => xor_into(&mut parity, page),
+            _ => {
+                if let Ok(result) = ftl.read(member) {
+                    xor_into(&mut parity, &result.data);
+                }
+            }
+        }
+    }
+    ftl.write_placed(parity_lpn, &parity, PlacementHandle::PARITY)?;
+    Ok(())
+}
+
+/// XORs `src` into `dst` byte by byte (over the shorter of the two).
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= s;
     }
 }
 
@@ -267,19 +247,38 @@ mod tests {
         assert!(parity >= data.div_ceil(4));
     }
 
+    /// Distinct payload byte per member of a full 4-wide stripe 0.
+    const STRIPE_BYTES: [u8; 4] = [0x11, 0x22, 0x3C, 0xF0];
+
+    fn write_full_stripe(ftl: &mut Ftl, stripes: &mut StripeManager) {
+        for (lpn, &byte) in (0u64..).zip(&STRIPE_BYTES) {
+            let data = page(ftl, byte);
+            ftl.write(lpn, &data).unwrap();
+            stripes.on_write(ftl, lpn, &data).unwrap();
+        }
+    }
+
     #[test]
     fn reconstructs_a_lost_member() {
-        let (mut ftl, mut stripes) = setup();
-        // Write three members of stripe 0.
-        for (lpn, byte) in [(0u64, 0x11u8), (1, 0x22), (2, 0x33)] {
-            let data = page(&ftl, byte);
-            ftl.write(lpn, &data).unwrap();
-            stripes.on_write(&mut ftl, lpn, &data).unwrap();
+        // Lose each member of a full stripe in turn; the others and the
+        // parity page rebuild it exactly.
+        for (lost, &byte) in (0u64..).zip(&STRIPE_BYTES) {
+            let (mut ftl, mut stripes) = setup();
+            write_full_stripe(&mut ftl, &mut stripes);
+            ftl.trim(lost).unwrap();
+            let rebuilt = stripes.reconstruct(&mut ftl, lost);
+            assert_eq!(rebuilt, Some(page(&ftl, byte)), "member {lost}");
         }
-        // Simulate loss of member 1.
+    }
+
+    #[test]
+    fn two_lost_members_are_not_reconstructable() {
+        let (mut ftl, mut stripes) = setup();
+        write_full_stripe(&mut ftl, &mut stripes);
         ftl.trim(1).unwrap();
-        let rebuilt = stripes.reconstruct(&mut ftl, 1).expect("reconstructable");
-        assert_eq!(rebuilt, page(&ftl, 0x22));
+        ftl.trim(3).unwrap();
+        assert!(stripes.reconstruct(&mut ftl, 1).is_none());
+        assert!(stripes.reconstruct(&mut ftl, 3).is_none());
     }
 
     #[test]

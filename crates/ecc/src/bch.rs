@@ -326,11 +326,6 @@ impl BchCode {
         BchCode::new(13, 18)
     }
 
-    /// A strong code for critical (SYS) data: t = 40 on GF(2^13).
-    pub fn flash_strong() -> Self {
-        BchCode::new(13, 40)
-    }
-
     /// Correction capability per codeword, in bit errors.
     pub fn t(&self) -> usize {
         self.t

@@ -6,24 +6,21 @@
 //! * [`gf`] / [`bch`] — a real binary BCH codec over GF(2^m): systematic
 //!   LFSR encoder, syndrome computation, Berlekamp–Massey and Chien
 //!   search. Strong codes protect the SYS partition.
-//! * [`hamming`] — (72,64) SEC-DED for metadata words.
 //! * [`crc`] — CRC-32 detection, the minimum SOS needs to *notice*
 //!   degradation on approximate data.
-//! * [`parity`] — XOR stripe parity across pages, the "additional
-//!   redundancy" the paper gives SYS blocks (§4.2).
 //! * [`scheme`] — page-level codecs gluing the codes together, including
 //!   the priority-split approximate mode used on SPARE data.
+//!
+//! The XOR stripe parity the paper adds on top of BCH for SYS blocks
+//! (§4.2) lives with the SYS layout it protects, in `sos-core`'s
+//! `stripe` module.
 
 pub mod bch;
 pub mod crc;
 pub mod gf;
-pub mod hamming;
-pub mod parity;
 pub mod scheme;
 
 pub use bch::{BchCode, BchError};
 pub use crc::{crc32, Crc32};
 pub use gf::GaloisField;
-pub use hamming::{decode64, encode64, HammingOutcome};
-pub use parity::{ParityStripe, StripeError};
 pub use scheme::{CodecError, DecodeReport, EccScheme, PageCodec, PageStatus, CHUNK_BYTES};

@@ -275,11 +275,6 @@ impl FlashDevice {
         self.sampling = sampling;
     }
 
-    /// The active error-count sampling strategy.
-    pub fn error_sampling(&self) -> ErrorSampling {
-        self.sampling
-    }
-
     /// Attaches a deterministic fault injector. Replaces any injector
     /// already attached.
     pub fn attach_injector(&mut self, injector: FaultInjector) {

@@ -171,11 +171,6 @@ impl ErrorModel {
             crate::cell::q_function(z)
         }
     }
-
-    /// Expected number of bit errors on a read of `nbits` bits.
-    pub fn expected_errors(&self, mode: ProgramMode, state: CellState, nbits: usize) -> f64 {
-        self.rber(mode, state) * nbits as f64
-    }
 }
 
 /// Samples a standard normal variate via Box–Muller.

@@ -8,7 +8,6 @@
 //! be fed deliberately corrupted copies in tests.
 
 use crate::ftl::{Ftl, Slot};
-use crate::placement::{PlacementBackend, StreamId};
 use crate::stats::FtlStats;
 use sos_flash::{BlockSnapshot, ProgramMode};
 
@@ -57,8 +56,8 @@ pub struct FtlState {
     pub blocks: Vec<BlockMapSnapshot>,
     /// Blocks currently in the free pool.
     pub free: Vec<u64>,
-    /// Open (partially programmed) blocks by placement stream.
-    pub open: Vec<(StreamId, u64)>,
+    /// Open (partially programmed) blocks by placement handle wire byte.
+    pub open: Vec<(u8, u64)>,
     /// Cumulative FTL counters at snapshot time.
     pub stats: FtlStats,
     /// The underlying device's per-block management state.

@@ -4,8 +4,7 @@
 
 use crate::config::FtlConfig;
 use crate::placement::{
-    DataTag, PlacementBackend, PlacementEvent, PlacementHandle, PlacementStats, ReclaimUnit,
-    StreamId, StreamPlacement,
+    PlacementEvent, PlacementHandle, PlacementStats, ReclaimUnit, StreamPlacement,
 };
 use crate::recovery::CheckpointHandle;
 use crate::stats::FtlStats;
@@ -391,27 +390,9 @@ impl Ftl {
         self.write_placed(lpn, data, PlacementHandle::DEFAULT)
     }
 
-    /// Writes one logical page with a typed data tag; the tag derives
-    /// the placement handle ([`DataTag::handle`]).
-    pub fn write_tagged(&mut self, lpn: u64, data: &[u8], tag: DataTag) -> Result<f64, FtlError> {
-        self.write_placed(lpn, data, tag.handle())
-    }
-
-    /// Writes one logical page with a legacy placement stream hint.
-    ///
-    /// Compat shim over [`Ftl::write_placed`]: the raw stream id wraps
-    /// into a [`PlacementHandle`] unchanged, so this path and the
-    /// handle path make bit-identical placement decisions.
-    pub fn write_stream(
-        &mut self,
-        lpn: u64,
-        data: &[u8],
-        stream: StreamId,
-    ) -> Result<f64, FtlError> {
-        self.write_placed(lpn, data, PlacementHandle::from_stream(stream))
-    }
-
     /// Writes one logical page into the reclaim unit open for `handle`.
+    /// This is the one placed write; a typed [`crate::DataTag`] places
+    /// through `tag.handle()`.
     ///
     /// Returns the device latency in µs.
     pub fn write_placed(
@@ -721,7 +702,7 @@ pub(crate) fn usable_pages(pages_per_block: u32, mode: ProgramMode) -> u32 {
 mod tests {
     use super::*;
     use crate::config::FtlConfig;
-    use crate::placement::{DataClass, Temperature, STREAM_GC};
+    use crate::placement::{DataClass, DataTag, Temperature};
     use sos_flash::CellDensity;
 
     fn small_ftl() -> Ftl {
@@ -793,7 +774,7 @@ mod tests {
         let mut ftl = small_ftl();
         let data = page_of(&ftl, 0);
         assert_eq!(
-            ftl.write_stream(0, &data, STREAM_GC).unwrap_err(),
+            ftl.write_placed(0, &data, PlacementHandle::GC).unwrap_err(),
             FtlError::ReservedStream
         );
     }
@@ -801,8 +782,10 @@ mod tests {
     #[test]
     fn streams_land_in_distinct_blocks() {
         let mut ftl = small_ftl();
-        ftl.write_stream(0, &page_of(&ftl, 1), 1).unwrap();
-        ftl.write_stream(1, &page_of(&ftl, 2), 2).unwrap();
+        ftl.write_placed(0, &page_of(&ftl, 1), PlacementHandle::PARITY)
+            .unwrap();
+        ftl.write_placed(1, &page_of(&ftl, 2), PlacementHandle::COLD)
+            .unwrap();
         let loc0 = match ftl.l2p[0] {
             Slot::Mapped(l) => l,
             _ => panic!(),
@@ -820,8 +803,10 @@ mod tests {
         let mut ftl = small_ftl();
         let hot = DataTag::new(DataClass::Sys, Temperature::Hot);
         let cold = DataTag::new(DataClass::Spare, Temperature::Cold).with_ttl(2);
-        ftl.write_tagged(0, &page_of(&ftl, 1), hot).unwrap();
-        ftl.write_tagged(1, &page_of(&ftl, 2), cold).unwrap();
+        ftl.write_placed(0, &page_of(&ftl, 1), hot.handle())
+            .unwrap();
+        ftl.write_placed(1, &page_of(&ftl, 2), cold.handle())
+            .unwrap();
         let units = ftl.open_reclaim_units();
         assert_eq!(units.len(), 2);
         assert_ne!(units[0].block, units[1].block);

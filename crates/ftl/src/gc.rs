@@ -9,7 +9,7 @@
 
 use crate::config::GcPolicy;
 use crate::ftl::{Ftl, FtlError, Slot};
-use crate::placement::{PlacementBackend, PlacementHandle};
+use crate::placement::PlacementHandle;
 use sos_ecc::PageStatus;
 use sos_flash::FlashError;
 

@@ -30,9 +30,8 @@ pub use audit::{BlockMapSnapshot, FtlState, SlotSnapshot};
 pub use config::{FtlConfig, GcPolicy, ResuscitationPolicy, ScrubConfig, WearLevelingConfig};
 pub use ftl::{Ftl, FtlError, FtlEvent, ReadResult};
 pub use placement::{
-    DataClass, DataTag, PlacementBackend, PlacementEvent, PlacementHandle, PlacementStats,
-    ReclaimUnit, StreamId, StreamPlacement, Temperature, STREAM_CKPT, STREAM_DEFAULT, STREAM_GC,
-    STREAM_PARITY,
+    DataClass, DataTag, PlacementEvent, PlacementHandle, PlacementStats, ReclaimUnit,
+    StreamPlacement, Temperature,
 };
 pub use recovery::RecoveryReport;
 pub use scrub::ScrubReport;

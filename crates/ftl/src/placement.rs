@@ -1,103 +1,86 @@
 //! FDP-style placement: reclaim units, placement handles, and typed
 //! data tags (§4.3; NVMe Flexible Data Placement, arXiv:2503.11665).
 //!
-//! Historically the FTL's placement surface was a bag of magic
-//! `StreamId: u8` constants scattered across `ftl.rs`, `gc.rs` and
-//! `recovery.rs`. This module redesigns that surface the way FDP does:
+//! FDP has one host directive — a placement handle on each write — and
+//! this module keeps that shape:
 //!
 //! * a [`ReclaimUnit`] is the host-visible append unit (one erase block
 //!   in this simulator) a handle currently appends into;
-//! * a [`PlacementHandle`] names where a write should land — a typed
-//!   wrapper over the legacy stream id, which remains the on-flash wire
-//!   encoding so existing OOB metadata and checkpoints stay decodable;
+//! * a [`PlacementHandle`] names where a write should land; its wire
+//!   byte (private constants below) is what per-page OOB metadata and
+//!   checkpoints store;
 //! * a [`DataTag`] is what hosts actually know about their data — its
 //!   class, temperature and expected lifetime — and maps
 //!   deterministically onto a handle;
-//! * a [`PlacementBackend`] tracks open/close/append on reclaim units
-//!   and surfaces fill and erase events to the host
-//!   ([`PlacementEvent`]), plus the placement-mix counters behind the
-//!   per-reclaim-unit write-amp reporting.
+//! * [`StreamPlacement`] tracks open/close/append on reclaim units and
+//!   surfaces fill and erase events to the host ([`PlacementEvent`]),
+//!   plus the placement-mix counters behind the per-reclaim-unit
+//!   write-amp reporting.
 //!
-//! The legacy `StreamId` path ([`crate::Ftl::write_stream`]) is kept as
-//! a thin compat shim over [`crate::Ftl::write_placed`]: a raw stream
-//! id converts via [`PlacementHandle::from_stream`], so both paths make
-//! bit-identical placement decisions (pinned by
-//! `tests/proptest_placement.rs`).
+//! [`crate::Ftl::write_placed`] is the one placed write.
 
 use std::collections::BTreeMap;
 
-/// Legacy placement stream identifier — the wire encoding of a
-/// [`PlacementHandle`] as stored in per-page OOB metadata. Kept as a
-/// compat shim so pre-redesign OOB metadata and checkpoints decode
-/// unchanged.
-pub type StreamId = u8;
+// Wire bytes of the placement handles, as stored in per-page OOB
+// metadata and checkpoints. Pinned by
+// `tag_handles_are_wire_compatible_and_injective`.
 
-/// Default stream for unhinted writes (hot data).
-pub const STREAM_DEFAULT: StreamId = 0;
-/// Stream for stripe parity pages (`sos-core`'s SYS redundancy).
-pub const STREAM_PARITY: StreamId = 1;
-/// Stream for cold / TTL'd data ([`Temperature::Cold`] tags).
-pub const STREAM_COLD: StreamId = 2;
-/// Stream for spare-class (degradable) hot data.
-pub const STREAM_SPARE_HOT: StreamId = 3;
-/// Stream for spare-class (degradable) cold data.
-pub const STREAM_SPARE_COLD: StreamId = 4;
-/// Stream used by checkpoint pages (and the remap target for host
-/// hints that collide with the reserved GC stream).
-pub const STREAM_CKPT: StreamId = 254;
-/// Internal stream used by garbage collection and refresh relocation.
-pub const STREAM_GC: StreamId = 255;
+/// Unhinted writes (hot SYS data).
+const WIRE_DEFAULT: u8 = 0;
+/// Stripe parity pages (`sos-core`'s SYS redundancy).
+const WIRE_PARITY: u8 = 1;
+/// Cold / TTL'd data ([`Temperature::Cold`] SYS tags).
+const WIRE_COLD: u8 = 2;
+/// Spare-class (degradable) hot data.
+const WIRE_SPARE_HOT: u8 = 3;
+/// Spare-class (degradable) cold data.
+const WIRE_SPARE_COLD: u8 = 4;
+/// Checkpoint pages (and the remap target for host hints that collide
+/// with the reserved GC byte).
+const WIRE_CKPT: u8 = 254;
+/// Internal relocation traffic from garbage collection and refresh.
+const WIRE_GC: u8 = 255;
 
 /// A placement handle: where a write should land. FDP's analogue of a
 /// stream id, but typed, so call sites name intent (`GC`, `CKPT`,
 /// `DEFAULT`) instead of magic numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PlacementHandle(StreamId);
+pub struct PlacementHandle(u8);
 
 impl PlacementHandle {
-    /// Handle for unhinted host writes (legacy stream 0).
-    pub const DEFAULT: PlacementHandle = PlacementHandle(STREAM_DEFAULT);
-    /// Handle for stripe parity pages (legacy stream 1).
-    pub const PARITY: PlacementHandle = PlacementHandle(STREAM_PARITY);
-    /// Handle for cold / TTL'd data (stream 2).
-    pub const COLD: PlacementHandle = PlacementHandle(STREAM_COLD);
+    /// Handle for unhinted host writes (hot SYS data).
+    pub const DEFAULT: PlacementHandle = PlacementHandle(WIRE_DEFAULT);
+    /// Handle for stripe parity pages.
+    pub const PARITY: PlacementHandle = PlacementHandle(WIRE_PARITY);
+    /// Handle for cold / TTL'd data.
+    pub const COLD: PlacementHandle = PlacementHandle(WIRE_COLD);
     /// Internal relocation handle for GC and refresh traffic.
-    pub const GC: PlacementHandle = PlacementHandle(STREAM_GC);
+    pub const GC: PlacementHandle = PlacementHandle(WIRE_GC);
     /// Internal handle for checkpoint pages.
-    pub const CKPT: PlacementHandle = PlacementHandle(STREAM_CKPT);
+    pub const CKPT: PlacementHandle = PlacementHandle(WIRE_CKPT);
 
-    /// Wraps a raw legacy stream id (the compat shim entry point).
-    pub const fn from_stream(stream: StreamId) -> PlacementHandle {
-        PlacementHandle(stream)
-    }
-
-    /// Maps a host-supplied placement hint onto a handle. The reserved
-    /// GC stream is remapped to the adjacent internal stream rather
-    /// than rejected — hosts pick hints without knowing the reserved
-    /// values (pinned by `sos-core`'s `reserved_stream_hint_is_remapped`).
-    pub const fn from_host_hint(hint: StreamId) -> PlacementHandle {
-        if hint == STREAM_GC {
-            PlacementHandle(STREAM_CKPT)
+    /// Maps a host-supplied placement hint (a raw wire byte) onto a
+    /// handle. The reserved GC byte is remapped to the adjacent internal
+    /// handle rather than rejected — hosts pick hints without knowing
+    /// the reserved values (pinned by `sos-core`'s
+    /// `reserved_stream_hint_is_remapped`).
+    pub const fn from_host_hint(hint: u8) -> PlacementHandle {
+        if hint == WIRE_GC {
+            PlacementHandle(WIRE_CKPT)
         } else {
             PlacementHandle(hint)
         }
     }
 
     /// The wire encoding written into per-page OOB metadata.
-    pub const fn stream(self) -> StreamId {
+    pub const fn stream(self) -> u8 {
         self.0
     }
 
     /// Whether this handle is reserved for FTL-internal traffic and
     /// must be rejected on the host write path.
     pub const fn is_reserved(self) -> bool {
-        self.0 == STREAM_GC
-    }
-}
-
-impl From<DataTag> for PlacementHandle {
-    fn from(tag: DataTag) -> PlacementHandle {
-        tag.handle()
+        self.0 == WIRE_GC
     }
 }
 
@@ -163,27 +146,25 @@ impl DataTag {
     }
 
     /// Derives the placement handle. The mapping is deterministic and
-    /// wire-compatible: hot SYS data lands on the legacy default stream
-    /// so devices written before the redesign decode unchanged, while
+    /// wire-compatible: hot SYS data lands on the default handle so
+    /// devices written before typed tags existed decode unchanged, while
     /// the other class/temperature combinations get their own reclaim
     /// units. The TTL hint never changes the handle (it is advisory for
     /// hosts deciding a temperature); only `class` and `temp` do.
     pub const fn handle(self) -> PlacementHandle {
-        let stream = match (self.class, self.temp) {
-            (DataClass::Sys, Temperature::Hot) => STREAM_DEFAULT,
-            (DataClass::Sys, Temperature::Cold) => STREAM_COLD,
-            (DataClass::Spare, Temperature::Hot) => STREAM_SPARE_HOT,
-            (DataClass::Spare, Temperature::Cold) => STREAM_SPARE_COLD,
+        let wire = match (self.class, self.temp) {
+            (DataClass::Sys, Temperature::Hot) => WIRE_DEFAULT,
+            (DataClass::Sys, Temperature::Cold) => WIRE_COLD,
+            (DataClass::Spare, Temperature::Hot) => WIRE_SPARE_HOT,
+            (DataClass::Spare, Temperature::Cold) => WIRE_SPARE_COLD,
         };
-        PlacementHandle(stream)
+        PlacementHandle(wire)
     }
 }
 
 /// The host-visible append unit a placement handle writes into: one
 /// erase block in this simulator (real FDP reclaim units span several
-/// blocks; one block keeps the unit boundary identical to the legacy
-/// open-block-per-stream allocator, which is what makes the compat shim
-/// bit-identical).
+/// blocks; here a unit is exactly the FTL's open block for a handle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReclaimUnit {
     /// Flat physical block index backing the unit.
@@ -275,45 +256,14 @@ impl PlacementStats {
 /// and close reclaim units per handle, and record unit erases. One
 /// handle appends into at most one open unit at a time (the FDP
 /// "placement handle references a reclaim unit" rule).
-pub trait PlacementBackend {
-    /// Binds a fresh (erased) block as the open reclaim unit for
-    /// `handle`, closing any previous unit for it first.
-    fn open_unit(&mut self, handle: PlacementHandle, block: u64);
-
-    /// The block backing the open reclaim unit for `handle`, if any.
-    fn unit_for(&self, handle: PlacementHandle) -> Option<u64>;
-
-    /// Records one page appended through `handle` into its open unit.
-    fn note_append(&mut self, handle: PlacementHandle);
-
-    /// Closes the open unit for `handle`. `filled` distinguishes a
-    /// unit that ran out of pages from one abandoned early.
-    fn close_unit(&mut self, handle: PlacementHandle, filled: bool) -> Option<ReclaimUnit>;
-
-    /// Closes whatever unit is backed by `block` (block failure or
-    /// retirement removes it from service regardless of handle).
-    fn evict_block(&mut self, block: u64);
-
-    /// Records that the unit backed by `block` was erased.
-    fn note_erase(&mut self, block: u64);
-
-    /// The currently open reclaim units, ordered by wire stream id.
-    fn open_units(&self) -> Vec<ReclaimUnit>;
-
-    /// Drains pending host-visible reclaim-unit events.
-    fn drain_events(&mut self) -> Vec<PlacementEvent>;
-
-    /// Cumulative placement-mix counters.
-    fn stats(&self) -> PlacementStats;
-}
-
-/// The default backend: the legacy open-block-per-stream allocator,
-/// re-expressed as reclaim units. Block selection stays exactly where
-/// it was (the FTL pops its free list); this tracks which unit each
-/// handle appends into and the lifecycle telemetry.
+///
+/// This is the open-block-per-stream allocator re-expressed as reclaim
+/// units. Block selection stays with the FTL (it pops its free list);
+/// this tracks which unit each handle appends into and the lifecycle
+/// telemetry.
 #[derive(Debug, Default)]
 pub struct StreamPlacement {
-    units: BTreeMap<StreamId, ReclaimUnit>,
+    units: BTreeMap<u8, ReclaimUnit>,
     events: Vec<PlacementEvent>,
     stats: PlacementStats,
 }
@@ -323,10 +273,10 @@ impl StreamPlacement {
     pub fn new() -> StreamPlacement {
         StreamPlacement::default()
     }
-}
 
-impl PlacementBackend for StreamPlacement {
-    fn open_unit(&mut self, handle: PlacementHandle, block: u64) {
+    /// Binds a fresh (erased) block as the open reclaim unit for
+    /// `handle`, closing any previous unit for it first.
+    pub fn open_unit(&mut self, handle: PlacementHandle, block: u64) {
         self.close_unit(handle, false);
         self.units.insert(
             handle.stream(),
@@ -341,11 +291,13 @@ impl PlacementBackend for StreamPlacement {
             .push(PlacementEvent::UnitOpened { handle, block });
     }
 
-    fn unit_for(&self, handle: PlacementHandle) -> Option<u64> {
+    /// The block backing the open reclaim unit for `handle`, if any.
+    pub fn unit_for(&self, handle: PlacementHandle) -> Option<u64> {
         self.units.get(&handle.stream()).map(|unit| unit.block)
     }
 
-    fn note_append(&mut self, handle: PlacementHandle) {
+    /// Records one page appended through `handle` into its open unit.
+    pub fn note_append(&mut self, handle: PlacementHandle) {
         if let Some(unit) = self.units.get_mut(&handle.stream()) {
             unit.written += 1;
         }
@@ -356,7 +308,9 @@ impl PlacementBackend for StreamPlacement {
         }
     }
 
-    fn close_unit(&mut self, handle: PlacementHandle, filled: bool) -> Option<ReclaimUnit> {
+    /// Closes the open unit for `handle`. `filled` distinguishes a
+    /// unit that ran out of pages from one abandoned early.
+    pub fn close_unit(&mut self, handle: PlacementHandle, filled: bool) -> Option<ReclaimUnit> {
         let unit = self.units.remove(&handle.stream())?;
         if filled {
             self.stats.units_filled += 1;
@@ -374,7 +328,9 @@ impl PlacementBackend for StreamPlacement {
         Some(unit)
     }
 
-    fn evict_block(&mut self, block: u64) {
+    /// Closes whatever unit is backed by `block` (block failure or
+    /// retirement removes it from service regardless of handle).
+    pub fn evict_block(&mut self, block: u64) {
         let handles: Vec<PlacementHandle> = self
             .units
             .values()
@@ -386,22 +342,26 @@ impl PlacementBackend for StreamPlacement {
         }
     }
 
-    fn note_erase(&mut self, block: u64) {
+    /// Records that the unit backed by `block` was erased.
+    pub fn note_erase(&mut self, block: u64) {
         self.stats.units_erased += 1;
         self.events.push(PlacementEvent::UnitErased { block });
     }
 
-    fn open_units(&self) -> Vec<ReclaimUnit> {
+    /// The currently open reclaim units, ordered by wire stream id.
+    pub fn open_units(&self) -> Vec<ReclaimUnit> {
         let mut units: Vec<ReclaimUnit> = self.units.values().copied().collect();
         units.sort_by_key(|unit| unit.handle.stream());
         units
     }
 
-    fn drain_events(&mut self) -> Vec<PlacementEvent> {
+    /// Drains pending host-visible reclaim-unit events.
+    pub fn drain_events(&mut self) -> Vec<PlacementEvent> {
         std::mem::take(&mut self.events)
     }
 
-    fn stats(&self) -> PlacementStats {
+    /// Cumulative placement-mix counters.
+    pub fn stats(&self) -> PlacementStats {
         self.stats
     }
 }
@@ -412,19 +372,35 @@ mod tests {
 
     #[test]
     fn tag_handles_are_wire_compatible_and_injective() {
-        assert_eq!(DataTag::sys_hot().handle().stream(), STREAM_DEFAULT);
         let tags = [
             DataTag::new(DataClass::Sys, Temperature::Hot),
             DataTag::new(DataClass::Sys, Temperature::Cold),
             DataTag::new(DataClass::Spare, Temperature::Hot),
             DataTag::new(DataClass::Spare, Temperature::Cold),
         ];
-        let mut streams: Vec<StreamId> = tags.iter().map(|tag| tag.handle().stream()).collect();
-        streams.sort_unstable();
-        streams.dedup();
-        assert_eq!(streams.len(), tags.len(), "tag → handle must be injective");
-        for stream in streams {
-            assert!(!PlacementHandle::from_stream(stream).is_reserved());
+        // The wire map: these bytes are in every OOB record and every
+        // checkpoint, so they may never change.
+        let wire = [
+            (PlacementHandle::DEFAULT, 0),
+            (PlacementHandle::PARITY, 1),
+            (PlacementHandle::COLD, 2),
+            (tags[2].handle(), 3),
+            (tags[3].handle(), 4),
+            (PlacementHandle::CKPT, 254),
+            (PlacementHandle::GC, 255),
+            (PlacementHandle::from_host_hint(255), 254),
+        ];
+        for (handle, byte) in wire {
+            assert_eq!(handle.stream(), byte, "{handle:?}");
+        }
+        assert_eq!(tags[0].handle(), PlacementHandle::DEFAULT);
+        assert_eq!(tags[1].handle(), PlacementHandle::COLD);
+        let mut handles: Vec<PlacementHandle> = tags.iter().map(|tag| tag.handle()).collect();
+        handles.sort_unstable();
+        handles.dedup();
+        assert_eq!(handles.len(), tags.len(), "tag → handle must be injective");
+        for handle in handles {
+            assert!(!handle.is_reserved());
         }
     }
 
@@ -437,8 +413,8 @@ mod tests {
     #[test]
     fn host_hint_remaps_reserved_stream() {
         assert_eq!(
-            PlacementHandle::from_host_hint(STREAM_GC).stream(),
-            STREAM_CKPT
+            PlacementHandle::from_host_hint(PlacementHandle::GC.stream()),
+            PlacementHandle::CKPT
         );
         assert_eq!(PlacementHandle::from_host_hint(7).stream(), 7);
     }

@@ -40,7 +40,7 @@
 
 use crate::config::FtlConfig;
 use crate::ftl::{usable_pages, BlockInfo, Ftl, FtlError, Slot};
-use crate::placement::{StreamPlacement, STREAM_CKPT};
+use crate::placement::{PlacementHandle, StreamPlacement};
 use crate::stats::FtlStats;
 use sos_ecc::{PageCodec, PageStatus};
 use sos_flash::oob::crc32;
@@ -194,7 +194,11 @@ impl Ftl {
                     }
                     Err(e) => return Err((blocks, e.into())),
                 };
-                let oob = OobMeta::checkpoint(index as u64, self.next_seq(), STREAM_CKPT);
+                let oob = OobMeta::checkpoint(
+                    index as u64,
+                    self.next_seq(),
+                    PlacementHandle::CKPT.stream(),
+                );
                 let addr = self.page_addr(self.flat_page(block, page));
                 match self.device.program_with_oob(addr, &raw, Some(oob)) {
                     Ok(_) => break,

@@ -8,7 +8,6 @@
 //! density, e.g. pseudo-TLC".
 
 use crate::ftl::{usable_pages, Ftl, FtlError, FtlEvent};
-use crate::placement::PlacementBackend;
 use sos_flash::cell::CellState;
 use sos_flash::{CellDensity, ProgramMode};
 

@@ -6,8 +6,7 @@
 //! relevant streams/zones with different management policies". The
 //! multi-stream path is the FDP-style placement API
 //! ([`crate::placement`]: reclaim units addressed through
-//! [`crate::placement::PlacementHandle`], with the legacy
-//! [`crate::placement::StreamId`] kept as a compat shim); this
+//! [`crate::placement::PlacementHandle`]); this
 //! module is the zoned alternative: fixed zones of physical blocks,
 //! append-only write pointers, explicit resets — and, as the SOS twist,
 //! a per-zone *program mode* chosen at reset time, so the host can run

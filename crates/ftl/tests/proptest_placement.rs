@@ -1,66 +1,11 @@
-//! Property-based placement-API tests: the legacy `StreamId` shim and
-//! the FDP-style placement path must make bit-identical placement
-//! decisions, and reclaim units left open by a power cut must come back
-//! closed and writable after recovery.
+//! Property-based placement-API tests: reclaim units left open by a
+//! power cut must come back closed and writable after recovery.
 
 use proptest::prelude::*;
 use sos_flash::{
     CellDensity, DeviceConfig, FaultAt, FaultKind, FaultPlan, FlashError, ProgramMode,
 };
-use sos_ftl::placement::{STREAM_COLD, STREAM_SPARE_COLD, STREAM_SPARE_HOT};
-use sos_ftl::{
-    DataClass, DataTag, Ftl, FtlConfig, FtlError, PlacementHandle, Temperature, STREAM_DEFAULT,
-};
-
-#[derive(Debug, Clone)]
-enum Op {
-    Write { lpn: u16, byte: u8, stream: u8 },
-    Trim { lpn: u16 },
-}
-
-/// The four host-visible streams, as both wire numbers and the typed
-/// tags that map onto them (the [`DataTag`] handle map is injective on
-/// these).
-fn stream_strategy() -> impl Strategy<Value = u8> {
-    prop_oneof![
-        Just(STREAM_DEFAULT),
-        Just(STREAM_COLD),
-        Just(STREAM_SPARE_HOT),
-        Just(STREAM_SPARE_COLD),
-    ]
-}
-
-fn tag_for_stream(stream: u8) -> DataTag {
-    match stream {
-        STREAM_COLD => DataTag::new(DataClass::Sys, Temperature::Cold),
-        STREAM_SPARE_HOT => DataTag::new(DataClass::Spare, Temperature::Hot).with_ttl(3),
-        STREAM_SPARE_COLD => DataTag::new(DataClass::Spare, Temperature::Cold).with_ttl(30),
-        _ => DataTag::sys_hot(),
-    }
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        // Writes dominate (same trick as proptest_recovery.rs): three
-        // write arms to one trim arm keeps GC pressure building.
-        (0u16..96, any::<u8>(), stream_strategy()).prop_map(|(lpn, byte, stream)| Op::Write {
-            lpn,
-            byte,
-            stream
-        }),
-        (0u16..96, any::<u8>(), stream_strategy()).prop_map(|(lpn, byte, stream)| Op::Write {
-            lpn,
-            byte,
-            stream
-        }),
-        (0u16..96, any::<u8>(), stream_strategy()).prop_map(|(lpn, byte, stream)| Op::Write {
-            lpn,
-            byte,
-            stream
-        }),
-        (0u16..96).prop_map(|lpn| Op::Trim { lpn }),
-    ]
-}
+use sos_ftl::{DataClass, DataTag, Ftl, FtlConfig, FtlError, Temperature};
 
 fn small_ftl() -> Ftl {
     Ftl::new(
@@ -71,60 +16,6 @@ fn small_ftl() -> Ftl {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Replay one random multi-stream workload through three write
-    /// paths — the legacy `write_stream` shim, `write_placed` with
-    /// `PlacementHandle::from_stream`, and `write_tagged` with the
-    /// typed tag that maps to the same stream — on three identically
-    /// seeded FTLs. Placement must be bit-identical: same L2P map, same
-    /// per-block reverse maps, same free list, same open reclaim units,
-    /// same counters.
-    #[test]
-    fn legacy_shim_and_placement_path_place_identically(
-        ops in proptest::collection::vec(op_strategy(), 20..140),
-    ) {
-        let mut via_stream = small_ftl();
-        let mut via_handle = small_ftl();
-        let mut via_tag = small_ftl();
-        for op in ops {
-            match op {
-                Op::Write { lpn, byte, stream } => {
-                    let lpn = lpn as u64;
-                    let page = vec![byte; via_stream.page_bytes()];
-                    let a = via_stream.write_stream(lpn, &page, stream);
-                    let b = via_handle.write_placed(
-                        lpn,
-                        &page,
-                        PlacementHandle::from_stream(stream),
-                    );
-                    let c = via_tag.write_tagged(lpn, &page, tag_for_stream(stream));
-                    prop_assert_eq!(a.is_ok(), b.is_ok());
-                    prop_assert_eq!(a.is_ok(), c.is_ok());
-                }
-                Op::Trim { lpn } => {
-                    let lpn = lpn as u64;
-                    let a = via_stream.trim(lpn);
-                    let b = via_handle.trim(lpn);
-                    let c = via_tag.trim(lpn);
-                    prop_assert_eq!(a.is_ok(), b.is_ok());
-                    prop_assert_eq!(a.is_ok(), c.is_ok());
-                }
-            }
-        }
-        let a = via_stream.audit_snapshot();
-        let b = via_handle.audit_snapshot();
-        let c = via_tag.audit_snapshot();
-        prop_assert_eq!(&a.l2p, &b.l2p, "shim vs handle: L2P diverged");
-        prop_assert_eq!(&a.l2p, &c.l2p, "shim vs tag: L2P diverged");
-        prop_assert_eq!(&a.blocks, &b.blocks, "shim vs handle: block maps diverged");
-        prop_assert_eq!(&a.blocks, &c.blocks, "shim vs tag: block maps diverged");
-        prop_assert_eq!(&a.free, &b.free, "shim vs handle: free lists diverged");
-        prop_assert_eq!(&a.free, &c.free, "shim vs tag: free lists diverged");
-        prop_assert_eq!(&a.open, &b.open, "shim vs handle: open units diverged");
-        prop_assert_eq!(&a.open, &c.open, "shim vs tag: open units diverged");
-        prop_assert_eq!(a.stats, b.stats, "shim vs handle: counters diverged");
-        prop_assert_eq!(a.stats, c.stats, "shim vs tag: counters diverged");
-    }
 
     /// Open several reclaim units (one per tag), cut power mid-append,
     /// recover. Units open at the crash must come back closed (the
@@ -146,7 +37,7 @@ proptest! {
         let page_bytes = ftl.page_bytes();
         // Open a unit on every tag before arming the fault.
         for (index, tag) in tags.iter().enumerate() {
-            match ftl.write_tagged(index as u64, &vec![0xA0; page_bytes], *tag) {
+            match ftl.write_placed(index as u64, &vec![0xA0; page_bytes], tag.handle()) {
                 Ok(_) => {}
                 Err(e) => return Err(TestCaseError::fail(format!("warm-up write: {e}"))),
             }
@@ -161,7 +52,7 @@ proptest! {
         'outer: for round in 0u64..2000 {
             for (index, tag) in tags.iter().enumerate() {
                 let lpn = (round * tags.len() as u64 + index as u64) % 96;
-                match ftl.write_tagged(lpn, &vec![round as u8; page_bytes], *tag) {
+                match ftl.write_placed(lpn, &vec![round as u8; page_bytes], tag.handle()) {
                     Ok(_) => {}
                     Err(FtlError::Device(FlashError::PowerLoss)) => {
                         crashed = true;
@@ -203,7 +94,7 @@ proptest! {
         }
         // Tagged appends work again and reopen units.
         for (index, tag) in tags.iter().enumerate() {
-            match recovered.write_tagged(index as u64, &vec![0xB0; page_bytes], *tag) {
+            match recovered.write_placed(index as u64, &vec![0xB0; page_bytes], tag.handle()) {
                 Ok(_) => {}
                 Err(e) => return Err(TestCaseError::fail(format!("post-recovery write: {e}"))),
             }

@@ -115,14 +115,6 @@ impl DedupStore {
         DedupStore::default()
     }
 
-    /// Creates a store with a custom chunker.
-    pub fn with_chunker(chunker: Chunker) -> Self {
-        DedupStore {
-            chunker,
-            ..DedupStore::default()
-        }
-    }
-
     /// Ingests one file, returning the bytes newly stored.
     pub fn ingest(&mut self, data: &[u8]) -> u64 {
         let mut new_bytes = 0u64;
@@ -144,11 +136,6 @@ impl DedupStore {
             return 1.0;
         }
         self.physical_bytes as f64 / self.logical_bytes as f64
-    }
-
-    /// Unique chunks stored.
-    pub fn unique_chunks(&self) -> usize {
-        self.unique.len()
     }
 }
 
