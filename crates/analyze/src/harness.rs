@@ -2,11 +2,10 @@
 //! interval auditing for long simulations.
 //!
 //! [`AuditedFtl`] wraps an [`Ftl`] and re-audits the full state after
-//! every mutating operation; with the `audit` feature disabled the
-//! wrapper compiles down to plain forwarding. [`run_audited_days`]
-//! drives an [`SosController`] for a number of simulated days, auditing
-//! the whole device at a configurable day interval — cheap enough to
-//! leave on in long experiments.
+//! every mutating operation. [`run_audited_days`] drives an
+//! [`SosController`] for a number of simulated days, auditing the whole
+//! device at a configurable day interval — cheap enough to leave on in
+//! long experiments.
 
 use crate::auditors::{FtlAuditorSet, PlacementAuditor};
 use crate::{StateAuditor, Violation};
@@ -82,12 +81,10 @@ impl CoreAuditorSet {
 /// An FTL wrapper that audits the complete state after every operation.
 ///
 /// Intended for tests: violations accumulate in [`AuditedFtl::violations`]
-/// instead of panicking, so a test decides how strictly to react. With
-/// the `audit` feature disabled the per-operation checks vanish.
+/// instead of panicking, so a test decides how strictly to react.
 #[derive(Debug)]
 pub struct AuditedFtl {
     ftl: Ftl,
-    #[cfg(feature = "audit")]
     auditors: FtlAuditorSet,
     /// Violations found so far, in operation order.
     pub violations: Vec<Violation>,
@@ -98,7 +95,6 @@ impl AuditedFtl {
     pub fn new(ftl: Ftl) -> Self {
         let mut audited = AuditedFtl {
             ftl,
-            #[cfg(feature = "audit")]
             auditors: FtlAuditorSet::new(),
             violations: Vec::new(),
         };
@@ -107,11 +103,8 @@ impl AuditedFtl {
     }
 
     fn check(&mut self) {
-        #[cfg(feature = "audit")]
-        {
-            let state = self.ftl.audit_snapshot();
-            self.violations.extend(self.auditors.audit(&state));
-        }
+        let state = self.ftl.audit_snapshot();
+        self.violations.extend(self.auditors.audit(&state));
     }
 
     /// Read access to the wrapped FTL.

@@ -60,7 +60,7 @@ pub use harness::{
     arg_or_exit, run_audited_days, run_crashy_days, seed_from_env, AuditFinding, AuditedFtl,
     CoreAuditorSet, CrashSweepReport, RecoveryAuditor,
 };
-pub use lint::{run_lints, run_lints_on, LintFinding, LintOutcome};
+pub use lint::{run_lints_on, LintFinding, LintOutcome};
 pub use panicpath::{
     device_hot_entry_points, harness_entry_points, recovery_entry_points, run_panic_path,
     EntryPoint, PanicPathReport,

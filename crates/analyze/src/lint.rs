@@ -39,7 +39,7 @@ use crate::parse::lexer::TokenKind;
 use crate::parse::{SourceFile, Workspace};
 use crate::suppress::SuppressionSet;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Crates whose non-test code must be free of `.unwrap()` / `.expect(`.
 const NO_UNWRAP_CRATES: &[&str] = &["flash", "ftl", "core", "hostfs"];
@@ -88,12 +88,6 @@ pub struct LintOutcome {
     pub findings: Vec<LintFinding>,
     /// Findings silenced by a `sos-lint: allow(…)` comment.
     pub suppressed: usize,
-}
-
-/// Runs every lint rule over `root/crates/*/src`, returning findings
-/// sorted by file and line. An empty vector means the tree is clean.
-pub fn run_lints(root: &Path) -> Vec<LintFinding> {
-    run_lints_on(&Workspace::load(root)).findings
 }
 
 /// Runs every lint rule over an already-parsed workspace.

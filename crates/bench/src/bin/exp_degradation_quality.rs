@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sos_ecc::EccScheme;
 use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
-use sos_ftl::{Ftl, FtlConfig, GcPolicy, ResuscitationPolicy, ScrubConfig, WearLevelingConfig};
+use sos_ftl::{Ftl, FtlConfig, WearLevelingConfig};
 use sos_media::{decode, psnr, synthetic_photo, ImageCodec};
 
 fn flip_fraction(bytes: &mut [u8], skip: usize, rber: f64, rng: &mut StdRng) {
@@ -88,16 +88,10 @@ fn device_sweep() {
     );
     for (name, scheme, scrub) in schemes {
         let config = FtlConfig {
-            mode: ProgramMode::native(CellDensity::Plc),
             ecc: scheme,
-            over_provisioning: 0.07,
-            gc_policy: GcPolicy::Greedy,
-            gc_low_watermark: 3,
-            gc_high_watermark: 6,
             wear_leveling: WearLevelingConfig::disabled(),
-            scrub: ScrubConfig::default(),
-            resuscitation: ResuscitationPolicy::retire_only(),
             ecc_failure_target: 1e-6,
+            ..FtlConfig::conventional(ProgramMode::native(CellDensity::Plc))
         };
         let mut ftl = Ftl::new(&DeviceConfig::tiny(CellDensity::Plc).with_seed(5), config);
         let cap = ftl.logical_pages();

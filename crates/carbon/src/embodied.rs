@@ -82,12 +82,6 @@ impl EmbodiedModel {
             .map(|&(fraction, mode)| capacity_gb * fraction * self.kg_per_gb_at_reference(mode))
             .sum()
     }
-
-    /// People-equivalents of `kg` of CO2e (one person's annual world-
-    /// average emissions).
-    pub fn people_equivalents(kg: f64) -> f64 {
-        kg / (TONNES_CO2_PER_PERSON_YEAR * 1000.0)
-    }
 }
 
 /// Carbon comparison of device designs at equal exported capacity.
@@ -221,11 +215,5 @@ mod tests {
     fn bad_fractions_panic() {
         let m = EmbodiedModel::default();
         let _ = m.device_kg(1.0, &[(0.4, ProgramMode::native(CellDensity::Tlc))]);
-    }
-
-    #[test]
-    fn people_equivalents_inverse() {
-        // 4400 kg = 1 person-year.
-        assert!((EmbodiedModel::people_equivalents(4400.0) - 1.0).abs() < 1e-12);
     }
 }

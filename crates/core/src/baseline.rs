@@ -9,7 +9,7 @@ use crate::object::{
 };
 use crate::partition::PartitionStore;
 use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
-use sos_ftl::{DataTag, Ftl, FtlConfig, FtlError};
+use sos_ftl::{DataTag, Ftl, FtlConfig};
 use std::collections::BTreeMap;
 
 /// Location record for one stored object.
@@ -62,10 +62,6 @@ impl BaselineDevice {
     pub fn partition(&self) -> &PartitionStore {
         &self.store
     }
-
-    fn storage_error(e: FtlError) -> ObjectError {
-        ObjectError::Storage(e.to_string())
-    }
 }
 
 impl ObjectStore for BaselineDevice {
@@ -80,8 +76,7 @@ impl ObjectStore for BaselineDevice {
         }
         let lpns = self
             .store
-            .write_object(bytes)
-            .map_err(Self::storage_error)?
+            .write_object(bytes)?
             .ok_or(ObjectError::NoSpace)?;
         self.objects.insert(
             id,
@@ -103,10 +98,7 @@ impl ObjectStore for BaselineDevice {
             .get(&id)
             .ok_or(ObjectError::NotFound(id))?
             .clone();
-        let read = self
-            .store
-            .read_object(&info.lpns, info.len)
-            .map_err(Self::storage_error)?;
+        let read = self.store.read_object(&info.lpns, info.len)?;
         if read.status == ObjectStatus::PartiallyLost && !info.damaged {
             if let Some(entry) = self.objects.get_mut(&id) {
                 entry.damaged = true;
@@ -130,12 +122,9 @@ impl ObjectStore for BaselineDevice {
             .clone();
         let new_lpns = self
             .store
-            .write_object(bytes)
-            .map_err(Self::storage_error)?
+            .write_object(bytes)?
             .ok_or(ObjectError::NoSpace)?;
-        self.store
-            .free_object(&info.lpns)
-            .map_err(Self::storage_error)?;
+        self.store.free_object(&info.lpns)?;
         let entry = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
         entry.lpns = new_lpns;
         self.counters.live_bytes = self.counters.live_bytes + bytes.len() as u64 - entry.len as u64;
@@ -146,9 +135,7 @@ impl ObjectStore for BaselineDevice {
 
     fn delete(&mut self, id: ObjectId) -> Result<(), ObjectError> {
         let info = self.objects.remove(&id).ok_or(ObjectError::NotFound(id))?;
-        self.store
-            .free_object(&info.lpns)
-            .map_err(Self::storage_error)?;
+        self.store.free_object(&info.lpns)?;
         self.counters.objects -= 1;
         self.counters.live_bytes -= info.len as u64;
         Ok(())
@@ -172,7 +159,7 @@ impl ObjectStore for BaselineDevice {
     }
 
     fn maintain(&mut self) -> Result<bool, ObjectError> {
-        let report = self.store.ftl.scrub().map_err(Self::storage_error)?;
+        let report = self.store.ftl.scrub()?;
         let lost = self.store.process_events();
         if !lost.is_empty() {
             let lost_set: std::collections::HashSet<u64> = lost.into_iter().collect();

@@ -12,7 +12,7 @@ use crate::object::{
 use crate::partition::PartitionStore;
 use crate::stripe::StripeManager;
 use serde::{Deserialize, Serialize};
-use sos_flash::{CellDensity, DeviceConfig, FaultPlan, FlashError, Geometry};
+use sos_flash::{CellDensity, DeviceConfig, FaultPlan, Geometry};
 use sos_ftl::{DataTag, Ftl, FtlConfig, FtlError, RecoveryReport};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -137,7 +137,6 @@ impl SosDevice {
             StripeManager::layout(sys_ftl.logical_pages(), config.stripe_width);
         let stripes = StripeManager::new(config.stripe_width, data_pages);
         let mut sys = PartitionStore::new(sys_ftl, DataTag::sys_hot());
-        sys.pool.shrink_budget(data_pages);
         // Re-derive the pool so only data LPNs are handed out.
         sys.pool = crate::partition::LpnPool::new(data_pages);
         let spare = PartitionStore::new(spare_ftl, DataTag::spare_hot());
@@ -203,6 +202,9 @@ impl SosDevice {
         (sys, spare)
     }
 
+    /// Writes an object's pages (and, on SYS, their stripe parity).
+    /// Returns `None`, with nothing left allocated or mapped, when the
+    /// partition runs out of space.
     fn write_to(
         &mut self,
         partition: Partition,
@@ -222,27 +224,35 @@ impl SosDevice {
                     let end = (start + page_bytes).min(bytes.len());
                     page[..end - start].copy_from_slice(&bytes[start..end]);
                 }
-                self.stripes.on_write(&mut self.sys.ftl, lpn, &page)?;
+                match self.stripes.on_write(&mut self.sys.ftl, lpn, &page) {
+                    Ok(()) => {}
+                    Err(FtlError::NoSpace) => {
+                        // Parity found no room: undo the data writes
+                        // as `write_object` does for its own.
+                        self.free_from(partition, &lpns)?;
+                        return Ok(None);
+                    }
+                    Err(e) => return Err(e),
+                }
             }
         }
         Ok(Some(lpns))
     }
 
+    /// Trims an object's pages, drops them from their SYS stripes and
+    /// only then returns them to the pool. Never fails for lack of
+    /// space (see [`StripeManager::on_trim`]).
     fn free_from(&mut self, partition: Partition, lpns: &[u64]) -> Result<(), FtlError> {
-        self.store(partition).free_object(lpns)?;
+        for &lpn in lpns {
+            self.store(partition).ftl.trim(lpn)?;
+        }
         if partition == Partition::Sys {
             for &lpn in lpns {
                 self.stripes.on_trim(&mut self.sys.ftl, lpn)?;
             }
         }
+        self.store(partition).pool.release(lpns);
         Ok(())
-    }
-
-    fn storage_error(e: FtlError) -> ObjectError {
-        match e {
-            FtlError::Device(FlashError::PowerLoss) => ObjectError::PowerLoss,
-            other => ObjectError::Storage(other.to_string()),
-        }
     }
 
     /// Attempts stripe reconstruction of lost SYS pages, patching
@@ -271,11 +281,18 @@ impl SosDevice {
                 }
                 // Write the repaired page back so the mapping is live
                 // again.
-                self.sys
+                let restored = self
+                    .sys
                     .ftl
-                    .write_placed(lost_lpn, &rebuilt, self.sys.data_tag.handle())?;
-                self.stripes
-                    .on_write(&mut self.sys.ftl, lost_lpn, &rebuilt)?;
+                    .write_placed(lost_lpn, &rebuilt, self.sys.data_tag.handle())
+                    .and_then(|_| self.stripes.on_write(&mut self.sys.ftl, lost_lpn, &rebuilt));
+                match restored {
+                    // Without free space the repair still serves this
+                    // read; the page stays lost (or its stripe stale)
+                    // until a later write.
+                    Ok(()) | Err(FtlError::NoSpace) => {}
+                    Err(e) => return Err(e),
+                }
                 repaired += 1;
             }
         }
@@ -364,17 +381,8 @@ impl SosDevice {
             .reserve(&spare_refs.iter().copied().collect::<Vec<u64>>());
         // Budgets reflect what the recovered FTLs can sustain (wear and
         // retirement survive the crash in the device).
-        let sys_deficit = self
-            .sys
-            .ftl
-            .logical_pages()
-            .saturating_sub(self.sys.ftl.sustainable_pages());
-        self.sys
-            .pool
-            .shrink_budget(parity_base.saturating_sub(sys_deficit));
-        self.spare
-            .pool
-            .shrink_budget(self.spare.ftl.sustainable_pages());
+        self.sys.shrink_to(self.sys.ftl.sustainable_pages());
+        self.spare.shrink_to(self.spare.ftl.sustainable_pages());
 
         // Volatile trims: drop every mapped data LPN no object
         // references (resurrected trims, plus pages of operations that
@@ -468,8 +476,7 @@ impl ObjectStore for SosDevice {
             return Err(ObjectError::Exists(id));
         }
         let lpns = self
-            .write_to(partition, bytes)
-            .map_err(Self::storage_error)?
+            .write_to(partition, bytes)?
             .ok_or(ObjectError::NoSpace)?;
         self.objects.insert(
             id,
@@ -494,14 +501,11 @@ impl ObjectStore for SosDevice {
             .clone();
         let read = self
             .store(info.partition)
-            .read_object(&info.lpns, info.len)
-            .map_err(Self::storage_error)?;
+            .read_object(&info.lpns, info.len)?;
         let mut bytes = read.bytes;
         let mut status = read.status;
         if info.partition == Partition::Sys && !read.lost_pages.is_empty() {
-            let repaired = self
-                .repair_sys_pages(&info.lpns, &read.lost_pages, &mut bytes)
-                .map_err(Self::storage_error)?;
+            let repaired = self.repair_sys_pages(&info.lpns, &read.lost_pages, &mut bytes)?;
             if repaired == read.lost_pages.len() {
                 status = ObjectStatus::Intact;
             }
@@ -528,11 +532,9 @@ impl ObjectStore for SosDevice {
             .ok_or(ObjectError::NotFound(id))?
             .clone();
         let new_lpns = self
-            .write_to(info.partition, bytes)
-            .map_err(Self::storage_error)?
+            .write_to(info.partition, bytes)?
             .ok_or(ObjectError::NoSpace)?;
-        self.free_from(info.partition, &info.lpns)
-            .map_err(Self::storage_error)?;
+        self.free_from(info.partition, &info.lpns)?;
         let entry = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
         entry.lpns = new_lpns;
         self.counters.live_bytes = self.counters.live_bytes + bytes.len() as u64 - entry.len as u64;
@@ -548,8 +550,7 @@ impl ObjectStore for SosDevice {
         // remount re-trim sweeps up whatever was left mapped).
         self.counters.objects -= 1;
         self.counters.live_bytes -= info.len as u64;
-        self.free_from(info.partition, &info.lpns)
-            .map_err(Self::storage_error)?;
+        self.free_from(info.partition, &info.lpns)?;
         Ok(())
     }
 
@@ -565,11 +566,9 @@ impl ObjectStore for SosDevice {
         // Best-effort read (degradation carries over — §4.2), then move.
         let data = self.get(id)?;
         let new_lpns = self
-            .write_to(partition, &data.bytes)
-            .map_err(Self::storage_error)?
+            .write_to(partition, &data.bytes)?
             .ok_or(ObjectError::NoSpace)?;
-        self.free_from(info.partition, &info.lpns)
-            .map_err(Self::storage_error)?;
+        self.free_from(info.partition, &info.lpns)?;
         let entry = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
         entry.partition = partition;
         entry.lpns = new_lpns;
@@ -586,10 +585,11 @@ impl ObjectStore for SosDevice {
     }
 
     fn maintain(&mut self) -> Result<bool, ObjectError> {
-        let sys_report = self.sys.ftl.scrub().map_err(Self::storage_error)?;
-        let spare_report = self.spare.ftl.scrub().map_err(Self::storage_error)?;
+        let sys_report = self.sys.ftl.scrub()?;
+        let spare_report = self.spare.ftl.scrub()?;
         let sys_lost = self.sys.process_events();
         let spare_lost = self.spare.process_events();
+        self.stripes.refresh_stale(&mut self.sys.ftl)?;
         // Mark objects whose pages the FTL reported lost.
         for (partition, lost) in [(Partition::Sys, sys_lost), (Partition::Spare, spare_lost)] {
             if lost.is_empty() {

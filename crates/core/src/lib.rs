@@ -40,7 +40,6 @@ pub mod pagestore;
 pub mod partition;
 pub mod sim;
 pub mod stripe;
-pub mod ufs;
 
 pub use audit::{CoreState, ObjectSnapshot};
 pub use baseline::BaselineDevice;
@@ -55,4 +54,3 @@ pub use pagestore::FtlPageStore;
 pub use partition::{LpnPool, PartitionStore};
 pub use sim::{compare, format_comparison, run_design, DesignKind, SimConfig, SimResult};
 pub use stripe::StripeManager;
-pub use ufs::{LunDescriptor, ReliabilityClass, UfsDevice, UfsError, UnitAttention};

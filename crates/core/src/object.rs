@@ -8,6 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 use sos_ecc::PageStatus;
+use sos_flash::FlashError;
+use sos_ftl::FtlError;
 
 /// Object identifier (matches workload file ids).
 pub type ObjectId = u64;
@@ -78,6 +80,16 @@ impl std::fmt::Display for ObjectError {
 
 impl std::error::Error for ObjectError {}
 
+impl From<FtlError> for ObjectError {
+    fn from(e: FtlError) -> Self {
+        match e {
+            FtlError::NoSpace => ObjectError::NoSpace,
+            FtlError::Device(FlashError::PowerLoss) => ObjectError::PowerLoss,
+            other => ObjectError::Storage(other.to_string()),
+        }
+    }
+}
+
 /// Summary counters every device flavour reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DeviceCounters {
@@ -144,6 +156,20 @@ pub fn merge_status(object: ObjectStatus, page: PageStatus) -> ObjectStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ftl_errors_map_to_object_errors() {
+        assert_eq!(ObjectError::from(FtlError::NoSpace), ObjectError::NoSpace);
+        assert_eq!(
+            ObjectError::from(FtlError::Device(FlashError::PowerLoss)),
+            ObjectError::PowerLoss
+        );
+        let lost = FtlError::DataLost(7);
+        assert_eq!(
+            ObjectError::from(lost.clone()),
+            ObjectError::Storage(lost.to_string())
+        );
+    }
 
     #[test]
     fn status_merge_is_worst_wins() {

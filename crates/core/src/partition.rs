@@ -19,6 +19,8 @@ pub struct LpnPool {
     free: Vec<u64>,
     allocated: u64,
     budget: u64,
+    /// The pool hands out LPNs `0..span`.
+    span: u64,
 }
 
 impl LpnPool {
@@ -28,7 +30,13 @@ impl LpnPool {
             free: (0..pages).rev().collect(),
             allocated: 0,
             budget: pages,
+            span: pages,
         }
+    }
+
+    /// Number of LPNs the pool covers (`0..span`).
+    pub fn span(&self) -> u64 {
+        self.span
     }
 
     /// Pages currently allocated.
@@ -206,14 +214,20 @@ impl PartitionStore {
         let mut lost = Vec::new();
         for event in self.ftl.drain_events() {
             match event {
-                FtlEvent::CapacityShrunk { pages, .. } => {
-                    self.pool.shrink_budget(pages);
-                }
+                FtlEvent::CapacityShrunk { pages, .. } => self.shrink_to(pages),
                 FtlEvent::DataLost { lpn, .. } => lost.push(lpn),
                 FtlEvent::BlockRetired { .. } | FtlEvent::BlockResuscitated { .. } => {}
             }
         }
         lost
+    }
+
+    /// Lowers the pool budget to fit an FTL capacity of `pages` logical
+    /// pages. FTL pages outside the pool's span (the SYS parity range)
+    /// stay live whatever the pool hands out, so they come off the top.
+    pub fn shrink_to(&mut self, pages: u64) {
+        let withheld = self.ftl.logical_pages().saturating_sub(self.pool.span());
+        self.pool.shrink_budget(pages.saturating_sub(withheld));
     }
 
     /// Bytes this partition can sustainably hold.

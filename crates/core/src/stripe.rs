@@ -6,7 +6,7 @@
 //! so a page the BCH cannot recover is rebuilt from its stripe peers.
 
 use sos_ftl::{Ftl, FtlError, PlacementHandle};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Stripe parity manager over a SYS-partition FTL.
 ///
@@ -14,7 +14,10 @@ use std::collections::BTreeMap;
 /// parity LPN drawn from a reserved range at the top of the logical
 /// space. Parity is recomputed on every member write (read-peers +
 /// write-parity), which is the simple, always-consistent variant of
-/// RAID-5 maintenance.
+/// RAID-5 maintenance. A refresh that finds no free space leaves the
+/// stripe *stale*: its parity no longer matches its members, so
+/// [`StripeManager::reconstruct`] refuses it until a later refresh
+/// succeeds.
 #[derive(Debug)]
 pub struct StripeManager {
     width: u64,
@@ -22,6 +25,8 @@ pub struct StripeManager {
     parity_base: u64,
     /// Member LPNs currently live, per stripe.
     members: BTreeMap<u64, Vec<u64>>,
+    /// Stripes whose parity page does not match their members.
+    stale: BTreeSet<u64>,
 }
 
 impl StripeManager {
@@ -39,6 +44,7 @@ impl StripeManager {
             width,
             parity_base,
             members: BTreeMap::new(),
+            stale: BTreeSet::new(),
         }
     }
 
@@ -76,7 +82,21 @@ impl StripeManager {
             write_parity(ftl, self.parity_lpn(stripe), members, None)?;
             refreshed += 1;
         }
+        self.stale.clear();
         Ok(refreshed)
+    }
+
+    /// Retries the parity refresh of every stale stripe, stopping at the
+    /// first that still finds no free space.
+    pub fn refresh_stale(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
+        while let Some(stripe) = self.stale.first().copied() {
+            match self.refresh(ftl, stripe, None) {
+                Ok(()) => {}
+                Err(FtlError::NoSpace) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     /// How many data LPNs this layout supports.
@@ -120,32 +140,64 @@ impl StripeManager {
     }
 
     /// Records a member write and refreshes the stripe's parity page.
-    /// `page` is the payload just written to `lpn`.
+    /// `page` is the payload just written to `lpn`. On
+    /// [`FtlError::NoSpace`] the member stays recorded and the stripe is
+    /// left stale; the caller undoes the write with [`Self::on_trim`].
     pub fn on_write(&mut self, ftl: &mut Ftl, lpn: u64, page: &[u8]) -> Result<(), FtlError> {
         debug_assert!(lpn < self.parity_base, "parity range written as data");
         let stripe = self.stripe_of(lpn);
-        let parity_lpn = self.parity_lpn(stripe);
         let members = self.members.entry(stripe).or_default();
         if !members.contains(&lpn) {
             members.push(lpn);
         }
-        write_parity(ftl, parity_lpn, members, Some((lpn, page)))
+        self.refresh(ftl, stripe, Some((lpn, page)))
     }
 
-    /// Records a member deletion and refreshes parity.
+    /// Records a member deletion and refreshes parity. Never fails for
+    /// lack of space: the member is dropped regardless, and a parity
+    /// refresh that finds no free space leaves the stripe stale.
     pub fn on_trim(&mut self, ftl: &mut Ftl, lpn: u64) -> Result<(), FtlError> {
         let stripe = self.stripe_of(lpn);
-        let parity_lpn = self.parity_lpn(stripe);
         let Some(members) = self.members.get_mut(&stripe) else {
             return Ok(());
         };
         members.retain(|&m| m != lpn);
         if members.is_empty() {
             self.members.remove(&stripe);
-            let _ = ftl.trim(parity_lpn);
+            self.stale.remove(&stripe);
+            let _ = ftl.trim(self.parity_lpn(stripe));
             return Ok(());
         }
-        write_parity(ftl, parity_lpn, members, None)
+        match self.refresh(ftl, stripe, None) {
+            Err(FtlError::NoSpace) => Ok(()),
+            other => other,
+        }
+    }
+
+    /// Rewrites `stripe`'s parity page from its members, marking the
+    /// stripe stale when the write finds no free space and consistent
+    /// once it succeeds.
+    fn refresh(
+        &mut self,
+        ftl: &mut Ftl,
+        stripe: u64,
+        written: Option<(u64, &[u8])>,
+    ) -> Result<(), FtlError> {
+        let Some(members) = self.members.get(&stripe) else {
+            self.stale.remove(&stripe);
+            return Ok(());
+        };
+        match write_parity(ftl, self.parity_lpn(stripe), members, written) {
+            Ok(()) => {
+                self.stale.remove(&stripe);
+                Ok(())
+            }
+            Err(FtlError::NoSpace) => {
+                self.stale.insert(stripe);
+                Err(FtlError::NoSpace)
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Drops a member whose data is irrecoverably lost, without touching
@@ -160,17 +212,18 @@ impl StripeManager {
             members.retain(|&m| m != lpn);
             if members.is_empty() {
                 self.members.remove(&stripe);
+                self.stale.remove(&stripe);
             }
         }
     }
 
     /// Attempts to rebuild the payload of a lost member from its stripe
     /// peers and the parity page. Returns `None` when any peer or the
-    /// parity itself is unavailable.
+    /// parity itself is unavailable, or when the stripe is stale.
     pub fn reconstruct(&self, ftl: &mut Ftl, lpn: u64) -> Option<Vec<u8>> {
         let stripe = self.stripe_of(lpn);
         let members = self.members.get(&stripe)?;
-        if !members.contains(&lpn) {
+        if !members.contains(&lpn) || self.stale.contains(&stripe) {
             return None;
         }
         let mut rebuilt = ftl.read(self.parity_lpn(stripe)).ok()?.data;
@@ -223,7 +276,7 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
+    use sos_flash::{CellDensity, DeviceConfig, FaultAt, FaultKind, FaultPlan, ProgramMode};
     use sos_ftl::FtlConfig;
 
     fn setup() -> (Ftl, StripeManager) {
@@ -310,6 +363,45 @@ mod tests {
         assert!(stripes.reconstruct(&mut ftl, 0).is_none());
         ftl.trim(1).unwrap();
         assert_eq!(stripes.reconstruct(&mut ftl, 1).unwrap(), b);
+    }
+
+    #[test]
+    fn parity_refresh_without_space_leaves_the_stripe_unreconstructable() {
+        let (mut ftl, mut stripes) = setup();
+        write_full_stripe(&mut ftl, &mut stripes);
+        // Every erase from here on retires its block, so GC can no
+        // longer win space back: fill the other stripes until the FTL
+        // runs out.
+        for _ in 0..64 {
+            let plan = FaultPlan {
+                kind: FaultKind::FailErase,
+                at: FaultAt::OpCount(0),
+            };
+            ftl.arm_fault(plan, 1);
+        }
+        let filler = page(&ftl, 0x77);
+        let span = stripes.data_pages() - 4;
+        let mut full = false;
+        for step in 0..10 * ftl.logical_pages() {
+            let lpn = 4 + step % span;
+            let written = ftl
+                .write(lpn, &filler)
+                .and_then(|_| stripes.on_write(&mut ftl, lpn, &filler));
+            if written == Err(FtlError::NoSpace) {
+                full = true;
+                break;
+            }
+            written.unwrap();
+        }
+        assert!(full, "the FTL never ran out of space");
+        // Dropping member 0 cannot rewrite the parity, which still
+        // folds in member 0's data: rebuilding member 1 from it would
+        // return 0x11 ^ 0x22 instead of 0x22.
+        ftl.trim(0).unwrap();
+        stripes.on_trim(&mut ftl, 0).unwrap();
+        assert!(stripes.stale.contains(&0));
+        ftl.trim(1).unwrap();
+        assert!(stripes.reconstruct(&mut ftl, 1).is_none());
     }
 
     #[test]

@@ -49,25 +49,6 @@ impl DeviceConfig {
         }
     }
 
-    /// Phone-class UFS-like device (~512 MiB scaled stand-in for a
-    /// 512 GB part; simulations scale workloads by the same factor).
-    pub fn phone_ufs(density: CellDensity) -> Self {
-        DeviceConfig {
-            geometry: Geometry {
-                channels: 2,
-                dies_per_channel: 2,
-                planes_per_die: 2,
-                blocks_per_plane: 256,
-                pages_per_block: 64,
-                page_bytes: 4096,
-                spare_bytes: 256,
-            },
-            physical_density: density,
-            timing: TimingModel::default(),
-            seed: 0xC0FFEE,
-        }
-    }
-
     /// Overrides the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -85,8 +66,6 @@ mod tests {
         assert_eq!(tiny.geometry.raw_bytes(), 4 * 1024 * 1024);
         let small = DeviceConfig::sim_small(CellDensity::Tlc);
         assert_eq!(small.geometry.raw_bytes(), 64 * 1024 * 1024);
-        let phone = DeviceConfig::phone_ufs(CellDensity::Tlc);
-        assert_eq!(phone.geometry.raw_bytes(), 512 * 1024 * 1024);
     }
 
     #[test]

@@ -448,7 +448,11 @@ impl FlashDevice {
                 return Err(FlashError::PowerLoss);
             }
             Some(FaultKind::FailErase) => {
+                // Like a worn-out erase below: the block ends up empty
+                // and bad.
                 state.pec = state.pec.saturating_add(1);
+                state.next_page = 0;
+                state.reads_since_program = 0;
                 state.bad = true;
                 self.store.clear_block(block);
                 self.stats.erases += 1;
@@ -1077,6 +1081,7 @@ mod tests {
             FlashError::ProgramFailed(0)
         );
         assert!(dev.is_bad(0).unwrap());
+        dev.program(page(&dev, 1, 0), &data).unwrap();
         if let Some(inj) = dev.injector_mut() {
             inj.arm(FaultPlan {
                 kind: FaultKind::FailErase,
@@ -1085,6 +1090,10 @@ mod tests {
         }
         assert_eq!(dev.erase(1).unwrap_err(), FlashError::EraseFailed(1));
         assert!(dev.is_bad(1).unwrap());
+        // The failed erase still emptied the block.
+        let snapshot = &dev.snapshot_blocks()[1];
+        assert_eq!(snapshot.next_page, 0);
+        assert!(snapshot.programmed.is_empty());
     }
 
     #[test]

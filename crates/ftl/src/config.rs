@@ -22,27 +22,22 @@ pub enum GcPolicy {
 /// exactly this ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WearLevelingConfig {
-    /// Whether preemptive (static) wear leveling runs at all.
-    pub enabled: bool,
-    /// Trigger when `max_pec - min_pec` exceeds this many cycles.
-    pub threshold: u32,
+    /// Trigger when `max_pec - min_pec` exceeds this many cycles; `None`
+    /// turns preemptive (static) wear leveling off.
+    pub threshold: Option<u32>,
 }
 
 impl WearLevelingConfig {
     /// Standard wear leveling for SYS-class data.
     pub fn enabled(threshold: u32) -> Self {
         WearLevelingConfig {
-            enabled: true,
-            threshold,
+            threshold: Some(threshold),
         }
     }
 
     /// No preemptive wear leveling (SPARE partition policy).
     pub fn disabled() -> Self {
-        WearLevelingConfig {
-            enabled: false,
-            threshold: u32::MAX,
-        }
+        WearLevelingConfig { threshold: None }
     }
 }
 
@@ -77,31 +72,34 @@ impl Default for ScrubConfig {
 /// reduced density, e.g. pseudo-TLC").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResuscitationPolicy {
-    /// Whether reduced-density reuse is attempted before retirement.
-    pub enabled: bool,
     /// Densities to step down through, most preferred first (each must
-    /// be less dense than the physical cell).
+    /// be less dense than the physical cell). Empty means retire
+    /// immediately.
     pub ladder: Vec<CellDensity>,
 }
 
 impl ResuscitationPolicy {
     /// Retire immediately; never reprogram at reduced density.
     pub fn retire_only() -> Self {
-        ResuscitationPolicy {
-            enabled: false,
-            ladder: Vec::new(),
-        }
+        ResuscitationPolicy { ladder: Vec::new() }
     }
 
     /// The SOS SPARE-partition ladder for PLC: pseudo-TLC, then
     /// pseudo-SLC, then retire.
     pub fn plc_default() -> Self {
         ResuscitationPolicy {
-            enabled: true,
             ladder: vec![CellDensity::Tlc, CellDensity::Slc],
         }
     }
 }
+
+/// Fraction of usable capacity reserved as over-provisioning.
+pub(crate) const OVER_PROVISIONING: f64 = 0.07;
+/// Free-block low watermark: GC starts when free blocks drop to this.
+pub(crate) const GC_LOW_WATERMARK: usize = 3;
+/// Free-block high watermark: GC stops once free blocks reach this.
+pub(crate) const GC_HIGH_WATERMARK: usize = 6;
+const _: () = assert!(GC_LOW_WATERMARK < GC_HIGH_WATERMARK);
 
 /// Complete FTL configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,14 +108,8 @@ pub struct FtlConfig {
     pub mode: ProgramMode,
     /// Page ECC scheme.
     pub ecc: EccScheme,
-    /// Fraction of raw capacity reserved as over-provisioning.
-    pub over_provisioning: f64,
     /// GC victim selection.
     pub gc_policy: GcPolicy,
-    /// Free-block low watermark: GC starts when free blocks drop to this.
-    pub gc_low_watermark: u32,
-    /// Free-block high watermark: GC stops once free blocks reach this.
-    pub gc_high_watermark: u32,
     /// Wear leveling.
     pub wear_leveling: WearLevelingConfig,
     /// Scrubber thresholds.
@@ -136,10 +128,7 @@ impl FtlConfig {
         FtlConfig {
             mode,
             ecc: EccScheme::Bch { t: 18 },
-            over_provisioning: 0.07,
             gc_policy: GcPolicy::Greedy,
-            gc_low_watermark: 3,
-            gc_high_watermark: 6,
             wear_leveling: WearLevelingConfig::enabled(200),
             scrub: ScrubConfig::default(),
             resuscitation: ResuscitationPolicy::retire_only(),
@@ -157,10 +146,7 @@ impl FtlConfig {
                 t: 18,
                 protected_chunks: 1,
             },
-            over_provisioning: 0.07,
             gc_policy: GcPolicy::CostBenefit,
-            gc_low_watermark: 3,
-            gc_high_watermark: 6,
             wear_leveling: WearLevelingConfig::disabled(),
             scrub: ScrubConfig {
                 refresh_margin: 0.7,
@@ -178,10 +164,7 @@ impl FtlConfig {
         FtlConfig {
             mode: ProgramMode::pseudo(CellDensity::Plc, CellDensity::Qlc),
             ecc: EccScheme::Bch { t: 18 },
-            over_provisioning: 0.07,
             gc_policy: GcPolicy::Greedy,
-            gc_low_watermark: 3,
-            gc_high_watermark: 6,
             wear_leveling: WearLevelingConfig::enabled(200),
             scrub: ScrubConfig::default(),
             resuscitation: ResuscitationPolicy::retire_only(),
@@ -197,23 +180,11 @@ mod tests {
     #[test]
     fn presets_are_consistent() {
         let spare = FtlConfig::sos_spare();
-        assert!(!spare.wear_leveling.enabled);
-        assert!(spare.resuscitation.enabled);
+        assert_eq!(spare.wear_leveling.threshold, None);
+        assert!(!spare.resuscitation.ladder.is_empty());
         let sys = FtlConfig::sos_sys();
-        assert!(sys.wear_leveling.enabled);
+        assert_eq!(sys.wear_leveling.threshold, Some(200));
         assert!(sys.mode.is_pseudo());
         assert_eq!(sys.mode.physical, CellDensity::Plc);
-    }
-
-    #[test]
-    fn watermarks_ordered() {
-        for cfg in [
-            FtlConfig::conventional(ProgramMode::native(CellDensity::Tlc)),
-            FtlConfig::sos_spare(),
-            FtlConfig::sos_sys(),
-        ] {
-            assert!(cfg.gc_low_watermark < cfg.gc_high_watermark);
-            assert!(cfg.over_provisioning > 0.0 && cfg.over_provisioning < 0.5);
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! path with FDP-style placement (see [`crate::placement`]), and the
 //! read path with ECC decode.
 
-use crate::config::FtlConfig;
+use crate::config::{FtlConfig, GC_HIGH_WATERMARK, OVER_PROVISIONING};
 use crate::placement::{
     PlacementEvent, PlacementHandle, PlacementStats, ReclaimUnit, StreamPlacement,
 };
@@ -240,11 +240,7 @@ impl Ftl {
                 last_write_day: 0.0,
             })
             .collect();
-        // Reserve GC headroom plus over-provisioning out of the raw
-        // capacity; what remains is exported to the host.
-        let reserve_blocks = config.gc_high_watermark as u64 + 2;
-        let usable_total = total_blocks.saturating_sub(reserve_blocks) * usable as u64;
-        let logical_pages = (usable_total as f64 * (1.0 - config.over_provisioning)) as u64;
+        let logical_pages = exported_pages(total_blocks, usable);
         let mut ftl = Ftl {
             device,
             config,
@@ -283,7 +279,6 @@ impl Ftl {
     /// [`Ftl::logical_pages`], the host must shrink (capacity variance,
     /// §4.3).
     pub fn sustainable_pages(&self) -> u64 {
-        let reserve_blocks = self.config.gc_high_watermark as u64 + 2;
         let mut usable_total: u64 = 0;
         let mut good_blocks = 0u64;
         for info in &self.blocks {
@@ -293,13 +288,13 @@ impl Ftl {
             good_blocks += 1;
             usable_total += info.lpns.len() as u64;
         }
-        if good_blocks <= reserve_blocks {
+        if good_blocks <= RESERVE_BLOCKS {
             return 0;
         }
         // Subtract the reserve at the average per-block page count.
         let avg = usable_total as f64 / good_blocks as f64;
-        let after_reserve = usable_total as f64 - reserve_blocks as f64 * avg;
-        (after_reserve * (1.0 - self.config.over_provisioning)).max(0.0) as u64
+        let after_reserve = usable_total as f64 - RESERVE_BLOCKS as f64 * avg;
+        (after_reserve * (1.0 - OVER_PROVISIONING)).max(0.0) as u64
     }
 
     /// Access to the underlying device (read-only).
@@ -686,6 +681,17 @@ impl Ftl {
             });
         }
     }
+}
+
+/// Blocks held back from the exported capacity as GC headroom.
+const RESERVE_BLOCKS: u64 = GC_HIGH_WATERMARK as u64 + 2;
+
+/// Logical pages exported to the host by an FTL over `total_blocks`
+/// blocks of `usable_per_block` pages each: the GC reserve and the
+/// over-provisioning come out of the raw capacity first.
+pub(crate) fn exported_pages(total_blocks: u64, usable_per_block: u32) -> u64 {
+    let usable_total = total_blocks.saturating_sub(RESERVE_BLOCKS) * usable_per_block as u64;
+    (usable_total as f64 * (1.0 - OVER_PROVISIONING)) as u64
 }
 
 /// Usable pages for a block programmed in `mode` (mirrors the device's

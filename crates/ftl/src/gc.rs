@@ -7,7 +7,7 @@
 //! cold data off under-cycled blocks when the wear spread exceeds a
 //! threshold.
 
-use crate::config::GcPolicy;
+use crate::config::{GcPolicy, GC_HIGH_WATERMARK, GC_LOW_WATERMARK};
 use crate::ftl::{Ftl, FtlError, Slot};
 use crate::placement::PlacementHandle;
 use sos_ecc::PageStatus;
@@ -17,10 +17,10 @@ impl Ftl {
     /// Runs GC until the free pool reaches the high watermark (or no
     /// further reclaim is possible), then considers wear leveling.
     pub(crate) fn ensure_free_space(&mut self) -> Result<(), FtlError> {
-        if self.free.len() > self.config.gc_low_watermark as usize {
+        if self.free.len() > GC_LOW_WATERMARK {
             return Ok(());
         }
-        while self.free.len() < self.config.gc_high_watermark as usize {
+        while self.free.len() < GC_HIGH_WATERMARK {
             if !self.gc_once()? {
                 break;
             }
@@ -160,9 +160,9 @@ impl Ftl {
     /// threshold, relocate the coldest block's data so the under-cycled
     /// block rejoins the hot pool.
     pub(crate) fn maybe_wear_level(&mut self) -> Result<(), FtlError> {
-        if !self.config.wear_leveling.enabled {
+        let Some(threshold) = self.config.wear_leveling.threshold else {
             return Ok(());
-        }
+        };
         let mut min_full: Option<(u64, u32)> = None;
         let mut max_pec = 0u32;
         for (index, info) in self.blocks.iter().enumerate() {
@@ -178,7 +178,7 @@ impl Ftl {
         let Some((cold, cold_pec)) = min_full else {
             return Ok(());
         };
-        if max_pec.saturating_sub(cold_pec) <= self.config.wear_leveling.threshold {
+        if max_pec.saturating_sub(cold_pec) <= threshold {
             return Ok(());
         }
         // Directed placement: park the cold data on the most-worn *free*

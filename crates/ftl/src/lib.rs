@@ -24,7 +24,6 @@ pub mod placement;
 pub mod recovery;
 pub mod scrub;
 pub mod stats;
-pub mod zns;
 
 pub use audit::{BlockMapSnapshot, FtlState, SlotSnapshot};
 pub use config::{FtlConfig, GcPolicy, ResuscitationPolicy, ScrubConfig, WearLevelingConfig};
@@ -36,4 +35,3 @@ pub use placement::{
 pub use recovery::RecoveryReport;
 pub use scrub::ScrubReport;
 pub use stats::{FtlStats, WearSummary};
-pub use zns::{ZnsError, ZoneState, ZonedDevice};

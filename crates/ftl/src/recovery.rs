@@ -39,7 +39,7 @@
 //!   them in OOB or a bad-block table); recovery re-adopts them as-is.
 
 use crate::config::FtlConfig;
-use crate::ftl::{usable_pages, BlockInfo, Ftl, FtlError, Slot};
+use crate::ftl::{exported_pages, usable_pages, BlockInfo, Ftl, FtlError, Slot};
 use crate::placement::{PlacementHandle, StreamPlacement};
 use crate::stats::FtlStats;
 use sos_ecc::{PageCodec, PageStatus};
@@ -257,10 +257,10 @@ impl Ftl {
         )?;
         let total_blocks = geometry.total_blocks();
         let ppb = geometry.pages_per_block as u64;
-        let reserve_blocks = config.gc_high_watermark as u64 + 2;
-        let usable_cfg = usable_pages(geometry.pages_per_block, config.mode) as u64;
-        let usable_total = total_blocks.saturating_sub(reserve_blocks) * usable_cfg;
-        let logical_pages = (usable_total as f64 * (1.0 - config.over_provisioning)) as u64;
+        let logical_pages = exported_pages(
+            total_blocks,
+            usable_pages(geometry.pages_per_block, config.mode),
+        );
         let mut report = RecoveryReport::default();
         let mut max_seq = 0u64;
 
@@ -680,6 +680,18 @@ mod tests {
         assert!(!report.used_checkpoint);
         assert!(report.recovered_mappings == 200);
         assert!(report.torn_pages.is_empty());
+
+        // Every preset re-derives the same exported capacity on recovery.
+        for config in [
+            FtlConfig::conventional(ProgramMode::native(CellDensity::Tlc)),
+            FtlConfig::sos_sys(),
+            FtlConfig::sos_spare(),
+        ] {
+            let ftl = Ftl::new(&DeviceConfig::tiny(config.mode.physical), config);
+            let logical_pages = ftl.logical_pages();
+            let (recovered, _) = crash_and_recover(ftl);
+            assert_eq!(recovered.logical_pages(), logical_pages);
+        }
     }
 
     #[test]

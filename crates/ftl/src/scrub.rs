@@ -123,7 +123,7 @@ impl Ftl {
     /// density whose fresh-data RBER fits the budget. The block must
     /// already be empty of valid data.
     fn try_resuscitate(&mut self, block: u64, refresh_at: f64) -> Result<bool, FtlError> {
-        if !self.config.resuscitation.enabled {
+        if self.config.resuscitation.ladder.is_empty() {
             return Ok(false);
         }
         let current = self.device.block_mode(block)?;

@@ -250,13 +250,6 @@ impl<S: PageStore> HostFs<S> {
         Ok(id)
     }
 
-    /// Changes a file's placement hint (future writes use it; existing
-    /// pages move when rewritten or relocated).
-    pub fn set_hint(&mut self, id: FileId, hint: PlacementHint) -> Result<(), FsError> {
-        self.inodes.get_mut(&id).ok_or(FsError::BadFileId(id))?.hint = hint;
-        Ok(())
-    }
-
     /// Maps a file-relative page index to its device page.
     fn device_page(inode: &Inode, file_page: u64) -> Option<u64> {
         let mut remaining = file_page;
@@ -570,8 +563,6 @@ mod tests {
         let mut fs = fs();
         let id = fs.create("/media.jpg", 7).unwrap();
         assert_eq!(fs.inode(id).unwrap().hint, 7);
-        fs.set_hint(id, 3).unwrap();
-        assert_eq!(fs.inode(id).unwrap().hint, 3);
     }
 
     #[test]

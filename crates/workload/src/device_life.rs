@@ -170,12 +170,6 @@ impl DeviceLife {
         self.day
     }
 
-    /// Tells the generator the device shrank (capacity variance, §4.3):
-    /// future fill targets respect the new capacity.
-    pub fn shrink_capacity(&mut self, new_capacity: u64) {
-        self.config.capacity_bytes = self.config.capacity_bytes.min(new_capacity);
-    }
-
     fn sample_class_raw(&mut self) -> FileClass {
         let u: f64 = self.rng.gen();
         let mut acc = 0.0;
@@ -494,23 +488,5 @@ mod tests {
             assert!(writes > previous, "{profile:?} wrote {writes}");
             previous = writes;
         }
-    }
-
-    #[test]
-    fn shrink_capacity_lowers_fill_target() {
-        let config = WorkloadConfig::phone(512 * MIB, UsageProfile::Heavy, 3);
-        let mut life = DeviceLife::new(config);
-        for _ in 0..30 {
-            life.next_day();
-        }
-        life.shrink_capacity(256 * MIB);
-        for _ in 0..30 {
-            life.next_day();
-        }
-        assert!(
-            life.fill_bytes() <= (0.70 * 256.0 * MIB as f64) as u64 + 100 * MIB,
-            "fill {} after shrink",
-            life.fill_bytes()
-        );
     }
 }

@@ -9,21 +9,15 @@
 
 use sos_ecc::EccScheme;
 use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
-use sos_ftl::{Ftl, FtlConfig, ResuscitationPolicy, WearLevelingConfig};
+use sos_ftl::{Ftl, FtlConfig, WearLevelingConfig};
 use sos_media::{decode, psnr, synthetic_photo, ImageCodec};
 
 fn ftl_with(scheme: EccScheme, seed: u64) -> Ftl {
     let config = FtlConfig {
-        mode: ProgramMode::native(CellDensity::Plc),
         ecc: scheme,
-        over_provisioning: 0.07,
-        gc_policy: sos_ftl::GcPolicy::Greedy,
-        gc_low_watermark: 3,
-        gc_high_watermark: 6,
         wear_leveling: WearLevelingConfig::disabled(),
-        scrub: sos_ftl::ScrubConfig::default(),
-        resuscitation: ResuscitationPolicy::retire_only(),
         ecc_failure_target: 1e-6,
+        ..FtlConfig::conventional(ProgramMode::native(CellDensity::Plc))
     };
     Ftl::new(
         &DeviceConfig::tiny(CellDensity::Plc).with_seed(seed),
