@@ -90,7 +90,8 @@ const TYPE_WRAPPERS: &[&str] = &["Vec", "VecDeque", "Option", "Box", "Arc", "Rc"
 /// The default entry set: every function whose output must be
 /// byte-identical across `SOS_THREADS` settings and process
 /// invocations — the five experiment report functions (E11, E10, E9,
-/// E12, E17) and the parallel runner's fan-out/seed/thread paths.
+/// E17 and the crash sweep) and the parallel runner's fan-out/seed/thread
+/// paths.
 pub fn deterministic_entry_points() -> Vec<EntryPoint> {
     [
         "end_to_end_report",

@@ -1,4 +1,4 @@
-//! E12: the crash sweep — power cuts at scheduled device operations
+//! The crash sweep: power cuts at scheduled device operations
 //! over simulated device lives, each followed by an OOB recovery scan
 //! and a parity-repairing remount, with every invariant auditor re-run
 //! after every crash.

@@ -15,10 +15,10 @@ use sos_carbon::EmbodiedModel;
 use sos_classify::{multi_user_corpus, Classifier, FeatureExtractor, LogisticRegression};
 use sos_core::{
     format_comparison, run_design, CloudConfig, ControllerConfig, DesignKind, ObjectStore,
-    PerfCounters, SimConfig, SimResult, SosConfig, SosController, SosDevice,
+    SimConfig, SimResult, SosConfig, SosController, SosDevice,
 };
 use sos_ecc::PageStatus;
-use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
+use sos_flash::{CellDensity, DeviceConfig, DeviceStats, ProgramMode};
 use sos_ftl::{
     DataClass, DataTag, Ftl, FtlConfig, FtlError, GcPolicy, PlacementHandle, PlacementStats,
     ResuscitationPolicy, Temperature, WearLevelingConfig,
@@ -42,18 +42,47 @@ pub struct ExperimentOutput {
     pub failed: bool,
 }
 
-fn runner_diagnostics(label: &str, runner: &RunnerReport, perf: &PerfCounters) -> String {
+/// The runner's wall-time summary, plus flash page rates over that wall
+/// time when the experiment reports its `flash` counters.
+fn runner_diagnostics(label: &str, runner: &RunnerReport, flash: Option<&DeviceStats>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "[{label}] {}", runner.summary());
-    if perf.pages_read + perf.pages_programmed > 0 {
+    if let Some(flash) = flash.filter(|flash| flash.reads + flash.programs > 0) {
         let _ = writeln!(
             out,
             "[{label}] {:.0} pages read/s, {:.0} programmed/s of wall time",
-            perf.pages_read as f64 / runner.wall_seconds.max(1e-9),
-            perf.pages_programmed as f64 / runner.wall_seconds.max(1e-9),
+            flash.reads as f64 / runner.wall_seconds.max(1e-9),
+            flash.programs as f64 / runner.wall_seconds.max(1e-9),
         );
     }
     out
+}
+
+/// The deterministic `perf:` stdout line of E11 and E17: RBER-memo hit
+/// rate and flash page totals, then reclaim-unit lifecycle and placement
+/// mix.
+fn perf_line(flash: &DeviceStats, placement: &PlacementStats) -> String {
+    let lookups = flash.rber_cache_hits + flash.rber_cache_misses;
+    let hit_rate = if lookups == 0 {
+        0.0
+    } else {
+        flash.rber_cache_hits as f64 / lookups as f64
+    };
+    format!(
+        "perf: rber-cache {} hits / {} misses ({:.1}% hit), {} pages read, {} programmed; \
+         reclaim units {} opened / {} filled / {} erased ({:.1} pages/erase, \
+         {:.1}% host-placed)",
+        flash.rber_cache_hits,
+        flash.rber_cache_misses,
+        hit_rate * 100.0,
+        flash.reads,
+        flash.programs,
+        placement.units_opened,
+        placement.units_filled,
+        placement.units_erased,
+        placement.pages_per_unit_erase(),
+        placement.host_fraction() * 100.0
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -141,9 +170,11 @@ pub fn end_to_end_report(options: &EndToEndOptions, threads: usize) -> Experimen
 
     // Group back into (profile, replica) triples, in task order.
     let mut output = ExperimentOutput::default();
-    let mut perf_total = PerfCounters::default();
+    let mut flash = DeviceStats::default();
+    let mut placement = PlacementStats::default();
     for result in &results {
-        perf_total.absorb(&result.perf);
+        flash.absorb(&result.flash);
+        placement.absorb(&result.placement);
     }
     let designs = DesignKind::ALL.len();
     for (profile_index, &profile) in profiles.iter().enumerate() {
@@ -211,7 +242,7 @@ pub fn end_to_end_report(options: &EndToEndOptions, threads: usize) -> Experimen
         }
         output.report.push('\n');
     }
-    let _ = writeln!(output.report, "perf: {}", perf_total.counter_summary());
+    let _ = writeln!(output.report, "{}", perf_line(&flash, &placement));
     output
         .report
         .push_str("expected shape: SOS ~2/3 of TLC carbon; zero SYS loss; SPARE media\n");
@@ -219,15 +250,15 @@ pub fn end_to_end_report(options: &EndToEndOptions, threads: usize) -> Experimen
         .report
         .push_str("PSNR above the quality floor over the device life; p99 reads higher\n");
     output.report.push_str("on PLC but adequate (§4.5).\n");
-    output.diagnostics = runner_diagnostics("E11", &runner, &perf_total);
+    output.diagnostics = runner_diagnostics("E11", &runner, Some(&flash));
     output
 }
 
 // ---------------------------------------------------------------------------
-// E12: crash sweep
+// Crash sweep
 // ---------------------------------------------------------------------------
 
-/// Options for [`crash_sweep_report`] (experiment E12).
+/// Options for [`crash_sweep_report`].
 #[derive(Debug, Clone)]
 pub struct CrashSweepOptions {
     /// Total simulated days, divided across shards.
@@ -316,9 +347,10 @@ fn run_crash_shard(
     }
 }
 
-/// Runs E12: `shards` independent crashy device lives in parallel,
-/// each with its own seed, device, workload, and crash schedule;
-/// results are summed and findings concatenated in shard order.
+/// Runs the crash sweep: `shards` independent crashy device lives in
+/// parallel, each with its own seed, device, workload, and crash
+/// schedule; results are summed and findings concatenated in shard
+/// order.
 pub fn crash_sweep_report(options: &CrashSweepOptions, threads: usize) -> ExperimentOutput {
     let shards = options.shards.max(1);
     let shard_days = options.days.div_ceil(shards).max(1);
@@ -337,7 +369,7 @@ pub fn crash_sweep_report(options: &CrashSweepOptions, threads: usize) -> Experi
     let mut output = ExperimentOutput::default();
     let _ = writeln!(
         output.report,
-        "# E12 — crash sweep: {shards} shard(s) x {shard_days} days, checkpoint every {checkpoint_interval} days, SOS_SEED={base_seed}\n"
+        "# crash sweep: {shards} shard(s) x {shard_days} days, checkpoint every {checkpoint_interval} days, SOS_SEED={base_seed}\n"
     );
     let mut total = ShardOutcome {
         days: 0,
@@ -409,7 +441,7 @@ pub fn crash_sweep_report(options: &CrashSweepOptions, threads: usize) -> Experi
             .push_str("\nVIOLATIONS FOUND — crash consistency is broken.\n");
         output.failed = true;
     }
-    output.diagnostics = runner_diagnostics("E12", &runner, &PerfCounters::default());
+    output.diagnostics = runner_diagnostics("crash-sweep", &runner, None);
     output
 }
 
@@ -505,7 +537,7 @@ pub fn wl_ablation_report(rounds: u64, threads: usize) -> ExperimentOutput {
             .report
             .push_str("by *disabling* preemptive leveling (§4.3).\n");
     }
-    output.diagnostics = runner_diagnostics("E10", &runner, &PerfCounters::default());
+    output.diagnostics = runner_diagnostics("E10", &runner, None);
     output
 }
 
@@ -655,7 +687,7 @@ pub fn capacity_variance_report(threads: usize) -> ExperimentOutput {
     output
         .report
         .push_str("worn PLC blocks to pseudo-TLC instead of losing them outright.\n");
-    output.diagnostics = runner_diagnostics("E9", &runner, &PerfCounters::default());
+    output.diagnostics = runner_diagnostics("E9", &runner, None);
     output
 }
 
@@ -840,8 +872,8 @@ struct CacheArmOutcome {
     traffic: CacheDayReport,
     stats: sos_ftl::FtlStats,
     placement: PlacementStats,
+    flash: DeviceStats,
     mean_pec: f64,
-    perf: PerfCounters,
 }
 
 fn run_cache_arm(policy: CachePlacement, options: &FlashCacheOptions) -> CacheArmOutcome {
@@ -866,20 +898,13 @@ fn run_cache_arm(policy: CachePlacement, options: &FlashCacheOptions) -> CacheAr
         backend.end_of_day();
     }
     let ftl = backend.ftl();
-    let mut perf = PerfCounters::default();
-    let device_stats = ftl.device().stats();
-    perf.rber_cache_hits = device_stats.rber_cache_hits;
-    perf.rber_cache_misses = device_stats.rber_cache_misses;
-    perf.pages_read = device_stats.reads;
-    perf.pages_programmed = device_stats.programs;
-    perf.absorb_placement(&ftl.placement_stats());
     CacheArmOutcome {
         policy,
         traffic,
         stats: *ftl.stats(),
         placement: ftl.placement_stats(),
+        flash: ftl.device().stats(),
         mean_pec: ftl.wear_summary().mean_pec,
-        perf,
     }
 }
 
@@ -998,12 +1023,14 @@ pub fn flash_cache_report(options: &FlashCacheOptions, threads: usize) -> Experi
             );
         }
     }
-    let mut perf_total = PerfCounters::default();
+    let mut flash = DeviceStats::default();
+    let mut placement = PlacementStats::default();
     for outcome in &outcomes {
-        perf_total.absorb(&outcome.perf);
+        flash.absorb(&outcome.flash);
+        placement.absorb(&outcome.placement);
     }
-    let _ = writeln!(output.report, "perf: {}", perf_total.counter_summary());
-    output.diagnostics = runner_diagnostics("E17", &runner, &perf_total);
+    let _ = writeln!(output.report, "{}", perf_line(&flash, &placement));
+    output.diagnostics = runner_diagnostics("E17", &runner, Some(&flash));
     output
 }
 
@@ -1060,5 +1087,50 @@ mod tests {
         let parallel = crash_sweep_report(&options, 4);
         assert_eq!(serial.report, parallel.report);
         assert!(!serial.failed, "violations:\n{}", serial.report);
+    }
+
+    #[test]
+    fn perf_line_formats_rates() {
+        let flash = DeviceStats {
+            reads: 200,
+            programs: 50,
+            rber_cache_hits: 30,
+            rber_cache_misses: 10,
+            ..DeviceStats::default()
+        };
+        let placement = PlacementStats {
+            units_opened: 5,
+            units_filled: 4,
+            units_erased: 4,
+            host_pages: 48,
+            reloc_pages: 12,
+        };
+        assert_eq!(
+            perf_line(&flash, &placement),
+            "perf: rber-cache 30 hits / 10 misses (75.0% hit), 200 pages read, 50 programmed; \
+             reclaim units 5 opened / 4 filled / 4 erased (15.0 pages/erase, 80.0% host-placed)"
+        );
+    }
+
+    #[test]
+    fn perf_line_zero_guards() {
+        // No reads: 0% hit. No erases: the raw append total per erase.
+        let unerased = PlacementStats {
+            units_opened: 1,
+            host_pages: 7,
+            reloc_pages: 2,
+            ..PlacementStats::default()
+        };
+        assert_eq!(
+            perf_line(&DeviceStats::default(), &unerased),
+            "perf: rber-cache 0 hits / 0 misses (0.0% hit), 0 pages read, 0 programmed; \
+             reclaim units 1 opened / 0 filled / 0 erased (9.0 pages/erase, 77.8% host-placed)"
+        );
+        // Nothing appended: 100% host-placed.
+        assert_eq!(
+            perf_line(&DeviceStats::default(), &PlacementStats::default()),
+            "perf: rber-cache 0 hits / 0 misses (0.0% hit), 0 pages read, 0 programmed; \
+             reclaim units 0 opened / 0 filled / 0 erased (0.0 pages/erase, 100.0% host-placed)"
+        );
     }
 }

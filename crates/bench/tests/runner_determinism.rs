@@ -1,7 +1,7 @@
 //! Pins the harness's core guarantee: experiment stdout is
 //! byte-identical whatever `SOS_THREADS` says.
 //!
-//! The heavyweight experiments (E11 end-to-end, E12 crash sweep) carry
+//! The heavyweight experiments (E11 end-to-end and the crash sweep) carry
 //! their own thread-invariance tests next to their implementations;
 //! here the remaining ported experiments get the same treatment,
 //! including the exact 1/2/8 thread ladder the harness documents, plus

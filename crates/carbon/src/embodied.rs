@@ -64,24 +64,6 @@ impl EmbodiedModel {
     pub fn kg_per_gb_at_reference(&self, mode: ProgramMode) -> f64 {
         self.kg_per_gb(mode, self.reference_layers)
     }
-
-    /// Embodied kgCO2e of a device exporting `capacity_gb` where the
-    /// capacity is split across `(fraction_of_capacity, mode)` regions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fractions do not sum to ~1.
-    pub fn device_kg(&self, capacity_gb: f64, regions: &[(f64, ProgramMode)]) -> f64 {
-        let total: f64 = regions.iter().map(|(f, _)| f).sum();
-        assert!(
-            (total - 1.0).abs() < 1e-6,
-            "capacity fractions must sum to 1, got {total}"
-        );
-        regions
-            .iter()
-            .map(|&(fraction, mode)| capacity_gb * fraction * self.kg_per_gb_at_reference(mode))
-            .sum()
-    }
 }
 
 /// Carbon comparison of device designs at equal exported capacity.
@@ -197,23 +179,5 @@ mod tests {
         assert!(at_352 < at_176);
         // Doubling layers must not halve carbon (efficiency < 1).
         assert!(at_352 > at_176 / 2.0);
-    }
-
-    #[test]
-    fn device_kg_weights_regions() {
-        let m = EmbodiedModel::default();
-        let sys = ProgramMode::pseudo(CellDensity::Plc, CellDensity::Qlc);
-        let spare = ProgramMode::native(CellDensity::Plc);
-        let kg = m.device_kg(512.0, &[(0.5, spare), (0.5, sys)]);
-        let manual =
-            256.0 * m.kg_per_gb_at_reference(spare) + 256.0 * m.kg_per_gb_at_reference(sys);
-        assert!((kg - manual).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "fractions must sum to 1")]
-    fn bad_fractions_panic() {
-        let m = EmbodiedModel::default();
-        let _ = m.device_kg(1.0, &[(0.4, ProgramMode::native(CellDensity::Tlc))]);
     }
 }

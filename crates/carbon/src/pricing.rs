@@ -36,11 +36,6 @@ impl CarbonPricing {
     pub fn price_uplift(&self) -> f64 {
         self.carbon_usd_per_tb() / self.flash_usd_per_tb
     }
-
-    /// Carbon cost per device of `capacity_tb`.
-    pub fn device_carbon_usd(&self, capacity_tb: f64) -> f64 {
-        self.carbon_usd_per_tb() * capacity_tb
-    }
 }
 
 #[cfg(test)]
@@ -72,13 +67,5 @@ mod tests {
         let base = pricing.price_uplift();
         pricing.usd_per_tonne *= 2.0;
         assert!((pricing.price_uplift() - 2.0 * base).abs() < 1e-12);
-    }
-
-    #[test]
-    fn device_cost_scales_with_capacity() {
-        let pricing = CarbonPricing::paper_2023();
-        let one = pricing.device_carbon_usd(1.0);
-        let two = pricing.device_carbon_usd(2.0);
-        assert!((two - 2.0 * one).abs() < 1e-12);
     }
 }

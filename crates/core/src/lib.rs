@@ -46,7 +46,7 @@ pub use baseline::BaselineDevice;
 pub use cloud::{CloudBackup, CloudConfig};
 pub use controller::{ControllerConfig, ControllerStats, SosController};
 pub use device::{RemountReport, SosConfig, SosDevice};
-pub use metrics::{LatencyRecorder, LatencySummary, PerfCounters, QualityTimeline};
+pub use metrics::{LatencyRecorder, LatencySummary, QualityTimeline};
 pub use object::{
     DeviceCounters, ObjectData, ObjectError, ObjectId, ObjectStatus, ObjectStore, Partition,
 };

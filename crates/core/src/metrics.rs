@@ -73,128 +73,6 @@ pub struct LatencySummary {
     pub samples: u64,
 }
 
-/// Runtime performance counters for one simulated run: cache
-/// observability plus wall-clock throughput.
-///
-/// Counter fields (`rber_cache_*`, `pages_*`) are deterministic for a
-/// given config and seed; `wall_seconds` and everything derived from it
-/// is host-timing and varies run to run. Experiment binaries therefore
-/// print the derived rates on **stderr** so their stdout stays
-/// byte-identical across thread counts and machines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PerfCounters {
-    /// Reads whose static RBER term was served from the per-block memo.
-    pub rber_cache_hits: u64,
-    /// Reads that recomputed the static RBER term.
-    pub rber_cache_misses: u64,
-    /// Flash pages read.
-    pub pages_read: u64,
-    /// Flash pages programmed.
-    pub pages_programmed: u64,
-    /// Reclaim units opened across the run's FTLs.
-    pub units_opened: u64,
-    /// Reclaim units that filled completely before closing.
-    pub units_filled: u64,
-    /// Reclaim units erased back to the free pool.
-    pub units_erased: u64,
-    /// Pages appended through host placement handles.
-    pub host_placed_pages: u64,
-    /// Pages appended through the GC/refresh relocation handle.
-    pub reloc_placed_pages: u64,
-    /// Host wall-clock the run took, seconds (non-deterministic).
-    pub wall_seconds: f64,
-}
-
-impl PerfCounters {
-    /// Fraction of RBER lookups served from the cache (0 when no reads).
-    pub fn rber_hit_rate(&self) -> f64 {
-        let total = self.rber_cache_hits + self.rber_cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.rber_cache_hits as f64 / total as f64
-    }
-
-    /// Pages read per wall-second (0 when no time elapsed).
-    pub fn pages_read_per_second(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.pages_read as f64 / self.wall_seconds
-    }
-
-    /// Pages programmed per wall-second (0 when no time elapsed).
-    pub fn pages_programmed_per_second(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.pages_programmed as f64 / self.wall_seconds
-    }
-
-    /// Per-reclaim-unit write-amp: pages appended per unit erase (the
-    /// raw append total when nothing has been erased yet).
-    pub fn pages_per_unit_erase(&self) -> f64 {
-        let placed = self.host_placed_pages + self.reloc_placed_pages;
-        if self.units_erased == 0 {
-            return placed as f64;
-        }
-        placed as f64 / self.units_erased as f64
-    }
-
-    /// Placement mix: fraction of appended pages that were host-placed
-    /// rather than relocation traffic (1.0 when nothing was appended).
-    pub fn host_placed_fraction(&self) -> f64 {
-        let placed = self.host_placed_pages + self.reloc_placed_pages;
-        if placed == 0 {
-            return 1.0;
-        }
-        self.host_placed_pages as f64 / placed as f64
-    }
-
-    /// Folds one FTL's placement-mix counters into this accumulator.
-    pub fn absorb_placement(&mut self, stats: &sos_ftl::PlacementStats) {
-        self.units_opened += stats.units_opened;
-        self.units_filled += stats.units_filled;
-        self.units_erased += stats.units_erased;
-        self.host_placed_pages += stats.host_pages;
-        self.reloc_placed_pages += stats.reloc_pages;
-    }
-
-    /// Accumulates another run's counters into this one (counter fields
-    /// sum; wall time sums, representing serialized work).
-    pub fn absorb(&mut self, other: &PerfCounters) {
-        self.rber_cache_hits += other.rber_cache_hits;
-        self.rber_cache_misses += other.rber_cache_misses;
-        self.pages_read += other.pages_read;
-        self.pages_programmed += other.pages_programmed;
-        self.units_opened += other.units_opened;
-        self.units_filled += other.units_filled;
-        self.units_erased += other.units_erased;
-        self.host_placed_pages += other.host_placed_pages;
-        self.reloc_placed_pages += other.reloc_placed_pages;
-        self.wall_seconds += other.wall_seconds;
-    }
-
-    /// One-line human summary of the deterministic counter fields.
-    pub fn counter_summary(&self) -> String {
-        format!(
-            "rber-cache {} hits / {} misses ({:.1}% hit), {} pages read, {} programmed; \
-             reclaim units {} opened / {} filled / {} erased ({:.1} pages/erase, \
-             {:.1}% host-placed)",
-            self.rber_cache_hits,
-            self.rber_cache_misses,
-            self.rber_hit_rate() * 100.0,
-            self.pages_read,
-            self.pages_programmed,
-            self.units_opened,
-            self.units_filled,
-            self.units_erased,
-            self.pages_per_unit_erase(),
-            self.host_placed_fraction() * 100.0
-        )
-    }
-}
-
 /// Aggregates PSNR observations of sampled media over time.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct QualityTimeline {
@@ -266,58 +144,6 @@ mod tests {
         assert_eq!(timeline.worst_min(), Some(20.0));
         // Infinite PSNR capped.
         assert!(timeline.points[1].1 <= 99.0);
-    }
-
-    #[test]
-    fn perf_counters_rates_and_absorb() {
-        let mut a = PerfCounters {
-            rber_cache_hits: 30,
-            rber_cache_misses: 10,
-            pages_read: 200,
-            pages_programmed: 50,
-            units_opened: 4,
-            units_filled: 3,
-            units_erased: 2,
-            host_placed_pages: 40,
-            reloc_placed_pages: 10,
-            wall_seconds: 2.0,
-        };
-        assert!((a.rber_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((a.pages_read_per_second() - 100.0).abs() < 1e-9);
-        assert!((a.pages_programmed_per_second() - 25.0).abs() < 1e-9);
-        let b = PerfCounters {
-            rber_cache_hits: 10,
-            rber_cache_misses: 10,
-            pages_read: 100,
-            pages_programmed: 50,
-            units_opened: 1,
-            units_filled: 1,
-            units_erased: 2,
-            host_placed_pages: 8,
-            reloc_placed_pages: 2,
-            wall_seconds: 1.0,
-        };
-        a.absorb(&b);
-        assert_eq!(a.rber_cache_hits, 40);
-        assert_eq!(a.pages_read, 300);
-        assert_eq!(a.units_opened, 5);
-        assert_eq!(a.units_erased, 4);
-        assert_eq!(a.host_placed_pages, 48);
-        assert!((a.pages_per_unit_erase() - 15.0).abs() < 1e-12);
-        assert!((a.host_placed_fraction() - 0.8).abs() < 1e-12);
-        assert!((a.wall_seconds - 3.0).abs() < 1e-12);
-        assert!(a.counter_summary().contains("40 hits"));
-        assert!(a.counter_summary().contains("reclaim units 5 opened"));
-    }
-
-    #[test]
-    fn perf_counters_zero_guards() {
-        let zero = PerfCounters::default();
-        assert_eq!(zero.rber_hit_rate(), 0.0);
-        assert_eq!(zero.pages_read_per_second(), 0.0);
-        assert_eq!(zero.pages_programmed_per_second(), 0.0);
-        assert_eq!(zero.pages_per_unit_erase(), 0.0);
-        assert_eq!(zero.host_placed_fraction(), 1.0);
     }
 
     #[test]

@@ -9,15 +9,14 @@ use crate::baseline::BaselineDevice;
 use crate::cloud::CloudConfig;
 use crate::controller::{ControllerConfig, ControllerStats, SosController};
 use crate::device::{SosConfig, SosDevice};
-use crate::metrics::{LatencySummary, PerfCounters};
+use crate::metrics::LatencySummary;
 use crate::object::{DeviceCounters, ObjectStore, Partition};
 use serde::{Deserialize, Serialize};
 use sos_carbon::EmbodiedModel;
 use sos_classify::{multi_user_corpus, Classifier, FeatureExtractor, LogisticRegression};
-use sos_flash::{CellDensity, ProgramMode};
-use sos_ftl::Ftl;
+use sos_flash::{CellDensity, DeviceStats, ProgramMode};
+use sos_ftl::{Ftl, PlacementStats};
 use sos_workload::{DeviceLife, UsageProfile, WorkloadConfig};
-use std::time::Instant;
 
 /// Which device design a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -103,10 +102,10 @@ pub struct SimResult {
     /// Fraction of bytes living on the SPARE partition at the end
     /// (0 for baselines).
     pub spare_byte_fraction: f64,
-    /// Runtime performance counters (cache hit rates, flash page
-    /// throughput). `perf.wall_seconds` is host timing and therefore
-    /// non-deterministic; everything else is seed-stable.
-    pub perf: PerfCounters,
+    /// Flash operation counters summed over the design's FTLs.
+    pub flash: DeviceStats,
+    /// Placement-mix counters summed over the design's FTLs.
+    pub placement: PlacementStats,
 }
 
 /// Embodied carbon per exported GB for a device built from
@@ -170,8 +169,6 @@ where
     D: ObjectStore,
     F: for<'a> Fn(&'a D) -> (Vec<&'a Ftl>, f64),
 {
-    // sos-lint: allow(nondeterminism, "wall_seconds feeds the stderr-only throughput diagnostics; counter_summary() excludes it from stdout")
-    let started = Instant::now();
     let density = match kind {
         DesignKind::TlcBaseline => CellDensity::Tlc,
         DesignKind::QlcBaseline => CellDensity::Qlc,
@@ -211,8 +208,12 @@ where
         .quality
         .record(controller.life.day() as f64, psnrs);
     let (ftls, spare_byte_fraction) = inspect(&controller.device);
-    let mut perf = ftl_perf_counters(&ftls);
-    perf.wall_seconds = started.elapsed().as_secs_f64();
+    let mut flash = DeviceStats::default();
+    let mut placement = PlacementStats::default();
+    for ftl in &ftls {
+        flash.absorb(&ftl.device().stats());
+        placement.absorb(&ftl.placement_stats());
+    }
     SimResult {
         design: kind.name().to_string(),
         days: config.days,
@@ -230,23 +231,9 @@ where
         final_median_psnr: controller.quality.final_median(),
         worst_min_psnr: controller.quality.worst_min(),
         spare_byte_fraction,
-        perf,
+        flash,
+        placement,
     }
-}
-
-/// Folds the flash and placement statistics of a design's FTLs into one
-/// [`PerfCounters`].
-fn ftl_perf_counters(ftls: &[&Ftl]) -> PerfCounters {
-    let mut perf = PerfCounters::default();
-    for ftl in ftls {
-        let stats = ftl.device().stats();
-        perf.rber_cache_hits += stats.rber_cache_hits;
-        perf.rber_cache_misses += stats.rber_cache_misses;
-        perf.pages_read += stats.reads;
-        perf.pages_programmed += stats.programs;
-        perf.absorb_placement(&ftl.placement_stats());
-    }
-    perf
 }
 
 /// Runs one design through a simulated device life.

@@ -91,14 +91,6 @@ impl CellDensity {
     pub fn density_gain_over(self, other: CellDensity) -> f64 {
         self.bits_per_cell() as f64 / other.bits_per_cell() as f64 - 1.0
     }
-
-    /// Cells required to store one bit (inverse density), normalised so
-    /// that TLC = 1.0. Used by the carbon model: silicon area — and hence
-    /// embodied carbon — is proportional to cell count for a fixed
-    /// process/layer count.
-    pub fn relative_cell_count(self) -> f64 {
-        CellDensity::Tlc.bits_per_cell() as f64 / self.bits_per_cell() as f64
-    }
 }
 
 impl std::fmt::Display for CellDensity {
@@ -172,12 +164,6 @@ impl ProgramMode {
         let margin_ratio = (self.physical.levels() - 1) as f64 / (self.logical.levels() - 1) as f64;
         // sos-lint: allow(no-lossy-cast, "f64→u32 saturating cast of a bounded endurance figure")
         (base * margin_ratio * margin_ratio).round() as u32
-    }
-
-    /// Capacity of a block in this mode relative to native programming,
-    /// in `(0, 1]`.
-    pub fn capacity_fraction(self) -> f64 {
-        self.logical.bits_per_cell() as f64 / self.physical.bits_per_cell() as f64
     }
 }
 
@@ -275,13 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_capacity_fraction() {
-        let pqlc = ProgramMode::pseudo(CellDensity::Plc, CellDensity::Qlc);
-        assert!((pqlc.capacity_fraction() - 0.8).abs() < 1e-9);
-        assert!((ProgramMode::native(CellDensity::Tlc).capacity_fraction() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "pseudo mode cannot exceed")]
     fn pseudo_denser_than_physical_panics() {
         let _ = ProgramMode::pseudo(CellDensity::Tlc, CellDensity::Plc);
@@ -293,12 +272,5 @@ mod tests {
         let m = ProgramMode::pseudo(CellDensity::Plc, CellDensity::Tlc);
         assert_eq!(m.to_string(), "pseudo-TLC (in PLC)");
         assert_eq!(ProgramMode::native(CellDensity::Slc).to_string(), "SLC");
-    }
-
-    #[test]
-    fn relative_cell_count_is_inverse_density() {
-        assert!((CellDensity::Tlc.relative_cell_count() - 1.0).abs() < 1e-9);
-        assert!((CellDensity::Plc.relative_cell_count() - 0.6).abs() < 1e-9);
-        assert!((CellDensity::Slc.relative_cell_count() - 3.0).abs() < 1e-9);
     }
 }

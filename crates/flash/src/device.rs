@@ -180,6 +180,21 @@ pub struct DeviceStats {
     pub rber_cache_misses: u64,
 }
 
+impl DeviceStats {
+    /// Adds another device's counters into this one (a multi-device
+    /// total, e.g. both partitions of an SOS device).
+    pub fn absorb(&mut self, other: &DeviceStats) {
+        self.reads += other.reads;
+        self.programs += other.programs;
+        self.erases += other.erases;
+        self.oob_reads += other.oob_reads;
+        self.bit_errors_injected += other.bit_errors_injected;
+        self.busy_us += other.busy_us;
+        self.rber_cache_hits += other.rber_cache_hits;
+        self.rber_cache_misses += other.rber_cache_misses;
+    }
+}
+
 /// Read-only view of one block's management state, taken by
 /// [`FlashDevice::snapshot_blocks`] so external auditors can check NAND
 /// discipline (erase-before-program, in-order writes) without reaching
@@ -995,6 +1010,46 @@ mod tests {
         let s = dev.stats();
         assert_eq!((s.programs, s.reads, s.erases), (1, 1, 1));
         assert!(s.busy_us > 0.0);
+    }
+
+    #[test]
+    fn stats_absorb_sums_every_field() {
+        let a = DeviceStats {
+            reads: 1,
+            programs: 2,
+            erases: 3,
+            oob_reads: 4,
+            bit_errors_injected: 5,
+            busy_us: 6.5,
+            rber_cache_hits: 7,
+            rber_cache_misses: 8,
+        };
+        let b = DeviceStats {
+            reads: 10,
+            programs: 20,
+            erases: 30,
+            oob_reads: 40,
+            bit_errors_injected: 50,
+            busy_us: 60.0,
+            rber_cache_hits: 70,
+            rber_cache_misses: 80,
+        };
+        let mut total = DeviceStats::default();
+        total.absorb(&a);
+        total.absorb(&b);
+        assert_eq!(
+            total,
+            DeviceStats {
+                reads: 11,
+                programs: 22,
+                erases: 33,
+                oob_reads: 44,
+                bit_errors_injected: 55,
+                busy_us: 66.5,
+                rber_cache_hits: 77,
+                rber_cache_misses: 88,
+            }
+        );
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl Geometry {
         self.total_pages() * self.page_bytes as u64
     }
 
-    /// Bytes in one erase block (user data only).
-    pub fn block_bytes(&self) -> u64 {
-        self.pages_per_block as u64 * self.page_bytes as u64
-    }
-
     /// Converts a flat block index into a structured address.
     ///
     /// Blocks are numbered plane-major: consecutive indices walk blocks
@@ -178,7 +173,6 @@ mod tests {
         assert_eq!(g.total_blocks(), 2 * 2 * 2 * 10);
         assert_eq!(g.total_pages(), 80 * 16);
         assert_eq!(g.raw_bytes(), 80 * 16 * 4096);
-        assert_eq!(g.block_bytes(), 16 * 4096);
     }
 
     #[test]

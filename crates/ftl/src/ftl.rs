@@ -3,9 +3,7 @@
 //! read path with ECC decode.
 
 use crate::config::{FtlConfig, GC_HIGH_WATERMARK, OVER_PROVISIONING};
-use crate::placement::{
-    PlacementEvent, PlacementHandle, PlacementStats, ReclaimUnit, StreamPlacement,
-};
+use crate::placement::{PlacementHandle, PlacementStats, ReclaimUnit, StreamPlacement};
 use crate::recovery::CheckpointHandle;
 use crate::stats::FtlStats;
 use sos_ecc::{CodecError, PageCodec, PageStatus};
@@ -363,12 +361,6 @@ impl Ftl {
         std::mem::take(&mut self.events)
     }
 
-    /// Drains pending host-visible reclaim-unit events (unit opened /
-    /// filled / closed / erased).
-    pub fn drain_placement_events(&mut self) -> Vec<PlacementEvent> {
-        self.placement.drain_events()
-    }
-
     /// Cumulative placement-mix counters (reclaim units opened, filled
     /// and erased; host vs relocation pages appended).
     pub fn placement_stats(&self) -> PlacementStats {
@@ -619,8 +611,8 @@ impl Ftl {
 
     /// Allocates the next programmable page on the handle's open
     /// reclaim unit, opening a fresh unit from the free pool when the
-    /// current one fills (which raises a host-visible
-    /// [`PlacementEvent::UnitFilled`]).
+    /// current one fills (which counts in
+    /// [`PlacementStats::units_filled`]).
     pub(crate) fn alloc_page(&mut self, handle: PlacementHandle) -> Result<(u64, u32), FtlError> {
         loop {
             if let Some(block) = self.placement.unit_for(handle) {
@@ -828,16 +820,6 @@ mod tests {
         for i in 0..=usable {
             ftl.write(i, &page_of(&ftl, i as u8)).unwrap();
         }
-        let events = ftl.drain_placement_events();
-        let handle = PlacementHandle::DEFAULT;
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, PlacementEvent::UnitOpened { handle: h, .. } if *h == handle)));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            PlacementEvent::UnitFilled { handle: h, written, .. }
-                if *h == handle && *written == usable
-        )));
         let stats = ftl.placement_stats();
         assert_eq!(stats.units_opened, 2);
         assert_eq!(stats.units_filled, 1);

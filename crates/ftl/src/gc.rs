@@ -144,7 +144,7 @@ impl Ftl {
                     info.valid = 0;
                     info.full = false;
                 }
-                self.placement.note_erase(block);
+                self.placement.note_erase();
                 self.free.push_back(block);
                 Ok(())
             }

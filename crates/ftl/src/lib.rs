@@ -29,8 +29,7 @@ pub use audit::{BlockMapSnapshot, FtlState, SlotSnapshot};
 pub use config::{FtlConfig, GcPolicy, ResuscitationPolicy, ScrubConfig, WearLevelingConfig};
 pub use ftl::{Ftl, FtlError, FtlEvent, ReadResult};
 pub use placement::{
-    DataClass, DataTag, PlacementEvent, PlacementHandle, PlacementStats, ReclaimUnit,
-    StreamPlacement, Temperature,
+    DataClass, DataTag, PlacementHandle, PlacementStats, ReclaimUnit, StreamPlacement, Temperature,
 };
 pub use recovery::RecoveryReport;
 pub use scrub::ScrubReport;

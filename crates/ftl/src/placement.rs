@@ -13,9 +13,8 @@
 //!   class, temperature and expected lifetime — and maps
 //!   deterministically onto a handle;
 //! * [`StreamPlacement`] tracks open/close/append on reclaim units and
-//!   surfaces fill and erase events to the host ([`PlacementEvent`]),
-//!   plus the placement-mix counters behind the per-reclaim-unit
-//!   write-amp reporting.
+//!   keeps the placement-mix counters ([`PlacementStats`]) behind the
+//!   per-reclaim-unit write-amp reporting.
 //!
 //! [`crate::Ftl::write_placed`] is the one placed write.
 
@@ -175,41 +174,6 @@ pub struct ReclaimUnit {
     pub written: u64,
 }
 
-/// A host-visible reclaim-unit lifecycle event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementEvent {
-    /// A fresh reclaim unit was opened for a handle.
-    UnitOpened {
-        /// The appending handle.
-        handle: PlacementHandle,
-        /// Backing block.
-        block: u64,
-    },
-    /// A reclaim unit filled up and was closed.
-    UnitFilled {
-        /// The handle that filled it.
-        handle: PlacementHandle,
-        /// Backing block.
-        block: u64,
-        /// Pages appended while open.
-        written: u64,
-    },
-    /// An open reclaim unit was closed early (block failure or
-    /// retirement) without filling.
-    UnitClosed {
-        /// The handle that was appending into it.
-        handle: PlacementHandle,
-        /// Backing block.
-        block: u64,
-    },
-    /// A reclaim unit was erased (GC reclaimed or refreshed it); its
-    /// block returned to the free pool.
-    UnitErased {
-        /// Backing block.
-        block: u64,
-    },
-}
-
 /// Placement-mix counters: what the device programmed, bucketed by who
 /// asked, plus reclaim-unit lifecycle totals. `pages_per_unit_erase`
 /// is the per-reclaim-unit write-amp figure the E11 and flash-cache
@@ -250,6 +214,15 @@ impl PlacementStats {
             self.host_pages as f64 / programmed as f64
         }
     }
+
+    /// Adds another FTL's counters into this one (a multi-FTL total).
+    pub fn absorb(&mut self, other: &PlacementStats) {
+        self.units_opened += other.units_opened;
+        self.units_filled += other.units_filled;
+        self.units_erased += other.units_erased;
+        self.host_pages += other.host_pages;
+        self.reloc_pages += other.reloc_pages;
+    }
 }
 
 /// The placement surface the FTL write path drives: open, append to
@@ -264,7 +237,6 @@ impl PlacementStats {
 #[derive(Debug, Default)]
 pub struct StreamPlacement {
     units: BTreeMap<u8, ReclaimUnit>,
-    events: Vec<PlacementEvent>,
     stats: PlacementStats,
 }
 
@@ -287,8 +259,6 @@ impl StreamPlacement {
             },
         );
         self.stats.units_opened += 1;
-        self.events
-            .push(PlacementEvent::UnitOpened { handle, block });
     }
 
     /// The block backing the open reclaim unit for `handle`, if any.
@@ -314,16 +284,6 @@ impl StreamPlacement {
         let unit = self.units.remove(&handle.stream())?;
         if filled {
             self.stats.units_filled += 1;
-            self.events.push(PlacementEvent::UnitFilled {
-                handle: unit.handle,
-                block: unit.block,
-                written: unit.written,
-            });
-        } else {
-            self.events.push(PlacementEvent::UnitClosed {
-                handle: unit.handle,
-                block: unit.block,
-            });
         }
         Some(unit)
     }
@@ -342,10 +302,9 @@ impl StreamPlacement {
         }
     }
 
-    /// Records that the unit backed by `block` was erased.
-    pub fn note_erase(&mut self, block: u64) {
+    /// Records that a reclaim unit was erased.
+    pub fn note_erase(&mut self) {
         self.stats.units_erased += 1;
-        self.events.push(PlacementEvent::UnitErased { block });
     }
 
     /// The currently open reclaim units, ordered by wire stream id.
@@ -353,11 +312,6 @@ impl StreamPlacement {
         let mut units: Vec<ReclaimUnit> = self.units.values().copied().collect();
         units.sort_by_key(|unit| unit.handle.stream());
         units
-    }
-
-    /// Drains pending host-visible reclaim-unit events.
-    pub fn drain_events(&mut self) -> Vec<PlacementEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Cumulative placement-mix counters.
@@ -420,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn unit_lifecycle_emits_events_and_counts() {
+    fn unit_lifecycle_counts() {
         let mut backend = StreamPlacement::new();
         let handle = PlacementHandle::DEFAULT;
         backend.open_unit(handle, 3);
@@ -429,20 +383,7 @@ mod tests {
         backend.note_append(handle);
         let unit = backend.close_unit(handle, true).expect("open unit");
         assert_eq!(unit.written, 2);
-        backend.note_erase(3);
-        let events = backend.drain_events();
-        assert_eq!(
-            events,
-            vec![
-                PlacementEvent::UnitOpened { handle, block: 3 },
-                PlacementEvent::UnitFilled {
-                    handle,
-                    block: 3,
-                    written: 2
-                },
-                PlacementEvent::UnitErased { block: 3 },
-            ]
-        );
+        backend.note_erase();
         let stats = backend.stats();
         assert_eq!(stats.units_opened, 1);
         assert_eq!(stats.units_filled, 1);
@@ -460,11 +401,6 @@ mod tests {
         backend.note_append(PlacementHandle::GC);
         backend.evict_block(9);
         assert_eq!(backend.unit_for(PlacementHandle::GC), None);
-        let events = backend.drain_events();
-        assert!(events.contains(&PlacementEvent::UnitClosed {
-            handle: PlacementHandle::GC,
-            block: 9
-        }));
         assert_eq!(backend.stats().reloc_pages, 1);
     }
 
@@ -475,10 +411,36 @@ mod tests {
         backend.open_unit(PlacementHandle::COLD, 2);
         assert_eq!(backend.unit_for(PlacementHandle::COLD), Some(2));
         assert_eq!(backend.open_units().len(), 1);
-        let events = backend.drain_events();
-        assert!(events.contains(&PlacementEvent::UnitClosed {
-            handle: PlacementHandle::COLD,
-            block: 1
-        }));
+    }
+
+    #[test]
+    fn stats_absorb_sums_every_field() {
+        let a = PlacementStats {
+            units_opened: 1,
+            units_filled: 2,
+            units_erased: 3,
+            host_pages: 4,
+            reloc_pages: 5,
+        };
+        let b = PlacementStats {
+            units_opened: 10,
+            units_filled: 20,
+            units_erased: 30,
+            host_pages: 40,
+            reloc_pages: 50,
+        };
+        let mut total = PlacementStats::default();
+        total.absorb(&a);
+        total.absorb(&b);
+        assert_eq!(
+            total,
+            PlacementStats {
+                units_opened: 11,
+                units_filled: 22,
+                units_erased: 33,
+                host_pages: 44,
+                reloc_pages: 55,
+            }
+        );
     }
 }

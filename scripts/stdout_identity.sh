@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
-# Byte-identical stdout check against a base revision.
+# Byte-identical stdout check against a base revision, with the wall
+# time of every experiment binary on both sides.
 #
-# Builds <base-rev> in a temporary git worktree under target/ (with its
-# own target dir) and the working tree alongside it, then runs every
+# Exports <base-rev> with `git archive` into target/ (built with its own
+# target dir) and builds the working tree alongside it, then runs every
 # binary named in crates/bench/src/bin/*.rs at default args with
 # SOS_THREADS=2 on both sides and compares stdout and exit status.
+# Prints one line per binary — `same` or `DIFF`, each with both sides'
+# wall seconds — and, under a `DIFF`, the first differing line.
 #
 # Usage: scripts/stdout_identity.sh <base-rev>
 #
-# Exit 0: every binary matches. Exit 1: a binary differs; the first
-# differing binary and line are printed. Exit 2: usage error.
+# Exit 0: every binary matches. Exit 1: at least one binary differs
+# (all binaries still run). Exit 2: usage error.
 # Takes about 10 minutes on 2 cores. Deliberately not a CI gate: a bug
 # fix may legitimately change stdout.
 set -euo pipefail
@@ -26,61 +29,70 @@ if ! base="$(git rev-parse --verify --quiet "$1^{commit}")"; then
 fi
 
 scratch="$root/target/stdout-identity"
-worktree="$scratch/base"
+base_src="$scratch/base"
 base_target="$scratch/target"
 work_target="${CARGO_TARGET_DIR:-$root/target}"
 
-remove_worktree() {
-    if [[ -d "$worktree" ]]; then
-        git worktree remove --force "$worktree"
-    fi
-    git worktree prune
-}
-trap remove_worktree EXIT
+trap 'rm -rf "$base_src"' EXIT
 
-mkdir -p "$scratch/out"
-remove_worktree
-git worktree add --detach --quiet "$worktree" "$base"
+rm -rf "$base_src"
+mkdir -p "$scratch/out" "$base_src"
+git archive "$base" | tar -x -C "$base_src"
 
 echo "==> building base ${base:0:12}"
-(cd "$worktree" && CARGO_TARGET_DIR="$base_target" cargo build --release --offline -q -p sos-bench --bins)
+(cd "$base_src" && CARGO_TARGET_DIR="$base_target" cargo build --release --offline -q -p sos-bench --bins)
 echo "==> building working tree"
 cargo build --release --offline -q -p sos-bench --bins
 
-# Runs one binary, writing stdout to $3 and returning its exit status
-# on stdout (stderr carries wall-clock timings, so it is not compared).
+# Runs one binary, writing stdout to $3, and prints "<exit status>
+# <wall seconds>" (stderr carries wall-clock diagnostics, so it is not
+# compared).
 run_bin() {
-    local exe="$1" name="$2" out="$3" status=0
+    local exe="$1" name="$2" out="$3" status=0 start
     if [[ ! -x "$exe" ]]; then
         echo "<missing binary $name>" >"$out"
-        echo missing
+        echo "missing -"
         return
     fi
+    start="$EPOCHREALTIME"
     SOS_THREADS=2 "$exe" >"$out" 2>/dev/null || status=$?
-    echo "$status"
+    echo "$status $(awk -v a="$start" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f", b - a }')"
 }
 
 count=0
+differed=0
 for src in crates/bench/src/bin/*.rs; do
     name="$(basename "$src" .rs)"
     base_out="$scratch/out/$name.base"
     work_out="$scratch/out/$name.work"
-    base_status="$(run_bin "$base_target/release/$name" "$name" "$base_out")"
-    work_status="$(run_bin "$work_target/release/$name" "$name" "$work_out")"
+    read -r base_status base_secs < <(run_bin "$base_target/release/$name" "$name" "$base_out")
+    read -r work_status work_secs < <(run_bin "$work_target/release/$name" "$name" "$work_out")
+    count=$((count + 1))
+    timing="base ${base_secs} s, work ${work_secs} s"
+    line=""
+    problems=""
     if ! cmp -s "$base_out" "$work_out"; then
         # cmp exits 1 on a difference; keep set -e/pipefail from firing.
         line="$(cmp "$base_out" "$work_out" 2>&1 | sed -n 's/.* line \([0-9]*\).*/\1/p' || true)"
         line="${line:-1}"
-        echo "DIFF $name: stdout differs at line $line"
-        echo "  base: $(sed -n "${line}p" "$base_out")"
-        echo "  work: $(sed -n "${line}p" "$work_out")"
-        exit 1
+        problems="stdout differs at line $line"
     fi
     if [[ "$base_status" != "$work_status" ]]; then
-        echo "DIFF $name: exit status $base_status (base) vs $work_status (work)"
-        exit 1
+        problems="${problems:+$problems; }exit status $base_status (base) vs $work_status (work)"
     fi
-    echo "same $name (exit $work_status)"
-    count=$((count + 1))
+    if [[ -z "$problems" ]]; then
+        echo "same $name (exit $work_status; $timing)"
+        continue
+    fi
+    differed=$((differed + 1))
+    echo "DIFF $name: $problems ($timing)"
+    if [[ -n "$line" ]]; then
+        echo "  base: $(sed -n "${line}p" "$base_out")"
+        echo "  work: $(sed -n "${line}p" "$work_out")"
+    fi
 done
+if ((differed > 0)); then
+    echo "stdout_identity: $differed of $count binaries differ from ${base:0:12}"
+    exit 1
+fi
 echo "stdout_identity: all $count binaries byte-identical to ${base:0:12}"
