@@ -25,7 +25,6 @@ pub struct BaselineDevice {
     store: PartitionStore,
     objects: BTreeMap<ObjectId, ObjectInfo>,
     counters: DeviceCounters,
-    pressure: bool,
 }
 
 impl BaselineDevice {
@@ -38,7 +37,6 @@ impl BaselineDevice {
             store: PartitionStore::new(ftl, DataTag::sys_hot()),
             objects: BTreeMap::new(),
             counters: DeviceCounters::default(),
-            pressure: false,
         }
     }
 
@@ -170,8 +168,7 @@ impl ObjectStore for BaselineDevice {
                 }
             }
         }
-        self.pressure = report.aborted_no_space || self.store.under_pressure(0.03);
-        Ok(self.pressure)
+        Ok(report.aborted_no_space || self.store.under_pressure(0.03))
     }
 
     fn capacity_bytes(&self) -> u64 {

@@ -107,8 +107,6 @@ pub struct SosDevice {
     stripes: StripeManager,
     objects: BTreeMap<ObjectId, ObjectInfo>,
     counters: DeviceCounters,
-    /// Space-pressure flag raised by maintenance.
-    pressure: bool,
 }
 
 impl SosDevice {
@@ -146,7 +144,6 @@ impl SosDevice {
             stripes,
             objects: BTreeMap::new(),
             counters: DeviceCounters::default(),
-            pressure: false,
         }
     }
 
@@ -465,7 +462,6 @@ impl SosDevice {
             }
         }
 
-        self.pressure = false;
         Ok(report)
     }
 }
@@ -606,11 +602,10 @@ impl ObjectStore for SosDevice {
                 }
             }
         }
-        self.pressure = sys_report.aborted_no_space
+        Ok(sys_report.aborted_no_space
             || spare_report.aborted_no_space
             || self.spare.under_pressure(0.03)
-            || self.sys.under_pressure(0.03);
-        Ok(self.pressure)
+            || self.sys.under_pressure(0.03))
     }
 
     fn capacity_bytes(&self) -> u64 {

@@ -31,10 +31,7 @@ fn map_error(e: FtlError) -> StoreError {
         FtlError::WrongDataLength { expected, got } => StoreError::WrongLength { expected, got },
         FtlError::NoSpace => StoreError::NoSpace,
         FtlError::Device(FlashError::PowerLoss) => StoreError::PowerLoss,
-        other => StoreError::WrongLength {
-            expected: 0,
-            got: other.to_string().len(),
-        },
+        other => StoreError::Storage(other.to_string()),
     }
 }
 
@@ -156,6 +153,24 @@ mod tests {
         let fresh = fs.create("/new.bin", 0).unwrap();
         fs.write(fresh, 0, &[9u8; 2048]).unwrap();
         assert_eq!(fs.read(fresh, 0, 2048).unwrap(), vec![9u8; 2048]);
+    }
+
+    #[test]
+    fn other_ftl_errors_map_to_storage_failures() {
+        let bad_block = FtlError::Device(FlashError::BadBlock(3));
+        assert_eq!(
+            map_error(bad_block.clone()),
+            StoreError::Storage(bad_block.to_string())
+        );
+        assert_eq!(
+            map_error(FtlError::ReservedStream),
+            StoreError::Storage(FtlError::ReservedStream.to_string())
+        );
+        assert_eq!(map_error(FtlError::NoSpace), StoreError::NoSpace);
+        assert_eq!(
+            map_error(FtlError::Device(FlashError::PowerLoss)),
+            StoreError::PowerLoss
+        );
     }
 
     #[test]

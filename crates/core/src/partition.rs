@@ -214,9 +214,8 @@ impl PartitionStore {
         let mut lost = Vec::new();
         for event in self.ftl.drain_events() {
             match event {
-                FtlEvent::CapacityShrunk { pages, .. } => self.shrink_to(pages),
-                FtlEvent::DataLost { lpn, .. } => lost.push(lpn),
-                FtlEvent::BlockRetired { .. } | FtlEvent::BlockResuscitated { .. } => {}
+                FtlEvent::CapacityShrunk { pages } => self.shrink_to(pages),
+                FtlEvent::DataLost { lpn } => lost.push(lpn),
             }
         }
         lost

@@ -14,8 +14,9 @@
 //! division with eight per-lane byte tables, and the syndrome pass
 //! accumulates eight bytes per field multiplication (odd syndromes only;
 //! even syndromes follow from `S_{2i} = S_i^2` over GF(2)). The
-//! byte-at-a-time and bit-serial implementations are kept for table
-//! construction and as test oracles.
+//! byte-at-a-time and bit-serial encoders are kept for table
+//! construction and as test oracles; the byte-at-a-time syndrome pass
+//! exists only in the test module, as the oracle for the word-wide one.
 
 use crate::gf::GaloisField;
 
@@ -607,34 +608,6 @@ impl BchCode {
         register_matches(&self.encode_register(data), parity)
     }
 
-    /// Reference syndrome vector `S_1..S_2t` via byte-Horner (oracle for
-    /// the word-wide pass).
-    // sos-lint: allow(panic-path, "GF log/antilog tables cover the full field domain by construction")
-    fn syndromes_bytes(&self, data: &[u8], parity: &[u8]) -> Vec<u32> {
-        let gf = &self.gf;
-        let count = 2 * self.t;
-        let mut syndromes = vec![0u32; count];
-        for (j, syndrome) in syndromes.iter_mut().enumerate() {
-            // Data contribution via byte-Horner at relative positions,
-            // then shifted by alpha^(p*j) to its codeword offset.
-            let mut acc = 0u32;
-            let table = &self.contrib[j * 256..(j + 1) * 256];
-            let s = self.step[j];
-            for &byte in data.iter().rev() {
-                acc = gf.mul(acc, s) ^ table[byte as usize];
-            }
-            let mut value = gf.mul(acc, self.pmul[j]);
-            // Parity contribution at absolute positions 0..p.
-            let mut pacc = 0u32;
-            for &byte in parity.iter().rev() {
-                pacc = gf.mul(pacc, s) ^ table[byte as usize];
-            }
-            value ^= pacc;
-            *syndrome = value;
-        }
-        syndromes
-    }
-
     /// One odd syndrome's Horner pass over a byte slice, eight bytes per
     /// field multiplication: the lane tables pre-scale each byte's
     /// contribution by `alpha^(8 k e)`, so a whole 64-bit word folds in
@@ -668,9 +641,6 @@ impl BchCode {
     /// holds for any binary code).
     // sos-lint: allow(panic-path, "syndrome and step vectors are sized to 2t/t entries at construction")
     fn syndromes(&self, data: &[u8], parity: &[u8]) -> Vec<u32> {
-        if self.wcontrib.is_empty() {
-            return self.syndromes_bytes(data, parity);
-        }
         let gf = &self.gf;
         let count = 2 * self.t;
         let mut syndromes = vec![0u32; count];
@@ -997,6 +967,33 @@ mod tests {
         }
     }
 
+    /// Reference syndrome vector `S_1..S_2t` via byte-Horner (oracle for
+    /// the word-wide pass in [`BchCode::syndromes`]).
+    fn syndromes_bytes(code: &BchCode, data: &[u8], parity: &[u8]) -> Vec<u32> {
+        let gf = &code.gf;
+        let count = 2 * code.t;
+        let mut syndromes = vec![0u32; count];
+        for (j, syndrome) in syndromes.iter_mut().enumerate() {
+            // Data contribution via byte-Horner at relative positions,
+            // then shifted by alpha^(p*j) to its codeword offset.
+            let mut acc = 0u32;
+            let table = &code.contrib[j * 256..(j + 1) * 256];
+            let s = code.step[j];
+            for &byte in data.iter().rev() {
+                acc = gf.mul(acc, s) ^ table[byte as usize];
+            }
+            let mut value = gf.mul(acc, code.pmul[j]);
+            // Parity contribution at absolute positions 0..p.
+            let mut pacc = 0u32;
+            for &byte in parity.iter().rev() {
+                pacc = gf.mul(pacc, s) ^ table[byte as usize];
+            }
+            value ^= pacc;
+            *syndrome = value;
+        }
+        syndromes
+    }
+
     #[test]
     fn word_syndromes_match_byte_reference() {
         let mut rng = StdRng::seed_from_u64(79);
@@ -1006,7 +1003,7 @@ mod tests {
                 let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
                 let parity: Vec<u8> = (0..code.parity_bytes()).map(|_| rng.gen()).collect();
                 let word = code.syndromes(&data, &parity);
-                let byte = code.syndromes_bytes(&data, &parity);
+                let byte = syndromes_bytes(&code, &data, &parity);
                 assert_eq!(word, byte, "m={m} t={t} len={len}");
             }
         }

@@ -5,6 +5,13 @@
 //! counts for pseudo-density blocks — and injects bit errors on reads
 //! according to each block's stress history. A simulated clock (in days)
 //! drives retention error growth; the FTL advances it.
+//!
+//! There is one way to do each part. Page state lives in the
+//! struct-of-arrays [`store`](crate::store). A read's error count comes
+//! from the block-batched sampler ([`batch`](crate::batch)), and a read
+//! outside the batcher's envelope takes one
+//! [`ErrorModel::sample_error_count`] draw instead. Neither is a
+//! switch: the oracles they are checked against live only in tests.
 
 use crate::batch::ErrorBatcher;
 use crate::cell::CellState;
@@ -142,23 +149,6 @@ struct BlockState {
     batcher: ErrorBatcher,
 }
 
-/// How read error counts are drawn.
-///
-/// Both strategies produce identically distributed error counts; they
-/// consume the RNG stream differently, so sampled trajectories diverge
-/// draw by draw. The per-page path is the oracle the batched path is
-/// property-tested against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ErrorSampling {
-    /// One `Poisson`/binomial draw per page read (the naive oracle).
-    PerPage,
-    /// One draw per (block, retention-epoch) batch, split across reads
-    /// by Poisson thinning; falls back to per-page draws outside the
-    /// batcher's envelope (large means, RBER near the clamp).
-    #[default]
-    Batched,
-}
-
 /// Cumulative operation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeviceStats {
@@ -235,26 +225,11 @@ pub struct FlashDevice {
     stats: DeviceStats,
     injector: Option<FaultInjector>,
     powered_off: bool,
-    sampling: ErrorSampling,
 }
 
 impl FlashDevice {
     /// Builds a device from a configuration.
     pub fn new(config: &DeviceConfig) -> Self {
-        Self::with_store(config, PageStore::dense(&config.geometry))
-    }
-
-    /// Builds a device on the legacy per-page map backend.
-    ///
-    /// The legacy store is the shadow-model oracle: for identical
-    /// operation sequences it must behave bit-identically to the dense
-    /// struct-of-arrays backend that [`FlashDevice::new`] uses. Only
-    /// tests should need this.
-    pub fn new_with_legacy_store(config: &DeviceConfig) -> Self {
-        Self::with_store(config, PageStore::legacy(&config.geometry))
-    }
-
-    fn with_store(config: &DeviceConfig, store: PageStore) -> Self {
         let mode = ProgramMode::native(config.physical_density);
         let blocks = (0..config.geometry.total_blocks())
             .map(|_| BlockState {
@@ -275,19 +250,11 @@ impl FlashDevice {
             rng: StdRng::seed_from_u64(config.seed),
             now_days: 0.0,
             blocks,
-            store,
+            store: PageStore::new(&config.geometry),
             stats: DeviceStats::default(),
             injector: None,
             powered_off: false,
-            sampling: ErrorSampling::default(),
         }
-    }
-
-    /// Selects how read error counts are drawn. The per-page mode is the
-    /// oracle for distribution-equivalence tests; batched is the default
-    /// hot path.
-    pub fn set_error_sampling(&mut self, sampling: ErrorSampling) {
-        self.sampling = sampling;
     }
 
     /// Attaches a deterministic fault injector. Replaces any injector
@@ -416,7 +383,6 @@ impl FlashDevice {
             mode.physical, self.physical,
             "mode physical density must match the array"
         );
-        let geometry = self.geometry;
         let state = self
             .blocks
             .get_mut(block as usize)
@@ -427,7 +393,6 @@ impl FlashDevice {
         if state.next_page != 0 {
             return Err(FlashError::BlockNotEmpty(block));
         }
-        let _ = geometry; // geometry participates only via usable-page checks at program time.
         state.mode = mode;
         Ok(())
     }
@@ -700,21 +665,17 @@ impl FlashDevice {
         // Batched sampling: one Poisson draw covers a run of reads
         // sharing this block's static RBER; the batcher declines (and we
         // fall back to the per-page draw) outside its exactness envelope.
-        let batched = if self.sampling == ErrorSampling::Batched {
-            self.blocks.get_mut(block as usize).and_then(|state| {
-                state.batcher.sample(
-                    &mut self.rng,
-                    cell_state_mode,
-                    pec,
-                    static_rber,
-                    multiplier,
-                    reads,
-                    nbits,
-                )
-            })
-        } else {
-            None
-        };
+        let batched = self.blocks.get_mut(block as usize).and_then(|state| {
+            state.batcher.sample(
+                &mut self.rng,
+                cell_state_mode,
+                pec,
+                static_rber,
+                multiplier,
+                reads,
+                nbits,
+            )
+        });
         let mut count = match batched {
             Some(c) => c.min(nbits),
             None => ErrorModel::sample_error_count(&mut self.rng, nbits, rber),

@@ -41,7 +41,7 @@ pub mod timing;
 pub use cell::CellState;
 pub use config::DeviceConfig;
 pub use density::{CellDensity, ProgramMode};
-pub use device::{BlockSnapshot, DeviceStats, ErrorSampling, FlashDevice, FlashError, ReadOutcome};
+pub use device::{BlockSnapshot, DeviceStats, FlashDevice, FlashError, ReadOutcome};
 pub use errors::ErrorModel;
 pub use fault::{FaultAt, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRecord};
 pub use geometry::{BlockAddr, Geometry, PageAddr};

@@ -1,4 +1,6 @@
-//! Property-based tests for the flash device simulator.
+//! Property-based tests for the flash device simulator, plus the
+//! fixed-seed check that injected error counts have the mean the error
+//! model assigns.
 
 use proptest::prelude::*;
 use sos_flash::{CellDensity, DeviceConfig, FlashDevice, PageAddr, ProgramMode};
@@ -94,4 +96,54 @@ proptest! {
             prop_assert_eq!(usable as u64, expected);
         }
     }
+}
+
+/// Batched error injection against the analytic mean: on an aged, worn
+/// block every read reports the RBER it was sampled at, so the exact
+/// expected error count is `Σ nbits · rber` over the reads. Seeds are a
+/// fixed grid (not proptest-drawn) so the 3% tolerance is checked
+/// against one deterministic sample forever, and a pass can never flake.
+#[test]
+fn batched_error_counts_match_the_analytic_mean() {
+    const SEEDS: u64 = 24;
+    const READS_PER_SEED: u32 = 2_000;
+    let mut injected = 0u64;
+    let mut expected = 0.0f64;
+    let mut reads = 0u64;
+    for seed in 0..SEEDS {
+        let config = DeviceConfig::tiny(CellDensity::Plc).with_seed(seed * 7919 + 13);
+        let mut device = FlashDevice::new(&config);
+        let data = vec![0x5Au8; device.page_total_bytes()];
+        let nbits = (data.len() * 8) as f64;
+        // Wear the block so the RBER (and thus the expected error
+        // count) is well off zero, then age the data.
+        for _ in 0..40 {
+            device.program(addr(&device, 0, 0), &data).expect("program");
+            device.erase(0).expect("erase");
+        }
+        let pages = device.usable_pages(0).expect("usable");
+        for page in 0..pages {
+            device
+                .program(addr(&device, 0, page), &data)
+                .expect("program");
+        }
+        device.advance_days(90.0);
+        for i in 0..READS_PER_SEED {
+            let outcome = device.read(addr(&device, 0, i % pages)).expect("read");
+            expected += nbits * outcome.rber;
+        }
+        injected += device.stats().bit_errors_injected;
+        reads += u64::from(READS_PER_SEED);
+    }
+    let analytic_mean = expected / reads as f64;
+    let batched_mean = injected as f64 / reads as f64;
+    assert!(
+        analytic_mean > 0.5,
+        "workload too clean to compare distributions (mean {analytic_mean})"
+    );
+    let ratio = batched_mean / analytic_mean;
+    assert!(
+        (0.97..=1.03).contains(&ratio),
+        "batched mean {batched_mean:.4} vs analytic mean {analytic_mean:.4} (ratio {ratio:.4})"
+    );
 }

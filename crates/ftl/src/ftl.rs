@@ -120,41 +120,19 @@ pub struct ReadResult {
     pub latency_us: f64,
 }
 
-/// Capacity and lifecycle events the host must react to (§4.3 capacity
-/// variance).
+/// Capacity and data-loss events the host must react to (§4.3
+/// capacity variance).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FtlEvent {
-    /// A block was retired; exported capacity may shrink.
-    BlockRetired {
-        /// Flat block index.
-        block: u64,
-        /// Simulated day.
-        day: f64,
-    },
-    /// A worn block was reprogrammed at reduced density.
-    BlockResuscitated {
-        /// Flat block index.
-        block: u64,
-        /// Previous mode.
-        from: ProgramMode,
-        /// New (less dense) mode.
-        to: ProgramMode,
-        /// Simulated day.
-        day: f64,
-    },
     /// Exported capacity shrank below the previously reported value.
     CapacityShrunk {
         /// New exported capacity in logical pages.
         pages: u64,
-        /// Simulated day.
-        day: f64,
     },
     /// Data at an LPN was lost.
     DataLost {
         /// The affected logical page.
         lpn: u64,
-        /// Simulated day.
-        day: f64,
     },
 }
 
@@ -187,7 +165,7 @@ impl Ftl {
     /// Panics if the ECC scheme does not fit the device's spare area or
     /// the mode's physical density mismatches the device (configuration
     /// errors, not runtime conditions). Use [`Ftl::try_new`] to handle
-    /// these as errors instead.
+    /// the ECC misfit as an error instead.
     pub fn new(device_config: &DeviceConfig, config: FtlConfig) -> Self {
         match Self::try_new(device_config, config) {
             Ok(ftl) => ftl,
@@ -195,32 +173,18 @@ impl Ftl {
         }
     }
 
-    /// Builds an FTL over a fresh device, reporting configuration
-    /// mismatches (ECC scheme too large for the spare area, mode density
-    /// mismatching the device) as errors rather than panicking.
+    /// Builds an FTL over a fresh device, reporting an ECC scheme too
+    /// large for the spare area as an error rather than panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mode's physical density mismatches the device.
     pub fn try_new(device_config: &DeviceConfig, config: FtlConfig) -> Result<Self, FtlError> {
         assert_eq!(
             config.mode.physical, device_config.physical_density,
             "FTL mode must match device density"
         );
-        Self::try_new_with_device(FlashDevice::new(device_config), config)
-    }
-
-    /// Builds an FTL over an already-constructed (fresh, fully erased)
-    /// device.
-    ///
-    /// This is the shadow-model hook: tests hand in a device on the
-    /// legacy page-store backend ([`FlashDevice::new_with_legacy_store`])
-    /// or with a non-default [`sos_flash::ErrorSampling`] and drive it
-    /// through the full translation layer. The device must be as fresh
-    /// as [`FlashDevice::new`] returns it — the constructor re-modes
-    /// every block, which only succeeds on erased blocks.
-    pub fn try_new_with_device(device: FlashDevice, config: FtlConfig) -> Result<Self, FtlError> {
-        assert_eq!(
-            config.mode.physical,
-            device.physical_density(),
-            "FTL mode must match device density"
-        );
+        let device = FlashDevice::new(device_config);
         let geometry = *device.geometry();
         let codec = PageCodec::new(
             config.ecc,
@@ -537,8 +501,7 @@ impl Ftl {
             *slot = Slot::Lost;
         }
         self.stats.lost_pages += 1;
-        let day = self.device.now_days();
-        self.events.push(FtlEvent::DataLost { lpn, day });
+        self.events.push(FtlEvent::DataLost { lpn });
     }
 
     /// Encodes and programs `data` for `lpn` through `handle`'s reclaim
@@ -634,7 +597,6 @@ impl Ftl {
     /// Handles a block that failed program/erase: valid data on it is
     /// lost, mappings are cleared and the retirement is recorded.
     pub(crate) fn handle_block_failure(&mut self, block: u64) {
-        let day = self.device.now_days();
         let lpns: Vec<u64> = self
             .blocks
             .get(block as usize)
@@ -645,7 +607,7 @@ impl Ftl {
                 *slot = Slot::Lost;
             }
             self.stats.lost_pages += 1;
-            self.events.push(FtlEvent::DataLost { lpn, day });
+            self.events.push(FtlEvent::DataLost { lpn });
         }
         let Some(info) = self.blocks.get_mut(block as usize) else {
             return;
@@ -655,7 +617,6 @@ impl Ftl {
         info.bad = true;
         info.full = false;
         self.stats.blocks_retired += 1;
-        self.events.push(FtlEvent::BlockRetired { block, day });
         // Remove from open reclaim units and the free list if present.
         self.placement.evict_block(block);
         self.free.retain(|&b| b != block);
@@ -667,10 +628,8 @@ impl Ftl {
         let sustainable = self.sustainable_pages();
         if sustainable < self.last_reported_capacity {
             self.last_reported_capacity = sustainable;
-            self.events.push(FtlEvent::CapacityShrunk {
-                pages: sustainable,
-                day: self.device.now_days(),
-            });
+            self.events
+                .push(FtlEvent::CapacityShrunk { pages: sustainable });
         }
     }
 }

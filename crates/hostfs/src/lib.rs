@@ -19,7 +19,4 @@ pub mod store;
 
 pub use alloc::Allocator;
 pub use fs::{Extent, FileId, FsError, HostFs, Inode};
-pub use store::{
-    MemStore, PageStore, PlacementHint, StoreError, HINT_COLD, HINT_DEFAULT, HINT_SPARE_COLD,
-    HINT_SPARE_HOT,
-};
+pub use store::{MemStore, PageStore, PlacementHint, StoreError};

@@ -8,17 +8,9 @@
 //! append into (`sos_ftl::placement` maps it onto a placement handle).
 
 /// Placement hint forwarded to the device: the wire form of a
-/// placement handle (legacy stream / zone id).
+/// placement handle (legacy stream / zone id). The byte values belong
+/// to the device; on the simulated FTL `sos_ftl::placement` owns them.
 pub type PlacementHint = u8;
-
-/// Hint for hot, significant data (the device's default reclaim unit).
-pub const HINT_DEFAULT: PlacementHint = 0;
-/// Hint for cold / rarely-rewritten significant data.
-pub const HINT_COLD: PlacementHint = 2;
-/// Hint for hot degradable (SPARE-class) data.
-pub const HINT_SPARE_HOT: PlacementHint = 3;
-/// Hint for cold / TTL'd degradable (SPARE-class) data.
-pub const HINT_SPARE_COLD: PlacementHint = 4;
 
 /// Errors a page store can raise.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +33,8 @@ pub enum StoreError {
     /// The device lost power mid-operation; the host must remount the
     /// recovered store before continuing.
     PowerLoss,
+    /// Any other device failure, described by the device.
+    Storage(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -54,6 +48,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Lost(p) => write!(f, "page {p} lost"),
             StoreError::NoSpace => write!(f, "no space"),
             StoreError::PowerLoss => write!(f, "device lost power; remount required"),
+            StoreError::Storage(e) => write!(f, "storage failure: {e}"),
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   covers exactly the perceptually-critical bits,
 //! * [`video`] — an I/P-frame GOP model reproducing the "error-tolerant
 //!   frames compose most data in MPEG files" structure,
-//! * [`quality`] — MSE/PSNR and perceptual quality bands.
+//! * [`quality`] — MSE and PSNR.
 
 pub mod codec;
 pub mod dct;
@@ -24,7 +24,7 @@ pub mod video;
 
 pub use codec::{decode, CodecError, EncodedImage, ImageCodec, HEADER_BYTES};
 pub use image::Image;
-pub use quality::{mse, psnr, quality_band, ssim, QualityBand};
+pub use quality::{mse, psnr};
 pub use quant::QuantTable;
 pub use synth::{flat, synthetic_photo, texture};
 pub use video::{decode_video, synthetic_clip, EncodedFrame, EncodedVideo, FrameKind, VideoCodec};

@@ -43,32 +43,6 @@ pub fn psnr(a: &Image, b: &Image) -> f64 {
     }
 }
 
-/// Rough perceptual bands for PSNR of natural images.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QualityBand {
-    /// > 40 dB: visually indistinguishable from the original.
-    Excellent,
-    /// 30–40 dB: minor artefacts, acceptable for casual viewing.
-    Good,
-    /// 20–30 dB: visible degradation, content still recognisable.
-    Degraded,
-    /// < 20 dB: heavily damaged.
-    Poor,
-}
-
-/// Classifies a PSNR value into a perceptual band.
-pub fn quality_band(psnr_db: f64) -> QualityBand {
-    if psnr_db > 40.0 {
-        QualityBand::Excellent
-    } else if psnr_db > 30.0 {
-        QualityBand::Good
-    } else if psnr_db > 20.0 {
-        QualityBand::Degraded
-    } else {
-        QualityBand::Poor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,142 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn bands_are_ordered() {
-        assert_eq!(quality_band(45.0), QualityBand::Excellent);
-        assert_eq!(quality_band(35.0), QualityBand::Good);
-        assert_eq!(quality_band(25.0), QualityBand::Degraded);
-        assert_eq!(quality_band(10.0), QualityBand::Poor);
-    }
-
-    #[test]
     #[should_panic(expected = "dimensions differ")]
     fn dimension_mismatch_panics() {
         let a = img(vec![0; 3]);
         let b = Image::from_pixels(1, 3, vec![0; 3]);
         let _ = mse(&a, &b);
-    }
-}
-
-/// Mean structural similarity (SSIM) over 8x8 windows.
-///
-/// A perceptual metric complementing PSNR: sensitive to structural
-/// damage (blocking, banding) that mean-squared error under-weights.
-/// Returns a value in `[-1, 1]`; 1.0 means identical.
-///
-/// # Panics
-///
-/// Panics if the image dimensions differ.
-pub fn ssim(a: &Image, b: &Image) -> f64 {
-    assert_eq!(
-        (a.width(), a.height()),
-        (b.width(), b.height()),
-        "image dimensions differ"
-    );
-    const C1: f64 = 6.5025; // (0.01 * 255)^2
-    const C2: f64 = 58.5225; // (0.03 * 255)^2
-    const WINDOW: usize = 8;
-    let width = a.width();
-    let height = a.height();
-    if width < WINDOW || height < WINDOW {
-        // Degenerate small images: single global window.
-        return ssim_window(a.pixels(), b.pixels(), C1, C2);
-    }
-    let mut total = 0.0;
-    let mut count = 0u64;
-    let mut ya = Vec::with_capacity(WINDOW * WINDOW);
-    let mut yb = Vec::with_capacity(WINDOW * WINDOW);
-    for wy in (0..height - WINDOW + 1).step_by(WINDOW) {
-        for wx in (0..width - WINDOW + 1).step_by(WINDOW) {
-            ya.clear();
-            yb.clear();
-            for dy in 0..WINDOW {
-                for dx in 0..WINDOW {
-                    ya.push(a.get(wx + dx, wy + dy));
-                    yb.push(b.get(wx + dx, wy + dy));
-                }
-            }
-            total += ssim_window(&ya, &yb, C1, C2);
-            count += 1;
-        }
-    }
-    total / count as f64
-}
-
-fn ssim_window(a: &[u8], b: &[u8], c1: f64, c2: f64) -> f64 {
-    let n = a.len() as f64;
-    let mean_a: f64 = a.iter().map(|&v| v as f64).sum::<f64>() / n;
-    let mean_b: f64 = b.iter().map(|&v| v as f64).sum::<f64>() / n;
-    let mut var_a = 0.0;
-    let mut var_b = 0.0;
-    let mut covariance = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        let dx = x as f64 - mean_a;
-        let dy = y as f64 - mean_b;
-        var_a += dx * dx;
-        var_b += dy * dy;
-        covariance += dx * dy;
-    }
-    var_a /= n - 1.0;
-    var_b /= n - 1.0;
-    covariance /= n - 1.0;
-    ((2.0 * mean_a * mean_b + c1) * (2.0 * covariance + c2))
-        / ((mean_a * mean_a + mean_b * mean_b + c1) * (var_a + var_b + c2))
-}
-
-#[cfg(test)]
-mod ssim_tests {
-    use super::*;
-    use crate::synth::synthetic_photo;
-
-    #[test]
-    fn identical_images_score_one() {
-        let img = synthetic_photo(64, 64, 2);
-        assert!((ssim(&img, &img) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn damage_lowers_ssim_monotonically_with_severity() {
-        let img = synthetic_photo(64, 64, 4);
-        let mut light = img.pixels().to_vec();
-        for i in (0..light.len()).step_by(97) {
-            light[i] = light[i].wrapping_add(30);
-        }
-        let mut heavy = img.pixels().to_vec();
-        for i in (0..heavy.len()).step_by(5) {
-            heavy[i] = heavy[i].wrapping_add(120);
-        }
-        let light = Image::from_pixels(64, 64, light);
-        let heavy = Image::from_pixels(64, 64, heavy);
-        let s_light = ssim(&img, &light);
-        let s_heavy = ssim(&img, &heavy);
-        assert!(s_light < 1.0);
-        assert!(s_heavy < s_light, "{s_heavy} vs {s_light}");
-    }
-
-    #[test]
-    fn uniform_brightness_shift_is_penalised_less_than_structure_loss() {
-        let img = synthetic_photo(64, 64, 6);
-        let shifted = Image::from_pixels(
-            64,
-            64,
-            img.pixels().iter().map(|&p| p.saturating_add(10)).collect(),
-        );
-        let noise = Image::from_pixels(
-            64,
-            64,
-            img.pixels()
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| p.wrapping_add(((i * 37) % 41) as u8))
-                .collect(),
-        );
-        assert!(ssim(&img, &shifted) > ssim(&img, &noise));
-    }
-
-    #[test]
-    fn tiny_images_use_the_global_window() {
-        let a = Image::from_pixels(4, 4, vec![100; 16]);
-        let b = Image::from_pixels(4, 4, vec![100; 16]);
-        assert!((ssim(&a, &b) - 1.0).abs() < 1e-9);
     }
 }

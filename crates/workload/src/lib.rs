@@ -15,7 +15,6 @@
 //!   admission/eviction, TTL'd degradable objects) for the FDP
 //!   placement experiments.
 
-pub mod apps;
 pub mod device_life;
 pub mod filetypes;
 pub mod flash_cache;
@@ -23,7 +22,6 @@ pub(crate) mod hash;
 pub mod trace;
 pub mod zipf;
 
-pub use apps::{catalogue, daily_write_bytes, years_to_wear_out, AppProfile};
 pub use device_life::{DeviceLife, UsageProfile, WorkloadConfig};
 pub use filetypes::{byte_share, FileClass, FileMeta};
 pub use trace::{DayTrace, TraceOp};

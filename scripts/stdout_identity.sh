@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Byte-identical stdout check against a base revision, with the wall
-# time of every experiment binary on both sides.
+# time of every experiment binary on both sides, plus the perfbench
+# simulation digests.
 #
 # Exports <base-rev> with `git archive` into target/ (built with its own
 # target dir) and builds the working tree alongside it, then runs every
@@ -9,11 +10,17 @@
 # Prints one line per binary — `same` or `DIFF`, each with both sides'
 # wall seconds — and, under a `DIFF`, the first differing line.
 #
+# Then builds and runs each side's perfbench with the command line in
+# BENCHMARK.json (the base with its own target dir) at
+# `--workload all --seed 7 --seconds 10 --trace 0`, and prints one
+# `same` or `DIFF` line per BENCHMARK.json workload comparing the two
+# `sim_digest`s.
+#
 # Usage: scripts/stdout_identity.sh <base-rev>
 #
-# Exit 0: every binary matches. Exit 1: at least one binary differs
-# (all binaries still run). Exit 2: usage error.
-# Takes about 10 minutes on 2 cores. Deliberately not a CI gate: a bug
+# Exit 0: every binary and every digest matches. Exit 1: at least one
+# `DIFF` (everything still runs). Exit 2: usage error.
+# Takes about 15 minutes on 2 cores. Deliberately not a CI gate: a bug
 # fix may legitimately change stdout.
 set -euo pipefail
 
@@ -91,8 +98,37 @@ for src in crates/bench/src/bin/*.rs; do
         echo "  work: $(sed -n "${line}p" "$work_out")"
     fi
 done
-if ((differed > 0)); then
-    echo "stdout_identity: $differed of $count binaries differ from ${base:0:12}"
+
+# Prints "<workload> <sim_digest>" for each record line of one side's
+# perfbench run; a failed build or run prints nothing, which the
+# comparison reports as a missing digest.
+perfbench_digests() {
+    local src="$1" target="$2"
+    (cd "$src" && CARGO_TARGET_DIR="$target" cargo run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload all --seed 7 --seconds 10 --trace 0 2>/dev/null || true) |
+        sed -n 's/.*"record": {"workload": "\([a-z_]*\)".*"sim_digest": "\([0-9a-f]*\)".*/\1 \2/p'
+}
+
+echo "==> perfbench --workload all --seed 7 --seconds 10 --trace 0, base then working tree"
+base_digests="$(perfbench_digests "$base_src" "$scratch/perfbench-target")"
+work_digests="$(perfbench_digests "$root" "$root/perfbench/target")"
+digests=0
+digests_differed=0
+for workload in $(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.json); do
+    base_digest="$(awk -v w="$workload" '$1 == w { print $2 }' <<<"$base_digests")"
+    work_digest="$(awk -v w="$workload" '$1 == w { print $2 }' <<<"$work_digests")"
+    digests=$((digests + 1))
+    if [[ -n "$work_digest" && "$base_digest" == "$work_digest" ]]; then
+        echo "same perfbench $workload (sim_digest $work_digest)"
+    else
+        digests_differed=$((digests_differed + 1))
+        echo "DIFF perfbench $workload: sim_digest ${base_digest:-<missing>} (base) vs ${work_digest:-<missing>} (work)"
+    fi
+done
+
+if ((differed + digests_differed > 0)); then
+    echo "stdout_identity: $differed of $count binaries and $digests_differed of $digests perfbench digests differ from ${base:0:12}"
     exit 1
 fi
-echo "stdout_identity: all $count binaries byte-identical to ${base:0:12}"
+echo "stdout_identity: all $count binaries byte-identical and all $digests perfbench digests unchanged vs ${base:0:12}"
