@@ -81,16 +81,6 @@ fn read_u64_le(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(w)
 }
 
-/// Whether serializing `reg` (LSB-first, as [`BchCode::append_parity`]
-/// does) reproduces `parity` byte for byte.
-// sos-lint: allow(panic-path, "parity spans parity_bytes() bytes, which the register is sized to hold")
-fn register_matches(reg: &[u64], parity: &[u8]) -> bool {
-    parity
-        .iter()
-        .enumerate()
-        .all(|(i, &byte)| (reg[i / 8] >> ((i % 8) * 8)) as u8 == byte)
-}
-
 #[inline]
 // sos-lint: allow(panic-path, "every caller derives the word index from the register's own length")
 fn reg_get(reg: &[u64], i: usize) -> bool {
@@ -429,7 +419,7 @@ impl BchCode {
     /// Word-at-a-time encoder: processes 64 data bits per register
     /// update via the eight lane tables. Falls back to the byte/bit
     /// paths for codes whose parity register is narrower than a word.
-    /// (Test-only: `encode_append` inlines the same dispatch to skip the
+    /// (Test-only: `encode` inlines the same dispatch to skip the
     /// register round-trip through the heap.)
     #[cfg(test)]
     fn encode_words(&self, data: &[u8]) -> Vec<u64> {
@@ -541,44 +531,25 @@ impl BchCode {
     /// Panics if the data exceeds the code dimension; chunking to fit is
     /// the caller's job (see [`crate::scheme`]).
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let mut parity = Vec::with_capacity(self.parity_bytes());
-        self.encode_append(data, &mut parity);
-        parity
-    }
-
-    /// Encodes `data` and appends the parity bytes to `out` — the
-    /// allocation-free hot path the page codec assembles raw pages with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the data exceeds the code dimension.
-    pub fn encode_append(&self, data: &[u8], out: &mut Vec<u8>) {
         let data_bits = data.len() * 8;
-        // sos-lint: allow(panic-path, "guards a configuration error: PageCodec::new sizes every payload to data_bytes() <= k/8 before the write path can reach this")
+        // sos-lint: allow(panic-path, "guards a configuration error: PageCodec::new sizes every payload to data_bytes() <= k/8 before any encode")
         assert!(
             data_bits <= self.k,
             "data ({data_bits} bits) exceeds code dimension k={}",
             self.k
         );
         let p = self.parity_bits();
+        let mut parity = Vec::with_capacity(self.parity_bytes());
         if p >= 64 && !self.encode_table64.is_empty() {
             match self.words {
-                4 => {
-                    let reg = self.encode_words_fixed::<4>(data);
-                    return self.append_parity(&reg, out);
-                }
-                9 => {
-                    let reg = self.encode_words_fixed::<9>(data);
-                    return self.append_parity(&reg, out);
-                }
-                _ => {
-                    let reg = self.encode_words_generic(data);
-                    return self.append_parity(&reg, out);
-                }
+                4 => self.append_parity(&self.encode_words_fixed::<4>(data), &mut parity),
+                9 => self.append_parity(&self.encode_words_fixed::<9>(data), &mut parity),
+                _ => self.append_parity(&self.encode_words_generic(data), &mut parity),
             }
+        } else {
+            self.append_parity(&self.encode_register(data), &mut parity);
         }
-        let reg = self.encode_register(data);
-        self.append_parity(&reg, out);
+        parity
     }
 
     /// Serializes a parity register: LSB-first bit order makes parity
@@ -591,21 +562,6 @@ impl BchCode {
         for i in 0..self.parity_bytes() {
             out.push((reg[i / 8] >> ((i % 8) * 8)) as u8);
         }
-    }
-
-    /// Whether `parity` equals the re-encoded parity of `data` — i.e.
-    /// whether the received `(parity, data)` word is a valid codeword.
-    /// Same encoder dispatch as [`Self::encode_append`].
-    fn parity_matches(&self, data: &[u8], parity: &[u8]) -> bool {
-        let p = self.parity_bits();
-        if p >= 64 && !self.encode_table64.is_empty() {
-            return match self.words {
-                4 => register_matches(&self.encode_words_fixed::<4>(data), parity),
-                9 => register_matches(&self.encode_words_fixed::<9>(data), parity),
-                _ => register_matches(&self.encode_words_generic(data), parity),
-            };
-        }
-        register_matches(&self.encode_register(data), parity)
     }
 
     /// One odd syndrome's Horner pass over a byte slice, eight bytes per
@@ -680,23 +636,14 @@ impl BchCode {
             });
         }
         let p = self.parity_bits();
-        let used = p + data_bits; // codeword positions actually in use
-                                  // Padding bits in the last parity byte are not codeword
-                                  // positions; clear any noise the medium injected there so the
-                                  // syndrome pass sees only real codeword bits.
+        // Codeword positions actually in use.
+        let used = p + data_bits;
+        // Padding bits in the last parity byte are not codeword
+        // positions; clear any noise the medium injected there so the
+        // syndrome pass sees only real codeword bits.
         if !p.is_multiple_of(8) {
             let last = parity.len() - 1;
             parity[last] &= (1u8 << (p % 8)) - 1;
-        }
-        // Fast accept for the overwhelmingly common clean read: the
-        // received word is a valid codeword (all 2t syndromes zero)
-        // exactly when its parity equals the re-encoded parity of its
-        // data portion — and the word-wide LFSR re-encode is several
-        // times cheaper than the 2t-lane syndrome pass. Any mismatch
-        // (including parity-byte corruption) falls through to the full
-        // decoder.
-        if self.parity_matches(data, parity) {
-            return Ok(0);
         }
         let syndromes = self.syndromes(data, parity);
         if syndromes.iter().all(|&s| s == 0) {
@@ -1005,40 +952,6 @@ mod tests {
                 let word = code.syndromes(&data, &parity);
                 let byte = syndromes_bytes(&code, &data, &parity);
                 assert_eq!(word, byte, "m={m} t={t} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn parity_match_agrees_with_zero_syndromes() {
-        // The decode fast path accepts exactly when all 2t syndromes are
-        // zero: clean words match, any corrupted word (data or parity,
-        // masked padding excluded) does not.
-        let mut rng = StdRng::seed_from_u64(81);
-        for (m, t) in [(10u32, 4usize), (13, 18), (13, 40)] {
-            let code = BchCode::new(m, t);
-            for len in [1usize, 64, 512].into_iter().filter(|&l| l * 8 <= code.k) {
-                let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-                let parity = code.encode(&data);
-                assert!(code.parity_matches(&data, &parity), "m={m} t={t} len={len}");
-                assert!(
-                    code.syndromes(&data, &parity).iter().all(|&s| s == 0),
-                    "clean word must have zero syndromes"
-                );
-                for _ in 0..20 {
-                    let mut rdata = data.clone();
-                    let mut rparity = parity.clone();
-                    let pos = rng.gen_range(0..len * 8 + code.parity_bits());
-                    if pos < code.parity_bits() {
-                        flip(&mut rparity, pos);
-                    } else {
-                        flip(&mut rdata, pos - code.parity_bits());
-                    }
-                    let matches = code.parity_matches(&rdata, &rparity);
-                    let zero = code.syndromes(&rdata, &rparity).iter().all(|&s| s == 0);
-                    assert_eq!(matches, zero, "m={m} t={t} len={len} pos={pos}");
-                    assert!(!matches, "single flip must be detected");
-                }
             }
         }
     }

@@ -13,7 +13,8 @@
 //!
 //! The XOR stripe parity the paper adds on top of BCH for SYS blocks
 //! (§4.2) lives with the SYS layout it protects, in `sos-core`'s
-//! `stripe` module.
+//! `stripe` module; it shares this crate's one byte-XOR routine,
+//! [`xor_into`].
 
 pub mod bch;
 pub mod crc;
@@ -23,4 +24,6 @@ pub mod scheme;
 pub use bch::{BchCode, BchError};
 pub use crc::{crc32, Crc32};
 pub use gf::GaloisField;
-pub use scheme::{CodecError, DecodeReport, EccScheme, PageCodec, PageStatus, CHUNK_BYTES};
+pub use scheme::{
+    xor_into, CodecError, DecodeReport, EccScheme, PageCodec, PageStatus, CHUNK_BYTES,
+};

@@ -6,6 +6,13 @@
 //! [`EccScheme`] to a page geometry: `encode` packs data + redundancy into
 //! `data + spare` bytes, `decode` recovers data and reports its status.
 //!
+//! The simulator's write path programs [`PageCodec::frame`]d pages
+//! instead: `encode`'s layout with every CRC written but the BCH parity
+//! left zero. Its read path, [`PageCodec::decode_with_dirty`], never
+//! reads stored parity. It decodes each dirty chunk's error pattern, which
+//! has the same syndromes as the received word because BCH is linear, so
+//! framed and encoded pages decode alike (DESIGN.md §13.5).
+//!
 //! The [`EccScheme::PrioritySplit`] variant implements approximate storage
 //! in the style of Sampson et al. (TOCS '14): a protected prefix (headers,
 //! high-priority bits) gets real BCH, the error-tolerant tail gets only
@@ -115,6 +122,15 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// XORs `src` into `dst` byte by byte (over the shorter of the two): the
+/// one XOR routine, shared by error-pattern decoding and `sos-core`'s
+/// stripe parity.
+pub fn xor_into(dst: &mut [u8], src: &[u8]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
 
 /// Returns a cached BCH code over GF(2^13) for correction capability `t`.
 // sos-lint: allow(panic-path, "the supported correction strengths are a fixed compile-time set")
@@ -241,14 +257,42 @@ impl PageCodec {
         self.data_bytes + self.spare_bytes
     }
 
-    /// Encodes `data` into a raw page (data followed by redundancy and
-    /// zero padding to the spare size).
+    /// Length of the BCH-protected data prefix: the whole page under
+    /// `Bch`, the protected chunks under `PrioritySplit`, none otherwise.
+    fn protected_end(&self) -> usize {
+        match self.scheme {
+            EccScheme::None | EccScheme::DetectOnly => 0,
+            EccScheme::Bch { .. } => self.data_bytes,
+            EccScheme::PrioritySplit {
+                protected_chunks, ..
+            } => (protected_chunks * CHUNK_BYTES).min(self.data_bytes),
+        }
+    }
+
+    /// Offset within the spare area of the CRC-32 over the unprotected
+    /// tail, for the schemes that store one: it follows the protected
+    /// chunks' parity slots.
+    fn crc_offset(&self) -> Option<usize> {
+        match self.scheme {
+            EccScheme::None | EccScheme::Bch { .. } => None,
+            EccScheme::DetectOnly | EccScheme::PrioritySplit { .. } => {
+                let parity_bytes = self.code.as_ref().map_or(0, |code| code.parity_bytes());
+                Some(self.protected_end().div_ceil(CHUNK_BYTES) * parity_bytes)
+            }
+        }
+    }
+
+    /// Frames `data` into a raw page: [`Self::encode`]'s layout with every
+    /// CRC written and every BCH parity slot left zero. The simulator's
+    /// write path programs framed pages; [`Self::decode_with_dirty`]
+    /// never reads stored parity, so it decodes them exactly as it
+    /// decodes encoded ones.
     ///
     /// # Errors
     ///
     /// Fails if `data` is not exactly `data_bytes` long.
-    // sos-lint: allow(panic-path, "chunk offsets are multiples of sizes fixed at codec construction and checked against the input length")
-    pub fn encode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
+    // sos-lint: allow(panic-path, "the CRC slot lies inside the spare area, which PageCodec::new checked holds the scheme's whole overhead")
+    pub fn frame(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         if data.len() != self.data_bytes {
             return Err(CodecError::WrongDataLength {
                 expected: self.data_bytes,
@@ -257,41 +301,53 @@ impl PageCodec {
         }
         let mut raw = Vec::with_capacity(self.raw_bytes());
         raw.extend_from_slice(data);
-        match self.scheme {
-            EccScheme::None => {}
-            EccScheme::DetectOnly => {
-                raw.extend_from_slice(&crc32(data).to_le_bytes());
-            }
-            EccScheme::Bch { t } => {
-                let code = self.code_for(t);
-                for chunk in data.chunks(CHUNK_BYTES) {
-                    code.encode_append(chunk, &mut raw);
-                }
-            }
-            EccScheme::PrioritySplit {
-                t,
-                protected_chunks,
-            } => {
-                let code = self.code_for(t);
-                let protected_end = (protected_chunks * CHUNK_BYTES).min(data.len());
-                for chunk in data[..protected_end].chunks(CHUNK_BYTES) {
-                    code.encode_append(chunk, &mut raw);
-                }
-                raw.extend_from_slice(&crc32(&data[protected_end..]).to_le_bytes());
-            }
-        }
         raw.resize(self.raw_bytes(), 0);
+        if let Some(offset) = self.crc_offset() {
+            let crc = crc32(&data[self.protected_end()..]);
+            raw[self.data_bytes + offset..][..4].copy_from_slice(&crc.to_le_bytes());
+        }
         Ok(raw)
     }
 
-    /// Decodes a raw page, skipping ECC work on chunks known to be
-    /// error-free.
+    /// Encodes `data` into a raw page (data followed by redundancy and
+    /// zero padding to the spare size): [`Self::frame`] with each
+    /// protected chunk's BCH parity filled in. The eager reference that
+    /// [`Self::decode`] and the tests use.
     ///
-    /// `dirty_bits` are the bit positions (within the raw page) known to
-    /// carry errors — simulator knowledge standing in for a hardware
-    /// zero-syndrome shortcut. Chunks without dirty bits decode to
-    /// themselves, so skipping them is observationally equivalent.
-    // sos-lint: allow(panic-path, "chunk offsets are multiples of sizes fixed at codec construction and the raw length is validated up front")
+    /// # Errors
+    ///
+    /// Fails if `data` is not exactly `data_bytes` long.
+    pub fn encode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut raw = self.frame(data)?;
+        if let Some(code) = &self.code {
+            let protected_end = self.protected_end();
+            let (data, spare) = raw.split_at_mut(self.data_bytes);
+            let chunks = data[..protected_end].chunks(CHUNK_BYTES);
+            for (chunk, slot) in chunks.zip(spare.chunks_mut(code.parity_bytes())) {
+                slot.copy_from_slice(&code.encode(chunk));
+            }
+        }
+        Ok(raw)
+    }
+
+    /// Decodes a raw page whose only errors are the bits at `dirty_bits`,
+    /// without reading any stored BCH parity.
+    ///
+    /// `dirty_bits` are the bit positions (within the raw page) the
+    /// medium flipped — simulator knowledge; a position listed twice
+    /// flipped back. Each protected chunk with a dirty bit in its data or
+    /// its parity slot is corrected by decoding its error pattern alone:
+    /// BCH is linear, so the pattern has the received word's syndromes,
+    /// and the decoder's verdict and flips (miscorrections included) are
+    /// those of decoding the eagerly encoded page. Chunks with no dirty
+    /// bit decode to themselves and are skipped. CRCs are checked against
+    /// the stored CRC, so the page may be framed or encoded.
+    ///
+    /// # Errors
+    ///
+    /// Fails only on length mismatch; data-integrity problems are
+    /// reported through [`DecodeReport::status`].
+    // sos-lint: allow(panic-path, "the protected prefix is at most data_bytes long, and the raw length is validated up front")
     pub fn decode_with_dirty(
         &self,
         raw: &[u8],
@@ -303,84 +359,115 @@ impl PageCodec {
                 got: raw.len(),
             });
         }
+        let (data, spare) = raw.split_at(self.data_bytes);
+        let mut data = data.to_vec();
         if dirty_bits.is_empty() {
             return Ok(DecodeReport {
-                data: raw[..self.data_bytes].to_vec(),
+                data,
                 corrected_bits: 0,
                 status: PageStatus::Intact,
             });
         }
-        // A dirty byte anywhere in the spare area may hit any chunk's
-        // parity or the CRC; fall back to the full decode in that case.
-        if dirty_bits.iter().any(|&b| b / 8 >= self.data_bytes) {
-            return self.decode(raw);
-        }
-        let dirty_chunks: std::collections::HashSet<usize> =
-            dirty_bits.iter().map(|&b| b / 8 / CHUNK_BYTES).collect();
-        let mut data = raw[..self.data_bytes].to_vec();
-        let spare = &raw[self.data_bytes..];
-        let mut corrected = 0usize;
-        let status = match self.scheme {
-            EccScheme::None => PageStatus::Intact,
-            EccScheme::DetectOnly => PageStatus::DegradedDetected, // dirty data bits exist
-            EccScheme::Bch { t } => {
-                let code = self.code_for(t);
-                let pb = code.parity_bytes();
-                let mut failed = false;
-                for (index, chunk) in data.chunks_mut(CHUNK_BYTES).enumerate() {
-                    if !dirty_chunks.contains(&index) {
-                        continue;
-                    }
-                    let offset = index * pb;
-                    let mut parity = spare[offset..offset + pb].to_vec();
-                    match code.decode(chunk, &mut parity) {
-                        Ok(n) => corrected += n,
-                        Err(BchError::Uncorrectable) => failed = true,
-                        Err(e) => unreachable!("codec sizing bug: {e}"),
-                    }
-                }
-                if failed {
-                    PageStatus::Uncorrectable
-                } else {
+        let protected_end = self.protected_end();
+        let (corrected, failed) = match &self.code {
+            Some(code) => self.correct_dirty_chunks(code, &mut data[..protected_end], dirty_bits),
+            None => (0, false),
+        };
+        let status = match self.crc_offset() {
+            _ if failed => PageStatus::Uncorrectable,
+            None => PageStatus::Intact,
+            // A dirty spare bit may have hit the CRC: check it.
+            Some(offset) if dirty_bits.iter().any(|&b| b / 8 >= self.data_bytes) => {
+                let stored = spare
+                    .get(offset..offset + 4)
+                    .and_then(|bytes| bytes.try_into().ok())
+                    .map(u32::from_le_bytes);
+                if stored == Some(crc32(&data[protected_end..])) {
                     PageStatus::Intact
-                }
-            }
-            EccScheme::PrioritySplit {
-                t,
-                protected_chunks,
-            } => {
-                let code = self.code_for(t);
-                let pb = code.parity_bytes();
-                let protected_end = (protected_chunks * CHUNK_BYTES).min(data.len());
-                let mut failed = false;
-                let tail_dirty = dirty_bits.iter().any(|&b| b / 8 >= protected_end);
-                let (head, _tail) = data.split_at_mut(protected_end);
-                for (index, chunk) in head.chunks_mut(CHUNK_BYTES).enumerate() {
-                    if !dirty_chunks.contains(&index) {
-                        continue;
-                    }
-                    let offset = index * pb;
-                    let mut parity = spare[offset..offset + pb].to_vec();
-                    match code.decode(chunk, &mut parity) {
-                        Ok(n) => corrected += n,
-                        Err(BchError::Uncorrectable) => failed = true,
-                        Err(e) => unreachable!("codec sizing bug: {e}"),
-                    }
-                }
-                if failed {
-                    PageStatus::Uncorrectable
-                } else if tail_dirty {
+                } else {
                     PageStatus::DegradedDetected
-                } else {
-                    PageStatus::Intact
                 }
             }
+            Some(_) if dirty_bits.iter().any(|&b| b / 8 >= protected_end) => {
+                PageStatus::DegradedDetected
+            }
+            Some(_) => PageStatus::Intact,
         };
         Ok(DecodeReport {
             data,
             corrected_bits: corrected,
             status,
         })
+    }
+
+    /// Corrects, in place, every chunk of the protected prefix `head`
+    /// with a dirty bit in its data or its parity slot, by decoding that
+    /// chunk's error pattern. Returns the bits corrected and whether any
+    /// chunk was uncorrectable.
+    // sos-lint: allow(panic-path, "chunk offsets are multiples of sizes fixed at codec construction; pattern bit offsets are bounded by the chunk and slot they were located in")
+    fn correct_dirty_chunks(
+        &self,
+        code: &BchCode,
+        head: &mut [u8],
+        dirty_bits: &[usize],
+    ) -> (usize, bool) {
+        let parity_bytes = code.parity_bytes();
+        let chunks = head.len().div_ceil(CHUNK_BYTES);
+        let head_len = head.len();
+        let parity_end = self.data_bytes + chunks * parity_bytes;
+        // (chunk, in parity slot?, bit offset within that data chunk or
+        // parity slot) of a dirty bit, if it lands in a protected chunk.
+        let locate = |bit: usize| {
+            let byte = bit / 8;
+            if byte < head_len {
+                let chunk = byte / CHUNK_BYTES;
+                Some((chunk, false, bit - chunk * CHUNK_BYTES * 8))
+            } else if (self.data_bytes..parity_end).contains(&byte) {
+                let chunk = (byte - self.data_bytes) / parity_bytes;
+                let slot = self.data_bytes + chunk * parity_bytes;
+                Some((chunk, true, bit - slot * 8))
+            } else {
+                None
+            }
+        };
+        let mut dirty = vec![false; chunks];
+        for (chunk, _, _) in dirty_bits.iter().filter_map(|&bit| locate(bit)) {
+            dirty[chunk] = true;
+        }
+        let mut data_pattern = vec![0u8; CHUNK_BYTES];
+        let mut parity_pattern = vec![0u8; parity_bytes];
+        let mut corrected = 0usize;
+        let mut failed = false;
+        for (index, chunk) in head.chunks_mut(CHUNK_BYTES).enumerate() {
+            if !dirty[index] {
+                continue;
+            }
+            let data_pattern = &mut data_pattern[..chunk.len()];
+            data_pattern.fill(0);
+            parity_pattern.fill(0);
+            for (_, in_parity, offset) in dirty_bits
+                .iter()
+                .filter_map(|&bit| locate(bit))
+                .filter(|&(c, _, _)| c == index)
+            {
+                let pattern = if in_parity {
+                    &mut parity_pattern[..]
+                } else {
+                    &mut data_pattern[..]
+                };
+                pattern[offset / 8] ^= 1 << (offset % 8);
+            }
+            // chunk ^= e, then chunk ^= e' (the decoded pattern): the net
+            // effect is exactly the decoder's flips.
+            xor_into(chunk, data_pattern);
+            match code.decode(data_pattern, &mut parity_pattern) {
+                Ok(n) => corrected += n,
+                Err(BchError::Uncorrectable) => failed = true,
+                Err(e) => unreachable!("codec sizing bug: {e}"),
+            }
+            xor_into(chunk, data_pattern);
+        }
+        (corrected, failed)
     }
 
     /// Decodes a raw page, correcting protected chunks and checking
@@ -669,6 +756,223 @@ mod tests {
         let report = codec.decode_with_dirty(&raw, &[]).unwrap();
         assert_eq!(report.status, PageStatus::Intact);
         assert_eq!(report.data, data);
+    }
+
+    impl PageCodec {
+        /// The eager-parity `decode_with_dirty` this module shipped before
+        /// parity on demand, kept verbatim as the shadow oracle: it reads
+        /// stored BCH parity, so it needs an encoded page.
+        ///
+        /// Decodes a raw page, skipping ECC work on chunks known to be
+        /// error-free.
+        ///
+        /// `dirty_bits` are the bit positions (within the raw page) known to
+        /// carry errors — simulator knowledge standing in for a hardware
+        /// zero-syndrome shortcut. Chunks without dirty bits decode to
+        /// themselves, so skipping them is observationally equivalent.
+        // sos-lint: allow(panic-path, "chunk offsets are multiples of sizes fixed at codec construction and the raw length is validated up front")
+        fn decode_with_dirty_oracle(
+            &self,
+            raw: &[u8],
+            dirty_bits: &[usize],
+        ) -> Result<DecodeReport, CodecError> {
+            if raw.len() != self.raw_bytes() {
+                return Err(CodecError::WrongRawLength {
+                    expected: self.raw_bytes(),
+                    got: raw.len(),
+                });
+            }
+            if dirty_bits.is_empty() {
+                return Ok(DecodeReport {
+                    data: raw[..self.data_bytes].to_vec(),
+                    corrected_bits: 0,
+                    status: PageStatus::Intact,
+                });
+            }
+            // A dirty byte anywhere in the spare area may hit any chunk's
+            // parity or the CRC; fall back to the full decode in that case.
+            if dirty_bits.iter().any(|&b| b / 8 >= self.data_bytes) {
+                return self.decode(raw);
+            }
+            let dirty_chunks: std::collections::HashSet<usize> =
+                dirty_bits.iter().map(|&b| b / 8 / CHUNK_BYTES).collect();
+            let mut data = raw[..self.data_bytes].to_vec();
+            let spare = &raw[self.data_bytes..];
+            let mut corrected = 0usize;
+            let status = match self.scheme {
+                EccScheme::None => PageStatus::Intact,
+                EccScheme::DetectOnly => PageStatus::DegradedDetected, // dirty data bits exist
+                EccScheme::Bch { t } => {
+                    let code = self.code_for(t);
+                    let pb = code.parity_bytes();
+                    let mut failed = false;
+                    for (index, chunk) in data.chunks_mut(CHUNK_BYTES).enumerate() {
+                        if !dirty_chunks.contains(&index) {
+                            continue;
+                        }
+                        let offset = index * pb;
+                        let mut parity = spare[offset..offset + pb].to_vec();
+                        match code.decode(chunk, &mut parity) {
+                            Ok(n) => corrected += n,
+                            Err(BchError::Uncorrectable) => failed = true,
+                            Err(e) => unreachable!("codec sizing bug: {e}"),
+                        }
+                    }
+                    if failed {
+                        PageStatus::Uncorrectable
+                    } else {
+                        PageStatus::Intact
+                    }
+                }
+                EccScheme::PrioritySplit {
+                    t,
+                    protected_chunks,
+                } => {
+                    let code = self.code_for(t);
+                    let pb = code.parity_bytes();
+                    let protected_end = (protected_chunks * CHUNK_BYTES).min(data.len());
+                    let mut failed = false;
+                    let tail_dirty = dirty_bits.iter().any(|&b| b / 8 >= protected_end);
+                    let (head, _tail) = data.split_at_mut(protected_end);
+                    for (index, chunk) in head.chunks_mut(CHUNK_BYTES).enumerate() {
+                        if !dirty_chunks.contains(&index) {
+                            continue;
+                        }
+                        let offset = index * pb;
+                        let mut parity = spare[offset..offset + pb].to_vec();
+                        match code.decode(chunk, &mut parity) {
+                            Ok(n) => corrected += n,
+                            Err(BchError::Uncorrectable) => failed = true,
+                            Err(e) => unreachable!("codec sizing bug: {e}"),
+                        }
+                    }
+                    if failed {
+                        PageStatus::Uncorrectable
+                    } else if tail_dirty {
+                        PageStatus::DegradedDetected
+                    } else {
+                        PageStatus::Intact
+                    }
+                }
+            };
+            Ok(DecodeReport {
+                data,
+                corrected_bits: corrected,
+                status,
+            })
+        }
+    }
+
+    /// Raw-page bit positions for the shadow test: each `(region, seed)`
+    /// pair picks one position in a region chosen to reach a distinct
+    /// decode path, so a case mixes scattered, spare-only, CRC-slot and
+    /// padding flips, clusters in one chunk and repeated positions.
+    fn shadow_positions(codec: &PageCodec, picks: &[(u8, u64)]) -> Vec<usize> {
+        let data_bits = codec.data_bytes() * 8;
+        let raw_bits = codec.raw_bytes() * 8;
+        let overhead_bits = codec.scheme().overhead_bytes(codec.data_bytes()) * 8;
+        let parity_bytes = codec.code.as_ref().map(|code| code.parity_bytes());
+        let mut positions: Vec<usize> = Vec::new();
+        for &(region, seed) in picks {
+            let within = |start: usize, end: usize| start + (seed as usize) % (end - start);
+            let position = match region {
+                // Anywhere in the raw page.
+                0 => within(0, raw_bits),
+                // Spare only: parity slots, the CRC and padding.
+                1 => within(data_bits, raw_bits),
+                // Clustered in the first chunk, beyond t at this weight.
+                2 => within(0, CHUNK_BYTES * 8),
+                // The CRC slot, or the first parity slot without a CRC.
+                3 => match (codec.crc_offset(), parity_bytes) {
+                    (Some(offset), _) => {
+                        within(data_bits + offset * 8, data_bits + offset * 8 + 32)
+                    }
+                    (None, Some(pb)) => within(data_bits, data_bits + pb * 8),
+                    (None, None) => within(data_bits, raw_bits),
+                },
+                // Spare padding past the scheme's overhead.
+                4 => within(data_bits + overhead_bits, raw_bits),
+                // The last byte of a parity slot, padding bits included.
+                5 => match parity_bytes {
+                    Some(pb) => {
+                        let slot = (seed as usize >> 8) % (overhead_bits / 8 / pb).max(1);
+                        within(
+                            data_bits + (slot * pb + pb - 1) * 8,
+                            data_bits + (slot + 1) * pb * 8,
+                        )
+                    }
+                    None => within(data_bits, raw_bits),
+                },
+                // A repeat of an earlier position: the flip cancels.
+                _ if !positions.is_empty() => positions[(seed as usize) % positions.len()],
+                _ => within(0, raw_bits),
+            };
+            positions.push(position);
+        }
+        positions
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Parity on demand changes no decode: `decode_with_dirty` on a
+        /// framed page equals it on the encoded page, and both equal the
+        /// eager-parity oracle on the encoded page, in data, corrected
+        /// bits and status.
+        #[test]
+        fn framed_decode_matches_eager_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec((0u8..7, proptest::prelude::any::<u64>()), 0..=80),
+        ) {
+            for scheme in [
+                EccScheme::None,
+                EccScheme::DetectOnly,
+                EccScheme::Bch { t: 8 },
+                EccScheme::Bch { t: 18 },
+                EccScheme::PrioritySplit { t: 18, protected_chunks: 1 },
+                EccScheme::PrioritySplit { t: 8, protected_chunks: 2 },
+            ] {
+                let codec = PageCodec::new(scheme, DATA, SPARE).unwrap();
+                let data = payload(seed);
+                let mut framed = codec.frame(&data).unwrap();
+                let mut encoded = codec.encode(&data).unwrap();
+                let positions = shadow_positions(&codec, &picks);
+                for &bit in &positions {
+                    framed[bit / 8] ^= 1 << (bit % 8);
+                    encoded[bit / 8] ^= 1 << (bit % 8);
+                }
+                let lazy = codec.decode_with_dirty(&framed, &positions).unwrap();
+                let eager = codec.decode_with_dirty(&encoded, &positions).unwrap();
+                let oracle = codec.decode_with_dirty_oracle(&encoded, &positions).unwrap();
+                for (name, report) in [("framed", &lazy), ("encoded", &eager)] {
+                    proptest::prop_assert_eq!(report.status, oracle.status, "{} {}", scheme.name(), name);
+                    proptest::prop_assert_eq!(report.corrected_bits, oracle.corrected_bits, "{} {}", scheme.name(), name);
+                    proptest::prop_assert!(report.data == oracle.data, "{} {}: data differs", scheme.name(), name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_is_encode_without_bch_parity() {
+        for scheme in [
+            EccScheme::None,
+            EccScheme::DetectOnly,
+            EccScheme::Bch { t: 18 },
+            EccScheme::PrioritySplit {
+                t: 8,
+                protected_chunks: 2,
+            },
+        ] {
+            let codec = PageCodec::new(scheme, DATA, SPARE).unwrap();
+            let data = payload(31);
+            let mut encoded = codec.encode(&data).unwrap();
+            if let Some(code) = &codec.code {
+                let slots = codec.protected_end().div_ceil(CHUNK_BYTES) * code.parity_bytes();
+                encoded[DATA..DATA + slots].fill(0);
+            }
+            assert_eq!(codec.frame(&data).unwrap(), encoded, "{}", scheme.name());
+        }
     }
 
     #[test]

@@ -42,6 +42,54 @@ proptest! {
         prop_assert_eq!(rparity, parity);
     }
 
+    /// Linearity, the identity parity on demand rests on: decoding a
+    /// received word `c ⊕ e` and decoding the error pattern `e` alone
+    /// return the same result and flip the same bits, for weights up to
+    /// 3t — uncorrectable words and miscorrections included.
+    #[test]
+    fn bch_decode_of_error_pattern_matches_received_word(
+        strong in any::<bool>(),
+        data in proptest::collection::vec(any::<u8>(), 1..=512),
+        weight_seed in any::<usize>(),
+        raw_positions in proptest::collection::vec(any::<usize>(), 54),
+    ) {
+        let t = if strong { 18 } else { 8 };
+        let code = BchCode::new(13, t);
+        let p = code.parity_bits();
+        let total_bits = data.len() * 8 + p;
+        let weight = weight_seed % (3 * t + 1);
+        let mut positions = std::collections::BTreeSet::new();
+        for &r in raw_positions.iter().take(weight) {
+            positions.insert(r % total_bits);
+        }
+        let flip = |data: &mut [u8], parity: &mut [u8], pos: usize| {
+            if pos < p {
+                parity[pos / 8] ^= 1 << (pos % 8);
+            } else {
+                data[(pos - p) / 8] ^= 1 << ((pos - p) % 8);
+            }
+        };
+        // The received word c ⊕ e and the pattern e.
+        let parity = code.encode(&data);
+        let (mut rdata, mut rparity) = (data.clone(), parity.clone());
+        let mut edata = vec![0u8; data.len()];
+        let mut eparity = vec![0u8; parity.len()];
+        for &pos in &positions {
+            flip(&mut rdata, &mut rparity, pos);
+            flip(&mut edata, &mut eparity, pos);
+        }
+        let (rdata_in, rparity_in) = (rdata.clone(), rparity.clone());
+        let (edata_in, eparity_in) = (edata.clone(), eparity.clone());
+        let received = code.decode(&mut rdata, &mut rparity);
+        let pattern = code.decode(&mut edata, &mut eparity);
+        prop_assert_eq!(received, pattern);
+        let flips = |out: &[u8], input: &[u8]| -> Vec<u8> {
+            out.iter().zip(input).map(|(a, b)| a ^ b).collect()
+        };
+        prop_assert_eq!(flips(&rdata, &rdata_in), flips(&edata, &edata_in));
+        prop_assert_eq!(flips(&rparity, &rparity_in), flips(&eparity, &eparity_in));
+    }
+
     /// CRC32 is invariant under concatenation splits (incremental == one
     /// shot) and detects any single-bit flip.
     #[test]

@@ -389,8 +389,9 @@ impl Ftl {
             Err(e) => return Err(e.into()),
         };
         // Selective decode: only chunks that actually carry injected
-        // errors pay the syndrome pass (observationally equivalent to a
-        // full decode — clean chunks decode to themselves).
+        // errors pay the syndrome pass, run on their error patterns
+        // (observationally equivalent to a full decode of the encoded
+        // page — clean chunks decode to themselves).
         let report = self
             .codec
             .decode_with_dirty(&outcome.data, &outcome.injected_positions)?;
@@ -504,20 +505,22 @@ impl Ftl {
         self.events.push(FtlEvent::DataLost { lpn });
     }
 
-    /// Encodes and programs `data` for `lpn` through `handle`'s reclaim
+    /// Frames and programs `data` for `lpn` through `handle`'s reclaim
     /// unit, updating maps. Used by both the host write path and
-    /// GC/refresh relocation.
+    /// GC/refresh relocation. The page carries its CRCs but no BCH
+    /// parity: the read path decodes error patterns, never stored parity
+    /// (`PageCodec::frame`).
     pub(crate) fn program_mapped(
         &mut self,
         lpn: u64,
         data: &[u8],
         handle: PlacementHandle,
     ) -> Result<f64, FtlError> {
-        let raw = self.codec.encode(data)?;
+        let raw = self.codec.frame(data)?;
         self.program_raw(lpn, &raw, handle)
     }
 
-    /// Programs an already-encoded raw page for `lpn` (the GC/refresh
+    /// Programs an already-framed raw page for `lpn` (the GC/refresh
     /// copyback path), updating maps.
     pub(crate) fn program_raw(
         &mut self,

@@ -106,8 +106,8 @@ impl Ftl {
             };
             if outcome.injected_errors == 0 {
                 // Copyback fast path: the page came back bit-exact, so it
-                // is already a valid codeword — move it raw without the
-                // decode/re-encode round trip (as NAND copyback does,
+                // is the framed page as programmed — move it raw without
+                // the decode/re-frame round trip (as NAND copyback does,
                 // with the simulator's error count standing in for the
                 // controller's quick ECC check).
                 self.program_raw(lpn, &outcome.data, PlacementHandle::GC)?;

@@ -170,7 +170,7 @@ impl Ftl {
         let mut blocks: Vec<u64> = Vec::new();
         let mut current: Option<u64> = None;
         for (index, chunk) in chunks.iter().enumerate() {
-            let raw = match self.codec.encode(chunk) {
+            let raw = match self.codec.frame(chunk) {
                 Ok(raw) => raw,
                 Err(e) => return Err((blocks, e.into())),
             };
