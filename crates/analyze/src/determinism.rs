@@ -31,13 +31,16 @@
 //!   worker completion order.
 //!
 //! Receiver typing is a deliberately simple per-file **name-based
-//! tiebreak**: a binding, field, or parameter declared with a
-//! `HashMap`/`HashSet` type (or bound to `HashMap::new()`) marks that
-//! identifier as map-typed for the whole file. This over-approximates
-//! (a same-named `Vec` in the same file is also flagged) and can miss
-//! re-borrowed aliases; both directions are acceptable for a lint whose
-//! misses are caught by the dynamic `runner_determinism` diff tests and
-//! whose false positives cost one justified suppression line.
+//! tiebreak**: a binding, field, or parameter declared in non-test code
+//! with a `HashMap`/`HashSet` type (or bound to `HashMap::new()`) marks
+//! that identifier as map-typed for the whole file. Declarations in test
+//! code are skipped: no entry point reaches test code, so a test-only
+//! map must not type a same-named slice that reachable code iterates.
+//! This over-approximates (a same-named `Vec` in the same file's
+//! non-test code is also flagged) and can miss re-borrowed aliases; both
+//! directions are acceptable for a lint whose misses are caught by the
+//! dynamic `runner_determinism` diff tests and whose false positives
+//! cost one justified suppression line.
 //!
 //! Every finding carries the call chain from an entry point, uses the
 //! `nondeterminism` rule family in the inline suppression system
@@ -296,14 +299,14 @@ fn chain_to(graph: &CallGraph, parent: &HashMap<usize, Option<usize>>, node: usi
 }
 
 /// Per-file receiver-type table: identifiers declared (anywhere in the
-/// file) with a map type or a float-mutex type.
+/// file's non-test code) with a map type or a float-mutex type.
 struct FileTypes {
     map_idents: HashSet<String>,
     float_mutex_idents: HashSet<String>,
 }
 
 impl FileTypes {
-    /// Scans a whole file's token stream for `name: HashMap<…>`-shaped
+    /// Scans a file's non-test tokens for `name: HashMap<…>`-shaped
     /// declarations (fields, params, lets) and `name = HashMap::new()`
     /// inferred bindings, for both map types and `Mutex<f64>`/`f32`.
     fn collect(file: &SourceFile) -> FileTypes {
@@ -316,7 +319,8 @@ impl FileTypes {
         let mut map_idents = HashSet::new();
         let mut float_mutex_idents = HashSet::new();
         for k in 0..idx.len() {
-            if tokens[idx[k]].kind != TokenKind::Ident {
+            let token = &tokens[idx[k]];
+            if token.kind != TokenKind::Ident || file.items.line_in_test(token.line) {
                 continue;
             }
             match text_at(k) {
@@ -695,6 +699,13 @@ mod tests {
     #[test]
     fn test_functions_are_not_scanned() {
         let src = "pub fn report() -> u64 { 3 }\n#[cfg(test)]\nmod tests {\n    fn helper() { let m = std::collections::HashMap::new(); let _ = m.keys(); }\n}\n";
+        let report = run(src, &entry("report"));
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+    }
+
+    #[test]
+    fn test_only_map_bindings_do_not_type_reachable_names() {
+        let src = "pub fn report(positions: &[u64]) -> u64 {\n    let mut total = 0;\n    for pos in positions {\n        total += pos;\n    }\n    total\n}\n#[cfg(test)]\nmod tests {\n    fn helper() -> usize { let mut positions = std::collections::HashSet::new(); positions.insert(1u64); positions.len() }\n}\n";
         let report = run(src, &entry("report"));
         assert!(report.findings.is_empty(), "{:?}", report.findings);
     }

@@ -5,7 +5,6 @@
 //! keeps a RAID-5-style XOR parity page per stripe of `width` data LPNs,
 //! so a page the BCH cannot recover is rebuilt from its stripe peers.
 
-use sos_ecc::xor_into;
 use sos_ftl::{Ftl, FtlError, PlacementHandle};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -265,6 +264,13 @@ fn write_parity(
     }
     ftl.write_placed(parity_lpn, &parity, PlacementHandle::PARITY)?;
     Ok(())
+}
+
+/// XORs `src` into `dst` byte by byte (over the shorter of the two).
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
 }
 
 #[cfg(test)]

@@ -10,13 +10,15 @@
 //! positions `0..p` hold parity (`p = n - k` parity bits); codes are used
 //! *shortened*, with unused high positions implicitly zero.
 //!
-//! The encoder uses word-at-a-time (64-bit) table-driven polynomial
-//! division with eight per-lane byte tables, and the syndrome pass
-//! accumulates eight bytes per field multiplication (odd syndromes only;
-//! even syndromes follow from `S_{2i} = S_i^2` over GF(2)). The
-//! byte-at-a-time and bit-serial encoders are kept for table
-//! construction and as test oracles; the byte-at-a-time syndrome pass
-//! exists only in the test module, as the oracle for the word-wide one.
+//! The encoder is a bit-serial LFSR. There is one decode path,
+//! [`BchCode::decode_pattern`], which takes a word as the list of its
+//! set codeword positions: the syndromes `S_e = Σ α^(e·pos)` cost one
+//! field multiply per (position, odd syndrome), even syndromes follow
+//! from `S_{2i} = S_i^2` over GF(2), then Berlekamp–Massey and the
+//! closed forms or Chien search locate the errors. The simulator decodes
+//! error patterns of a few bits, so the cost tracks the error count, not
+//! the codeword length. [`BchCode::decode`] lists a received word's set
+//! bits and decodes them the same way.
 
 use crate::gf::GaloisField;
 
@@ -74,14 +76,6 @@ fn flip_bit(bytes: &mut [u8], i: usize) {
 }
 
 #[inline]
-// sos-lint: allow(panic-path, "every caller bounds the offset to len - 8 via an explicit length split")
-fn read_u64_le(bytes: &[u8], at: usize) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&bytes[at..at + 8]);
-    u64::from_le_bytes(w)
-}
-
-#[inline]
 // sos-lint: allow(panic-path, "every caller derives the word index from the register's own length")
 fn reg_get(reg: &[u64], i: usize) -> bool {
     reg[i / 64] & (1 << (i % 64)) != 0
@@ -109,26 +103,6 @@ pub struct BchCode {
     g_low: Vec<u64>,
     /// Register width in words for `p` bits.
     words: usize,
-    /// Byte-division table: entry `o` holds the register adjustment for
-    /// outgoing byte `o` (only built when `p >= 8`).
-    encode_table: Vec<u64>,
-    /// Word-division lane tables (only built when `p >= 64`): entry
-    /// `(k * 256 + b) * words ..` holds `(b(x) · x^(8k + p)) mod g`, the
-    /// register adjustment for byte `b` in lane `k` of an outgoing
-    /// 64-bit word.
-    encode_table64: Vec<u64>,
-    /// Per-syndrome per-byte contribution: `contrib[j * 256 + byte]`.
-    contrib: Vec<u32>,
-    /// Per-syndrome byte step `alpha^(8 (j+1))`.
-    step: Vec<u32>,
-    /// Per-syndrome parity offset `alpha^(p (j+1))`.
-    pmul: Vec<u32>,
-    /// Word-wide lane tables for odd syndromes: entry
-    /// `(oi * 8 + k) * 256 + b` is `contrib_e[b] · alpha^(8 k e)` for
-    /// `e = 2 oi + 1`.
-    wcontrib: Vec<u32>,
-    /// Per-odd-syndrome word step `alpha^(64 e)`, `e = 2 oi + 1`.
-    wstep: Vec<u32>,
     /// Solver table for `y^2 + y = u`: `qsolve[u]` is the smaller
     /// solution `y`, or `u32::MAX` when `u` has trace 1 (no solution).
     qsolve: Vec<u32>,
@@ -141,7 +115,7 @@ impl BchCode {
     ///
     /// Panics if `m` is outside `3..=14`, `t` is zero, or the requested
     /// `t` leaves no data bits (`deg(g) >= n`).
-    // sos-lint: allow(panic-path, "code tables are allocated to the field and parity sizes immediately before being filled")
+    // sos-lint: allow(panic-path, "the quadratic-solver table spans the whole field, which holds every y^2 + y")
     pub fn new(m: u32, t: usize) -> Self {
         assert!(t >= 1, "t must be at least 1");
         let gf = GaloisField::new(m);
@@ -175,120 +149,31 @@ impl BchCode {
                 reg_set(&mut g_low, i);
             }
         }
-        let mut code = BchCode {
+        // Quadratic solver table: y^2 + y is 2-to-1 onto the trace-zero
+        // subspace; record the smaller preimage of each image.
+        let size = (gf.n + 1) as usize;
+        let mut qsolve = vec![u32::MAX; size];
+        for y in 0..size as u32 {
+            let image = (gf.square(y) ^ y) as usize;
+            if qsolve[image] == u32::MAX {
+                qsolve[image] = y;
+            }
+        }
+        BchCode {
             gf,
             t,
             n,
             k: n - deg_g,
             g_low,
             words,
-            encode_table: Vec::new(),
-            encode_table64: Vec::new(),
-            contrib: Vec::new(),
-            step: Vec::new(),
-            pmul: Vec::new(),
-            wcontrib: Vec::new(),
-            wstep: Vec::new(),
-            qsolve: Vec::new(),
-        };
-        code.build_tables();
-        code
-    }
-
-    // sos-lint: allow(panic-path, "generator tables are allocated to the code's parity length before the fill loops run")
-    fn build_tables(&mut self) {
-        let p = self.parity_bits();
-        // Byte-division table (only meaningful when the register holds a
-        // whole byte).
-        if p >= 8 {
-            let mut table = vec![0u64; 256 * self.words];
-            for o in 0u16..256 {
-                let mut reg = vec![0u64; self.words];
-                for j in 0..8 {
-                    if o & (1 << j) != 0 {
-                        reg_set(&mut reg, p - 8 + j);
-                    }
-                }
-                for _ in 0..8 {
-                    self.bit_step(&mut reg, false);
-                }
-                table[o as usize * self.words..(o as usize + 1) * self.words].copy_from_slice(&reg);
-            }
-            self.encode_table = table;
+            qsolve,
         }
-        // Word-division lane tables: lane 0 is the byte table itself
-        // ((b · x^p) mod g); lane k multiplies lane k-1 by x^8 mod g.
-        if p >= 64 {
-            let mut table = vec![0u64; 8 * 256 * self.words];
-            for b in 0..256usize {
-                let mut reg = vec![0u64; self.words];
-                reg.copy_from_slice(&self.encode_table[b * self.words..(b + 1) * self.words]);
-                for k in 0..8 {
-                    table[(k * 256 + b) * self.words..(k * 256 + b + 1) * self.words]
-                        .copy_from_slice(&reg);
-                    self.byte_step(&mut reg, 0);
-                }
-            }
-            self.encode_table64 = table;
-        }
-        // Syndrome tables.
-        let count = 2 * self.t;
-        let mut contrib = vec![0u32; count * 256];
-        let mut step = vec![0u32; count];
-        let mut pmul = vec![0u32; count];
-        let n = self.gf.n as u64;
-        for j in 0..count {
-            let e = (j as u64 + 1) % n;
-            step[j] = self.gf.alpha_pow(((8 * e) % n) as u32);
-            pmul[j] = self.gf.alpha_pow(((p as u64 % n) * e % n) as u32);
-            for byte in 0u16..256 {
-                let mut v = 0u32;
-                for b in 0..8u64 {
-                    if byte & (1 << b) != 0 {
-                        v ^= self.gf.alpha_pow(((b * e) % n) as u32);
-                    }
-                }
-                contrib[j * 256 + byte as usize] = v;
-            }
-        }
-        self.contrib = contrib;
-        self.step = step;
-        self.pmul = pmul;
-        // Word-wide lane tables for the odd syndromes (even syndromes are
-        // derived by squaring: S_{2i} = S_i^2 over GF(2)).
-        let odd = self.t;
-        let mut wcontrib = vec![0u32; odd * 8 * 256];
-        let mut wstep = vec![0u32; odd];
-        for oi in 0..odd {
-            let e = (2 * oi as u64 + 1) % n;
-            wstep[oi] = self.gf.alpha_pow(((64 * e) % n) as u32);
-            for k in 0..8u64 {
-                let lane_mul = self.gf.alpha_pow(((8 * k * e) % n) as u32);
-                for b in 0..256usize {
-                    wcontrib[(oi * 8 + k as usize) * 256 + b] =
-                        self.gf.mul(self.contrib[(2 * oi) * 256 + b], lane_mul);
-                }
-            }
-        }
-        self.wcontrib = wcontrib;
-        self.wstep = wstep;
-        // Quadratic solver table: y^2 + y is 2-to-1 onto the trace-zero
-        // subspace; record the smaller preimage of each image.
-        let size = (self.gf.n + 1) as usize;
-        let mut qsolve = vec![u32::MAX; size];
-        for y in 0..size as u32 {
-            let image = (self.gf.square(y) ^ y) as usize;
-            if qsolve[image] == u32::MAX {
-                qsolve[image] = y;
-            }
-        }
-        self.qsolve = qsolve;
     }
 
     /// One bit of LFSR polynomial division: feed `bit`, update the
     /// register.
     #[inline]
-    // sos-lint: allow(panic-path, "the shift register is allocated to r_words words by both encode paths")
+    // sos-lint: allow(panic-path, "the encoder allocates the shift register to the code's `words` words")
     fn bit_step(&self, reg: &mut [u64], bit: bool) {
         let p = self.parity_bits();
         let feedback = bit ^ reg_get(reg, p - 1);
@@ -308,13 +193,6 @@ impl BchCode {
                 *r ^= g;
             }
         }
-    }
-
-    /// The default flash page-chunk code: GF(2^13), t = 18, protecting
-    /// 512-byte chunks with 30 bytes of parity — a TLC-class budget that
-    /// tolerates RBER up to roughly `2e-3`.
-    pub fn flash_default() -> Self {
-        BchCode::new(13, 18)
     }
 
     /// Correction capability per codeword, in bit errors.
@@ -362,265 +240,102 @@ impl BchCode {
         lo
     }
 
-    /// Reference bit-serial encoder (kept as the table oracle).
-    fn encode_bitwise(&self, data: &[u8]) -> Vec<u64> {
-        let mut reg = vec![0u64; self.words];
-        for i in (0..data.len() * 8).rev() {
-            self.bit_step(&mut reg, get_bit(data, i));
-        }
-        reg
-    }
-
-    /// One byte of table-driven polynomial division: feed `byte`, update
-    /// the register (requires `p >= 8` and a built byte table).
-    #[inline]
-    // sos-lint: allow(panic-path, "the register and lookup tables are sized to r_words/256 at construction")
-    fn byte_step(&self, reg: &mut [u64], byte: u8) {
-        let p = self.parity_bits();
-        // Extract bits p-8..p (the next 8 outgoing feedback bits).
-        let base = p - 8;
-        let word = base / 64;
-        let offset = base % 64;
-        let mut top = (reg[word] >> offset) as u16;
-        if offset > 56 && word + 1 < self.words {
-            top |= (reg[word + 1] << (64 - offset)) as u16;
-        }
-        let o = (top as u8) ^ byte;
-        // Shift the register left by 8, clearing bits >= p.
-        for w in (1..self.words).rev() {
-            reg[w] = (reg[w] << 8) | (reg[w - 1] >> 56);
-        }
-        reg[0] <<= 8;
-        let top_bits = p % 64;
-        if top_bits != 0 {
-            let last = self.words - 1;
-            reg[last] &= (1u64 << top_bits) - 1;
-        }
-        // Apply the table adjustment.
-        let entry = &self.encode_table[o as usize * self.words..(o as usize + 1) * self.words];
-        for (r, &e) in reg.iter_mut().zip(entry) {
-            *r ^= e;
-        }
-    }
-
-    /// Table-driven byte-at-a-time encoder (oracle for the word path).
-    fn encode_register(&self, data: &[u8]) -> Vec<u64> {
-        let p = self.parity_bits();
-        if p < 8 || self.encode_table.is_empty() {
-            return self.encode_bitwise(data);
-        }
-        let mut reg = vec![0u64; self.words];
-        for &byte in data.iter().rev() {
-            self.byte_step(&mut reg, byte);
-        }
-        reg
-    }
-
-    /// Word-at-a-time encoder: processes 64 data bits per register
-    /// update via the eight lane tables. Falls back to the byte/bit
-    /// paths for codes whose parity register is narrower than a word.
-    /// (Test-only: `encode` inlines the same dispatch to skip the
-    /// register round-trip through the heap.)
-    #[cfg(test)]
-    fn encode_words(&self, data: &[u8]) -> Vec<u64> {
-        let p = self.parity_bits();
-        if p < 64 || self.encode_table64.is_empty() {
-            return self.encode_register(data);
-        }
-        // Monomorphize the common register widths so the shift register
-        // lives in CPU registers across the whole chunk loop: 4 words
-        // covers the t=18 default (p=234), 9 words the t=40 strong code
-        // (p=520).
-        match self.words {
-            4 => self.encode_words_fixed::<4>(data).to_vec(),
-            9 => self.encode_words_fixed::<9>(data).to_vec(),
-            _ => self.encode_words_generic(data),
-        }
-    }
-
-    /// Word-at-a-time encode with a const-width register.
-    // sos-lint: allow(panic-path, "the caller dispatches on self.words == W; lane tables are sized to 8*256*W at construction; chunk offsets are bounded by the length split")
-    fn encode_words_fixed<const W: usize>(&self, data: &[u8]) -> [u64; W] {
-        debug_assert_eq!(self.words, W);
-        let p = self.parity_bits();
-        let chunks = data.len() / 8;
-        // Data is consumed high-index first: lead with the byte-wise
-        // remainder, then the full 8-byte chunks.
-        let mut reg = [0u64; W];
-        for &byte in data[chunks * 8..].iter().rev() {
-            self.byte_step(&mut reg, byte);
-        }
-        let base = p - 64;
-        let word = base / 64;
-        let offset = base % 64;
-        let mask = match p % 64 {
-            0 => u64::MAX,
-            bits => (1u64 << bits) - 1,
-        };
-        let table = &self.encode_table64[..8 * 256 * W];
-        for c in (0..chunks).rev() {
-            // The next 64 outgoing feedback bits (register bits p-64..p),
-            // XORed with the next eight data bytes.
-            let mut top = reg[word] >> offset;
-            if offset != 0 {
-                top |= reg[word + 1] << (64 - offset);
-            }
-            let o = top ^ read_u64_le(data, c * 8);
-            // Shift the register left by 64, clearing bits >= p.
-            for w in (1..W).rev() {
-                reg[w] = reg[w - 1];
-            }
-            reg[0] = 0;
-            reg[W - 1] &= mask;
-            // Fold the eight lane adjustments into the register. The
-            // `[..W]` reslice pins each entry's length at compile time so
-            // the inner XORs need no per-word bounds checks.
-            for k in 0..8 {
-                let b = ((o >> (8 * k)) & 0xFF) as usize;
-                let entry = &table[(k * 256 + b) * W..][..W];
-                for (r, &e) in reg.iter_mut().zip(entry) {
-                    *r ^= e;
-                }
-            }
-        }
-        reg
-    }
-
-    /// Word-at-a-time encode for uncommon register widths.
-    // sos-lint: allow(panic-path, "the register and lane tables are sized to r_words/8*256 at construction; chunk offsets are bounded by the length split")
-    fn encode_words_generic(&self, data: &[u8]) -> Vec<u64> {
-        let p = self.parity_bits();
-        let mut reg = vec![0u64; self.words];
-        let chunks = data.len() / 8;
-        for &byte in data[chunks * 8..].iter().rev() {
-            self.byte_step(&mut reg, byte);
-        }
-        let base = p - 64;
-        let word = base / 64;
-        let offset = base % 64;
-        let top_bits = p % 64;
-        for c in (0..chunks).rev() {
-            let mut top = reg[word] >> offset;
-            if offset != 0 {
-                top |= reg[word + 1] << (64 - offset);
-            }
-            let o = top ^ read_u64_le(data, c * 8);
-            for w in (1..self.words).rev() {
-                reg[w] = reg[w - 1];
-            }
-            reg[0] = 0;
-            if top_bits != 0 {
-                let last = self.words - 1;
-                reg[last] &= (1u64 << top_bits) - 1;
-            }
-            for k in 0..8 {
-                let b = ((o >> (8 * k)) & 0xFF) as usize;
-                let entry = &self.encode_table64[(k * 256 + b) * self.words..][..self.words];
-                for (r, &e) in reg.iter_mut().zip(entry) {
-                    *r ^= e;
-                }
-            }
-        }
-        reg
-    }
-
     /// Encodes `data` (at most `k` bits), returning the parity bytes.
     ///
     /// # Panics
     ///
     /// Panics if the data exceeds the code dimension; chunking to fit is
     /// the caller's job (see [`crate::scheme`]).
+    // sos-lint: allow(panic-path, "the assert guards a configuration error (PageCodec::new sizes every payload to at most k bits); the register is sized to the p bits the parity bytes span")
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
         let data_bits = data.len() * 8;
-        // sos-lint: allow(panic-path, "guards a configuration error: PageCodec::new sizes every payload to data_bytes() <= k/8 before any encode")
         assert!(
             data_bits <= self.k,
             "data ({data_bits} bits) exceeds code dimension k={}",
             self.k
         );
-        let p = self.parity_bits();
-        let mut parity = Vec::with_capacity(self.parity_bytes());
-        if p >= 64 && !self.encode_table64.is_empty() {
-            match self.words {
-                4 => self.append_parity(&self.encode_words_fixed::<4>(data), &mut parity),
-                9 => self.append_parity(&self.encode_words_fixed::<9>(data), &mut parity),
-                _ => self.append_parity(&self.encode_words_generic(data), &mut parity),
-            }
-        } else {
-            self.append_parity(&self.encode_register(data), &mut parity);
+        let mut reg = vec![0u64; self.words];
+        for i in (0..data_bits).rev() {
+            self.bit_step(&mut reg, get_bit(data, i));
         }
-        parity
+        // LSB-first bit order makes parity byte `i` exactly bits
+        // `8i..8i+8` of the register, i.e. byte `i % 8` of word `i / 8`;
+        // the division mask keeps bits at and above `p` zero, so the
+        // final partial byte is already clean.
+        (0..self.parity_bytes())
+            .map(|i| (reg[i / 8] >> ((i % 8) * 8)) as u8)
+            .collect()
     }
 
-    /// Serializes a parity register: LSB-first bit order makes parity
-    /// byte `i` exactly bits `8i..8i+8` of the register, i.e. byte
-    /// `i % 8` of word `i / 8`. (Register bits at and above `p` are kept
-    /// zero by the division masks, so the final partial byte is already
-    /// clean.)
-    // sos-lint: allow(panic-path, "parity bytes span p bits, which the register is sized to hold")
-    fn append_parity(&self, reg: &[u64], out: &mut Vec<u8>) {
-        for i in 0..self.parity_bytes() {
-            out.push((reg[i / 8] >> ((i % 8) * 8)) as u8);
-        }
-    }
-
-    /// One odd syndrome's Horner pass over a byte slice, eight bytes per
-    /// field multiplication: the lane tables pre-scale each byte's
-    /// contribution by `alpha^(8 k e)`, so a whole 64-bit word folds in
-    /// with a single multiply by `alpha^(64 e)`.
-    // sos-lint: allow(panic-path, "contrib/wcontrib tables are sized to 256 entries per (syndrome, lane) at construction; chunk offsets are bounded by the length split")
-    fn syndrome_pass(&self, oi: usize, bytes: &[u8]) -> u32 {
-        let gf = &self.gf;
-        let j = 2 * oi; // table index of syndrome e = 2 oi + 1
-        let table = &self.contrib[j * 256..(j + 1) * 256];
-        let s8 = self.step[j];
-        let s64 = self.wstep[oi];
-        let lanes = &self.wcontrib[oi * 8 * 256..(oi + 1) * 8 * 256];
-        let mut acc = 0u32;
-        let chunks = bytes.len() / 8;
-        for &byte in bytes[chunks * 8..].iter().rev() {
-            acc = gf.mul(acc, s8) ^ table[byte as usize];
-        }
-        for c in (0..chunks).rev() {
-            let w = read_u64_le(bytes, c * 8);
-            let mut x = 0u32;
-            for k in 0..8 {
-                x ^= lanes[k * 256 + ((w >> (8 * k)) & 0xFF) as usize];
-            }
-            acc = gf.mul(acc, s64) ^ x;
-        }
-        acc
-    }
-
-    /// Syndrome vector `S_1..S_2t`: odd syndromes via the word-wide
-    /// lane-table pass, even syndromes by squaring (`S_{2i} = S_i^2`
-    /// holds for any binary code).
-    // sos-lint: allow(panic-path, "syndrome and step vectors are sized to 2t/t entries at construction")
-    fn syndromes(&self, data: &[u8], parity: &[u8]) -> Vec<u32> {
+    /// Syndrome vector `S_1..S_2t` of the word whose set bits sit at the
+    /// codeword `positions` (a position listed twice cancels):
+    /// `S_e = Σ α^(e·pos)`. The odd syndromes take one field multiply
+    /// per (position, syndrome); the even ones follow by squaring, since
+    /// `S_{2i} = S_i^2` holds for any binary code.
+    // sos-lint: allow(panic-path, "the syndrome vector holds 2t entries and every index read or written is below 2t")
+    fn syndromes(&self, positions: &[usize]) -> Vec<u32> {
         let gf = &self.gf;
         let count = 2 * self.t;
         let mut syndromes = vec![0u32; count];
-        for e in 1..=count {
-            if e % 2 == 0 {
-                syndromes[e - 1] = gf.square(syndromes[e / 2 - 1]);
-            } else {
-                let oi = (e - 1) / 2;
-                let value = gf.mul(self.syndrome_pass(oi, data), self.pmul[e - 1]);
-                syndromes[e - 1] = value ^ self.syndrome_pass(oi, parity);
+        for &pos in positions {
+            let x = gf.alpha_pow(pos as u32);
+            let x2 = gf.square(x);
+            // α^(e·pos) for e = 1, 3, 5, …
+            let mut power = x;
+            for syndrome in syndromes.iter_mut().step_by(2) {
+                *syndrome ^= power;
+                power = gf.mul(power, x2);
             }
+        }
+        for i in (1..count).step_by(2) {
+            syndromes[i] = gf.square(syndromes[i / 2]);
         }
         syndromes
     }
 
-    /// Decodes in place: corrects up to `t` bit errors across `data` and
-    /// `parity`, returning the number of bits corrected.
+    /// Decodes an error pattern given by its codeword positions: parity
+    /// bit `o` is position `o`, data bit `o` is position `p + o`, and a
+    /// position listed twice cancels. Calls `flip` on each error position
+    /// it locates and returns how many it located.
+    ///
+    /// `data_bits` is the shortened data length (at most [`Self::k`]);
+    /// every position must lie below `parity_bits() + data_bits`. BCH is
+    /// linear, so decoding the pattern `e` alone gives the verdict and
+    /// the flips of decoding any received word `c ⊕ e`.
     ///
     /// # Errors
     ///
     /// Returns [`BchError::Uncorrectable`] when more than `t` errors are
     /// present (with high probability — silent miscorrection is possible
-    /// beyond `t`, exactly as on real hardware).
-    // sos-lint: allow(panic-path, "error locations are reduced modulo the code length before flipping bits")
+    /// beyond `t`, exactly as on real hardware). A failed Chien search
+    /// has already called `flip` on the roots it found.
+    pub fn decode_pattern(
+        &self,
+        positions: &[usize],
+        data_bits: usize,
+        flip: impl FnMut(usize),
+    ) -> Result<usize, BchError> {
+        let syndromes = self.syndromes(positions);
+        if syndromes.iter().all(|&s| s == 0) {
+            return Ok(0);
+        }
+        // Berlekamp–Massey: find the error locator polynomial.
+        let locator = self.berlekamp_massey(&syndromes);
+        if locator.len() - 1 > self.t {
+            return Err(BchError::Uncorrectable);
+        }
+        self.find_roots(&locator, self.parity_bits() + data_bits, flip)
+    }
+
+    /// Decodes in place: corrects up to `t` bit errors across `data` and
+    /// `parity`, returning the number of bits corrected. The received
+    /// word's set bits are its positions for [`Self::decode_pattern`].
+    ///
+    /// # Errors
+    ///
+    /// [`BchError::DataTooLong`] or [`BchError::WrongParityLength`] on a
+    /// size mismatch, and [`BchError::Uncorrectable`] as for
+    /// [`Self::decode_pattern`].
     pub fn decode(&self, data: &mut [u8], parity: &mut [u8]) -> Result<usize, BchError> {
         let data_bits = data.len() * 8;
         if data_bits > self.k {
@@ -636,31 +351,30 @@ impl BchCode {
             });
         }
         let p = self.parity_bits();
-        // Codeword positions actually in use.
-        let used = p + data_bits;
         // Padding bits in the last parity byte are not codeword
-        // positions; clear any noise the medium injected there so the
-        // syndrome pass sees only real codeword bits.
+        // positions; clear any noise the medium injected there.
         if !p.is_multiple_of(8) {
-            let last = parity.len() - 1;
-            parity[last] &= (1u8 << (p % 8)) - 1;
+            if let Some(last) = parity.last_mut() {
+                *last &= (1u8 << (p % 8)) - 1;
+            }
         }
-        let syndromes = self.syndromes(data, parity);
-        if syndromes.iter().all(|&s| s == 0) {
-            return Ok(0);
-        }
-        // Berlekamp–Massey: find the error locator polynomial.
-        let locator = self.berlekamp_massey(&syndromes);
-        let degree = locator.len() - 1;
-        if degree > self.t {
-            return Err(BchError::Uncorrectable);
-        }
-        self.find_roots(&locator, used, data, parity)
+        let positions: Vec<usize> = (0..p)
+            .filter(|&o| get_bit(parity, o))
+            .chain((0..data_bits).filter(|&o| get_bit(data, o)).map(|o| p + o))
+            .collect();
+        self.decode_pattern(&positions, data_bits, |pos| {
+            if pos < p {
+                flip_bit(parity, pos);
+            } else {
+                flip_bit(data, pos - p);
+            }
+        })
     }
 
-    /// Locates and flips the error positions of a degree-`d` locator
-    /// polynomial: closed forms for the overwhelmingly common single- and
-    /// double-error cases, Chien search over the used positions beyond.
+    /// Locates the error positions of a degree-`d` locator polynomial
+    /// and passes each to `flip`: closed forms for the overwhelmingly
+    /// common single- and double-error cases, Chien search over the used
+    /// positions beyond.
     ///
     /// A degree-`d` polynomial has at most `d` roots in the field, so
     /// scanning only `0..used` with an early exit at `d` roots decides
@@ -672,20 +386,11 @@ impl BchCode {
         &self,
         locator: &[u32],
         used: usize,
-        data: &mut [u8],
-        parity: &mut [u8],
+        mut flip: impl FnMut(usize),
     ) -> Result<usize, BchError> {
         let gf = &self.gf;
-        let p = self.parity_bits();
         let n = gf.n;
         let degree = locator.len() - 1;
-        let flip = |pos: usize, data: &mut [u8], parity: &mut [u8]| {
-            if pos < p {
-                flip_bit(parity, pos);
-            } else {
-                flip_bit(data, pos - p);
-            }
-        };
         match degree {
             1 => {
                 // 1 + c1 x = 0 at x = 1/c1 = alpha^{-log c1}: the error
@@ -699,7 +404,7 @@ impl BchCode {
                 if pos >= used {
                     return Err(BchError::Uncorrectable);
                 }
-                flip(pos, data, parity);
+                flip(pos);
                 Ok(1)
             }
             2 => {
@@ -731,8 +436,8 @@ impl BchCode {
                 if pos1 >= used || pos2 >= used {
                     return Err(BchError::Uncorrectable);
                 }
-                flip(pos1, data, parity);
-                flip(pos2, data, parity);
+                flip(pos1);
+                flip(pos2);
                 Ok(2)
             }
             _ => {
@@ -745,7 +450,7 @@ impl BchCode {
                     let exponent = (n - (pos as u32 % n)) % n;
                     let x = gf.alpha_pow(exponent);
                     if gf.poly_eval(locator, x) == 0 {
-                        flip(pos, data, parity);
+                        flip(pos);
                         roots += 1;
                         if roots == degree {
                             break;
@@ -840,8 +545,7 @@ fn poly_mul_gf2(a: &[bool], b_mask: u64) -> Vec<bool> {
 }
 
 /// Probability that a codeword of `bits` at raw bit error rate `rber`
-/// holds more than `t` errors (Poisson tail; mirrors
-/// `sos_flash::ErrorModel::p_uncorrectable` without the dependency).
+/// holds more than `t` errors (Poisson tail).
 // sos-lint: allow(panic-path, "f64 division: lambda and k are floats")
 fn p_uncorrectable(rber: f64, bits: usize, t: usize) -> f64 {
     let lambda = bits as f64 * rber.min(0.5);
@@ -884,76 +588,85 @@ mod tests {
         assert_eq!(code.parity_bits(), 16);
     }
 
-    #[test]
-    fn table_encoder_matches_bitwise_reference() {
-        let mut rng = StdRng::seed_from_u64(77);
-        for (m, t) in [(8u32, 2usize), (10, 4), (13, 18)] {
-            let code = BchCode::new(m, t);
-            for len in [1usize, 5, 64, 200] {
-                let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-                let fast = code.encode_register(&data);
-                let slow = code.encode_bitwise(&data);
-                assert_eq!(fast, slow, "m={m} t={t} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn word_encoder_matches_byte_reference() {
-        let mut rng = StdRng::seed_from_u64(78);
-        for (m, t) in [(10u32, 4usize), (10, 8), (13, 18), (13, 40)] {
-            let code = BchCode::new(m, t);
-            // (10, 4) has p < 64 and exercises the fallback; the rest
-            // exercise the lane tables.
-            for len in [1usize, 7, 8, 9, 63, 64, 200, 512] {
-                let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-                let word = code.encode_words(&data);
-                let byte = code.encode_register(&data);
-                assert_eq!(word, byte, "m={m} t={t} len={len}");
-            }
-        }
-    }
-
-    /// Reference syndrome vector `S_1..S_2t` via byte-Horner (oracle for
-    /// the word-wide pass in [`BchCode::syndromes`]).
-    fn syndromes_bytes(code: &BchCode, data: &[u8], parity: &[u8]) -> Vec<u32> {
+    /// Oracle for [`BchCode::syndromes`]: bit-serial Horner evaluation of
+    /// the received polynomial `r(x) = Σ r_pos x^pos` at `α^e`, highest
+    /// position first.
+    fn horner_syndromes(code: &BchCode, word: &[bool]) -> Vec<u32> {
         let gf = &code.gf;
-        let count = 2 * code.t;
-        let mut syndromes = vec![0u32; count];
-        for (j, syndrome) in syndromes.iter_mut().enumerate() {
-            // Data contribution via byte-Horner at relative positions,
-            // then shifted by alpha^(p*j) to its codeword offset.
-            let mut acc = 0u32;
-            let table = &code.contrib[j * 256..(j + 1) * 256];
-            let s = code.step[j];
-            for &byte in data.iter().rev() {
-                acc = gf.mul(acc, s) ^ table[byte as usize];
-            }
-            let mut value = gf.mul(acc, code.pmul[j]);
-            // Parity contribution at absolute positions 0..p.
-            let mut pacc = 0u32;
-            for &byte in parity.iter().rev() {
-                pacc = gf.mul(pacc, s) ^ table[byte as usize];
-            }
-            value ^= pacc;
-            *syndrome = value;
-        }
-        syndromes
+        (1..=2 * code.t as u32)
+            .map(|e| {
+                let x = gf.alpha_pow(e);
+                word.iter()
+                    .rev()
+                    .fold(0, |acc, &bit| gf.mul(acc, x) ^ u32::from(bit))
+            })
+            .collect()
     }
 
     #[test]
-    fn word_syndromes_match_byte_reference() {
+    fn position_syndromes_match_horner_oracle() {
         let mut rng = StdRng::seed_from_u64(79);
         for (m, t) in [(10u32, 4usize), (13, 18), (13, 40)] {
             let code = BchCode::new(m, t);
-            for len in [1usize, 8, 31, 200, 512] {
-                let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-                let parity: Vec<u8> = (0..code.parity_bytes()).map(|_| rng.gen()).collect();
-                let word = code.syndromes(&data, &parity);
-                let byte = syndromes_bytes(&code, &data, &parity);
-                assert_eq!(word, byte, "m={m} t={t} len={len}");
+            for len in [1usize, 8, 31, 100, 512] {
+                let used = code.parity_bits() + len * 8;
+                if used > code.n() {
+                    continue;
+                }
+                for weight in [0, 1, 2, 5, 3 * t, used / 2] {
+                    let mut positions: Vec<usize> =
+                        (0..weight).map(|_| rng.gen_range(0..used)).collect();
+                    // Listing a position again cancels it.
+                    positions.extend_from_within(..weight / 3);
+                    let mut word = vec![false; used];
+                    for &pos in &positions {
+                        word[pos] ^= true;
+                    }
+                    assert_eq!(
+                        code.syndromes(&positions),
+                        horner_syndromes(&code, &word),
+                        "m={m} t={t} len={len} weight={weight}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn failed_chien_search_keeps_its_partial_flips() {
+        // Beyond t, Berlekamp–Massey often returns a locator of degree
+        // 3..=t with fewer roots among the used positions than its
+        // degree. The decode fails, having flipped exactly the roots it
+        // found; the closed forms and an over-degree locator flip nothing.
+        let code = BchCode::new(13, 8);
+        let data_bits = 512 * 8;
+        let used = code.parity_bits() + data_bits;
+        let mut rng = StdRng::seed_from_u64(81);
+        let mut partial = 0;
+        for _ in 0..200 {
+            let positions: Vec<usize> = (0..3 * code.t()).map(|_| rng.gen_range(0..used)).collect();
+            let mut flipped = Vec::new();
+            let result = code.decode_pattern(&positions, data_bits, |pos| flipped.push(pos));
+            if result.is_ok() {
+                continue;
+            }
+            let locator = code.berlekamp_massey(&code.syndromes(&positions));
+            let degree = locator.len() - 1;
+            if (3..=code.t()).contains(&degree) {
+                // Every root among the used positions, by a full scan.
+                let roots: Vec<usize> = (0..used)
+                    .filter(|&pos| {
+                        let x = code.gf.alpha_pow((code.n - pos) as u32);
+                        code.gf.poly_eval(&locator, x) == 0
+                    })
+                    .collect();
+                assert_eq!(flipped, roots, "degree {degree}");
+                partial += usize::from(!roots.is_empty());
+            } else {
+                assert!(flipped.is_empty(), "degree {degree}: {flipped:?}");
+            }
+        }
+        assert!(partial > 0, "no failed search found a root");
     }
 
     #[test]
@@ -1100,7 +813,8 @@ mod tests {
 
     #[test]
     fn flash_default_fits_mobile_spare_budget() {
-        let code = BchCode::flash_default();
+        // The flash page-chunk code: GF(2^13), t = 18.
+        let code = BchCode::new(13, 18);
         // 512-byte chunks, 8 per 4 KiB page: parity must fit 256 B spare.
         assert!(512 * 8 <= code.k());
         assert!(
@@ -1120,9 +834,43 @@ mod tests {
             strong_limit > weak_limit * 2.0,
             "{strong_limit} vs {weak_limit}"
         );
-        // Sanity: the default code tolerates ~1e-3-class RBER.
-        let default_limit = BchCode::flash_default().rber_limit(512, 1e-9);
+        // Sanity: the t = 18 flash code tolerates ~1e-3-class RBER.
+        let default_limit = BchCode::new(13, 18).rber_limit(512, 1e-9);
         assert!((1e-4..5e-3).contains(&default_limit), "{default_limit}");
+    }
+
+    #[test]
+    fn p_uncorrectable_monotonic_in_rber() {
+        let mut prev = -1.0;
+        for i in 1..10 {
+            let rber = 10f64.powi(-i);
+            let p = p_uncorrectable(rber, 8 * 1024 * 9, 40);
+            assert!((0.0..=1.0).contains(&p));
+            // Higher rber (earlier in iteration order is *higher*) means
+            // higher uncorrectable probability.
+            if prev >= 0.0 {
+                assert!(p <= prev, "rber {rber}: {p} > {prev}");
+            }
+            prev = p;
+        }
+    }
+
+    #[test]
+    fn p_uncorrectable_edges() {
+        assert_eq!(p_uncorrectable(0.0, 9000, 40), 0.0);
+        // At rber 0.5 virtually every codeword is uncorrectable.
+        let p = p_uncorrectable(0.5, 9000, 40);
+        assert!(p > 0.999, "{p}");
+        // t = n can always correct.
+        let p = p_uncorrectable(1e-3, 100, 100);
+        assert!(p < 1e-9, "{p}");
+    }
+
+    #[test]
+    fn p_uncorrectable_matches_poisson_hand_calc() {
+        // lambda = 1, t = 0: P(X > 0) = 1 - e^-1.
+        let p = p_uncorrectable(1.0 / 1000.0, 1000, 0);
+        assert!((p - (1.0 - (-1.0f64).exp())).abs() < 1e-9);
     }
 
     #[test]
@@ -1164,12 +912,9 @@ mod tests {
 
     #[test]
     fn small_field_codes_use_bitwise_fallback() {
-        // m=3, t=1: p = 3 < 8 exercises the fallback path.
+        // m=3, t=1: p = 3 parity bits, narrower than a byte.
         let code = BchCode::new(3, 1);
         assert!(code.parity_bits() < 8);
-        // One data bit fits (k = 4).
-        let data = vec![0b1u8 & 1];
-        let _ = data;
         // k=4 bits: no whole byte fits, so just check construction and
         // rber_limit sanity.
         assert!(code.k() >= 1);

@@ -39,38 +39,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Incremental CRC-32 state for streaming use.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-}
-
-impl Crc32 {
-    /// Starts a fresh computation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds bytes into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        let t = table();
-        for &byte in data {
-            self.state = (self.state >> 8) ^ t[((self.state ^ byte as u32) & 0xFF) as usize];
-        }
-    }
-
-    /// Finishes and returns the checksum.
-    pub fn finalize(self) -> u32 {
-        !self.state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,17 +49,6 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let data: Vec<u8> = (0..1000).map(|i| (i * 31) as u8).collect();
-        let oneshot = crc32(&data);
-        let mut inc = Crc32::new();
-        for chunk in data.chunks(17) {
-            inc.update(chunk);
-        }
-        assert_eq!(inc.finalize(), oneshot);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! The simulator's write path programs [`PageCodec::frame`]d pages
 //! instead: `encode`'s layout with every CRC written but the BCH parity
 //! left zero. Its read path, [`PageCodec::decode_with_dirty`], never
-//! reads stored parity. It decodes each dirty chunk's error pattern, which
-//! has the same syndromes as the received word because BCH is linear, so
-//! framed and encoded pages decode alike (DESIGN.md §13.5).
+//! reads stored parity. It hands each dirty chunk's error positions to
+//! [`BchCode::decode_pattern`] and flips the located data bits straight
+//! into the chunk. The pattern has the same syndromes as the received
+//! word because BCH is linear, so framed and encoded pages decode alike
+//! (DESIGN.md §13.5).
 //!
 //! The [`EccScheme::PrioritySplit`] variant implements approximate storage
 //! in the style of Sampson et al. (TOCS '14): a protected prefix (headers,
@@ -122,15 +124,6 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
-
-/// XORs `src` into `dst` byte by byte (over the shorter of the two): the
-/// one XOR routine, shared by error-pattern decoding and `sos-core`'s
-/// stripe parity.
-pub fn xor_into(dst: &mut [u8], src: &[u8]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d ^= s;
-    }
-}
 
 /// Returns a cached BCH code over GF(2^13) for correction capability `t`.
 // sos-lint: allow(panic-path, "the supported correction strengths are a fixed compile-time set")
@@ -401,71 +394,60 @@ impl PageCodec {
     }
 
     /// Corrects, in place, every chunk of the protected prefix `head`
-    /// with a dirty bit in its data or its parity slot, by decoding that
-    /// chunk's error pattern. Returns the bits corrected and whether any
-    /// chunk was uncorrectable.
-    // sos-lint: allow(panic-path, "chunk offsets are multiples of sizes fixed at codec construction; pattern bit offsets are bounded by the chunk and slot they were located in")
+    /// with a dirty bit in its data or in the parity bits of its slot, by
+    /// decoding that chunk's error pattern. Returns the bits corrected
+    /// and whether any chunk was uncorrectable.
+    // sos-lint: allow(panic-path, "chunk and slot bit widths are non-zero sizes fixed at codec construction; a located data position lies below its chunk's own bit length")
     fn correct_dirty_chunks(
         &self,
         code: &BchCode,
         head: &mut [u8],
         dirty_bits: &[usize],
     ) -> (usize, bool) {
-        let parity_bytes = code.parity_bytes();
-        let chunks = head.len().div_ceil(CHUNK_BYTES);
-        let head_len = head.len();
-        let parity_end = self.data_bytes + chunks * parity_bytes;
-        // (chunk, in parity slot?, bit offset within that data chunk or
-        // parity slot) of a dirty bit, if it lands in a protected chunk.
+        let p = code.parity_bits();
+        let chunk_bits = CHUNK_BYTES * 8;
+        let slot_bits = code.parity_bytes() * 8;
+        let head_bits = head.len() * 8;
+        let slots_start = self.data_bytes * 8;
+        let slots_end = slots_start + head.len().div_ceil(CHUNK_BYTES) * slot_bits;
+        // (chunk, codeword position) of a dirty bit in a protected
+        // chunk's data or its slot's parity bits; slot padding at or past
+        // `p` is not a codeword position.
         let locate = |bit: usize| {
-            let byte = bit / 8;
-            if byte < head_len {
-                let chunk = byte / CHUNK_BYTES;
-                Some((chunk, false, bit - chunk * CHUNK_BYTES * 8))
-            } else if (self.data_bytes..parity_end).contains(&byte) {
-                let chunk = (byte - self.data_bytes) / parity_bytes;
-                let slot = self.data_bytes + chunk * parity_bytes;
-                Some((chunk, true, bit - slot * 8))
+            if bit < head_bits {
+                Some((bit / chunk_bits, p + bit % chunk_bits))
+            } else if (slots_start..slots_end).contains(&bit) {
+                let offset = bit - slots_start;
+                Some((offset / slot_bits, offset % slot_bits)).filter(|&(_, pos)| pos < p)
             } else {
                 None
             }
         };
-        let mut dirty = vec![false; chunks];
-        for (chunk, _, _) in dirty_bits.iter().filter_map(|&bit| locate(bit)) {
-            dirty[chunk] = true;
-        }
-        let mut data_pattern = vec![0u8; CHUNK_BYTES];
-        let mut parity_pattern = vec![0u8; parity_bytes];
+        let mut positions = Vec::new();
         let mut corrected = 0usize;
         let mut failed = false;
         for (index, chunk) in head.chunks_mut(CHUNK_BYTES).enumerate() {
-            if !dirty[index] {
+            positions.clear();
+            positions.extend(
+                dirty_bits
+                    .iter()
+                    .filter_map(|&bit| locate(bit))
+                    .filter(|&(c, _)| c == index)
+                    .map(|(_, pos)| pos),
+            );
+            if positions.is_empty() {
                 continue;
             }
-            let data_pattern = &mut data_pattern[..chunk.len()];
-            data_pattern.fill(0);
-            parity_pattern.fill(0);
-            for (_, in_parity, offset) in dirty_bits
-                .iter()
-                .filter_map(|&bit| locate(bit))
-                .filter(|&(c, _, _)| c == index)
-            {
-                let pattern = if in_parity {
-                    &mut parity_pattern[..]
-                } else {
-                    &mut data_pattern[..]
-                };
-                pattern[offset / 8] ^= 1 << (offset % 8);
-            }
-            // chunk ^= e, then chunk ^= e' (the decoded pattern): the net
-            // effect is exactly the decoder's flips.
-            xor_into(chunk, data_pattern);
-            match code.decode(data_pattern, &mut parity_pattern) {
+            let data_bits = chunk.len() * 8;
+            let flip_data = |pos: usize| {
+                if let Some(bit) = pos.checked_sub(p) {
+                    chunk[bit / 8] ^= 1 << (bit % 8);
+                }
+            };
+            match code.decode_pattern(&positions, data_bits, flip_data) {
                 Ok(n) => corrected += n,
-                Err(BchError::Uncorrectable) => failed = true,
-                Err(e) => unreachable!("codec sizing bug: {e}"),
+                Err(_) => failed = true,
             }
-            xor_into(chunk, data_pattern);
         }
         (corrected, failed)
     }

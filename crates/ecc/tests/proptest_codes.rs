@@ -45,22 +45,28 @@ proptest! {
     /// Linearity, the identity parity on demand rests on: decoding a
     /// received word `c ⊕ e` and decoding the error pattern `e` alone
     /// return the same result and flip the same bits, for weights up to
-    /// 3t — uncorrectable words and miscorrections included.
+    /// 3t — uncorrectable words and miscorrections included. So does
+    /// `decode_pattern` on `e`'s raw position list, where a position
+    /// listed twice cancels.
     #[test]
     fn bch_decode_of_error_pattern_matches_received_word(
         strong in any::<bool>(),
         data in proptest::collection::vec(any::<u8>(), 1..=512),
         weight_seed in any::<usize>(),
         raw_positions in proptest::collection::vec(any::<usize>(), 54),
+        repeats in proptest::collection::vec(any::<usize>(), 0..8),
     ) {
         let t = if strong { 18 } else { 8 };
         let code = BchCode::new(13, t);
         let p = code.parity_bits();
         let total_bits = data.len() * 8 + p;
         let weight = weight_seed % (3 * t + 1);
-        let mut positions = std::collections::BTreeSet::new();
-        for &r in raw_positions.iter().take(weight) {
-            positions.insert(r % total_bits);
+        let mut list: Vec<usize> =
+            raw_positions.iter().take(weight).map(|&r| r % total_bits).collect();
+        for &r in &repeats {
+            if !list.is_empty() {
+                list.push(list[r % list.len()]);
+            }
         }
         let flip = |data: &mut [u8], parity: &mut [u8], pos: usize| {
             if pos < p {
@@ -74,7 +80,7 @@ proptest! {
         let (mut rdata, mut rparity) = (data.clone(), parity.clone());
         let mut edata = vec![0u8; data.len()];
         let mut eparity = vec![0u8; parity.len()];
-        for &pos in &positions {
+        for &pos in &list {
             flip(&mut rdata, &mut rparity, pos);
             flip(&mut edata, &mut eparity, pos);
         }
@@ -88,22 +94,22 @@ proptest! {
         };
         prop_assert_eq!(flips(&rdata, &rdata_in), flips(&edata, &edata_in));
         prop_assert_eq!(flips(&rparity, &rparity_in), flips(&eparity, &eparity_in));
+        // The position list, repeats included, decoded directly.
+        let (mut pdata, mut pparity) = (vec![0u8; data.len()], vec![0u8; parity.len()]);
+        let listed = code.decode_pattern(&list, data.len() * 8, |pos| {
+            flip(&mut pdata, &mut pparity, pos)
+        });
+        prop_assert_eq!(listed, received);
+        prop_assert_eq!(pdata, flips(&rdata, &rdata_in));
+        prop_assert_eq!(pparity, flips(&rparity, &rparity_in));
     }
 
-    /// CRC32 is invariant under concatenation splits (incremental == one
-    /// shot) and detects any single-bit flip.
+    /// CRC-32 detects any single-bit flip.
     #[test]
-    fn crc_incremental_and_sensitivity(
+    fn crc_detects_any_single_bit_flip(
         data in proptest::collection::vec(any::<u8>(), 1..512),
-        split in 0usize..512,
         flip in 0usize..4096,
     ) {
-        let split = split % data.len();
-        let mut incremental = sos_ecc::Crc32::new();
-        incremental.update(&data[..split]);
-        incremental.update(&data[split..]);
-        prop_assert_eq!(incremental.finalize(), crc32(&data));
-
         let mut corrupted = data.clone();
         let bit = flip % (data.len() * 8);
         corrupted[bit / 8] ^= 1 << (bit % 8);

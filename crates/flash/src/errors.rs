@@ -130,47 +130,6 @@ impl ErrorModel {
         }
         positions
     }
-
-    /// Probability that a codeword of `codeword_bits` bits at raw bit
-    /// error rate `rber` contains more than `correctable` errors (i.e. is
-    /// uncorrectable by a `t = correctable` code).
-    ///
-    /// Uses a Poisson tail for small means and a Gaussian tail beyond.
-    pub fn p_uncorrectable(rber: f64, codeword_bits: usize, correctable: usize) -> f64 {
-        if rber <= 0.0 {
-            return 0.0;
-        }
-        let lambda = codeword_bits as f64 * rber.min(0.5);
-        if lambda < 500.0 {
-            // P(X > t) = sum_{k>t} e^-l l^k / k!, summed directly to avoid
-            // the catastrophic cancellation of `1 - CDF` for tiny tails.
-            let mut term = (-lambda).exp();
-            if term == 0.0 {
-                // lambda large enough to underflow exp(-lambda): tail ~ 1.
-                return 1.0;
-            }
-            for k in 1..=correctable {
-                term *= lambda / k as f64;
-            }
-            let mut tail = 0.0;
-            let mut k = correctable as f64 + 1.0;
-            loop {
-                term *= lambda / k;
-                tail += term;
-                // Terms shrink once k > lambda; stop when they no longer
-                // contribute.
-                if k > lambda && term < tail * 1e-15 + 1e-300 {
-                    break;
-                }
-                k += 1.0;
-            }
-            tail.clamp(0.0, 1.0)
-        } else {
-            let sigma = lambda.sqrt();
-            let z = (correctable as f64 + 0.5 - lambda) / sigma;
-            crate::cell::q_function(z)
-        }
-    }
 }
 
 /// Samples a standard normal variate via Box–Muller.
@@ -296,39 +255,5 @@ mod tests {
             data[pos / 8] ^= 1 << (pos % 8);
         }
         assert_eq!(data, original);
-    }
-
-    #[test]
-    fn p_uncorrectable_monotonic_in_rber() {
-        let mut prev = -1.0;
-        for i in 1..10 {
-            let rber = 10f64.powi(-i);
-            let p = ErrorModel::p_uncorrectable(rber, 8 * 1024 * 9, 40);
-            assert!((0.0..=1.0).contains(&p));
-            // Higher rber (earlier in iteration order is *higher*) means
-            // higher uncorrectable probability.
-            if prev >= 0.0 {
-                assert!(p <= prev, "rber {rber}: {p} > {prev}");
-            }
-            prev = p;
-        }
-    }
-
-    #[test]
-    fn p_uncorrectable_edges() {
-        assert_eq!(ErrorModel::p_uncorrectable(0.0, 9000, 40), 0.0);
-        // At rber 0.5 virtually every codeword is uncorrectable.
-        let p = ErrorModel::p_uncorrectable(0.5, 9000, 40);
-        assert!(p > 0.999, "{p}");
-        // t = n can always correct.
-        let p = ErrorModel::p_uncorrectable(1e-3, 100, 100);
-        assert!(p < 1e-9, "{p}");
-    }
-
-    #[test]
-    fn p_uncorrectable_matches_poisson_hand_calc() {
-        // lambda = 1, t = 0: P(X > 0) = 1 - e^-1.
-        let p = ErrorModel::p_uncorrectable(1.0 / 1000.0, 1000, 0);
-        assert!((p - (1.0 - (-1.0f64).exp())).abs() < 1e-9);
     }
 }
