@@ -14,7 +14,7 @@
 //!   every operation is followed by a full audit (for tests), and drive
 //!   an [`sos_core::SosController`] simulation with audits at a
 //!   configurable day interval (for long runs). Per-operation checking
-//!   is compiled only with the `audit` feature (on by default here).
+//!   is always compiled in; no cargo feature gates it.
 //!   [`run_crashy_days`] is the crash-sweep variant: it cuts power at a
 //!   scheduled device operation every day, remounts via the recovery
 //!   path, and re-runs every auditor plus the [`RecoveryAuditor`]

@@ -2,9 +2,8 @@
 //!
 //! The vendored `serde` is marker-traits only (the workspace has no
 //! registry access), so the report types derive those markers for API
-//! compatibility but carry their own JSON writer and a small strict
-//! parser; [`JsonReport::from_json`] round-trips the writer's output
-//! exactly, which a unit test pins down.
+//! compatibility but carry their own JSON writer; unit tests pin its
+//! output byte for byte.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -106,70 +105,6 @@ impl JsonReport {
         out.push_str("  }\n}\n");
         out
     }
-
-    /// Parses a report produced by [`JsonReport::to_json`]. Strict on
-    /// shape: unknown or missing keys are errors, so format drift is
-    /// caught by the round-trip test instead of silently tolerated.
-    pub fn from_json(text: &str) -> Result<JsonReport, String> {
-        let value = JsonValue::parse(text)?;
-        let object = value.as_object()?;
-        let mut report = JsonReport {
-            version: 0,
-            findings: Vec::new(),
-            summary: ReportSummary::default(),
-        };
-        for (key, value) in object {
-            match key.as_str() {
-                "version" => report.version = value.as_usize()? as u32,
-                "findings" => {
-                    for entry in value.as_array()? {
-                        report.findings.push(parse_finding(entry)?);
-                    }
-                }
-                "summary" => report.summary = parse_summary(value)?,
-                other => return Err(format!("unknown report key `{other}`")),
-            }
-        }
-        Ok(report)
-    }
-}
-
-fn parse_finding(value: &JsonValue) -> Result<ReportFinding, String> {
-    let mut finding = ReportFinding {
-        rule: String::new(),
-        file: String::new(),
-        line: 0,
-        message: String::new(),
-        chain: Vec::new(),
-    };
-    for (key, value) in value.as_object()? {
-        match key.as_str() {
-            "rule" => finding.rule = value.as_str()?.to_string(),
-            "file" => finding.file = value.as_str()?.to_string(),
-            "line" => finding.line = value.as_usize()?,
-            "message" => finding.message = value.as_str()?.to_string(),
-            "chain" => finding.chain = value.as_string_array()?,
-            other => return Err(format!("unknown finding key `{other}`")),
-        }
-    }
-    Ok(finding)
-}
-
-fn parse_summary(value: &JsonValue) -> Result<ReportSummary, String> {
-    let mut summary = ReportSummary::default();
-    for (key, value) in value.as_object()? {
-        match key.as_str() {
-            "reachable_fns" => summary.reachable_fns = value.as_usize()?,
-            "determinism_reachable_fns" => summary.determinism_reachable_fns = value.as_usize()?,
-            "unresolved_calls" => summary.unresolved_calls = value.as_usize()?,
-            "suppressed" => summary.suppressed = value.as_usize()?,
-            "allowlisted" => summary.allowlisted = value.as_usize()?,
-            "entry_points" => summary.entry_points = value.as_string_array()?,
-            "missing_entry_points" => summary.missing_entry_points = value.as_string_array()?,
-            other => return Err(format!("unknown summary key `{other}`")),
-        }
-    }
-    Ok(summary)
 }
 
 /// JSON string literal with escaping.
@@ -197,188 +132,6 @@ fn quote(text: &str) -> String {
 fn string_array(items: &[String]) -> String {
     let quoted: Vec<String> = items.iter().map(|s| quote(s)).collect();
     format!("[{}]", quoted.join(", "))
-}
-
-/// A minimal JSON value — just enough to read our own output (and any
-/// semantically-equivalent reformatting of it).
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Number(u64),
-    Text(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn as_object(&self) -> Result<&[(String, JsonValue)], String> {
-        match self {
-            JsonValue::Object(fields) => Ok(fields),
-            other => Err(format!("expected object, found {other:?}")),
-        }
-    }
-
-    fn as_array(&self) -> Result<&[JsonValue], String> {
-        match self {
-            JsonValue::Array(items) => Ok(items),
-            other => Err(format!("expected array, found {other:?}")),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            JsonValue::Text(text) => Ok(text),
-            other => Err(format!("expected string, found {other:?}")),
-        }
-    }
-
-    fn as_usize(&self) -> Result<usize, String> {
-        match self {
-            JsonValue::Number(n) => Ok(*n as usize),
-            other => Err(format!("expected number, found {other:?}")),
-        }
-    }
-
-    fn as_string_array(&self) -> Result<Vec<String>, String> {
-        self.as_array()?
-            .iter()
-            .map(|v| v.as_str().map(str::to_string))
-            .collect()
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Text(parse_string(bytes, pos)?)),
-        Some(c) if c.is_ascii_digit() => parse_number(bytes, pos),
-        Some(c) => Err(format!("unexpected byte `{}` at {pos}", *c as char)),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    *pos += 1; // consume `{`
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}"));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(fields));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    *pos += 1; // consume `[`
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| "invalid utf-8 in string".to_string())
-            }
-            b'\\' => {
-                let escape = bytes.get(*pos).copied();
-                *pos += 1;
-                match escape {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        *pos += 4;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(hex.encode_utf8(&mut buf).as_bytes());
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            b => out.push(b),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(JsonValue::Number)
-        .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
 #[cfg(test)]
@@ -419,38 +172,74 @@ mod tests {
         }
     }
 
+    const SAMPLE_JSON: &str = r#"{
+  "version": 2,
+  "findings": [
+    {
+      "rule": "panic-path",
+      "file": "crates/ftl/src/gc.rs",
+      "line": 42,
+      "message": "indexing `blocks[…]` may panic \"out of bounds\"",
+      "chain": ["Ftl::gc_once", "Ftl::relocate_valid"]
+    },
+    {
+      "rule": "no-unwrap",
+      "file": "crates/flash/src/device.rs",
+      "line": 7,
+      "message": ".unwrap() in non-test code",
+      "chain": []
+    }
+  ],
+  "summary": {
+    "reachable_fns": 31,
+    "determinism_reachable_fns": 57,
+    "unresolved_calls": 120,
+    "suppressed": 9,
+    "allowlisted": 7,
+    "entry_points": ["Ftl::recover", "HostFs::remount"],
+    "missing_entry_points": ["Ftl::gone"]
+  }
+}
+"#;
+
     #[test]
-    fn report_round_trips_through_json() {
-        let report = sample();
-        let json = report.to_json();
-        let parsed = JsonReport::from_json(&json).expect("parse back");
-        assert_eq!(parsed, report);
-        // And the writer is deterministic.
-        assert_eq!(parsed.to_json(), json);
+    fn sample_report_matches_golden_json() {
+        assert_eq!(sample().to_json(), SAMPLE_JSON);
     }
 
     #[test]
-    fn empty_report_round_trips() {
+    fn empty_report_matches_golden_json() {
         let report = JsonReport {
             version: REPORT_VERSION,
             findings: Vec::new(),
             summary: ReportSummary::default(),
         };
-        let parsed = JsonReport::from_json(&report.to_json()).expect("parse back");
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn unknown_keys_are_rejected() {
-        let json = "{\"version\": 1, \"bogus\": 2}";
-        assert!(JsonReport::from_json(json).is_err());
+        let golden = r#"{
+  "version": 2,
+  "findings": [],
+  "summary": {
+    "reachable_fns": 0,
+    "determinism_reachable_fns": 0,
+    "unresolved_calls": 0,
+    "suppressed": 0,
+    "allowlisted": 0,
+    "entry_points": [],
+    "missing_entry_points": []
+  }
+}
+"#;
+        assert_eq!(report.to_json(), golden);
     }
 
     #[test]
     fn escapes_survive() {
         let mut report = sample();
-        report.findings[0].message = "tab\there \"quoted\" back\\slash\nnewline".to_string();
-        let parsed = JsonReport::from_json(&report.to_json()).expect("parse back");
-        assert_eq!(parsed, report);
+        report.findings[0].message = "tab\there \"quoted\" back\\slash\nnewline\u{1}".to_string();
+        let golden = SAMPLE_JSON.replace(
+            r#""indexing `blocks[…]` may panic \"out of bounds\"""#,
+            r#""tab\there \"quoted\" back\\slash\nnewline\u0001""#,
+        );
+        assert_ne!(golden, SAMPLE_JSON);
+        assert_eq!(report.to_json(), golden);
     }
 }

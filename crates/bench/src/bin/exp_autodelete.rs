@@ -24,10 +24,7 @@ fn main() {
     // Under write-intensive churn files are young; demote after a day so
     // media reaches SPARE before the churn recycles it.
     let controller_config = ControllerConfig {
-        daemon: DaemonConfig {
-            min_age_days: 1.0,
-            ..DaemonConfig::default()
-        },
+        daemon: DaemonConfig { min_age_days: 1.0 },
         ..ControllerConfig::default()
     };
     let mut controller = SosController::new(

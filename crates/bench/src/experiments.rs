@@ -162,7 +162,6 @@ pub fn end_to_end_report(options: &EndToEndOptions, threads: usize) -> Experimen
             days,
             profile,
             seed: replica_seed(base_seed, replica),
-            cloud_coverage: 0.0,
             workload_bytes,
         };
         run_design(kind, &config)
@@ -847,10 +846,6 @@ pub struct FlashCacheOptions {
     /// Workload RNG seed (identical across arms, so every policy sees
     /// byte-identical traffic).
     pub base_seed: u64,
-    /// Fraction of the FTL's logical space the cache occupies. High
-    /// utilization is what makes placement matter: the tighter the
-    /// device, the more GC has to relocate mixed-up data.
-    pub utilization: f64,
     /// GET operations per day; 0 uses the cache-server default rate.
     pub gets_per_day: u64,
 }
@@ -860,11 +855,15 @@ impl Default for FlashCacheOptions {
         FlashCacheOptions {
             days: 12,
             base_seed: 5,
-            utilization: 0.88,
             gets_per_day: 0,
         }
     }
 }
+
+/// Fraction of the FTL's logical space the cache occupies. High
+/// utilization is what makes placement matter: the tighter the device,
+/// the more GC has to relocate mixed-up data.
+const CACHE_UTILIZATION: f64 = 0.88;
 
 /// One placement arm's outcome.
 struct CacheArmOutcome {
@@ -908,11 +907,12 @@ fn run_cache_arm(policy: CachePlacement, options: &FlashCacheOptions) -> CacheAr
     }
 }
 
-/// Sizes the cache to `utilization` of the FTL's exported space: object
-/// slots plus one metadata slot, at the server config's 2 pages/object.
+/// Sizes the cache to `CACHE_UTILIZATION` of the FTL's exported space:
+/// object slots plus one metadata slot, at the server config's 2
+/// pages/object.
 fn cache_config(ftl: &Ftl, options: &FlashCacheOptions) -> FlashCacheConfig {
     let template = FlashCacheConfig::server(1, options.base_seed);
-    let usable = (ftl.logical_pages() as f64 * options.utilization) as u64;
+    let usable = (ftl.logical_pages() as f64 * CACHE_UTILIZATION) as u64;
     let slots = (usable / template.object_pages).saturating_sub(1).max(4);
     FlashCacheConfig::server(slots as usize, options.base_seed)
 }
@@ -933,7 +933,7 @@ pub fn flash_cache_report(options: &FlashCacheOptions, threads: usize) -> Experi
     let _ = writeln!(
         output.report,
         "# E17 — datacenter flash cache: {days} day(s), utilization {:.0}%, seed {}\n",
-        options.utilization * 100.0,
+        CACHE_UTILIZATION * 100.0,
         options.base_seed
     );
     if let Some(first) = outcomes.first() {
@@ -1060,7 +1060,6 @@ mod tests {
         let options = FlashCacheOptions {
             days: 4,
             base_seed: 5,
-            utilization: 0.88,
             gets_per_day: 1200,
         };
         let serial = flash_cache_report(&options, 1);

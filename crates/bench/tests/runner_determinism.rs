@@ -55,7 +55,6 @@ fn flash_cache_is_identical_across_threads_1_2_8() {
     let options = FlashCacheOptions {
         days: 4,
         base_seed: 5,
-        utilization: 0.88,
         gets_per_day: 1200,
     };
     let baseline = flash_cache_report(&options, 1);

@@ -6,8 +6,8 @@
 //! data." New files land on SYS (pseudo-QLC) first; once the daemon is
 //! confident a file is low-priority it instructs the device to demote it
 //! to SPARE (PLC). Demotion "errs on the side of caution" (§4.3): it
-//! requires a confidence above [`DaemonConfig::demote_threshold`] and a
-//! minimum file age.
+//! requires a confidence above `DEMOTE_THRESHOLD` and a minimum file
+//! age ([`DaemonConfig::min_age_days`]).
 
 use crate::eval::Confusion;
 use crate::features::FeatureExtractor;
@@ -27,25 +27,22 @@ pub enum Placement {
 /// Daemon policy knobs.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DaemonConfig {
-    /// Minimum SPARE probability before demotion (err on the side of
-    /// caution: > 0.5).
-    pub demote_threshold: f64,
     /// Minimum file age (days) before demotion is considered — fresh
     /// files are still hot and their access history is uninformative.
     pub min_age_days: f64,
-    /// Review period in days.
-    pub review_period_days: f64,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
-        DaemonConfig {
-            demote_threshold: 0.7,
-            min_age_days: 3.0,
-            review_period_days: 1.0,
-        }
+        DaemonConfig { min_age_days: 3.0 }
     }
 }
+
+/// Minimum SPARE probability before demotion (err on the side of
+/// caution: > 0.5).
+const DEMOTE_THRESHOLD: f64 = 0.7;
+/// Review period in days (§4.4: "a periodic review (e.g., daily)").
+const REVIEW_PERIOD_DAYS: f64 = 1.0;
 
 /// One demotion decision.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,7 +81,7 @@ impl<C: Classifier> Daemon<C> {
 
     /// Whether a review is due at simulated day `now`.
     pub fn review_due(&self, now: f64) -> bool {
-        now - self.last_review_day >= self.config.review_period_days
+        now - self.last_review_day >= REVIEW_PERIOD_DAYS
     }
 
     /// Classifies one file.
@@ -92,12 +89,11 @@ impl<C: Classifier> Daemon<C> {
         let features = self.extractor.extract(meta, now);
         let probability = self.model.predict_proba(&features);
         let age = now - meta.created_day;
-        let placement =
-            if probability >= self.config.demote_threshold && age >= self.config.min_age_days {
-                Placement::Spare
-            } else {
-                Placement::Sys
-            };
+        let placement = if probability >= DEMOTE_THRESHOLD && age >= self.config.min_age_days {
+            Placement::Spare
+        } else {
+            Placement::Sys
+        };
         Decision {
             file: meta.id,
             placement,
@@ -132,7 +128,7 @@ impl<C: Classifier> Daemon<C> {
             .filter_map(|meta| {
                 let features = self.extractor.extract(meta, now);
                 let probability = self.model.predict_proba(&features);
-                if probability < self.config.demote_threshold {
+                if probability < DEMOTE_THRESHOLD {
                     return None;
                 }
                 let idle = (now - meta.last_access_day).max(0.0);

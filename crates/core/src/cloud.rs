@@ -35,16 +35,6 @@ impl CloudConfig {
             seed: 0,
         }
     }
-
-    /// A typical auto-backup setup: most media covered, usually
-    /// reachable.
-    pub fn typical(seed: u64) -> Self {
-        CloudConfig {
-            coverage: 0.8,
-            availability: 0.95,
-            seed,
-        }
-    }
 }
 
 /// The backup store.

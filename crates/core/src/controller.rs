@@ -24,18 +24,7 @@ pub struct ControllerConfig {
     pub classify: bool,
     /// Run device maintenance (scrub) every this many days.
     pub maintain_period_days: u32,
-    /// Fraction of capacity the auto-delete fallback frees when space
-    /// pressure is signalled (the paper's "e.g. 3% of capacity").
-    pub autodelete_fraction: f64,
-    /// Measure media quality every this many days.
-    pub quality_period_days: u32,
-    /// Every `media_sample_rate`-th media file carries a real encoded
-    /// image whose PSNR is tracked end-to-end.
-    pub media_sample_rate: u64,
-    /// Attempt cloud repair when sampled media degrades below this PSNR.
-    pub repair_psnr_floor: f64,
-    /// Classification-daemon policy (demotion threshold, age gate,
-    /// review period).
+    /// Classification-daemon policy (age gate).
     pub daemon: DaemonConfig,
 }
 
@@ -44,14 +33,21 @@ impl Default for ControllerConfig {
         ControllerConfig {
             classify: true,
             maintain_period_days: 7,
-            autodelete_fraction: 0.03,
-            quality_period_days: 30,
-            media_sample_rate: 10,
-            repair_psnr_floor: 25.0,
             daemon: DaemonConfig::default(),
         }
     }
 }
+
+/// Fraction of capacity the auto-delete fallback frees when space
+/// pressure is signalled (the paper's "e.g. 3% of capacity").
+const AUTODELETE_FRACTION: f64 = 0.03;
+/// Measure media quality every this many days.
+const QUALITY_PERIOD_DAYS: u32 = 30;
+/// Every `MEDIA_SAMPLE_RATE`-th media file carries a real encoded image
+/// whose PSNR is tracked end-to-end.
+const MEDIA_SAMPLE_RATE: u64 = 10;
+/// Attempt cloud repair when sampled media degrades below this PSNR.
+const REPAIR_PSNR_FLOOR: f64 = 25.0;
 
 /// Cumulative controller statistics.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -148,7 +144,7 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
     /// else gets sized pseudo-random bytes.
     fn content_for(&mut self, id: ObjectId, class: FileClass, bytes: u64) -> Vec<u8> {
         let is_photo = matches!(class, FileClass::PhotoCasual | FileClass::PhotoPersonal);
-        if is_photo && id.is_multiple_of(self.config.media_sample_rate) {
+        if is_photo && id.is_multiple_of(MEDIA_SAMPLE_RATE) {
             let image = synthetic_photo(96, 96, id ^ 0xFACE);
             // Encoding a 96x96 synthetic photo cannot fail; if it somehow
             // does, fall through to filler bytes instead of panicking.
@@ -277,10 +273,10 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
     }
 
     /// The §4.5 auto-delete fallback: delete daemon-recommended
-    /// expendable files until `autodelete_fraction` of capacity is
+    /// expendable files until `AUTODELETE_FRACTION` of capacity is
     /// freed.
     pub fn autodelete(&mut self) {
-        let target = (self.device.capacity_bytes() as f64 * self.config.autodelete_fraction) as u64;
+        let target = (self.device.capacity_bytes() as f64 * AUTODELETE_FRACTION) as u64;
         let now = self.life.day() as f64;
         let files: Vec<_> = self.life.files().cloned().collect();
         let recommendations = self.daemon.deletion_recommendations(files.iter(), now);
@@ -326,7 +322,7 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
                 // Header destroyed: the image is unviewable.
                 Err(_) => 0.0,
             };
-            if quality < self.config.repair_psnr_floor {
+            if quality < REPAIR_PSNR_FLOOR {
                 if let Some(golden) = self.cloud.fetch(id) {
                     if self.device.update(id, &golden).is_ok() {
                         self.stats.cloud_repairs += 1;
@@ -413,11 +409,7 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
         }
 
         // Periodic quality measurement.
-        if self
-            .life
-            .day()
-            .is_multiple_of(self.config.quality_period_days.max(1))
-        {
+        if self.life.day().is_multiple_of(QUALITY_PERIOD_DAYS) {
             let psnrs = self.measure_quality();
             self.quality.record(now, psnrs);
         }
@@ -474,10 +466,7 @@ mod tests {
         let mut c = controller(
             UsageProfile::Typical,
             CloudConfig::none(),
-            ControllerConfig {
-                media_sample_rate: 2,
-                ..ControllerConfig::default()
-            },
+            ControllerConfig::default(),
         );
         c.run_days(10);
         let psnrs = c.measure_quality();

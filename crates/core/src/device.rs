@@ -21,15 +21,6 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct SosConfig {
     /// Base PLC device the two partitions are carved from.
     pub base: DeviceConfig,
-    /// Fraction of physical blocks given to the SYS partition (the
-    /// paper's split is 50/50 by silicon).
-    pub sys_cell_fraction: f64,
-    /// SYS stripe width (data pages per parity page).
-    pub stripe_width: u64,
-    /// SYS-partition FTL policy.
-    pub sys_ftl: FtlConfig,
-    /// SPARE-partition FTL policy.
-    pub spare_ftl: FtlConfig,
 }
 
 impl SosConfig {
@@ -37,10 +28,6 @@ impl SosConfig {
     pub fn small(seed: u64) -> Self {
         SosConfig {
             base: DeviceConfig::sim_small(CellDensity::Plc).with_seed(seed),
-            sys_cell_fraction: 0.5,
-            stripe_width: 8,
-            sys_ftl: FtlConfig::sos_sys(),
-            spare_ftl: FtlConfig::sos_spare(),
         }
     }
 
@@ -48,10 +35,15 @@ impl SosConfig {
     pub fn tiny(seed: u64) -> Self {
         SosConfig {
             base: DeviceConfig::tiny(CellDensity::Plc).with_seed(seed),
-            ..SosConfig::small(seed)
         }
     }
 }
+
+/// Fraction of physical blocks given to the SYS partition (the paper's
+/// split is 50/50 by silicon, §4.2).
+const SYS_CELL_FRACTION: f64 = 0.5;
+/// SYS stripe width (data pages per parity page).
+const STRIPE_WIDTH: u64 = 8;
 
 /// Splits a geometry's blocks between two sub-devices by plane rows.
 fn split_geometry(base: &Geometry, fraction: f64) -> (Geometry, Geometry) {
@@ -114,26 +106,20 @@ impl SosDevice {
     ///
     /// # Panics
     ///
-    /// Panics on configuration errors (fractions out of range, ECC not
-    /// fitting the spare area).
+    /// Panics on configuration errors (ECC not fitting the spare area).
     pub fn new(config: &SosConfig) -> Self {
-        assert!(
-            (0.05..=0.95).contains(&config.sys_cell_fraction),
-            "sys fraction out of range"
-        );
         let (sys_geometry, spare_geometry) =
-            split_geometry(&config.base.geometry, config.sys_cell_fraction);
+            split_geometry(&config.base.geometry, SYS_CELL_FRACTION);
         let mut sys_device = config.base.clone();
         sys_device.geometry = sys_geometry;
         let mut spare_device = config.base.clone();
         spare_device.geometry = spare_geometry;
         spare_device.seed = config.base.seed.wrapping_add(1);
-        let sys_ftl = Ftl::new(&sys_device, config.sys_ftl.clone());
-        let spare_ftl = Ftl::new(&spare_device, config.spare_ftl.clone());
+        let sys_ftl = Ftl::new(&sys_device, FtlConfig::sos_sys());
+        let spare_ftl = Ftl::new(&spare_device, FtlConfig::sos_spare());
         // Reserve the top of the SYS logical space for stripe parity.
-        let (data_pages, _parity) =
-            StripeManager::layout(sys_ftl.logical_pages(), config.stripe_width);
-        let stripes = StripeManager::new(config.stripe_width, data_pages);
+        let (data_pages, _parity) = StripeManager::layout(sys_ftl.logical_pages(), STRIPE_WIDTH);
+        let stripes = StripeManager::new(STRIPE_WIDTH, data_pages);
         let mut sys = PartitionStore::new(sys_ftl, DataTag::sys_hot());
         // Re-derive the pool so only data LPNs are handed out.
         sys.pool = crate::partition::LpnPool::new(data_pages);

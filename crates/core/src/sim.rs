@@ -56,8 +56,6 @@ pub struct SimConfig {
     pub profile: UsageProfile,
     /// RNG seed.
     pub seed: u64,
-    /// Cloud backup coverage/availability (None = no backup).
-    pub cloud_coverage: f64,
     /// Workload target size in bytes (shared across designs so the
     /// comparison is apples-to-apples; defaults to the SOS exported
     /// capacity when zero).
@@ -70,7 +68,6 @@ impl Default for SimConfig {
             days: 180,
             profile: UsageProfile::Typical,
             seed: 42,
-            cloud_coverage: 0.0,
             workload_bytes: 0,
         }
     }
@@ -186,21 +183,18 @@ where
         config.profile,
         config.seed,
     ));
-    let cloud = if config.cloud_coverage > 0.0 {
-        CloudConfig {
-            coverage: config.cloud_coverage,
-            availability: 0.95,
-            seed: config.seed,
-        }
-    } else {
-        CloudConfig::none()
-    };
     let controller_config = ControllerConfig {
         classify: kind == DesignKind::Sos,
         ..ControllerConfig::default()
     };
-    let mut controller =
-        SosController::new(device, model, extractor, life, cloud, controller_config);
+    let mut controller = SosController::new(
+        device,
+        model,
+        extractor,
+        life,
+        CloudConfig::none(),
+        controller_config,
+    );
     controller.run_days(config.days);
     // Final quality measurement.
     let psnrs = controller.measure_quality();

@@ -2,7 +2,6 @@
 
 use crate::density::CellDensity;
 use crate::geometry::Geometry;
-use crate::timing::TimingModel;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for a [`FlashDevice`](crate::device::FlashDevice).
@@ -12,8 +11,6 @@ pub struct DeviceConfig {
     pub geometry: Geometry,
     /// Physical cell density of the array.
     pub physical_density: CellDensity,
-    /// Timing parameters.
-    pub timing: TimingModel,
     /// RNG seed for error injection (simulations are reproducible).
     pub seed: u64,
 }
@@ -24,7 +21,6 @@ impl DeviceConfig {
         DeviceConfig {
             geometry: Geometry::tiny(),
             physical_density: density,
-            timing: TimingModel::default(),
             seed: 0xC0FFEE,
         }
     }
@@ -44,7 +40,6 @@ impl DeviceConfig {
                 spare_bytes: 256,
             },
             physical_density: density,
-            timing: TimingModel::default(),
             seed: 0xC0FFEE,
         }
     }

@@ -150,6 +150,17 @@ impl ProgramMode {
         self.logical.bits_per_cell()
     }
 
+    /// Usable pages of a block of `pages_per_block` physical pages
+    /// programmed in this mode: a pseudo mode stores fewer bits per cell,
+    /// so fewer logical pages fit.
+    pub fn usable_pages(self, pages_per_block: u32) -> u32 {
+        let logical_bits = pages_per_block as u64 * self.logical.bits_per_cell() as u64;
+        let pages = logical_bits
+            .checked_div(self.physical.bits_per_cell() as u64)
+            .unwrap_or(0);
+        u32::try_from(pages).unwrap_or(u32::MAX)
+    }
+
     /// Effective endurance of the mode in program/erase cycles.
     ///
     /// Programming with fewer levels widens inter-level margins, which

@@ -246,7 +246,7 @@ impl FlashDevice {
             geometry: config.geometry,
             physical: config.physical_density,
             error_model: ErrorModel::for_density(config.physical_density),
-            timing: config.timing,
+            timing: TimingModel::default(),
             rng: StdRng::seed_from_u64(config.seed),
             now_days: 0.0,
             blocks,
@@ -360,7 +360,7 @@ impl FlashDevice {
     /// proportionally fewer same-sized pages.
     pub fn usable_pages(&self, block: u64) -> Result<u32, FlashError> {
         let state = self.block_state(block)?;
-        Ok(usable_pages_for(self.geometry.pages_per_block, state.mode))
+        Ok(state.mode.usable_pages(self.geometry.pages_per_block))
     }
 
     /// The next page index the block expects to be programmed, or `None`
@@ -370,7 +370,7 @@ impl FlashDevice {
         if state.bad {
             return Ok(None);
         }
-        let usable = usable_pages_for(self.geometry.pages_per_block, state.mode);
+        let usable = state.mode.usable_pages(self.geometry.pages_per_block);
         Ok((state.next_page < usable).then_some(state.next_page))
     }
 
@@ -499,7 +499,7 @@ impl FlashDevice {
             if state.bad {
                 return Err(FlashError::BadBlock(block));
             }
-            let usable = usable_pages_for(pages_per_block, state.mode);
+            let usable = state.mode.usable_pages(pages_per_block);
             if addr.page >= usable {
                 return Err(FlashError::PageOutOfRange { block, usable });
             }
@@ -760,23 +760,13 @@ impl FlashDevice {
                     pec: state.pec,
                     bad: state.bad,
                     next_page: state.next_page,
-                    usable_pages: usable_pages_for(pages_per_block, state.mode),
+                    usable_pages: state.mode.usable_pages(pages_per_block),
                     programmed,
                     torn,
                 }
             })
             .collect()
     }
-}
-
-/// Usable page count for a block programmed in `mode`.
-fn usable_pages_for(pages_per_block: u32, mode: ProgramMode) -> u32 {
-    let bits_physical = mode.physical.bits_per_cell();
-    let bits_logical = mode.logical.bits_per_cell();
-    let pages = (pages_per_block as u64 * bits_logical as u64)
-        .checked_div(bits_physical as u64)
-        .unwrap_or(0);
-    u32::try_from(pages).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]

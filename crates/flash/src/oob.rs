@@ -93,7 +93,7 @@ impl OobMeta {
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, bitwise) over a byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in bytes {
         crc ^= u32::from(byte);

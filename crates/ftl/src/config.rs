@@ -45,24 +45,17 @@ impl WearLevelingConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScrubConfig {
     /// Refresh a block when its estimated RBER exceeds this fraction of
-    /// the ECC correction limit (e.g. `0.5` = refresh at half budget).
+    /// the RBER budget (e.g. `0.5` = refresh at half budget). The same
+    /// margin decides retirement: a block that cannot hold fresh data
+    /// within it is resuscitated at a lower density, or retired when no
+    /// step remains.
     pub refresh_margin: f64,
-    /// Retire (or resuscitate) a block whose estimated RBER exceeds the
-    /// full ECC limit times this factor.
-    pub retire_margin: f64,
-    /// Reference RBER for schemes with no correction capability
-    /// (approximate storage): the scrubber treats this as the "budget"
-    /// the margins scale, i.e. the RBER at which quality degradation is
-    /// considered dangerous (§4.3).
-    pub approx_rber_limit: f64,
 }
 
 impl Default for ScrubConfig {
     fn default() -> Self {
         ScrubConfig {
             refresh_margin: 0.5,
-            retire_margin: 1.0,
-            approx_rber_limit: 2e-3,
         }
     }
 }
@@ -150,8 +143,6 @@ impl FtlConfig {
             wear_leveling: WearLevelingConfig::disabled(),
             scrub: ScrubConfig {
                 refresh_margin: 0.7,
-                retire_margin: 1.5,
-                approx_rber_limit: 2e-3,
             },
             resuscitation: ResuscitationPolicy::plc_default(),
             ecc_failure_target: 1e-6,

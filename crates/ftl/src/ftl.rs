@@ -8,7 +8,7 @@ use crate::recovery::CheckpointHandle;
 use crate::stats::FtlStats;
 use sos_ecc::{CodecError, PageCodec, PageStatus};
 use sos_flash::{
-    DeviceConfig, FaultInjector, FaultPlan, FlashDevice, FlashError, OobMeta, PageAddr, ProgramMode,
+    DeviceConfig, FaultInjector, FaultPlan, FlashDevice, FlashError, OobMeta, PageAddr,
 };
 use std::collections::VecDeque;
 
@@ -192,7 +192,7 @@ impl Ftl {
             geometry.spare_bytes as usize,
         )?;
         let total_blocks = geometry.total_blocks();
-        let usable = usable_pages(geometry.pages_per_block, config.mode);
+        let usable = config.mode.usable_pages(geometry.pages_per_block);
         let blocks = (0..total_blocks)
             .map(|_| BlockInfo {
                 lpns: vec![None; usable as usize],
@@ -648,22 +648,12 @@ pub(crate) fn exported_pages(total_blocks: u64, usable_per_block: u32) -> u64 {
     (usable_total as f64 * (1.0 - OVER_PROVISIONING)) as u64
 }
 
-/// Usable pages for a block programmed in `mode` (mirrors the device's
-/// internal accounting).
-pub(crate) fn usable_pages(pages_per_block: u32, mode: ProgramMode) -> u32 {
-    let logical_bits = pages_per_block as u64 * mode.logical.bits_per_cell() as u64;
-    let pages = logical_bits
-        .checked_div(mode.physical.bits_per_cell() as u64)
-        .unwrap_or(0);
-    u32::try_from(pages).unwrap_or(u32::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FtlConfig;
     use crate::placement::{DataClass, DataTag, Temperature};
-    use sos_flash::CellDensity;
+    use sos_flash::{CellDensity, ProgramMode};
 
     fn small_ftl() -> Ftl {
         let device_config = DeviceConfig::tiny(CellDensity::Tlc);

@@ -39,11 +39,10 @@
 //!   them in OOB or a bad-block table); recovery re-adopts them as-is.
 
 use crate::config::FtlConfig;
-use crate::ftl::{exported_pages, usable_pages, BlockInfo, Ftl, FtlError, Slot};
+use crate::ftl::{exported_pages, BlockInfo, Ftl, FtlError, Slot};
 use crate::placement::{PlacementHandle, StreamPlacement};
 use crate::stats::FtlStats;
-use sos_ecc::{PageCodec, PageStatus};
-use sos_flash::oob::crc32;
+use sos_ecc::{crc32, PageCodec, PageStatus};
 use sos_flash::{DeviceConfig, FlashDevice, FlashError, OobMeta, PageKind};
 use std::collections::{HashSet, VecDeque};
 
@@ -259,7 +258,7 @@ impl Ftl {
         let ppb = geometry.pages_per_block as u64;
         let logical_pages = exported_pages(
             total_blocks,
-            usable_pages(geometry.pages_per_block, config.mode),
+            config.mode.usable_pages(geometry.pages_per_block),
         );
         let mut report = RecoveryReport::default();
         let mut max_seq = 0u64;
@@ -487,7 +486,7 @@ impl Ftl {
         let mut blocks_info: Vec<BlockInfo> = Vec::with_capacity(total_blocks as usize);
         for block in 0..total_blocks {
             let mode = device.block_mode(block)?;
-            let usable = usable_pages(geometry.pages_per_block, mode);
+            let usable = mode.usable_pages(geometry.pages_per_block);
             blocks_info.push(BlockInfo {
                 lpns: vec![None; usable as usize],
                 valid: 0,

@@ -7,7 +7,7 @@
 //! permitted — "flexibly resuscitates worn-out PLC blocks with reduced
 //! density, e.g. pseudo-TLC".
 
-use crate::ftl::{usable_pages, Ftl, FtlError};
+use crate::ftl::{Ftl, FtlError};
 use sos_flash::cell::CellState;
 use sos_flash::{CellDensity, ProgramMode};
 
@@ -30,10 +30,16 @@ pub struct ScrubReport {
     pub aborted_no_space: bool,
 }
 
+/// Reference RBER for schemes with no correction capability
+/// (approximate storage): the scrubber treats this as the "budget" the
+/// refresh margin scales, i.e. the RBER at which quality degradation is
+/// considered dangerous (§4.3).
+const APPROX_RBER_LIMIT: f64 = 2e-3;
+
 impl Ftl {
     /// RBER budget of the configured ECC scheme: the correction limit for
-    /// correcting schemes, or the configured approximate-data quality
-    /// limit for detect-only/unprotected schemes.
+    /// correcting schemes, or `APPROX_RBER_LIMIT` for
+    /// detect-only/unprotected schemes.
     pub fn rber_budget(&self) -> f64 {
         let protected = self
             .codec
@@ -42,7 +48,7 @@ impl Ftl {
         if protected > 0.0 {
             protected
         } else {
-            self.config.scrub.approx_rber_limit
+            APPROX_RBER_LIMIT
         }
     }
 
@@ -160,7 +166,7 @@ impl Ftl {
                 Err(e) => return Err(e.into()),
             }
             self.device.set_block_mode(block, candidate)?;
-            let usable = usable_pages(self.device.geometry().pages_per_block, candidate);
+            let usable = candidate.usable_pages(self.device.geometry().pages_per_block);
             if let Some(info) = self.blocks.get_mut(block as usize) {
                 info.lpns = vec![None; usable as usize];
                 info.valid = 0;
@@ -256,13 +262,12 @@ mod tests {
     fn old_data_on_plc_gets_refreshed() {
         // Unworn cells retain for a decade (JEDEC-style), so wear the
         // device moderately first; *then* multi-year retention pushes
-        // RBER past the refresh margin. The margins here model a
+        // RBER past the refresh margin. The margin here models a
         // quality-conscious SPARE policy that refreshes early.
         let mut config = FtlConfig::sos_spare();
         config.resuscitation = ResuscitationPolicy::retire_only();
         config.ecc = EccScheme::DetectOnly;
         config.scrub.refresh_margin = 0.2;
-        config.scrub.retire_margin = 5.0;
         let mut ftl = Ftl::new(&DeviceConfig::tiny(CellDensity::Plc), config);
         let cap = ftl.logical_pages();
         let page = vec![6u8; ftl.page_bytes()];

@@ -46,19 +46,11 @@ impl UsageProfile {
 pub struct WorkloadConfig {
     /// Device capacity the workload targets, in bytes.
     pub capacity_bytes: u64,
-    /// Average bytes written per day (creates + updates).
-    pub daily_write_bytes: u64,
-    /// Average bytes read per day.
-    pub daily_read_bytes: u64,
-    /// Fraction of daily writes that are in-place updates to app state.
-    pub update_fraction: f64,
+    /// Usage intensity; sets the daily write volume.
+    pub profile: UsageProfile,
     /// Steady-state fill level the user maintains (fraction of
     /// capacity); excess casual media/cache is deleted.
     pub target_fill: f64,
-    /// Scale factor applied to sampled file sizes. Simulated devices are
-    /// scaled-down stand-ins (e.g. 512 MiB representing 512 GB), so file
-    /// sizes scale by the same factor to keep file *counts* realistic.
-    pub size_scale: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -66,23 +58,35 @@ pub struct WorkloadConfig {
 impl WorkloadConfig {
     /// A phone-like workload at the given capacity and usage intensity.
     pub fn phone(capacity_bytes: u64, profile: UsageProfile, seed: u64) -> Self {
-        let daily_write_bytes = (capacity_bytes as f64 * profile.daily_write_fraction()) as u64;
         WorkloadConfig {
             capacity_bytes,
-            daily_write_bytes,
-            daily_read_bytes: daily_write_bytes * 6,
-            update_fraction: 0.35,
+            profile,
             target_fill: 0.70,
-            size_scale: capacity_bytes as f64 / (512u64 << 30) as f64,
             seed,
         }
     }
 }
 
+/// Fraction of daily writes that are in-place updates to app state.
+const UPDATE_FRACTION: f64 = 0.35;
+/// Bytes read per day for every byte written.
+const READS_PER_WRITE: u64 = 6;
+/// The capacity a simulated device stands in for (512 GB). Simulated
+/// devices are scaled-down stand-ins (e.g. 512 MiB representing 512 GB),
+/// so file sizes scale by `capacity / REFERENCE_CAPACITY` to keep file
+/// *counts* realistic.
+const REFERENCE_CAPACITY: u64 = 512u64 << 30;
+
 /// Stateful generator: call [`DeviceLife::next_day`] repeatedly.
 #[derive(Debug)]
 pub struct DeviceLife {
     config: WorkloadConfig,
+    /// Average bytes written per day (creates + updates).
+    daily_write_bytes: u64,
+    /// Average bytes read per day.
+    daily_read_bytes: u64,
+    /// Scale factor applied to sampled file sizes.
+    size_scale: f64,
     rng: StdRng,
     files: FastMap<u64, FileMeta>,
     /// Live file ids in creation order (hot = recent). Ids are assigned
@@ -132,7 +136,12 @@ impl DeviceLife {
     /// Creates a generator for the given configuration.
     pub fn new(config: WorkloadConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
+        let daily_write_bytes =
+            (config.capacity_bytes as f64 * config.profile.daily_write_fraction()) as u64;
         DeviceLife {
+            daily_write_bytes,
+            daily_read_bytes: daily_write_bytes * READS_PER_WRITE,
+            size_scale: config.capacity_bytes as f64 / REFERENCE_CAPACITY as f64,
             config,
             rng,
             files: FastMap::default(),
@@ -209,8 +218,7 @@ impl DeviceLife {
     fn create_file(&mut self, class: FileClass, ops: &mut Vec<TraceOp>) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let size =
-            ((class.sample_size(&mut self.rng) as f64 * self.config.size_scale) as u64).max(4096);
+        let size = ((class.sample_size(&mut self.rng) as f64 * self.size_scale) as u64).max(4096);
         // Per-file significance: class mean plus noise, clamped.
         let noise: f64 = self.rng.gen_range(-0.18..0.18);
         let significance = (class.significance_mean() + noise).clamp(0.0, 1.0);
@@ -278,8 +286,7 @@ impl DeviceLife {
         // 1. Creates: new media, documents, app installs. Budget debt
         // carries across days so an occasional large video does not
         // inflate the long-run write rate.
-        let mut budget = self.config.daily_write_bytes as f64 * (1.0 - self.config.update_fraction)
-            + self.create_debt;
+        let mut budget = self.daily_write_bytes as f64 * (1.0 - UPDATE_FRACTION) + self.create_debt;
         while budget > 0.0 {
             let class = self.sample_class();
             budget -= self.create_file(class, &mut ops) as f64;
@@ -287,8 +294,7 @@ impl DeviceLife {
         self.create_debt = budget;
 
         // 2. In-place updates: app databases, caches, documents.
-        let update_budget =
-            (self.config.daily_write_bytes as f64 * self.config.update_fraction) as u64;
+        let update_budget = (self.daily_write_bytes as f64 * UPDATE_FRACTION) as u64;
         let mut updated = 0u64;
         let mut attempts = 0;
         while updated < update_budget && attempts < 10_000 {
@@ -314,7 +320,7 @@ impl DeviceLife {
         // 3. Reads: recency-skewed, media-heavy.
         let mut read = 0u64;
         let mut attempts = 0;
-        while read < self.config.daily_read_bytes && attempts < 100_000 {
+        while read < self.daily_read_bytes && attempts < 100_000 {
             attempts += 1;
             let Some(id) = self.sample_hot_file() else {
                 break;

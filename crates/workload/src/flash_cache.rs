@@ -102,28 +102,16 @@ pub trait CacheBackend {
 /// Flash-cache workload configuration.
 #[derive(Debug, Clone)]
 pub struct FlashCacheConfig {
-    /// Key population size (ranks of the Zipf distribution).
-    pub keys: usize,
-    /// Zipf exponent over key ranks (~0.9–1.0 for CDN traffic).
-    pub zipf_s: f64,
     /// Backing pages per cached object.
     pub object_pages: u64,
     /// GET operations per simulated day.
     pub gets_per_day: u64,
-    /// Maximum resident objects (slots) before FIFO eviction.
+    /// Maximum resident objects (slots) before FIFO eviction. The key
+    /// population (`max(5n, 16)` Zipf ranks) and the hot ranks
+    /// (`max(⌈n/5⌉, 1)`) follow from it.
     pub capacity_objects: usize,
     /// TTL stamped on admitted objects, days.
     pub ttl_days: u32,
-    /// Keys with rank below this are tagged [`CacheTemp::Hot`].
-    pub hot_ranks: usize,
-    /// One metadata page is journalled per this many admissions.
-    pub admissions_per_meta_page: u64,
-    /// Every this-many cache hits, the hit object is updated in place
-    /// (a PUT over a resident key, refreshing its TTL). Zero disables
-    /// updates. Updates concentrate on popular keys, so hot pages die
-    /// young while cold neighbours linger — the death-time mixing that
-    /// makes data placement matter.
-    pub hits_per_update: u64,
     /// Workload RNG seed.
     pub seed: u64,
 }
@@ -134,15 +122,10 @@ impl FlashCacheConfig {
     /// sees tens of thousands of GETs per day.
     pub fn server(capacity_objects: usize, seed: u64) -> Self {
         FlashCacheConfig {
-            keys: capacity_objects.saturating_mul(5).max(16),
-            zipf_s: 0.95,
             object_pages: 2,
             gets_per_day: capacity_objects.saturating_mul(40).max(64) as u64,
             capacity_objects,
             ttl_days: 3,
-            hot_ranks: capacity_objects.div_ceil(5).max(1),
-            admissions_per_meta_page: 8,
-            hits_per_update: 4,
             seed,
         }
     }
@@ -154,6 +137,16 @@ impl FlashCacheConfig {
         config
     }
 }
+
+/// Zipf exponent over key ranks (~0.9–1.0 for CDN traffic).
+const ZIPF_S: f64 = 0.95;
+/// One metadata page is journalled per this many admissions.
+const ADMISSIONS_PER_META_PAGE: u64 = 8;
+/// Every this-many cache hits, the hit object is updated in place (a PUT
+/// over a resident key, refreshing its TTL). Updates concentrate on
+/// popular keys, so hot pages die young while cold neighbours linger —
+/// the death-time mixing that makes data placement matter.
+const HITS_PER_UPDATE: u64 = 4;
 
 /// One resident cache entry.
 #[derive(Debug, Clone, Copy)]
@@ -218,6 +211,8 @@ impl CacheDayReport {
 #[derive(Debug)]
 pub struct FlashCache {
     config: FlashCacheConfig,
+    /// Keys with rank below this are tagged [`CacheTemp::Hot`].
+    hot_ranks: usize,
     zipf: Zipf,
     rng: StdRng,
     resident: HashMap<u64, Resident>,
@@ -236,13 +231,14 @@ impl FlashCache {
     ///
     /// # Panics
     ///
-    /// Panics if `keys` or `capacity_objects` is zero (configuration
-    /// errors).
+    /// Panics if `capacity_objects` is zero (a configuration error).
     pub fn new(config: FlashCacheConfig) -> Self {
         assert!(config.capacity_objects > 0, "cache needs capacity");
-        let zipf = Zipf::new(config.keys, config.zipf_s);
+        let keys = config.capacity_objects.saturating_mul(5).max(16);
+        let zipf = Zipf::new(keys, ZIPF_S);
         let rng = StdRng::seed_from_u64(config.seed);
         FlashCache {
+            hot_ranks: config.capacity_objects.div_ceil(5).max(1),
             config,
             zipf,
             rng,
@@ -279,7 +275,7 @@ impl FlashCache {
     }
 
     fn temp_for_rank(&self, rank: usize) -> CacheTemp {
-        if rank < self.config.hot_ranks {
+        if rank < self.hot_ranks {
             CacheTemp::Hot
         } else {
             CacheTemp::Cold
@@ -343,7 +339,7 @@ impl FlashCache {
         Ok(report)
     }
 
-    /// Every `hits_per_update`-th hit rewrites the hit object in place
+    /// Every `HITS_PER_UPDATE`-th hit rewrites the hit object in place
     /// (a PUT over a resident key), refreshing its TTL. Because hits
     /// concentrate on popular keys, updates do too: hot pages die young
     /// while cold neighbours written alongside them stay valid.
@@ -353,11 +349,8 @@ impl FlashCache {
         backend: &mut B,
         report: &mut CacheDayReport,
     ) -> Result<(), CacheBackendError> {
-        if self.config.hits_per_update == 0 {
-            return Ok(());
-        }
         self.hits_since_update += 1;
-        if self.hits_since_update < self.config.hits_per_update {
+        if self.hits_since_update < HITS_PER_UPDATE {
             return Ok(());
         }
         self.hits_since_update = 0;
@@ -454,7 +447,7 @@ impl FlashCache {
         // Journal the cache index: one metadata page per batch of
         // admissions, rewritten in place (a classic hot SYS page).
         self.admissions_since_meta += 1;
-        if self.admissions_since_meta >= self.config.admissions_per_meta_page {
+        if self.admissions_since_meta >= ADMISSIONS_PER_META_PAGE {
             self.admissions_since_meta = 0;
             let meta_slot = self.meta_slot();
             backend.put(
@@ -558,6 +551,13 @@ mod tests {
             total.absorb(&cache.run_day(&mut backend).unwrap());
         }
         assert!(total.expired > 0, "TTL never expired anything");
+    }
+
+    #[test]
+    fn every_nth_hit_rewrites_in_place() {
+        let (total, _) = run_days(7, 4);
+        assert!(total.updated > 0, "no hit-path update ran");
+        assert_eq!(total.updated, total.hits / HITS_PER_UPDATE);
     }
 
     #[test]

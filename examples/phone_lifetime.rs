@@ -18,7 +18,6 @@ fn main() {
         days,
         profile: UsageProfile::Typical,
         seed: 2024,
-        cloud_coverage: 0.0,
         workload_bytes: 0,
     };
     let results = compare(&config);

@@ -43,13 +43,16 @@ cargo run -q -p sos-analyze --bin sos-lint -- --format json > target/sos-lint-re
 echo "==> sos-lint JSON report: target/sos-lint-report.json"
 cargo run -q -p sos-analyze --bin sos-lint -- --only determinism --format json > target/sos-determinism-report.json || true
 echo "==> determinism JSON report: target/sos-determinism-report.json"
+# The benchmark is its own package with its own lock file: a change to
+# the API it consumes, or a lock rewrite, fails here in seconds.
+run cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
 if [[ "$fast" -eq 0 ]]; then
     run cargo build --release
     run cargo test -q
     # Benchmark contract: traced and untraced digests agree, every
     # BENCHMARK.json metric is printed, seeds round-trip exactly.
-    run cargo test --offline --manifest-path perfbench/Cargo.toml
+    run cargo test --offline --locked --manifest-path perfbench/Cargo.toml
     examples
 fi
 

@@ -132,7 +132,6 @@ fn scrubber_refresh_restores_quality_headroom() {
     let mut config = FtlConfig::sos_spare();
     config.ecc = EccScheme::DetectOnly;
     config.scrub.refresh_margin = 0.15;
-    config.scrub.retire_margin = 5.0;
     let mut ftl = Ftl::new(&micro_config(6), config);
     wear(&mut ftl, 25);
     ftl.advance_days(1095.0);

@@ -95,10 +95,7 @@ fn media_survives_a_device_year_above_quality_floor() {
         extractor,
         life,
         CloudConfig::none(),
-        ControllerConfig {
-            quality_period_days: 30,
-            ..ControllerConfig::default()
-        },
+        ControllerConfig::default(),
     );
     controller.run_days(60);
     let psnrs = controller.measure_quality();
