@@ -1,4 +1,4 @@
-//! E17: the datacenter flash cache — identical Zipf/TTL cache traffic
+//! E17: the datacenter flash cache — identical Zipf cache traffic
 //! against three data-placement policies (no hints, legacy magic
 //! streams, FDP-style typed tags), comparing write amplification and
 //! what the delta buys in device lifetime and amortized embodied

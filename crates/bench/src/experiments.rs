@@ -703,7 +703,7 @@ pub enum CachePlacement {
     /// handle, every object on one undifferentiated cold handle.
     LegacyStreams,
     /// Typed [`DataTag`]s: metadata as SYS/hot, objects as SPARE with
-    /// popularity-derived temperature and a TTL hint.
+    /// popularity-derived temperature.
     Fdp,
 }
 
@@ -794,7 +794,7 @@ impl CacheBackend for FtlCacheBackend {
                                 CacheTemp::Hot => Temperature::Hot,
                                 CacheTemp::Cold => Temperature::Cold,
                             };
-                            DataTag::new(DataClass::Spare, temp).with_ttl(meta.ttl_days)
+                            DataTag::new(DataClass::Spare, temp)
                         }
                     };
                     self.ftl.write_placed(lpn, &self.payload, tag.handle())
@@ -917,7 +917,7 @@ fn cache_config(ftl: &Ftl, options: &FlashCacheOptions) -> FlashCacheConfig {
     FlashCacheConfig::server(slots as usize, options.base_seed)
 }
 
-/// Runs E17: the same Zipf/TTL flash-cache traffic against three
+/// Runs E17: the same Zipf flash-cache traffic against three
 /// placement policies (no hints, legacy streams, FDP tags), one arm per
 /// parallel task. Reports write amplification, reclaim-unit telemetry,
 /// and what the write-amp delta buys in device lifetime and amortized
@@ -939,12 +939,11 @@ pub fn flash_cache_report(options: &FlashCacheOptions, threads: usize) -> Experi
     if let Some(first) = outcomes.first() {
         let _ = writeln!(
             output.report,
-            "traffic per arm: {} GETs, {} admissions, {} updates, {} evictions, {} TTL expiries, {:.1}% hit",
+            "traffic per arm: {} GETs, {} admissions, {} updates, {} evictions, {:.1}% hit",
             first.traffic.gets,
             first.traffic.admitted,
             first.traffic.updated,
             first.traffic.evicted,
-            first.traffic.expired,
             first.traffic.hit_ratio() * 100.0
         );
     }
@@ -1017,9 +1016,10 @@ pub fn flash_cache_report(options: &FlashCacheOptions, threads: usize) -> Experi
             output.failed = true;
         } else {
             output.report.push_str(
-                "placement pays: segregating TTL'd objects by temperature lets GC reclaim\n\
-                 whole units instead of relocating live pages, and the avoided wear defers\n\
-                 device replacement — embodied carbon amortizes over more GB-years (§5).\n",
+                "placement pays: hot and cold objects (tagged by Zipf rank) and the metadata\n\
+                 journal each fill their own reclaim units, so GC reclaims whole units instead\n\
+                 of relocating live pages, and the avoided wear defers device replacement —\n\
+                 embodied carbon amortizes over more GB-years (§5).\n",
             );
         }
     }

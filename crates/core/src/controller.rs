@@ -278,8 +278,7 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
     pub fn autodelete(&mut self) {
         let target = (self.device.capacity_bytes() as f64 * AUTODELETE_FRACTION) as u64;
         let now = self.life.day() as f64;
-        let files: Vec<_> = self.life.files().cloned().collect();
-        let recommendations = self.daemon.deletion_recommendations(files.iter(), now);
+        let recommendations = self.daemon.deletion_recommendations(self.life.files(), now);
         let mut freed = 0u64;
         for (id, _score) in recommendations {
             if self.crashed || freed >= target {
@@ -368,8 +367,7 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
 
         // Daily classification review (§4.4).
         if self.config.classify && self.daemon.review_due(now) {
-            let files: Vec<_> = self.life.files().cloned().collect();
-            let decisions = self.daemon.review(files.iter(), now);
+            let decisions = self.daemon.review(self.life.files(), now);
             for decision in decisions {
                 debug_assert_eq!(decision.placement, Placement::Spare);
                 if self.device.placement(decision.file) == Some(Partition::Sys) {

@@ -752,7 +752,7 @@ mod tests {
     fn tagged_writes_land_in_distinct_reclaim_units() {
         let mut ftl = small_ftl();
         let hot = DataTag::new(DataClass::Sys, Temperature::Hot);
-        let cold = DataTag::new(DataClass::Spare, Temperature::Cold).with_ttl(2);
+        let cold = DataTag::new(DataClass::Spare, Temperature::Cold);
         ftl.write_placed(0, &page_of(&ftl, 1), hot.handle())
             .unwrap();
         ftl.write_placed(1, &page_of(&ftl, 2), cold.handle())

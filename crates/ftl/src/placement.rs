@@ -10,8 +10,7 @@
 //!   byte (private constants below) is what per-page OOB metadata and
 //!   checkpoints store;
 //! * a [`DataTag`] is what hosts actually know about their data — its
-//!   class, temperature and expected lifetime — and maps
-//!   deterministically onto a handle;
+//!   class and temperature — and maps deterministically onto a handle;
 //! * [`StreamPlacement`] tracks open/close/append on reclaim units and
 //!   keeps the placement-mix counters ([`PlacementStats`]) behind the
 //!   per-reclaim-unit write-amp reporting.
@@ -28,7 +27,7 @@ use std::collections::BTreeMap;
 const WIRE_DEFAULT: u8 = 0;
 /// Stripe parity pages (`sos-core`'s SYS redundancy).
 const WIRE_PARITY: u8 = 1;
-/// Cold / TTL'd data ([`Temperature::Cold`] SYS tags).
+/// Cold SYS data ([`Temperature::Cold`] SYS tags).
 const WIRE_COLD: u8 = 2;
 /// Spare-class (degradable) hot data.
 const WIRE_SPARE_HOT: u8 = 3;
@@ -51,7 +50,7 @@ impl PlacementHandle {
     pub const DEFAULT: PlacementHandle = PlacementHandle(WIRE_DEFAULT);
     /// Handle for stripe parity pages.
     pub const PARITY: PlacementHandle = PlacementHandle(WIRE_PARITY);
-    /// Handle for cold / TTL'd data.
+    /// Handle for cold SYS data.
     pub const COLD: PlacementHandle = PlacementHandle(WIRE_COLD);
     /// Internal relocation handle for GC and refresh traffic.
     pub const GC: PlacementHandle = PlacementHandle(WIRE_GC);
@@ -103,29 +102,21 @@ pub enum Temperature {
     Cold,
 }
 
-/// What the host knows about a write: class, temperature and an
-/// optional expected lifetime. This is the typed replacement for magic
-/// stream numbers; [`DataTag::handle`] derives the placement handle.
+/// What the host knows about a write: class and temperature. This is
+/// the typed replacement for magic stream numbers; [`DataTag::handle`]
+/// derives the placement handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DataTag {
     /// Durability class (SYS vs SPARE).
     pub class: DataClass,
     /// Update temperature.
     pub temp: Temperature,
-    /// Expected lifetime in days, if the host knows it (TTL'd cache
-    /// objects do). Advisory: short TTLs imply [`Temperature::Hot`]
-    /// grouping regardless of access rank.
-    pub ttl_hint: Option<u32>,
 }
 
 impl DataTag {
-    /// A tag with no TTL hint.
+    /// A tag for `class` data at `temp`.
     pub const fn new(class: DataClass, temp: Temperature) -> DataTag {
-        DataTag {
-            class,
-            temp,
-            ttl_hint: None,
-        }
+        DataTag { class, temp }
     }
 
     /// Shorthand for hot SYS data (the legacy default placement).
@@ -138,18 +129,11 @@ impl DataTag {
         DataTag::new(DataClass::Spare, Temperature::Hot)
     }
 
-    /// Attaches an expected lifetime in days.
-    pub const fn with_ttl(mut self, days: u32) -> DataTag {
-        self.ttl_hint = Some(days);
-        self
-    }
-
     /// Derives the placement handle. The mapping is deterministic and
     /// wire-compatible: hot SYS data lands on the default handle so
     /// devices written before typed tags existed decode unchanged, while
     /// the other class/temperature combinations get their own reclaim
-    /// units. The TTL hint never changes the handle (it is advisory for
-    /// hosts deciding a temperature); only `class` and `temp` do.
+    /// units.
     pub const fn handle(self) -> PlacementHandle {
         let wire = match (self.class, self.temp) {
             (DataClass::Sys, Temperature::Hot) => WIRE_DEFAULT,
@@ -356,12 +340,6 @@ mod tests {
         for handle in handles {
             assert!(!handle.is_reserved());
         }
-    }
-
-    #[test]
-    fn ttl_does_not_change_the_handle() {
-        let tag = DataTag::spare_hot();
-        assert_eq!(tag.handle(), tag.with_ttl(3).handle());
     }
 
     #[test]

@@ -30,8 +30,8 @@ proptest! {
         let tags = [
             DataTag::sys_hot(),
             DataTag::new(DataClass::Sys, Temperature::Cold),
-            DataTag::new(DataClass::Spare, Temperature::Hot).with_ttl(3),
-            DataTag::new(DataClass::Spare, Temperature::Cold).with_ttl(30),
+            DataTag::new(DataClass::Spare, Temperature::Hot),
+            DataTag::new(DataClass::Spare, Temperature::Cold),
         ];
         let mut ftl = small_ftl();
         let page_bytes = ftl.page_bytes();

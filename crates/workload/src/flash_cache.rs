@@ -3,8 +3,8 @@
 //!
 //! Models a CDN-style flash cache the way the FDP flash-cache work
 //! does (arXiv:2503.11665): Zipf-distributed GETs over a large key
-//! population, admit-on-miss, FIFO eviction at capacity, and TTL'd
-//! objects. Two data classes flow to storage:
+//! population, admit-on-miss, FIFO eviction at capacity, and in-place
+//! updates of popular objects. Two data classes flow to storage:
 //!
 //! * cache **metadata** (index/journal updates) — significant, must
 //!   not be lost;
@@ -39,7 +39,7 @@ pub enum CacheClass {
 pub enum CacheTemp {
     /// Popular key: expected to be overwritten / re-admitted soon.
     Hot,
-    /// Tail key: will likely sit untouched until its TTL expires.
+    /// Tail key: will likely sit untouched until FIFO eviction reaches it.
     Cold,
 }
 
@@ -51,8 +51,6 @@ pub struct ObjectMeta {
     pub class: CacheClass,
     /// Popularity-derived temperature.
     pub temp: CacheTemp,
-    /// Time-to-live in days.
-    pub ttl_days: u32,
 }
 
 /// What a backend read of a cached object came back as.
@@ -95,7 +93,7 @@ pub trait CacheBackend {
     fn put(&mut self, slot: u64, pages: u64, meta: ObjectMeta) -> Result<(), CacheBackendError>;
     /// Reads an object back, reporting whether it survived intact.
     fn get(&mut self, slot: u64, pages: u64) -> Result<CacheReadback, CacheBackendError>;
-    /// Discards an object (eviction or TTL expiry) — a TRIM.
+    /// Discards an object (eviction, or a decayed or gone read) — a TRIM.
     fn evict(&mut self, slot: u64, pages: u64) -> Result<(), CacheBackendError>;
 }
 
@@ -110,8 +108,6 @@ pub struct FlashCacheConfig {
     /// population (`max(5n, 16)` Zipf ranks) and the hot ranks
     /// (`max(⌈n/5⌉, 1)`) follow from it.
     pub capacity_objects: usize,
-    /// TTL stamped on admitted objects, days.
-    pub ttl_days: u32,
     /// Workload RNG seed.
     pub seed: u64,
 }
@@ -125,12 +121,12 @@ impl FlashCacheConfig {
             object_pages: 2,
             gets_per_day: capacity_objects.saturating_mul(40).max(64) as u64,
             capacity_objects,
-            ttl_days: 3,
             seed,
         }
     }
 
-    /// A tiny configuration for tests and quick perf kernels.
+    /// A tiny configuration for tests.
+    #[cfg(test)]
     pub fn tiny(seed: u64) -> Self {
         let mut config = FlashCacheConfig::server(48, seed);
         config.gets_per_day = 600;
@@ -143,17 +139,10 @@ const ZIPF_S: f64 = 0.95;
 /// One metadata page is journalled per this many admissions.
 const ADMISSIONS_PER_META_PAGE: u64 = 8;
 /// Every this-many cache hits, the hit object is updated in place (a PUT
-/// over a resident key, refreshing its TTL). Updates concentrate on
-/// popular keys, so hot pages die young while cold neighbours linger —
-/// the death-time mixing that makes data placement matter.
+/// over a resident key). Updates concentrate on popular keys, so hot
+/// pages die young while cold neighbours linger — the death-time mixing
+/// that makes data placement matter.
 const HITS_PER_UPDATE: u64 = 4;
-
-/// One resident cache entry.
-#[derive(Debug, Clone, Copy)]
-struct Resident {
-    slot: u64,
-    expires_day: u32,
-}
 
 /// Per-day cache traffic summary. All counters are deterministic for a
 /// given config and seed.
@@ -166,7 +155,7 @@ pub struct CacheDayReport {
     /// GETs that found the object decayed (counted as misses; the
     /// object is refetched from origin and rewritten).
     pub decayed: u64,
-    /// GETs that missed (not resident, expired, or gone).
+    /// GETs that missed (not resident, decayed, or gone).
     pub misses: u64,
     /// Objects admitted (miss-path writes).
     pub admitted: u64,
@@ -174,8 +163,6 @@ pub struct CacheDayReport {
     pub updated: u64,
     /// Objects evicted to make room.
     pub evicted: u64,
-    /// Objects dropped by TTL expiry.
-    pub expired: u64,
     /// Backing pages written (objects + metadata).
     pub pages_written: u64,
     /// Backing pages read.
@@ -192,7 +179,6 @@ impl CacheDayReport {
         self.admitted += other.admitted;
         self.updated += other.updated;
         self.evicted += other.evicted;
-        self.expired += other.expired;
         self.pages_written += other.pages_written;
         self.pages_read += other.pages_read;
     }
@@ -207,7 +193,7 @@ impl CacheDayReport {
 }
 
 /// A deterministic flash-cache simulator: Zipf GETs, admit-on-miss,
-/// FIFO eviction, TTL expiry. Drives any [`CacheBackend`].
+/// FIFO eviction. Drives any [`CacheBackend`].
 #[derive(Debug)]
 pub struct FlashCache {
     config: FlashCacheConfig,
@@ -215,15 +201,16 @@ pub struct FlashCache {
     hot_ranks: usize,
     zipf: Zipf,
     rng: StdRng,
-    resident: HashMap<u64, Resident>,
-    /// Admission order, oldest first (FIFO eviction).
+    /// Resident key → slot.
+    resident: HashMap<u64, u64>,
+    /// Admission order, oldest first (FIFO eviction). Holds each
+    /// resident key exactly once, so eviction pops the front.
     fifo: VecDeque<u64>,
     /// Recycled slots, reused LIFO for determinism.
     free_slots: Vec<u64>,
     next_slot: u64,
     admissions_since_meta: u64,
     hits_since_update: u64,
-    day: u32,
 }
 
 impl FlashCache {
@@ -248,24 +235,7 @@ impl FlashCache {
             next_slot: 0,
             admissions_since_meta: 0,
             hits_since_update: 0,
-            day: 0,
         }
-    }
-
-    /// The configuration this cache runs.
-    pub fn config(&self) -> &FlashCacheConfig {
-        &self.config
-    }
-
-    /// Number of currently resident objects.
-    pub fn resident_objects(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Pages the backend must expose: object slots plus one metadata
-    /// slot at the end of the slot range.
-    pub fn required_pages(config: &FlashCacheConfig) -> u64 {
-        (config.capacity_objects as u64 + 1) * config.object_pages
     }
 
     /// The slot the metadata journal writes into (one past the object
@@ -291,58 +261,43 @@ impl FlashCache {
         slot
     }
 
-    /// Runs one simulated day of GET traffic against `backend`,
-    /// advancing the cache clock.
+    /// Runs one simulated day of GET traffic against `backend`.
     pub fn run_day<B: CacheBackend>(
         &mut self,
         backend: &mut B,
     ) -> Result<CacheDayReport, CacheBackendError> {
         let mut report = CacheDayReport::default();
-        self.expire(backend, &mut report)?;
         for _ in 0..self.config.gets_per_day {
             let rank = self.zipf.sample(&mut self.rng) as u64;
             report.gets += 1;
             let pages = self.config.object_pages;
-            let entry = self.resident.get(&rank).copied();
-            match entry {
-                Some(resident) if resident.expires_day > self.day => {
-                    report.pages_read += pages;
-                    match backend.get(resident.slot, pages)? {
-                        CacheReadback::Fresh => {
-                            report.hits += 1;
-                            self.maybe_update(rank, backend, &mut report)?;
-                            continue;
-                        }
-                        CacheReadback::Decayed => report.decayed += 1,
-                        CacheReadback::Gone => {}
+            if let Some(slot) = self.resident.get(&rank).copied() {
+                report.pages_read += pages;
+                match backend.get(slot, pages)? {
+                    CacheReadback::Fresh => {
+                        report.hits += 1;
+                        self.maybe_update(rank, backend, &mut report)?;
+                        continue;
                     }
-                    // Decayed or gone: drop the stale entry and fall
-                    // through to the miss path (refetch from origin).
-                    report.misses += 1;
-                    self.drop_key(rank, backend, &mut report)?;
-                    self.admit(rank, backend, &mut report)?;
+                    CacheReadback::Decayed => report.decayed += 1,
+                    CacheReadback::Gone => {}
                 }
-                Some(_) => {
-                    // Resident but past its TTL: a miss; readmit.
-                    report.misses += 1;
-                    report.expired += 1;
-                    self.drop_key(rank, backend, &mut report)?;
-                    self.admit(rank, backend, &mut report)?;
-                }
-                None => {
-                    report.misses += 1;
-                    self.admit(rank, backend, &mut report)?;
-                }
+                // Decayed or gone: drop the stale entry from the middle
+                // of the queue and fall through to the miss path
+                // (refetch from origin).
+                self.fifo.retain(|&key| key != rank);
+                self.drop_key(rank, backend, &mut report)?;
             }
+            report.misses += 1;
+            self.admit(rank, backend, &mut report)?;
         }
-        self.day += 1;
         Ok(report)
     }
 
     /// Every `HITS_PER_UPDATE`-th hit rewrites the hit object in place
-    /// (a PUT over a resident key), refreshing its TTL. Because hits
-    /// concentrate on popular keys, updates do too: hot pages die young
-    /// while cold neighbours written alongside them stay valid.
+    /// (a PUT over a resident key). Because hits concentrate on popular
+    /// keys, updates do too: hot pages die young while cold neighbours
+    /// written alongside them stay valid.
     fn maybe_update<B: CacheBackend>(
         &mut self,
         key: u64,
@@ -354,60 +309,33 @@ impl FlashCache {
             return Ok(());
         }
         self.hits_since_update = 0;
-        let Some(entry) = self.resident.get(&key).copied() else {
+        let Some(slot) = self.resident.get(&key).copied() else {
             return Ok(());
         };
         let pages = self.config.object_pages;
         let meta = ObjectMeta {
             class: CacheClass::Object,
             temp: self.temp_for_rank(key as usize),
-            ttl_days: self.config.ttl_days,
         };
-        backend.put(entry.slot, pages, meta)?;
+        backend.put(slot, pages, meta)?;
         report.pages_written += pages;
         report.updated += 1;
-        if let Some(entry) = self.resident.get_mut(&key) {
-            entry.expires_day = self.day + self.config.ttl_days;
-        }
         Ok(())
     }
 
-    /// Evicts every object whose TTL has passed (daily janitor sweep).
-    fn expire<B: CacheBackend>(
-        &mut self,
-        backend: &mut B,
-        report: &mut CacheDayReport,
-    ) -> Result<(), CacheBackendError> {
-        let expired: Vec<u64> = self
-            .fifo
-            .iter()
-            .copied()
-            .filter(|key| {
-                self.resident
-                    .get(key)
-                    .is_some_and(|entry| entry.expires_day <= self.day)
-            })
-            .collect();
-        for key in expired {
-            report.expired += 1;
-            self.drop_key(key, backend, report)?;
-        }
-        Ok(())
-    }
-
-    /// Removes a key's entry, trimming its backing pages.
+    /// Removes a key's entry, trimming its backing pages. The caller
+    /// has already taken the key out of the FIFO.
     fn drop_key<B: CacheBackend>(
         &mut self,
         key: u64,
         backend: &mut B,
         report: &mut CacheDayReport,
     ) -> Result<(), CacheBackendError> {
-        let Some(entry) = self.resident.remove(&key) else {
+        let Some(slot) = self.resident.remove(&key) else {
             return Ok(());
         };
-        self.fifo.retain(|&k| k != key);
-        backend.evict(entry.slot, self.config.object_pages)?;
-        self.free_slots.push(entry.slot);
+        backend.evict(slot, self.config.object_pages)?;
+        self.free_slots.push(slot);
         report.evicted += 1;
         Ok(())
     }
@@ -421,7 +349,7 @@ impl FlashCache {
         report: &mut CacheDayReport,
     ) -> Result<(), CacheBackendError> {
         while self.resident.len() >= self.config.capacity_objects {
-            let Some(victim) = self.fifo.front().copied() else {
+            let Some(victim) = self.fifo.pop_front() else {
                 break;
             };
             self.drop_key(victim, backend, report)?;
@@ -431,18 +359,11 @@ impl FlashCache {
         let meta = ObjectMeta {
             class: CacheClass::Object,
             temp: self.temp_for_rank(key as usize),
-            ttl_days: self.config.ttl_days,
         };
         backend.put(slot, pages, meta)?;
         report.pages_written += pages;
         report.admitted += 1;
-        self.resident.insert(
-            key,
-            Resident {
-                slot,
-                expires_day: self.day + self.config.ttl_days,
-            },
-        );
+        self.resident.insert(key, slot);
         self.fifo.push_back(key);
         // Journal the cache index: one metadata page per batch of
         // admissions, rewritten in place (a classic hot SYS page).
@@ -456,7 +377,6 @@ impl FlashCache {
                 ObjectMeta {
                     class: CacheClass::Metadata,
                     temp: CacheTemp::Hot,
-                    ttl_days: 0,
                 },
             )?;
             report.pages_written += 1;
@@ -465,49 +385,65 @@ impl FlashCache {
     }
 }
 
-/// An in-memory backend for tests: tracks slot occupancy and can be
-/// told to decay specific slots.
-#[derive(Debug, Default)]
-pub struct MemCacheBackend {
-    /// Slots currently holding an object (slot → meta).
-    pub stored: HashMap<u64, ObjectMeta>,
-    /// Slots whose next read reports decay.
-    pub decayed: Vec<u64>,
-    /// Total puts observed.
-    pub puts: u64,
-    /// Total evictions observed.
-    pub evictions: u64,
-}
-
-impl CacheBackend for MemCacheBackend {
-    fn put(&mut self, slot: u64, _pages: u64, meta: ObjectMeta) -> Result<(), CacheBackendError> {
-        self.stored.insert(slot, meta);
-        self.decayed.retain(|&s| s != slot);
-        self.puts += 1;
-        Ok(())
-    }
-
-    fn get(&mut self, slot: u64, _pages: u64) -> Result<CacheReadback, CacheBackendError> {
-        if self.decayed.contains(&slot) {
-            return Ok(CacheReadback::Decayed);
-        }
-        if self.stored.contains_key(&slot) {
-            Ok(CacheReadback::Fresh)
-        } else {
-            Ok(CacheReadback::Gone)
-        }
-    }
-
-    fn evict(&mut self, slot: u64, _pages: u64) -> Result<(), CacheBackendError> {
-        self.stored.remove(&slot);
-        self.evictions += 1;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An in-memory backend for tests: tracks slot occupancy and can be
+    /// told to decay specific slots.
+    #[derive(Debug, Default)]
+    struct MemCacheBackend {
+        /// Slots currently holding an object (slot → meta).
+        stored: HashMap<u64, ObjectMeta>,
+        /// Slots whose next read reports decay.
+        decayed: Vec<u64>,
+        /// Total puts observed.
+        puts: u64,
+        /// Total evictions observed.
+        evictions: u64,
+    }
+
+    impl CacheBackend for MemCacheBackend {
+        fn put(
+            &mut self,
+            slot: u64,
+            _pages: u64,
+            meta: ObjectMeta,
+        ) -> Result<(), CacheBackendError> {
+            self.stored.insert(slot, meta);
+            self.decayed.retain(|&s| s != slot);
+            self.puts += 1;
+            Ok(())
+        }
+
+        fn get(&mut self, slot: u64, _pages: u64) -> Result<CacheReadback, CacheBackendError> {
+            if self.decayed.contains(&slot) {
+                return Ok(CacheReadback::Decayed);
+            }
+            if self.stored.contains_key(&slot) {
+                Ok(CacheReadback::Fresh)
+            } else {
+                Ok(CacheReadback::Gone)
+            }
+        }
+
+        fn evict(&mut self, slot: u64, _pages: u64) -> Result<(), CacheBackendError> {
+            self.stored.remove(&slot);
+            self.evictions += 1;
+            Ok(())
+        }
+    }
+
+    /// The invariant queue-pop eviction relies on: the FIFO holds each
+    /// resident key exactly once, and nothing else (so its length is
+    /// the resident count and every queued key is resident).
+    fn assert_fifo_holds_each_resident_key_once(cache: &FlashCache) {
+        let mut queued: Vec<u64> = cache.fifo.iter().copied().collect();
+        let mut resident: Vec<u64> = cache.resident.keys().copied().collect();
+        queued.sort_unstable();
+        resident.sort_unstable();
+        assert_eq!(queued, resident, "FIFO is not the resident key set");
+    }
 
     fn run_days(seed: u64, days: u32) -> (CacheDayReport, MemCacheBackend) {
         let mut cache = FlashCache::new(FlashCacheConfig::tiny(seed));
@@ -536,21 +472,9 @@ mod tests {
         for _ in 0..4 {
             cache.run_day(&mut backend).unwrap();
         }
-        assert!(cache.resident_objects() <= cache.config().capacity_objects);
+        assert!(cache.resident.len() <= cache.config.capacity_objects);
         assert!(backend.evictions > 0, "eviction never ran");
-    }
-
-    #[test]
-    fn ttl_expires_objects() {
-        let mut config = FlashCacheConfig::tiny(5);
-        config.ttl_days = 1;
-        let mut cache = FlashCache::new(config);
-        let mut backend = MemCacheBackend::default();
-        let mut total = CacheDayReport::default();
-        for _ in 0..3 {
-            total.absorb(&cache.run_day(&mut backend).unwrap());
-        }
-        assert!(total.expired > 0, "TTL never expired anything");
+        assert_fifo_holds_each_resident_key_once(&cache);
     }
 
     #[test]
@@ -572,6 +496,8 @@ mod tests {
         assert_eq!(report.hits + report.misses, report.gets);
         // Decayed objects were refetched, not served stale.
         assert!(report.admitted >= report.decayed);
+        // Each refetched key left its old place in the queue.
+        assert_fifo_holds_each_resident_key_once(&cache);
     }
 
     #[test]
@@ -587,13 +513,12 @@ mod tests {
     #[test]
     fn metadata_is_journalled_on_its_own_slot() {
         let mut cache = FlashCache::new(FlashCacheConfig::tiny(9));
-        let meta_slot = cache.config().capacity_objects as u64;
+        let meta_slot = cache.config.capacity_objects as u64;
         let mut backend = MemCacheBackend::default();
         cache.run_day(&mut backend).unwrap();
         assert_eq!(
             backend.stored.get(&meta_slot).map(|m| m.class),
             Some(CacheClass::Metadata)
         );
-        assert!(FlashCache::required_pages(cache.config()) > meta_slot);
     }
 }

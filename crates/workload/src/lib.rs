@@ -12,7 +12,7 @@
 //!   Fantasy daily",
 //! * [`trace`] — the operation records consumed by the storage stack,
 //! * [`flash_cache`] — a datacenter flash-cache scenario (Zipf GETs,
-//!   admission/eviction, TTL'd degradable objects) for the FDP
+//!   admit-on-miss, FIFO eviction, degradable objects) for the FDP
 //!   placement experiments.
 
 pub mod device_life;
@@ -29,5 +29,5 @@ pub use zipf::Zipf;
 
 pub use flash_cache::{
     CacheBackend, CacheBackendError, CacheClass, CacheDayReport, CacheReadback, CacheTemp,
-    FlashCache, FlashCacheConfig, MemCacheBackend, ObjectMeta,
+    FlashCache, FlashCacheConfig, ObjectMeta,
 };
