@@ -21,9 +21,11 @@
 //! — so a report can always say how much of the surface was beyond
 //! static resolution.
 
+use crate::panicpath::EntryPoint;
 use crate::parse::lexer::TokenKind;
 use crate::parse::{SourceFile, Workspace};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::path::PathBuf;
 
 /// How a call site was written.
@@ -212,6 +214,75 @@ impl CallGraph {
     /// Total number of unresolved call sites across the graph.
     pub fn unresolved_total(&self) -> usize {
         self.unresolved.iter().map(Vec::len).sum()
+    }
+
+    /// Resolves `entries` to their non-test definitions and walks the
+    /// graph breadth-first from them, skipping test functions. Parent
+    /// pointers let [`Reachability::chain_to`] report a shortest call
+    /// chain back to an entry point.
+    pub fn reach(&self, entries: &[EntryPoint]) -> Reachability {
+        let mut reach = Reachability::default();
+        let mut queue: VecDeque<usize> = VecDeque::new();
+        for entry in entries {
+            let live: Vec<usize> = self
+                .find(entry.owner.as_deref(), &entry.name)
+                .into_iter()
+                .filter(|&id| !self.nodes[id].is_test)
+                .collect();
+            if live.is_empty() {
+                reach.missing_entry_points.push(entry.label());
+                continue;
+            }
+            reach.entry_points.push(entry.label());
+            for id in live {
+                if let Entry::Vacant(slot) = reach.parent.entry(id) {
+                    slot.insert(None);
+                    queue.push_back(id);
+                }
+            }
+        }
+        reach.entry_points.sort();
+        while let Some(node) = queue.pop_front() {
+            reach.nodes.push(node);
+            for &callee in &self.edges[node] {
+                if self.nodes[callee].is_test {
+                    continue;
+                }
+                reach.parent.entry(callee).or_insert_with(|| {
+                    queue.push_back(callee);
+                    Some(node)
+                });
+            }
+        }
+        reach
+    }
+}
+
+/// The non-test functions reachable from a set of entry points.
+#[derive(Debug, Clone, Default)]
+pub struct Reachability {
+    /// Entry points that resolved to at least one definition, sorted.
+    pub entry_points: Vec<String>,
+    /// Configured entry points with no matching definition, in
+    /// configuration order.
+    pub missing_entry_points: Vec<String>,
+    /// Reachable node ids in breadth-first order.
+    pub nodes: Vec<usize>,
+    /// Each reached node's BFS parent (`None` for an entry point).
+    parent: HashMap<usize, Option<usize>>,
+}
+
+impl Reachability {
+    /// The qualified-name chain entry → … → `node`.
+    pub fn chain_to(&self, graph: &CallGraph, node: usize) -> Vec<String> {
+        let mut chain = Vec::new();
+        let mut cursor = Some(node);
+        while let Some(id) = cursor {
+            chain.push(graph.nodes[id].qualified_name());
+            cursor = self.parent.get(&id).copied().flatten();
+        }
+        chain.reverse();
+        chain
     }
 }
 

@@ -6,9 +6,8 @@
 //! power cut into data loss (the exact failure §4.3's "degrade, don't
 //! abort" discipline exists to prevent). This pass walks the
 //! [`CallGraph`] from the configured entry points — `Ftl::recover`,
-//! `Ftl::recover_in_place`, the GC and scrub entries, and the host
-//! remount paths — and flags every panicking construct in the
-//! reachable, non-test function set:
+//! the GC and scrub entries, and the host remount paths — and flags
+//! every panicking construct in the reachable, non-test function set:
 //!
 //! * `panic!` / `assert!` / `assert_eq!` / `assert_ne!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` invocations
@@ -30,8 +29,7 @@ use crate::callgraph::CallGraph;
 use crate::parse::lexer::{int_value, TokenKind};
 use crate::parse::{SourceFile, Workspace};
 use crate::suppress::SuppressionSet;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -95,7 +93,6 @@ impl EntryPoint {
 pub fn recovery_entry_points() -> Vec<EntryPoint> {
     [
         ("Ftl", "recover"),
-        ("Ftl", "recover_in_place"),
         ("Ftl", "ensure_free_space"),
         ("Ftl", "gc_once"),
         ("Ftl", "scrub"),
@@ -222,58 +219,25 @@ pub struct PanicPathReport {
 /// Runs the pass over a parsed workspace with the given entry points.
 pub fn run_panic_path(workspace: &Workspace, entries: &[EntryPoint]) -> PanicPathReport {
     let graph = CallGraph::build(workspace);
-    let mut report = PanicPathReport::default();
-
-    // Resolve entry points and seed the BFS.
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut parent: HashMap<usize, Option<usize>> = HashMap::new();
-    for entry in entries {
-        let ids = graph.find(entry.owner.as_deref(), &entry.name);
-        let live: Vec<usize> = ids
-            .into_iter()
-            .filter(|&id| !graph.nodes[id].is_test)
-            .collect();
-        if live.is_empty() {
-            report.missing_entry_points.push(entry.label());
-            continue;
-        }
-        report.entry_points.push(entry.label());
-        for id in live {
-            if let Entry::Vacant(slot) = parent.entry(id) {
-                slot.insert(None);
-                queue.push_back(id);
-            }
-        }
-    }
-
-    // Breadth-first reachability with parent pointers, so each finding
-    // can report a shortest call chain back to an entry point.
-    let mut reachable: Vec<usize> = Vec::new();
-    while let Some(node) = queue.pop_front() {
-        reachable.push(node);
-        for &callee in &graph.edges[node] {
-            if graph.nodes[callee].is_test {
-                continue;
-            }
-            parent.entry(callee).or_insert_with(|| {
-                queue.push_back(callee);
-                Some(node)
-            });
-        }
-    }
-    report.reachable_fns = reachable.len();
+    let reach = graph.reach(entries);
+    let mut report = PanicPathReport {
+        reachable_fns: reach.nodes.len(),
+        entry_points: reach.entry_points.clone(),
+        missing_entry_points: reach.missing_entry_points.clone(),
+        ..PanicPathReport::default()
+    };
 
     // Per-file suppression sets, built lazily.
     let mut suppressions: HashMap<usize, SuppressionSet> = HashMap::new();
 
-    for &node_id in &reachable {
+    for &node_id in &reach.nodes {
         let node = &graph.nodes[node_id];
         report.unresolved_calls += graph.unresolved[node_id].len();
         let file = &workspace.files[node.file_index];
         let Some((start, end)) = file.items.fns[node.item_index].body else {
             continue;
         };
-        let chain = chain_to(&graph, &parent, node_id);
+        let chain = reach.chain_to(&graph, node_id);
         let set = suppressions
             .entry(node.file_index)
             .or_insert_with(|| SuppressionSet::collect(file));
@@ -294,20 +258,7 @@ pub fn run_panic_path(workspace: &Workspace, entries: &[EntryPoint]) -> PanicPat
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    report.entry_points.sort();
     report
-}
-
-/// Reconstructs the qualified-name chain entry → … → `node`.
-fn chain_to(graph: &CallGraph, parent: &HashMap<usize, Option<usize>>, node: usize) -> Vec<String> {
-    let mut chain = Vec::new();
-    let mut cursor = Some(node);
-    while let Some(id) = cursor {
-        chain.push(graph.nodes[id].qualified_name());
-        cursor = parent.get(&id).copied().flatten();
-    }
-    chain.reverse();
-    chain
 }
 
 /// Scans one function body for panicking constructs.

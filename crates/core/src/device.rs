@@ -320,18 +320,18 @@ impl SosDevice {
     /// boot device); what this path rebuilds is everything the *device*
     /// keeps in RAM. Concretely it:
     ///
-    /// 1. rebuilds each FTL's L2P map, valid counts and free list from
-    ///    the OOB scan ([`Ftl::recover_in_place`]),
-    /// 2. re-adopts LPN allocations from the object directory and
-    ///    re-trims resurrected pages no object references (trims are
-    ///    volatile until checkpointed),
-    /// 3. rebuilds SYS stripe membership from the directory and repairs
+    /// 1. per partition ([`PartitionStore::remount`]): rebuilds the
+    ///    FTL's L2P map, valid counts and free list from the OOB scan
+    ///    ([`Ftl::recover`]), re-adopts LPN allocations from the object
+    ///    directory and re-trims resurrected pages no object references
+    ///    (trims are volatile until checkpointed),
+    /// 2. rebuilds SYS stripe membership from the directory and repairs
     ///    crash-window SYS losses from surviving parity; what parity
     ///    cannot rebuild is declared in [`RemountReport::sys_lost`] and
     ///    marked as damage on the owning object,
-    /// 4. tolerates SPARE losses, declaring them in
+    /// 3. tolerates SPARE losses, declaring them in
     ///    [`RemountReport::spare_lost`],
-    /// 5. recomputes every live stripe's parity (the RAID-5 write hole:
+    /// 4. recomputes every live stripe's parity (the RAID-5 write hole:
     ///    a cut between a member write and its parity update leaves
     ///    parity stale).
     ///
@@ -339,13 +339,6 @@ impl SosDevice {
     pub fn recover_in_place(&mut self) -> Result<RemountReport, FtlError> {
         let parity_base = self.stripes.parity_base();
         let width = self.stripes.width();
-        let mut report = RemountReport {
-            sys: self.sys.ftl.recover_in_place()?,
-            spare: self.spare.ftl.recover_in_place()?,
-            ..RemountReport::default()
-        };
-
-        // Re-adopt LPN allocations from the object directory.
         let mut sys_refs: BTreeSet<u64> = BTreeSet::new();
         let mut spare_refs: BTreeSet<u64> = BTreeSet::new();
         for info in self.objects.values() {
@@ -354,34 +347,15 @@ impl SosDevice {
                 Partition::Spare => spare_refs.extend(info.lpns.iter().copied()),
             }
         }
-        self.sys.pool = crate::partition::LpnPool::new(parity_base);
-        self.sys
-            .pool
-            .reserve(&sys_refs.iter().copied().collect::<Vec<u64>>());
-        self.spare.pool = crate::partition::LpnPool::new(self.spare.ftl.logical_pages());
-        self.spare
-            .pool
-            .reserve(&spare_refs.iter().copied().collect::<Vec<u64>>());
-        // Budgets reflect what the recovered FTLs can sustain (wear and
-        // retirement survive the crash in the device).
-        self.sys.shrink_to(self.sys.ftl.sustainable_pages());
-        self.spare.shrink_to(self.spare.ftl.sustainable_pages());
-
-        // Volatile trims: drop every mapped data LPN no object
-        // references (resurrected trims, plus pages of operations that
-        // never reached the directory before the cut).
-        for lpn in 0..parity_base {
-            if self.sys.ftl.is_mapped(lpn) && !sys_refs.contains(&lpn) {
-                self.sys.ftl.trim(lpn)?;
-                report.resurrected_trimmed += 1;
-            }
-        }
-        for lpn in 0..self.spare.ftl.logical_pages() {
-            if self.spare.ftl.is_mapped(lpn) && !spare_refs.contains(&lpn) {
-                self.spare.ftl.trim(lpn)?;
-                report.resurrected_trimmed += 1;
-            }
-        }
+        let (sys, sys_trimmed) = self.sys.remount(parity_base, &sys_refs)?;
+        let spare_span = self.spare.ftl.logical_pages();
+        let (spare, spare_trimmed) = self.spare.remount(spare_span, &spare_refs)?;
+        let mut report = RemountReport {
+            sys,
+            spare,
+            resurrected_trimmed: sys_trimmed + spare_trimmed,
+            ..RemountReport::default()
+        };
 
         // Stripe membership is RAM state; rebuild it from the
         // directory, then repair crash-window SYS losses from the

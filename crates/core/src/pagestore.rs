@@ -142,11 +142,10 @@ mod tests {
             .filter(|(_, id)| *id == keep)
             .collect();
 
-        let store = fs.into_store();
-        let config = store.ftl.config().clone();
-        let (ftl, report) = Ftl::recover(store.ftl.into_device(), config).unwrap();
+        let mut store = fs.into_store();
+        let report = store.ftl.recover().unwrap();
         assert!(report.used_checkpoint, "checkpoint must bound the scan");
-        let mut fs = HostFs::remount(FtlPageStore::new(ftl), inodes, directory);
+        let mut fs = HostFs::remount(store, inodes, directory);
 
         assert_eq!(fs.read(keep, 0, data.len()).unwrap(), data);
         // Writable again after remount.

@@ -7,7 +7,8 @@
 //! its own ECC scheme, wear policy and scrubbing rules.
 
 use crate::object::{merge_status, ObjectStatus};
-use sos_ftl::{DataTag, Ftl, FtlError, FtlEvent};
+use sos_ftl::{DataTag, Ftl, FtlError, FtlEvent, RecoveryReport};
+use std::collections::BTreeSet;
 
 /// Virtual page allocator over an FTL's logical space.
 ///
@@ -59,13 +60,12 @@ impl LpnPool {
     /// Claims specific pages out of the free list, as the remount path
     /// does when re-adopting allocations recorded in the surviving
     /// object directory. Pages not currently free are ignored.
-    pub fn reserve(&mut self, lpns: &[u64]) {
+    pub fn reserve(&mut self, lpns: &BTreeSet<u64>) {
         if lpns.is_empty() {
             return;
         }
-        let claimed: std::collections::HashSet<u64> = lpns.iter().copied().collect();
         let before = self.free.len();
-        self.free.retain(|lpn| !claimed.contains(lpn));
+        self.free.retain(|lpn| !lpns.contains(lpn));
         self.allocated += (before - self.free.len()) as u64;
     }
 
@@ -219,6 +219,36 @@ impl PartitionStore {
             }
         }
         lost
+    }
+
+    /// The remount step for one partition: rebuilds the FTL from flash
+    /// ([`Ftl::recover`]), re-adopts `refs` (the pages the object
+    /// directory references) into a fresh pool over `0..span`, shrinks
+    /// the budget to what the recovered FTL sustains (wear and
+    /// retirement survive the crash in the device), and trims every
+    /// mapped LPN below `span` that `refs` does not hold. Trims are
+    /// volatile until checkpointed, so the rebuild can resurrect them,
+    /// and pages of operations that never reached the directory before
+    /// the cut are live on flash too.
+    ///
+    /// Returns the FTL rebuild report and the number of LPNs re-trimmed.
+    pub fn remount(
+        &mut self,
+        span: u64,
+        refs: &BTreeSet<u64>,
+    ) -> Result<(RecoveryReport, u64), FtlError> {
+        let report = self.ftl.recover()?;
+        self.pool = LpnPool::new(span);
+        self.pool.reserve(refs);
+        self.shrink_to(self.ftl.sustainable_pages());
+        let mut trimmed = 0;
+        for lpn in 0..span {
+            if self.ftl.is_mapped(lpn) && !refs.contains(&lpn) {
+                self.ftl.trim(lpn)?;
+                trimmed += 1;
+            }
+        }
+        Ok((report, trimmed))
     }
 
     /// Lowers the pool budget to fit an FTL capacity of `pages` logical

@@ -118,8 +118,6 @@ impl std::error::Error for FlashError {}
 pub struct ReadOutcome {
     /// Page contents (data + spare) with bit errors injected.
     pub data: Vec<u8>,
-    /// Number of bit errors injected into this read.
-    pub injected_errors: usize,
     /// Bit positions of the injected errors (simulator knowledge: lets
     /// callers skip ECC work on provably-clean regions, which is
     /// observationally equivalent to decoding them).
@@ -461,24 +459,20 @@ impl FlashDevice {
         Ok(latency)
     }
 
-    /// Programs a page. `data` must be exactly `page_bytes + spare_bytes`
-    /// long; pages must be programmed in order within their block.
+    /// Programs a page together with its OOB metadata. `data` must be
+    /// exactly `page_bytes + spare_bytes` long; pages must be programmed
+    /// in order within their block. Data and OOB record are stored
+    /// atomically, as on real NAND where the spare area is part of the
+    /// same program pulse. A power cut during the program leaves the
+    /// page *torn*: scrambled contents and an OOB record whose CRC check
+    /// fails.
     ///
     /// Returns the operation latency in µs.
-    pub fn program(&mut self, addr: PageAddr, data: &[u8]) -> Result<f64, FlashError> {
-        self.program_with_oob(addr, data, None)
-    }
-
-    /// Programs a page together with its OOB metadata; the two are
-    /// stored atomically, as on real NAND where the spare area is part
-    /// of the same program pulse. A power cut during the program leaves
-    /// the page *torn*: scrambled contents and an OOB record whose CRC
-    /// check fails.
-    pub fn program_with_oob(
+    pub fn program(
         &mut self,
         addr: PageAddr,
         data: &[u8],
-        oob: Option<OobMeta>,
+        oob: OobMeta,
     ) -> Result<f64, FlashError> {
         if self.powered_off {
             return Err(FlashError::PowerLoss);
@@ -534,7 +528,7 @@ impl FlashDevice {
                 state.reads_since_program = 0;
                 self.stats.programs += 1;
                 self.store
-                    .program(block, addr.page, &torn, now, oob.map(OobMeta::torn), true);
+                    .program(block, addr.page, &torn, now, oob.torn(), true);
                 self.powered_off = true;
                 return Err(FlashError::PowerLoss);
             }
@@ -577,8 +571,7 @@ impl FlashDevice {
     /// scan cost stays observable. OOB words are short and heavily
     /// checksummed, so no bit errors are injected — a torn page is
     /// detected because its stored record fails [`OobMeta::is_valid`].
-    /// `Ok(None)` means the page was programmed without OOB metadata.
-    pub fn read_oob(&mut self, addr: PageAddr) -> Result<Option<OobMeta>, FlashError> {
+    pub fn read_oob(&mut self, addr: PageAddr) -> Result<OobMeta, FlashError> {
         if self.powered_off {
             return Err(FlashError::PowerLoss);
         }
@@ -676,26 +669,23 @@ impl FlashDevice {
                 nbits,
             )
         });
-        let mut count = match batched {
+        let count = match batched {
             Some(c) => c.min(nbits),
             None => ErrorModel::sample_error_count(&mut self.rng, nbits, rber),
         };
         let mut positions = ErrorModel::inject_errors(&mut self.rng, &mut data, count);
         if let Some(FaultKind::ReadNoise { bits }) = fault {
             if let Some(inj) = self.injector.as_mut() {
-                let extra = inj.flip_bits(&mut data, bits);
-                count += extra.len();
-                positions.extend(extra);
+                positions.extend(inj.flip_bits(&mut data, bits));
             }
         }
         let latency =
             self.timing.latencies(cell_state_mode).read_us + self.timing.transfer_us(data.len());
         self.stats.reads += 1;
-        self.stats.bit_errors_injected += count as u64;
+        self.stats.bit_errors_injected += positions.len() as u64;
         self.stats.busy_us += latency;
         Ok(ReadOutcome {
             data,
-            injected_errors: count,
             injected_positions: positions,
             rber,
             latency_us: latency,
@@ -789,24 +779,28 @@ mod tests {
         vec![byte; device.page_total_bytes()]
     }
 
+    fn meta() -> OobMeta {
+        OobMeta::data(0, 1, 0)
+    }
+
     #[test]
     fn program_read_roundtrip_fresh_device_is_error_free() {
         let mut dev = tiny_device(CellDensity::Tlc);
         let data = fill(&dev, 0xA5);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
         let out = dev.read(page(&dev, 0, 0)).unwrap();
         // TLC fresh RBER is ~5e-8; a single 2 KiB page essentially never
         // sees an error.
         assert_eq!(out.data, data);
-        assert_eq!(out.injected_errors, 0);
+        assert!(out.injected_positions.is_empty());
     }
 
     #[test]
     fn in_order_programming_is_enforced() {
         let mut dev = tiny_device(CellDensity::Tlc);
         let data = fill(&dev, 1);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
-        let err = dev.program(page(&dev, 0, 2), &data).unwrap_err();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
+        let err = dev.program(page(&dev, 0, 2), &data, meta()).unwrap_err();
         assert!(matches!(
             err,
             FlashError::OutOfOrderProgram { expected: 1, .. }
@@ -817,8 +811,8 @@ mod tests {
     fn reprogram_without_erase_fails() {
         let mut dev = tiny_device(CellDensity::Tlc);
         let data = fill(&dev, 1);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
-        let err = dev.program(page(&dev, 0, 0), &data).unwrap_err();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
+        let err = dev.program(page(&dev, 0, 0), &data, meta()).unwrap_err();
         assert!(matches!(err, FlashError::NotErased(_)));
     }
 
@@ -826,20 +820,22 @@ mod tests {
     fn erase_clears_and_allows_reprogram() {
         let mut dev = tiny_device(CellDensity::Tlc);
         let data = fill(&dev, 1);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
         dev.erase(0).unwrap();
         assert!(matches!(
             dev.read(page(&dev, 0, 0)).unwrap_err(),
             FlashError::PageNotProgrammed(_)
         ));
-        dev.program(page(&dev, 0, 0), &data).unwrap();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
         assert_eq!(dev.block_pec(0).unwrap(), 1);
     }
 
     #[test]
     fn wrong_length_is_rejected() {
         let mut dev = tiny_device(CellDensity::Tlc);
-        let err = dev.program(page(&dev, 0, 0), &[0u8; 10]).unwrap_err();
+        let err = dev
+            .program(page(&dev, 0, 0), &[0u8; 10], meta())
+            .unwrap_err();
         assert!(matches!(err, FlashError::WrongDataLength { .. }));
     }
 
@@ -853,9 +849,9 @@ mod tests {
         assert_eq!(dev.usable_pages(0).unwrap(), 25);
         let data = fill(&dev, 3);
         for p in 0..25 {
-            dev.program(page(&dev, 0, p), &data).unwrap();
+            dev.program(page(&dev, 0, p), &data, meta()).unwrap();
         }
-        let err = dev.program(page(&dev, 0, 25), &data).unwrap_err();
+        let err = dev.program(page(&dev, 0, 25), &data, meta()).unwrap_err();
         assert!(matches!(err, FlashError::PageOutOfRange { usable: 25, .. }));
     }
 
@@ -863,7 +859,7 @@ mod tests {
     fn mode_change_requires_empty_block() {
         let mut dev = tiny_device(CellDensity::Plc);
         let data = fill(&dev, 3);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
         let err = dev
             .set_block_mode(0, ProgramMode::pseudo(CellDensity::Plc, CellDensity::Tlc))
             .unwrap_err();
@@ -881,7 +877,7 @@ mod tests {
             dev.erase(0).unwrap();
         }
         let data = fill(&dev, 0xFF);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
         let fresh = dev.read(page(&dev, 0, 0)).unwrap();
         dev.advance_days(720.0);
         let aged = dev.read(page(&dev, 0, 0)).unwrap();
@@ -908,12 +904,12 @@ mod tests {
             return;
         }
         let data = fill(&dev, 0x5A);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
         dev.advance_days(365.0);
         // At rated endurance + 1 year retention PLC RBER should be well
         // above 1e-4: a 2 KiB page (17408 bits with spare) sees errors.
         let total: usize = (0..20)
-            .map(|_| dev.read(page(&dev, 0, 0)).unwrap().injected_errors)
+            .map(|_| dev.read(page(&dev, 0, 0)).unwrap().injected_positions.len())
             .sum();
         assert!(total > 0, "expected some injected errors on worn PLC");
     }
@@ -955,7 +951,7 @@ mod tests {
     fn stats_accumulate() {
         let mut dev = tiny_device(CellDensity::Tlc);
         let data = fill(&dev, 9);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
         dev.read(page(&dev, 0, 0)).unwrap();
         dev.erase(0).unwrap();
         let s = dev.stats();
@@ -1007,10 +1003,10 @@ mod tests {
     fn block_rber_estimate_tracks_worst_page() {
         let mut dev = tiny_device(CellDensity::Qlc);
         let data = fill(&dev, 2);
-        dev.program(page(&dev, 3, 0), &data).unwrap();
+        dev.program(page(&dev, 3, 0), &data, meta()).unwrap();
         let fresh = dev.block_rber_estimate(3).unwrap();
         dev.advance_days(400.0);
-        dev.program(page(&dev, 3, 1), &data).unwrap();
+        dev.program(page(&dev, 3, 1), &data, meta()).unwrap();
         let with_old_data = dev.block_rber_estimate(3).unwrap();
         assert!(with_old_data > fresh, "estimate must reflect oldest data");
     }
@@ -1019,10 +1015,9 @@ mod tests {
     fn oob_roundtrips_with_program() {
         let mut dev = tiny_device(CellDensity::Tlc);
         let data = fill(&dev, 0x11);
-        let meta = crate::oob::OobMeta::data(77, 4, 2);
-        dev.program_with_oob(page(&dev, 0, 0), &data, Some(meta))
-            .unwrap();
-        let read_back = dev.read_oob(page(&dev, 0, 0)).unwrap().unwrap();
+        let meta = OobMeta::data(77, 4, 2);
+        dev.program(page(&dev, 0, 0), &data, meta).unwrap();
+        let read_back = dev.read_oob(page(&dev, 0, 0)).unwrap();
         assert_eq!(read_back, meta);
         assert!(read_back.is_valid());
         assert_eq!(dev.stats().oob_reads, 1);
@@ -1039,12 +1034,10 @@ mod tests {
         });
         dev.attach_injector(inj);
         let data = fill(&dev, 0x22);
-        let meta0 = crate::oob::OobMeta::data(0, 1, 0);
-        let meta1 = crate::oob::OobMeta::data(1, 2, 0);
-        dev.program_with_oob(page(&dev, 0, 0), &data, Some(meta0))
+        dev.program(page(&dev, 0, 0), &data, OobMeta::data(0, 1, 0))
             .unwrap();
         let err = dev
-            .program_with_oob(page(&dev, 0, 1), &data, Some(meta1))
+            .program(page(&dev, 0, 1), &data, OobMeta::data(1, 2, 0))
             .unwrap_err();
         assert_eq!(err, FlashError::PowerLoss);
         assert!(dev.is_powered_off());
@@ -1060,9 +1053,9 @@ mod tests {
             dev.read(page(&dev, 0, 1)).unwrap_err(),
             FlashError::TornPage(_)
         ));
-        let torn_oob = dev.read_oob(page(&dev, 0, 1)).unwrap().unwrap();
+        let torn_oob = dev.read_oob(page(&dev, 0, 1)).unwrap();
         assert!(!torn_oob.is_valid());
-        let intact_oob = dev.read_oob(page(&dev, 0, 0)).unwrap().unwrap();
+        let intact_oob = dev.read_oob(page(&dev, 0, 0)).unwrap();
         assert!(intact_oob.is_valid());
         // The torn page still occupies its slot: in-order programming
         // resumes after it.
@@ -1083,11 +1076,11 @@ mod tests {
         dev.attach_injector(inj);
         let data = fill(&dev, 0x33);
         assert_eq!(
-            dev.program(page(&dev, 0, 0), &data).unwrap_err(),
+            dev.program(page(&dev, 0, 0), &data, meta()).unwrap_err(),
             FlashError::ProgramFailed(0)
         );
         assert!(dev.is_bad(0).unwrap());
-        dev.program(page(&dev, 1, 0), &data).unwrap();
+        dev.program(page(&dev, 1, 0), &data, meta()).unwrap();
         if let Some(inj) = dev.injector_mut() {
             inj.arm(FaultPlan {
                 kind: FaultKind::FailErase,
@@ -1107,7 +1100,7 @@ mod tests {
         use crate::fault::{FaultAt, FaultInjector, FaultKind, FaultPlan};
         let mut dev = tiny_device(CellDensity::Tlc);
         let data = fill(&dev, 0x44);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
         let mut inj = FaultInjector::new(5);
         inj.arm(FaultPlan {
             kind: FaultKind::ReadNoise { bits: 12 },
@@ -1115,9 +1108,12 @@ mod tests {
         });
         dev.attach_injector(inj);
         let noisy = dev.read(page(&dev, 0, 0)).unwrap();
-        assert!(noisy.injected_errors >= 12);
+        assert!(noisy.injected_positions.len() >= 12);
         let clean = dev.read(page(&dev, 0, 0)).unwrap();
-        assert_eq!(clean.injected_errors, 0, "noise must be transient");
+        assert!(
+            clean.injected_positions.is_empty(),
+            "noise must be transient"
+        );
         assert_eq!(clean.data, data);
     }
 
@@ -1126,10 +1122,10 @@ mod tests {
         let mut dev = tiny_device(CellDensity::Tlc);
         assert_eq!(dev.next_free_page(0).unwrap(), Some(0));
         let data = fill(&dev, 7);
-        dev.program(page(&dev, 0, 0), &data).unwrap();
+        dev.program(page(&dev, 0, 0), &data, meta()).unwrap();
         assert_eq!(dev.next_free_page(0).unwrap(), Some(1));
         for p in 1..32 {
-            dev.program(page(&dev, 0, p), &data).unwrap();
+            dev.program(page(&dev, 0, p), &data, meta()).unwrap();
         }
         assert_eq!(dev.next_free_page(0).unwrap(), None);
     }

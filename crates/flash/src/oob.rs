@@ -5,8 +5,8 @@
 //! In this simulator the ECC parity already consumes nearly the whole
 //! spare region, so OOB metadata is modelled as a sidecar record stored
 //! atomically with the page contents by
-//! [`FlashDevice::program_with_oob`](crate::FlashDevice::program_with_oob)
-//! and read back (without the data payload) by
+//! [`FlashDevice::program`](crate::FlashDevice::program), which takes
+//! one for every page, and read back (without the data payload) by
 //! [`FlashDevice::read_oob`](crate::FlashDevice::read_oob).
 //!
 //! A page whose program was interrupted by a power cut is *torn*: its

@@ -2,10 +2,11 @@
 //!
 //! The simulator's hot loops touch page state on every program, read and
 //! erase. The store keeps that state as struct-of-arrays — packed
-//! `programmed`/`torn` bitmaps, contiguous per-page
-//! day/lpn/seq/stream/kind/crc arrays, and pooled per-block data buffers
-//! indexed by slot — so the common operations are bit tests and flat
-//! array indexing instead of hash probes and per-page heap boxes.
+//! `programmed`/`torn` bitmaps, contiguous per-page day and OOB
+//! (lpn/seq/stream/kind/crc) arrays, which every programmed page fills,
+//! and pooled per-block data buffers indexed by slot — so the common
+//! operations are bit tests and flat array indexing instead of hash
+//! probes and per-page heap boxes.
 //!
 //! [`FlashDevice`](crate::device::FlashDevice) reaches the store only
 //! through [`PageStore::program`], [`PageStore::view`] and
@@ -26,8 +27,8 @@ pub(crate) struct PageView<'a> {
     pub data: &'a [u8],
     /// Simulated day the page was programmed.
     pub programmed_day: f64,
-    /// Sidecar OOB metadata, if programmed with any.
-    pub oob: Option<OobMeta>,
+    /// Sidecar OOB metadata.
+    pub oob: OobMeta,
     /// Program interrupted by a power cut.
     pub torn: bool,
 }
@@ -50,8 +51,6 @@ pub(crate) struct PageStore {
     programmed: Vec<u64>,
     /// Packed per-block `torn` bitmaps (subset of `programmed`).
     torn: Vec<u64>,
-    /// Packed per-page "has OOB metadata" bitmaps.
-    has_oob: Vec<u64>,
     /// Per-page program day.
     day: Vec<f64>,
     /// Per-page OOB fields, decomposed struct-of-arrays.
@@ -86,7 +85,6 @@ impl PageStore {
             bitmap_words,
             programmed: vec![0; blocks * bitmap_words],
             torn: vec![0; blocks * bitmap_words],
-            has_oob: vec![0; blocks * bitmap_words],
             day: vec![0.0; total_pages],
             lpn: vec![0; total_pages],
             seq: vec![0; total_pages],
@@ -141,7 +139,7 @@ impl PageStore {
         page: u32,
         data: &[u8],
         day: f64,
-        oob: Option<OobMeta>,
+        oob: OobMeta,
         torn: bool,
     ) {
         let slot = self.ensure_slot(block);
@@ -157,22 +155,14 @@ impl PageStore {
         } else {
             self.torn[word] &= !mask;
         }
-        match oob {
-            Some(meta) => {
-                self.has_oob[word] |= mask;
-                self.lpn[index] = meta.lpn;
-                self.seq[index] = meta.seq;
-                self.stream[index] = meta.stream;
-                self.kind[index] = match meta.kind {
-                    PageKind::Data => 0,
-                    PageKind::Checkpoint => 1,
-                };
-                self.crc[index] = meta.crc;
-            }
-            None => {
-                self.has_oob[word] &= !mask;
-            }
-        }
+        self.lpn[index] = oob.lpn;
+        self.seq[index] = oob.seq;
+        self.stream[index] = oob.stream;
+        self.kind[index] = match oob.kind {
+            PageKind::Data => 0,
+            PageKind::Checkpoint => 1,
+        };
+        self.crc[index] = oob.crc;
     }
 
     /// A view of a programmed page, or `None` when the page holds no
@@ -185,21 +175,20 @@ impl PageStore {
         let index = self.page_index(block, page);
         let slot = self.slot[block as usize] as usize;
         let offset = page as usize * self.page_bytes;
-        let oob = self.bit(&self.has_oob, block, page).then(|| OobMeta {
-            lpn: self.lpn[index],
-            seq: self.seq[index],
-            stream: self.stream[index],
-            kind: if self.kind[index] == 0 {
-                PageKind::Data
-            } else {
-                PageKind::Checkpoint
-            },
-            crc: self.crc[index],
-        });
         Some(PageView {
             data: &self.pool[slot][offset..offset + self.page_bytes],
             programmed_day: self.day[index],
-            oob,
+            oob: OobMeta {
+                lpn: self.lpn[index],
+                seq: self.seq[index],
+                stream: self.stream[index],
+                kind: if self.kind[index] == 0 {
+                    PageKind::Data
+                } else {
+                    PageKind::Checkpoint
+                },
+                crc: self.crc[index],
+            },
             torn: self.bit(&self.torn, block, page),
         })
     }
@@ -212,7 +201,6 @@ impl PageStore {
         for w in 0..self.bitmap_words {
             self.programmed[word + w] = 0;
             self.torn[word + w] = 0;
-            self.has_oob[word + w] = 0;
         }
         let slot = self.slot[block as usize];
         if slot != NO_SLOT {
@@ -257,7 +245,7 @@ mod tests {
     struct PageData {
         data: Box<[u8]>,
         programmed_day: f64,
-        oob: Option<OobMeta>,
+        oob: OobMeta,
         torn: bool,
     }
 
@@ -288,7 +276,7 @@ mod tests {
             page: u32,
             data: &[u8],
             day: f64,
-            oob: Option<OobMeta>,
+            oob: OobMeta,
             torn: bool,
         ) {
             let index = self.index(block, page);
@@ -321,6 +309,10 @@ mod tests {
         }
     }
 
+    fn meta() -> OobMeta {
+        OobMeta::data(0, 1, 0)
+    }
+
     fn geo() -> Geometry {
         Geometry {
             channels: 1,
@@ -334,7 +326,7 @@ mod tests {
     }
 
     /// A view reduced to comparable values (the day by its bit pattern).
-    type ViewKey = (Vec<u8>, u64, Option<OobMeta>, bool);
+    type ViewKey = (Vec<u8>, u64, OobMeta, bool);
 
     fn key(view: Option<PageView<'_>>) -> Option<ViewKey> {
         view.map(|v| (v.data.to_vec(), v.programmed_day.to_bits(), v.oob, v.torn))
@@ -357,12 +349,12 @@ mod tests {
         let mut oracle = LegacyStore::new(&geo());
         let data = vec![0xABu8; 36];
         let meta = OobMeta::data(7, 3, 1);
-        store.program(2, 5, &data, 1.5, Some(meta), false);
-        oracle.program(2, 5, &data, 1.5, Some(meta), false);
+        store.program(2, 5, &data, 1.5, meta, false);
+        oracle.program(2, 5, &data, 1.5, meta, false);
         let view = store.view(2, 5).expect("programmed page");
         assert_eq!(view.data, &data[..]);
         assert_eq!(view.programmed_day, 1.5);
-        assert_eq!(view.oob, Some(meta));
+        assert_eq!(view.oob, meta);
         assert!(!view.torn);
         assert!(store.view(2, 4).is_none());
         assert!(store.view(1, 5).is_none());
@@ -370,15 +362,13 @@ mod tests {
     }
 
     #[test]
-    fn torn_and_oob_less_pages_roundtrip() {
+    fn torn_pages_roundtrip() {
         let mut store = PageStore::new(&geo());
         let data = vec![1u8; 36];
-        store.program(0, 0, &data, 0.0, None, true);
-        let view = store.view(0, 0).unwrap();
-        assert!(view.torn);
-        assert_eq!(view.oob, None);
+        store.program(0, 0, &data, 0.0, OobMeta::data(1, 1, 0), true);
+        assert!(store.view(0, 0).unwrap().torn);
         // Reprogramming the slot clears the torn flag.
-        store.program(0, 0, &data, 0.0, Some(OobMeta::data(1, 1, 0)), false);
+        store.program(0, 0, &data, 0.0, OobMeta::data(1, 2, 0), false);
         assert!(!store.view(0, 0).unwrap().torn);
     }
 
@@ -388,18 +378,18 @@ mod tests {
         let mut store = PageStore::new(&geo());
         let data = vec![2u8; 36];
         let torn_meta = OobMeta::data(9, 9, 2).torn();
-        store.program(1, 1, &data, 0.25, Some(torn_meta), true);
+        store.program(1, 1, &data, 0.25, torn_meta, true);
         let view = store.view(1, 1).unwrap();
-        assert_eq!(view.oob, Some(torn_meta));
-        assert!(!view.oob.unwrap().is_valid());
+        assert_eq!(view.oob, torn_meta);
+        assert!(!view.oob.is_valid());
     }
 
     #[test]
     fn clear_block_drops_only_that_block() {
         let mut store = PageStore::new(&geo());
         let data = vec![3u8; 36];
-        store.program(0, 0, &data, 0.0, None, false);
-        store.program(1, 0, &data, 0.0, None, false);
+        store.program(0, 0, &data, 0.0, meta(), false);
+        store.program(1, 0, &data, 0.0, meta(), false);
         store.clear_block(0);
         assert!(store.view(0, 0).is_none());
         assert!(store.view(1, 0).is_some());
@@ -409,14 +399,14 @@ mod tests {
     fn dense_buffer_pool_reuses_freed_slots() {
         let mut store = PageStore::new(&geo());
         let data = vec![4u8; 36];
-        store.program(0, 0, &data, 0.0, None, false);
-        store.program(1, 0, &data, 0.0, None, false);
+        store.program(0, 0, &data, 0.0, meta(), false);
+        store.program(1, 0, &data, 0.0, meta(), false);
         store.clear_block(0);
-        store.program(2, 0, &data, 0.0, None, false);
+        store.program(2, 0, &data, 0.0, meta(), false);
         assert_eq!(store.pool.len(), 2, "freed slot must be reused");
         // Reused buffers must not leak stale contents into fresh pages.
         let fresh = vec![5u8; 36];
-        store.program(2, 1, &fresh, 0.0, None, false);
+        store.program(2, 1, &fresh, 0.0, meta(), false);
         assert_eq!(store.view(2, 1).unwrap().data, &fresh[..]);
         assert!(store.view(2, 2).is_none());
     }
@@ -427,8 +417,8 @@ mod tests {
         let mut oracle = LegacyStore::new(&geo());
         let data = vec![6u8; 36];
         for (page, day, torn) in [(0, 2.0, false), (1, 1.0, true), (2, 3.0, false)] {
-            store.program(3, page, &data, day, None, torn);
-            oracle.program(3, page, &data, day, None, torn);
+            store.program(3, page, &data, day, meta(), torn);
+            oracle.program(3, page, &data, day, meta(), torn);
         }
         assert_eq!(store.programmed_pages(3, 8), vec![0, 1, 2]);
         assert_eq!(store.torn_pages(3, 8), vec![1]);
@@ -442,8 +432,8 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Op {
         /// Program any page, in any order (the device enforces NAND
-        /// order; the store must not care). `oob` picks none, a data
-        /// record, a checkpoint record or a torn data record.
+        /// order; the store must not care). `oob` picks a data record,
+        /// a checkpoint record or a torn data record.
         Program {
             block: u64,
             page: u32,
@@ -476,7 +466,7 @@ mod tests {
                 0u32..70,
                 any::<u8>(),
                 0u16..4000,
-                0u8..4,
+                0u8..3,
                 any::<bool>(),
             )
                 .prop_map(|(block, page, byte, quarter_days, oob, torn)| Op::Program {
@@ -501,13 +491,12 @@ mod tests {
         ]
     }
 
-    fn oob_record(selector: u8, block: u64, page: u32, byte: u8) -> Option<OobMeta> {
+    fn oob_record(selector: u8, block: u64, page: u32, byte: u8) -> OobMeta {
         let lpn = block * 1000 + u64::from(page);
         match selector {
-            0 => None,
-            1 => Some(OobMeta::data(lpn, u64::from(byte), byte % 5)),
-            2 => Some(OobMeta::checkpoint(lpn, u64::from(byte), 254)),
-            _ => Some(OobMeta::data(lpn, u64::from(byte), byte % 5).torn()),
+            0 => OobMeta::data(lpn, u64::from(byte), byte % 5),
+            1 => OobMeta::checkpoint(lpn, u64::from(byte), 254),
+            _ => OobMeta::data(lpn, u64::from(byte), byte % 5).torn(),
         }
     }
 

@@ -3,7 +3,7 @@
 //! model assigns.
 
 use proptest::prelude::*;
-use sos_flash::{CellDensity, DeviceConfig, FlashDevice, PageAddr, ProgramMode};
+use sos_flash::{CellDensity, DeviceConfig, FlashDevice, OobMeta, PageAddr, ProgramMode};
 
 fn addr(device: &FlashDevice, block: u64, page: u32) -> PageAddr {
     PageAddr {
@@ -21,7 +21,7 @@ proptest! {
     fn fresh_tlc_roundtrip(byte in any::<u8>(), block in 0u64..64, seed in any::<u64>()) {
         let mut device = FlashDevice::new(&DeviceConfig::tiny(CellDensity::Tlc).with_seed(seed));
         let data = vec![byte; device.page_total_bytes()];
-        device.program(addr(&device, block, 0), &data).expect("program");
+        device.program(addr(&device, block, 0), &data, OobMeta::data(0, 1, 0)).expect("program");
         let out = device.read(addr(&device, block, 0)).expect("read");
         prop_assert_eq!(out.data, data);
     }
@@ -75,7 +75,7 @@ proptest! {
         let mut device = FlashDevice::new(&DeviceConfig::tiny(CellDensity::Tlc).with_seed(seed));
         let data = vec![7u8; device.page_total_bytes()];
         for cycle in 0..erases {
-            device.program(addr(&device, 2, 0), &data).expect("program");
+            device.program(addr(&device, 2, 0), &data, OobMeta::data(0, 1, 0)).expect("program");
             device.erase(2).expect("erase");
             prop_assert_eq!(device.block_pec(2).expect("pec"), cycle + 1);
         }
@@ -118,13 +118,15 @@ fn batched_error_counts_match_the_analytic_mean() {
         // Wear the block so the RBER (and thus the expected error
         // count) is well off zero, then age the data.
         for _ in 0..40 {
-            device.program(addr(&device, 0, 0), &data).expect("program");
+            device
+                .program(addr(&device, 0, 0), &data, OobMeta::data(0, 1, 0))
+                .expect("program");
             device.erase(0).expect("erase");
         }
         let pages = device.usable_pages(0).expect("usable");
         for page in 0..pages {
             device
-                .program(addr(&device, 0, page), &data)
+                .program(addr(&device, 0, page), &data, OobMeta::data(0, 1, 0))
                 .expect("program");
         }
         device.advance_days(90.0);

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sos_flash::cell::{CellModel, CellState};
-use sos_flash::{CellDensity, DeviceConfig, FlashDevice, PageAddr, ProgramMode};
+use sos_flash::{CellDensity, DeviceConfig, FlashDevice, OobMeta, PageAddr, ProgramMode};
 
 /// Shadow of one block's stress state, maintained outside the device.
 struct Shadow {
@@ -63,7 +63,7 @@ proptest! {
                 // Program the next in-order page, if the block has room.
                 0 | 1 => {
                     if shadow.next_page < usable(pages_per_block, shadow.mode) {
-                        if device.program(addr(shadow.next_page), &data).is_err() {
+                        if device.program(addr(shadow.next_page), &data, OobMeta::data(0, 1, 0)).is_err() {
                             // Probabilistic deep-wear failure: stop the case.
                             break;
                         }
@@ -164,7 +164,7 @@ proptest! {
         let geometry = *device.geometry();
         let data = vec![0xC3u8; device.page_total_bytes()];
         let addr = PageAddr { block: geometry.block_addr(1), page: 0 };
-        device.program(addr, &data).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        device.program(addr, &data, OobMeta::data(0, 1, 0)).map_err(|e| TestCaseError::fail(e.to_string()))?;
         device.advance_days(12.5);
         let mode = device.block_mode(1).map_err(|e| TestCaseError::fail(e.to_string()))?;
         for count in 1..=reads {

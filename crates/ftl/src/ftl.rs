@@ -264,19 +264,6 @@ impl Ftl {
         &self.device
     }
 
-    /// Consumes the FTL, returning the underlying device. After a power
-    /// cut this is the crash boundary: all firmware RAM state (L2P map,
-    /// valid counts, free list) is discarded and only what is on flash
-    /// survives, ready for [`Ftl::recover`].
-    pub fn into_device(self) -> FlashDevice {
-        self.device
-    }
-
-    /// Attaches a deterministic fault injector to the underlying device.
-    pub fn attach_injector(&mut self, injector: FaultInjector) {
-        self.device.attach_injector(injector);
-    }
-
     /// Arms one fault on the device's injector (attaching a fresh
     /// injector seeded with `seed` if none is attached yet).
     pub fn arm_fault(&mut self, plan: FaultPlan, seed: u64) {
@@ -298,11 +285,6 @@ impl Ftl {
     /// by the checkpoint and need not be rescanned at recovery.
     pub fn checkpoint_seq(&self) -> Option<u64> {
         self.checkpoint.as_ref().map(|handle| handle.data_seq)
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> &FtlConfig {
-        &self.config
     }
 
     /// Cumulative statistics.
@@ -535,7 +517,7 @@ impl Ftl {
             // monotonic sequence number, and the handle's wire stream,
             // so a post-crash scan can rebuild the L2P map latest-wins.
             let oob = OobMeta::data(lpn, self.next_seq(), handle.stream());
-            match self.device.program_with_oob(addr, raw, Some(oob)) {
+            match self.device.program(addr, raw, oob) {
                 Ok(latency) => {
                     // Invalidate the previous location, if any.
                     if let Some(Slot::Mapped(old)) = self.l2p.get(lpn as usize).copied() {

@@ -104,7 +104,7 @@ impl Ftl {
                 }
                 Err(e) => return Err(e.into()),
             };
-            if outcome.injected_errors == 0 {
+            if outcome.injected_positions.is_empty() {
                 // Copyback fast path: the page came back bit-exact, so it
                 // is the framed page as programmed — move it raw without
                 // the decode/re-frame round trip (as NAND copyback does,

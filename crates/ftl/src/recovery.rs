@@ -4,7 +4,8 @@
 //! After a power cut the FTL's RAM state (L2P map, valid counts, free
 //! list, open reclaim units) is gone; only the NAND array survives. Recovery
 //! rebuilds firmware state from per-page OOB metadata
-//! ([`sos_flash::OobMeta`]): every data program records its LPN, a
+//! ([`sos_flash::OobMeta`], which [`sos_flash::FlashDevice::program`]
+//! stores with every page): every data program records its LPN, a
 //! monotonic sequence number and its placement stream, so a physical
 //! scan can reconstruct the forward map by keeping, for each LPN, the
 //! copy with the highest sequence number. Pages whose OOB CRC fails are
@@ -37,13 +38,17 @@
 //! * **Wear and retirement live in the device.** Program/erase counts
 //!   and bad-block marks survive the crash (a real controller keeps
 //!   them in OOB or a bad-block table); recovery re-adopts them as-is.
+//! * **Recovery is retryable.** [`Ftl::recover`] rebuilds from the
+//!   device alone and replaces the RAM tables only on success, so a
+//!   power cut inside it leaves the FTL holding its device, ready for
+//!   another `recover`.
 
 use crate::config::FtlConfig;
 use crate::ftl::{exported_pages, BlockInfo, Ftl, FtlError, Slot};
 use crate::placement::{PlacementHandle, StreamPlacement};
 use crate::stats::FtlStats;
 use sos_ecc::{crc32, PageCodec, PageStatus};
-use sos_flash::{DeviceConfig, FlashDevice, FlashError, OobMeta, PageKind};
+use sos_flash::{FlashDevice, FlashError, OobMeta, PageKind};
 use std::collections::{HashSet, VecDeque};
 
 /// A decoded checkpoint ready to apply: `(data_seq, l2p slots,
@@ -90,17 +95,61 @@ pub struct RecoveryReport {
     pub stale_dropped: u64,
 }
 
-/// First-page probe result for one block (drives checkpoint discovery
-/// and per-block scan bounds).
+/// One page's OOB record, classified.
 #[derive(Debug, Clone, Copy)]
-enum FirstPage {
-    Bad,
+enum Probe {
+    /// Not programmed since the last erase.
     Empty,
-    /// Programmed without OOB metadata (pre-OOB content); unscannable.
-    Legacy,
+    /// Program interrupted by a power cut: the OOB CRC fails.
     Torn,
-    Data(OobMeta),
-    Checkpoint,
+    /// An intact OOB record.
+    Valid(OobMeta),
+}
+
+impl Probe {
+    fn is_checkpoint(self) -> bool {
+        matches!(self, Probe::Valid(meta) if meta.kind == PageKind::Checkpoint)
+    }
+}
+
+/// The rebuild scan's device handle and running tallies.
+struct Scan<'a> {
+    device: &'a mut FlashDevice,
+    report: RecoveryReport,
+    /// Highest sequence number on any intact page probed.
+    max_seq: u64,
+}
+
+impl Scan<'_> {
+    /// Reads and classifies one page's OOB record. Every probe counts in
+    /// [`RecoveryReport::scanned_pages`]; a torn page is recorded in
+    /// [`RecoveryReport::torn_pages`].
+    fn probe(&mut self, flat: u64) -> Result<Probe, FtlError> {
+        let addr = self.device.geometry().page_addr(flat);
+        self.report.scanned_pages += 1;
+        match self.device.read_oob(addr) {
+            Err(FlashError::PageNotProgrammed(_)) => Ok(Probe::Empty),
+            Err(e) => Err(e.into()),
+            Ok(meta) if !meta.is_valid() => {
+                self.report.torn_pages.push(flat);
+                Ok(Probe::Torn)
+            }
+            Ok(meta) => {
+                self.max_seq = self.max_seq.max(meta.seq);
+                Ok(Probe::Valid(meta))
+            }
+        }
+    }
+}
+
+/// The RAM tables [`rebuild`] derives from flash.
+struct Rebuilt {
+    l2p: Vec<Slot>,
+    blocks: Vec<BlockInfo>,
+    free: VecDeque<u64>,
+    /// Next OOB sequence number to hand out.
+    seq: u64,
+    checkpoint: Option<CheckpointHandle>,
 }
 
 impl Ftl {
@@ -199,7 +248,7 @@ impl Ftl {
                     PlacementHandle::CKPT.stream(),
                 );
                 let addr = self.page_addr(self.flat_page(block, page));
-                match self.device.program_with_oob(addr, &raw, Some(oob)) {
+                match self.device.program(addr, &raw, oob) {
                     Ok(_) => break,
                     Err(e) => return Err((blocks, e.into())),
                 }
@@ -237,350 +286,315 @@ impl Ftl {
         payload
     }
 
-    // sos-lint: allow(panic-path, "scan tables are sized from the device geometry in phase 1 and every OOB lpn/offset is range-checked before indexing; divisors are construction-validated nonzero geometry fields")
-    /// Rebuilds an FTL from a crashed device by scanning OOB metadata.
+    /// Rebuilds this FTL's RAM state (L2P map, valid counts, free list,
+    /// open reclaim units, statistics) from its device after a power
+    /// cut, by scanning OOB metadata.
     ///
-    /// `config` must match the configuration the device was managed
-    /// under (same mode, ECC and provisioning — firmware configuration
-    /// is code, not state, so it survives the crash by construction).
-    pub fn recover(
-        mut device: FlashDevice,
-        config: FtlConfig,
-    ) -> Result<(Ftl, RecoveryReport), FtlError> {
-        device.power_cycle();
-        let geometry = *device.geometry();
-        let codec = PageCodec::new(
-            config.ecc,
-            geometry.page_bytes as usize,
-            geometry.spare_bytes as usize,
-        )?;
-        let total_blocks = geometry.total_blocks();
-        let ppb = geometry.pages_per_block as u64;
-        let logical_pages = exported_pages(
-            total_blocks,
-            config.mode.usable_pages(geometry.pages_per_block),
-        );
-        let mut report = RecoveryReport::default();
-        let mut max_seq = 0u64;
-
-        // Phase 1: probe page 0 of every block. This classifies blocks
-        // (empty / data / checkpoint), finds each block's generation (a
-        // block's first-page sequence number predates everything else in
-        // it, because erases clear whole blocks), and costs one OOB read
-        // per block.
-        let mut first: Vec<FirstPage> = Vec::with_capacity(total_blocks as usize);
-        for block in 0..total_blocks {
-            if device.is_bad(block)? {
-                first.push(FirstPage::Bad);
-                continue;
-            }
-            report.scanned_pages += 1;
-            let probe = match device.read_oob(geometry.page_addr(block * ppb)) {
-                Err(FlashError::PageNotProgrammed(_)) => FirstPage::Empty,
-                Err(e) => return Err(e.into()),
-                Ok(None) => FirstPage::Legacy,
-                Ok(Some(meta)) if !meta.is_valid() => {
-                    report.torn_pages.push(block * ppb);
-                    FirstPage::Torn
-                }
-                Ok(Some(meta)) if meta.kind == PageKind::Checkpoint => FirstPage::Checkpoint,
-                Ok(Some(meta)) => {
-                    max_seq = max_seq.max(meta.seq);
-                    FirstPage::Data(meta)
-                }
-            };
-            first.push(probe);
-        }
-
-        // Phase 2: gather checkpoint chunks and pick the newest complete,
-        // CRC-valid generation. Generations have disjoint, ascending
-        // sequence ranges and chunk indices counting up from 0, so runs
-        // split wherever a chunk index restarts at 0.
-        let mut ckpt_pages: Vec<(u64, u64, u64, u64)> = Vec::new(); // (seq, chunk, flat, block)
-        for (block, probe) in first.iter().enumerate() {
-            if !matches!(probe, FirstPage::Checkpoint) {
-                continue;
-            }
-            let block = block as u64;
-            for offset in 0..ppb {
-                let flat = block * ppb + offset;
-                if offset > 0 {
-                    report.scanned_pages += 1;
-                }
-                let meta = match device.read_oob(geometry.page_addr(flat)) {
-                    Err(FlashError::PageNotProgrammed(_)) => break,
-                    Err(e) => return Err(e.into()),
-                    Ok(None) => continue,
-                    Ok(Some(meta)) => meta,
-                };
-                if !meta.is_valid() {
-                    report.torn_pages.push(flat);
-                    continue;
-                }
-                max_seq = max_seq.max(meta.seq);
-                if meta.kind == PageKind::Checkpoint {
-                    ckpt_pages.push((meta.seq, meta.lpn, flat, block));
-                }
-            }
-        }
-        ckpt_pages.sort_unstable();
-        let mut runs: Vec<Vec<(u64, u64, u64, u64)>> = Vec::new();
-        for page in ckpt_pages {
-            if page.1 == 0 || runs.is_empty() {
-                runs.push(Vec::new());
-            }
-            if let Some(run) = runs.last_mut() {
-                run.push(page);
-            }
-        }
-        let mut applied: Option<AppliedCheckpoint> = None;
-        for run in runs.iter().rev() {
-            if run
-                .iter()
-                .enumerate()
-                .any(|(index, page)| page.1 != index as u64)
-            {
-                continue; // chunk indices not consecutive: incomplete
-            }
-            let mut payload = Vec::new();
-            let mut intact = true;
-            for &(_, _, flat, _) in run {
-                let outcome = match device.read(geometry.page_addr(flat)) {
-                    Ok(outcome) => outcome,
-                    Err(_) => {
-                        intact = false;
-                        break;
-                    }
-                };
-                match codec.decode_with_dirty(&outcome.data, &outcome.injected_positions) {
-                    Ok(decoded) if decoded.status != PageStatus::Uncorrectable => {
-                        payload.extend_from_slice(&decoded.data);
-                    }
-                    _ => {
-                        intact = false;
-                        break;
-                    }
-                }
-            }
-            if !intact {
-                continue;
-            }
-            if let Some((data_seq, slots, next_pages)) =
-                parse_checkpoint(&payload, logical_pages, total_blocks)
-            {
-                let checkpoint_blocks: HashSet<u64> =
-                    run.iter().map(|&(_, _, _, block)| block).collect();
-                applied = Some((data_seq, slots, next_pages, checkpoint_blocks));
-                break;
-            }
-        }
-
-        // Phase 3: seed the map from the checkpoint (when one was found)
-        // and derive per-block scan bounds. A block whose first page
-        // post-dates the checkpoint was erased and rewritten since, so
-        // its checkpointed mappings are stale and it is scanned in full.
-        let (data_seq, ckpt_slots, ckpt_next, live_ckpt_blocks) = match applied {
-            Some((seq, slots, next, blocks)) => (seq, Some(slots), Some(next), blocks),
-            None => (0, None, None, HashSet::new()),
-        };
-        report.used_checkpoint = ckpt_slots.is_some();
-        report.checkpoint_seq = data_seq;
-        max_seq = max_seq.max(data_seq);
-        let mut l2p: Vec<Slot> = vec![Slot::Unmapped; logical_pages as usize];
-        let mut best_seq: Vec<u64> = vec![0; logical_pages as usize];
-        let mut from_ckpt: Vec<bool> = vec![false; logical_pages as usize];
-        if let Some(slots) = &ckpt_slots {
-            for (lpn, slot) in slots.iter().enumerate() {
-                match slot {
-                    Slot::Mapped(loc) => {
-                        l2p[lpn] = Slot::Mapped(*loc);
-                        best_seq[lpn] = data_seq;
-                        from_ckpt[lpn] = true;
-                    }
-                    Slot::Lost => l2p[lpn] = Slot::Lost,
-                    Slot::Unmapped => {}
-                }
-            }
-        }
-
-        // Phase 4: roll-forward scan.
-        let mut rewritten: Vec<bool> = vec![false; total_blocks as usize];
-        for block in 0..total_blocks {
-            let probe = first[block as usize];
-            if matches!(probe, FirstPage::Bad | FirstPage::Checkpoint) {
-                continue;
-            }
-            let start = match (&ckpt_next, probe) {
-                (Some(next), FirstPage::Data(meta)) if meta.seq <= data_seq => {
-                    // Unchanged since the checkpoint: skip the prefix the
-                    // checkpoint already accounts for.
-                    next[block as usize] as u64
-                }
-                (Some(next), _) => {
-                    // Erased (and possibly rewritten) after the
-                    // checkpoint: any checkpointed mapping into it is
-                    // stale; scan it in full.
-                    rewritten[block as usize] = next[block as usize] > 0;
-                    0
-                }
-                (None, _) => 0,
-            };
-            for offset in start..ppb {
-                let flat = block * ppb + offset;
-                let fetched = if offset == 0 {
-                    // Reuse the phase-1 probe rather than re-reading.
-                    match probe {
-                        FirstPage::Data(meta) => Some(meta),
-                        FirstPage::Empty => break,
-                        _ => None, // Torn already recorded; Legacy unscannable.
-                    }
-                } else {
-                    report.scanned_pages += 1;
-                    match device.read_oob(geometry.page_addr(flat)) {
-                        Err(FlashError::PageNotProgrammed(_)) => break,
-                        Err(e) => return Err(e.into()),
-                        Ok(None) => continue,
-                        Ok(Some(meta)) if !meta.is_valid() => {
-                            report.torn_pages.push(flat);
-                            continue;
-                        }
-                        Ok(Some(meta)) => Some(meta),
-                    }
-                };
-                let Some(meta) = fetched else { continue };
-                max_seq = max_seq.max(meta.seq);
-                if meta.kind != PageKind::Data || meta.lpn >= logical_pages {
-                    continue;
-                }
-                let lpn = meta.lpn as usize;
-                if meta.seq > best_seq[lpn] {
-                    l2p[lpn] = Slot::Mapped(flat);
-                    best_seq[lpn] = meta.seq;
-                    from_ckpt[lpn] = false;
-                }
-            }
-        }
-
-        // Phase 5: drop checkpointed mappings whose blocks were erased or
-        // retired after the checkpoint. GC relocates valid data before
-        // erasing, so a surviving copy (with a higher sequence number)
-        // was found by the scan whenever one exists.
-        for lpn in 0..logical_pages as usize {
-            if !from_ckpt[lpn] {
-                continue;
-            }
-            let Slot::Mapped(loc) = l2p[lpn] else {
-                continue;
-            };
-            let block = loc / ppb;
-            if rewritten[block as usize] || device.is_bad(block)? {
-                l2p[lpn] = Slot::Unmapped;
-                report.stale_dropped += 1;
-            }
-        }
-
-        // Phase 6: rebuild per-block reverse maps and valid counts from
-        // the forward map, adopt device wear/retirement state, and close
-        // every partially-programmed block (GC reclaims the tails).
-        let now = device.now_days();
-        let mut blocks_info: Vec<BlockInfo> = Vec::with_capacity(total_blocks as usize);
-        for block in 0..total_blocks {
-            let mode = device.block_mode(block)?;
-            let usable = mode.usable_pages(geometry.pages_per_block);
-            blocks_info.push(BlockInfo {
-                lpns: vec![None; usable as usize],
-                valid: 0,
-                full: false,
-                bad: device.is_bad(block)?,
-                last_write_day: now,
-            });
-        }
-        for (lpn, slot) in l2p.iter_mut().enumerate() {
-            let Slot::Mapped(loc) = *slot else { continue };
-            let block = (loc / ppb) as usize;
-            let offset = (loc % ppb) as usize;
-            let info = &mut blocks_info[block];
-            if offset >= info.lpns.len() {
-                // Defensive: a mapping past the block's current usable
-                // range (mode changed under it) cannot be trusted.
-                *slot = Slot::Unmapped;
-                report.stale_dropped += 1;
-                continue;
-            }
-            info.lpns[offset] = Some(lpn as u64);
-            info.valid += 1;
-        }
-        let mut free: VecDeque<u64> = VecDeque::new();
-        for block in 0..total_blocks {
-            let info = &mut blocks_info[block as usize];
-            if info.bad {
-                continue;
-            }
-            if live_ckpt_blocks.contains(&block) {
-                // The current checkpoint generation: neither free nor a
-                // GC candidate until the next checkpoint supersedes it.
-                continue;
-            }
-            match device.next_free_page(block)? {
-                Some(0) => free.push_back(block),
-                // Fully programmed, or partially programmed and closed
-                // conservatively (this also covers stale checkpoint
-                // generations, which GC now reclaims like any other
-                // garbage block).
-                _ => info.full = true,
-            }
-        }
-
-        let recovered = l2p.iter().filter(|s| matches!(s, Slot::Mapped(_))).count() as u64;
-        let lost = l2p.iter().filter(|s| matches!(s, Slot::Lost)).count() as u64;
-        report.recovered_mappings = recovered;
-        report.lost_mappings = lost;
-        let stats = FtlStats {
-            lost_pages: lost,
+    /// The device is power-cycled first. The rebuild sees only the
+    /// device, the configuration and the codec (firmware configuration
+    /// is code, not state, so it survives the crash by construction),
+    /// never the RAM tables it replaces. Those tables are replaced only
+    /// when the scan succeeds: on error the FTL keeps its device, and a
+    /// later `recover` may retry.
+    pub fn recover(&mut self) -> Result<RecoveryReport, FtlError> {
+        self.device.power_cycle();
+        let (rebuilt, report) = rebuild(&mut self.device, &self.config, &self.codec)?;
+        self.l2p = rebuilt.l2p;
+        self.blocks = rebuilt.blocks;
+        self.free = rebuilt.free;
+        self.placement = StreamPlacement::new();
+        self.stats = FtlStats {
+            lost_pages: report.lost_mappings,
             ..FtlStats::default()
         };
-        let checkpoint = report.used_checkpoint.then(|| CheckpointHandle {
-            blocks: {
-                let mut blocks: Vec<u64> = live_ckpt_blocks.iter().copied().collect();
-                blocks.sort_unstable();
-                blocks
-            },
-            data_seq,
-        });
-        let mut ftl = Ftl {
-            device,
-            config,
-            codec,
-            l2p,
-            blocks: blocks_info,
-            free,
-            placement: StreamPlacement::new(),
-            logical_pages,
-            last_reported_capacity: 0,
-            stats,
-            events: Vec::new(),
-            seq: max_seq + 1,
-            checkpoint,
-        };
-        ftl.last_reported_capacity = ftl.sustainable_pages();
-        Ok((ftl, report))
-    }
-
-    /// [`Ftl::recover`] for an FTL owned by value inside a larger
-    /// structure (the SOS device's partitions): rebuilds this FTL in
-    /// place from its own device.
-    ///
-    /// On error the FTL is poisoned (its device has been consumed) and
-    /// must be discarded — recovery errors are fatal device faults, not
-    /// conditions to retry.
-    pub fn recover_in_place(&mut self) -> Result<RecoveryReport, FtlError> {
-        let config = self.config.clone();
-        let placeholder = FlashDevice::new(&DeviceConfig::tiny(config.mode.physical));
-        let device = std::mem::replace(&mut self.device, placeholder);
-        let (ftl, report) = Ftl::recover(device, config)?;
-        *self = ftl;
+        self.events.clear();
+        self.seq = rebuilt.seq;
+        self.checkpoint = rebuilt.checkpoint;
+        self.last_reported_capacity = self.sustainable_pages();
         Ok(report)
     }
+}
+
+/// Rebuilds the FTL's RAM tables from a power-cycled device: the
+/// checkpoint (when one validates) seeds the map, and a roll-forward
+/// scan of OOB records adds everything programmed since,
+/// latest-sequence-wins.
+// sos-lint: allow(panic-path, "scan tables are sized from the device geometry in phase 1 and every OOB lpn/offset is range-checked before indexing; divisors are construction-validated nonzero geometry fields")
+fn rebuild(
+    device: &mut FlashDevice,
+    config: &FtlConfig,
+    codec: &PageCodec,
+) -> Result<(Rebuilt, RecoveryReport), FtlError> {
+    let geometry = *device.geometry();
+    let total_blocks = geometry.total_blocks();
+    let ppb = geometry.pages_per_block as u64;
+    let logical_pages = exported_pages(
+        total_blocks,
+        config.mode.usable_pages(geometry.pages_per_block),
+    );
+    let mut scan = Scan {
+        device,
+        report: RecoveryReport::default(),
+        max_seq: 0,
+    };
+
+    // Phase 1: probe page 0 of every good block (`None` marks a bad
+    // one). This classifies blocks (empty / data / checkpoint), finds
+    // each block's generation (a block's first-page sequence number
+    // predates everything else in it, because erases clear whole
+    // blocks), and costs one OOB read per block.
+    let mut first: Vec<Option<Probe>> = Vec::with_capacity(total_blocks as usize);
+    for block in 0..total_blocks {
+        let probe = if scan.device.is_bad(block)? {
+            None
+        } else {
+            Some(scan.probe(block * ppb)?)
+        };
+        first.push(probe);
+    }
+
+    // Phase 2: gather checkpoint chunks and pick the newest complete,
+    // CRC-valid generation. Generations have disjoint, ascending
+    // sequence ranges and chunk indices counting up from 0, so runs
+    // split wherever a chunk index restarts at 0.
+    let mut ckpt_pages: Vec<(u64, u64, u64, u64)> = Vec::new(); // (seq, chunk, flat, block)
+    for (block, probe) in first.iter().enumerate() {
+        if !probe.is_some_and(Probe::is_checkpoint) {
+            continue;
+        }
+        let block = block as u64;
+        for offset in 0..ppb {
+            let flat = block * ppb + offset;
+            match scan.probe(flat)? {
+                Probe::Empty => break,
+                Probe::Torn => {}
+                Probe::Valid(meta) => {
+                    if meta.kind == PageKind::Checkpoint {
+                        ckpt_pages.push((meta.seq, meta.lpn, flat, block));
+                    }
+                }
+            }
+        }
+    }
+    ckpt_pages.sort_unstable();
+    let mut runs: Vec<Vec<(u64, u64, u64, u64)>> = Vec::new();
+    for page in ckpt_pages {
+        if page.1 == 0 || runs.is_empty() {
+            runs.push(Vec::new());
+        }
+        if let Some(run) = runs.last_mut() {
+            run.push(page);
+        }
+    }
+    let mut applied: Option<AppliedCheckpoint> = None;
+    for run in runs.iter().rev() {
+        if run
+            .iter()
+            .enumerate()
+            .any(|(index, page)| page.1 != index as u64)
+        {
+            continue; // chunk indices not consecutive: incomplete
+        }
+        let mut payload = Vec::new();
+        let mut intact = true;
+        for &(_, _, flat, _) in run {
+            let outcome = match scan.device.read(geometry.page_addr(flat)) {
+                Ok(outcome) => outcome,
+                Err(_) => {
+                    intact = false;
+                    break;
+                }
+            };
+            match codec.decode_with_dirty(&outcome.data, &outcome.injected_positions) {
+                Ok(decoded) if decoded.status != PageStatus::Uncorrectable => {
+                    payload.extend_from_slice(&decoded.data);
+                }
+                _ => {
+                    intact = false;
+                    break;
+                }
+            }
+        }
+        if !intact {
+            continue;
+        }
+        if let Some((data_seq, slots, next_pages)) =
+            parse_checkpoint(&payload, logical_pages, total_blocks)
+        {
+            let checkpoint_blocks: HashSet<u64> =
+                run.iter().map(|&(_, _, _, block)| block).collect();
+            applied = Some((data_seq, slots, next_pages, checkpoint_blocks));
+            break;
+        }
+    }
+
+    // Phase 3: seed the map from the checkpoint (when one was found)
+    // and derive per-block scan bounds. A block whose first page
+    // post-dates the checkpoint was erased and rewritten since, so its
+    // checkpointed mappings are stale and it is scanned in full.
+    let (data_seq, ckpt_slots, ckpt_next, live_ckpt_blocks) = match applied {
+        Some((seq, slots, next, blocks)) => (seq, Some(slots), Some(next), blocks),
+        None => (0, None, None, HashSet::new()),
+    };
+    scan.report.used_checkpoint = ckpt_slots.is_some();
+    scan.report.checkpoint_seq = data_seq;
+    scan.max_seq = scan.max_seq.max(data_seq);
+    let mut l2p: Vec<Slot> = vec![Slot::Unmapped; logical_pages as usize];
+    let mut best_seq: Vec<u64> = vec![0; logical_pages as usize];
+    let mut from_ckpt: Vec<bool> = vec![false; logical_pages as usize];
+    if let Some(slots) = &ckpt_slots {
+        for (lpn, slot) in slots.iter().enumerate() {
+            match slot {
+                Slot::Mapped(loc) => {
+                    l2p[lpn] = Slot::Mapped(*loc);
+                    best_seq[lpn] = data_seq;
+                    from_ckpt[lpn] = true;
+                }
+                Slot::Lost => l2p[lpn] = Slot::Lost,
+                Slot::Unmapped => {}
+            }
+        }
+    }
+
+    // Phase 4: roll-forward scan.
+    let mut rewritten: Vec<bool> = vec![false; total_blocks as usize];
+    for block in 0..total_blocks {
+        let Some(probe) = first[block as usize] else {
+            continue;
+        };
+        if probe.is_checkpoint() {
+            continue;
+        }
+        let start = match (&ckpt_next, probe) {
+            (Some(next), Probe::Valid(meta)) if meta.seq <= data_seq => {
+                // Unchanged since the checkpoint: skip the prefix the
+                // checkpoint already accounts for.
+                next[block as usize] as u64
+            }
+            (Some(next), _) => {
+                // Erased (and possibly rewritten) after the checkpoint:
+                // any checkpointed mapping into it is stale; scan it in
+                // full.
+                rewritten[block as usize] = next[block as usize] > 0;
+                0
+            }
+            (None, _) => 0,
+        };
+        for offset in start..ppb {
+            let flat = block * ppb + offset;
+            // Page 0 reuses the phase-1 probe rather than re-reading.
+            let page = if offset == 0 {
+                probe
+            } else {
+                scan.probe(flat)?
+            };
+            let meta = match page {
+                Probe::Empty => break,
+                Probe::Torn => continue,
+                Probe::Valid(meta) => meta,
+            };
+            if meta.kind != PageKind::Data || meta.lpn >= logical_pages {
+                continue;
+            }
+            let lpn = meta.lpn as usize;
+            if meta.seq > best_seq[lpn] {
+                l2p[lpn] = Slot::Mapped(flat);
+                best_seq[lpn] = meta.seq;
+                from_ckpt[lpn] = false;
+            }
+        }
+    }
+    let Scan {
+        device,
+        mut report,
+        max_seq,
+    } = scan;
+
+    // Phase 5: drop checkpointed mappings whose blocks were erased or
+    // retired after the checkpoint. GC relocates valid data before
+    // erasing, so a surviving copy (with a higher sequence number) was
+    // found by the scan whenever one exists.
+    for lpn in 0..logical_pages as usize {
+        if !from_ckpt[lpn] {
+            continue;
+        }
+        let Slot::Mapped(loc) = l2p[lpn] else {
+            continue;
+        };
+        let block = loc / ppb;
+        if rewritten[block as usize] || device.is_bad(block)? {
+            l2p[lpn] = Slot::Unmapped;
+            report.stale_dropped += 1;
+        }
+    }
+
+    // Phase 6: rebuild per-block reverse maps and valid counts from the
+    // forward map, adopt device wear/retirement state, and close every
+    // partially-programmed block (GC reclaims the tails).
+    let now = device.now_days();
+    let mut blocks: Vec<BlockInfo> = Vec::with_capacity(total_blocks as usize);
+    for block in 0..total_blocks {
+        let mode = device.block_mode(block)?;
+        let usable = mode.usable_pages(geometry.pages_per_block);
+        blocks.push(BlockInfo {
+            lpns: vec![None; usable as usize],
+            valid: 0,
+            full: false,
+            bad: device.is_bad(block)?,
+            last_write_day: now,
+        });
+    }
+    for (lpn, slot) in l2p.iter_mut().enumerate() {
+        let Slot::Mapped(loc) = *slot else { continue };
+        let block = (loc / ppb) as usize;
+        let offset = (loc % ppb) as usize;
+        let info = &mut blocks[block];
+        if offset >= info.lpns.len() {
+            // Defensive: a mapping past the block's current usable range
+            // (mode changed under it) cannot be trusted.
+            *slot = Slot::Unmapped;
+            report.stale_dropped += 1;
+            continue;
+        }
+        info.lpns[offset] = Some(lpn as u64);
+        info.valid += 1;
+    }
+    let mut free: VecDeque<u64> = VecDeque::new();
+    for block in 0..total_blocks {
+        let info = &mut blocks[block as usize];
+        if info.bad {
+            continue;
+        }
+        if live_ckpt_blocks.contains(&block) {
+            // The current checkpoint generation: neither free nor a GC
+            // candidate until the next checkpoint supersedes it.
+            continue;
+        }
+        match device.next_free_page(block)? {
+            Some(0) => free.push_back(block),
+            // Fully programmed, or partially programmed and closed
+            // conservatively (this also covers stale checkpoint
+            // generations, which GC now reclaims like any other garbage
+            // block).
+            _ => info.full = true,
+        }
+    }
+
+    report.recovered_mappings = l2p.iter().filter(|s| matches!(s, Slot::Mapped(_))).count() as u64;
+    report.lost_mappings = l2p.iter().filter(|s| matches!(s, Slot::Lost)).count() as u64;
+    let checkpoint = report.used_checkpoint.then(|| {
+        let mut blocks: Vec<u64> = live_ckpt_blocks.into_iter().collect();
+        blocks.sort_unstable();
+        CheckpointHandle { blocks, data_seq }
+    });
+    let rebuilt = Rebuilt {
+        l2p,
+        blocks,
+        free,
+        seq: max_seq + 1,
+        checkpoint,
+    };
+    Ok((rebuilt, report))
 }
 
 /// Parses and validates a reassembled checkpoint payload. Returns the
@@ -652,11 +666,9 @@ mod tests {
         vec![byte; ftl.page_bytes()]
     }
 
-    fn crash_and_recover(ftl: Ftl) -> (Ftl, RecoveryReport) {
-        let config = ftl.config().clone();
-        let device = ftl.into_device();
-        match Ftl::recover(device, config) {
-            Ok(pair) => pair,
+    fn crash_and_recover(mut ftl: Ftl) -> (Ftl, RecoveryReport) {
+        match ftl.recover() {
+            Ok(report) => (ftl, report),
             Err(e) => panic!("recovery failed: {e}"),
         }
     }
@@ -680,16 +692,19 @@ mod tests {
         assert!(report.recovered_mappings == 200);
         assert!(report.torn_pages.is_empty());
 
-        // Every preset re-derives the same exported capacity on recovery.
+        // Every preset (mode and ECC scheme) rebuilds the same map.
         for config in [
             FtlConfig::conventional(ProgramMode::native(CellDensity::Tlc)),
             FtlConfig::sos_sys(),
             FtlConfig::sos_spare(),
         ] {
-            let ftl = Ftl::new(&DeviceConfig::tiny(config.mode.physical), config);
-            let logical_pages = ftl.logical_pages();
+            let mut ftl = Ftl::new(&DeviceConfig::tiny(config.mode.physical), config);
+            for lpn in 0..64 {
+                ftl.write(lpn, &page_of(&ftl, lpn as u8)).unwrap();
+            }
+            let before = ftl.audit_snapshot();
             let (recovered, _) = crash_and_recover(ftl);
-            assert_eq!(recovered.logical_pages(), logical_pages);
+            assert_eq!(before.l2p, recovered.audit_snapshot().l2p);
         }
     }
 
@@ -825,6 +840,50 @@ mod tests {
         // The old (complete) generation still validates and is used.
         assert!(report.used_checkpoint);
         assert_eq!(before.l2p, recovered.audit_snapshot().l2p);
+    }
+
+    #[test]
+    fn power_cut_inside_recovery_leaves_it_retryable() {
+        let crashed = || {
+            let mut ftl = small_ftl();
+            for lpn in 0..300 {
+                ftl.write(lpn, &page_of(&ftl, lpn as u8)).unwrap();
+            }
+            ftl.checkpoint().unwrap();
+            for lpn in 0..32 {
+                ftl.write(lpn, &page_of(&ftl, 0xCC)).unwrap();
+            }
+            ftl.arm_fault(
+                FaultPlan {
+                    kind: FaultKind::PowerCut,
+                    at: FaultAt::OpCount(1),
+                },
+                11,
+            );
+            let err = ftl.write(40, &page_of(&ftl, 0xDD)).unwrap_err();
+            assert_eq!(err, FtlError::Device(FlashError::PowerLoss));
+            ftl
+        };
+        let (reference, _) = crash_and_recover(crashed());
+
+        // A second cut, due at once, fires at recovery's first injector-
+        // visible operation: the read of a checkpoint page (OOB probes
+        // do not pass through the injector).
+        let mut ftl = crashed();
+        ftl.arm_fault(
+            FaultPlan {
+                kind: FaultKind::PowerCut,
+                at: FaultAt::OpCount(0),
+            },
+            11,
+        );
+        assert_eq!(
+            ftl.recover().unwrap_err(),
+            FtlError::Device(FlashError::PowerLoss)
+        );
+        let report = ftl.recover().unwrap();
+        assert!(report.used_checkpoint);
+        assert_eq!(reference.audit_snapshot().l2p, ftl.audit_snapshot().l2p);
     }
 
     #[test]

@@ -64,25 +64,23 @@ proptest! {
         }
         prop_assert!(crashed, "armed power cut never fired");
 
-        let config = ftl.config().clone();
-        let (mut recovered, _report) = match Ftl::recover(ftl.into_device(), config) {
-            Ok(pair) => pair,
-            Err(e) => return Err(TestCaseError::fail(format!("recovery failed: {e}"))),
-        };
+        if let Err(e) = ftl.recover() {
+            return Err(TestCaseError::fail(format!("recovery failed: {e}")));
+        }
         // Units open at the crash come back closed: the rebuilt FTL has
         // no open reclaim units until the host writes again.
         prop_assert!(
-            recovered.open_reclaim_units().is_empty(),
+            ftl.open_reclaim_units().is_empty(),
             "open units survived recovery: {:?}",
-            recovered.open_reclaim_units()
+            ftl.open_reclaim_units()
         );
         // The rebuilt L2P must be internally consistent: every mapped
         // page reads back (possibly degraded, never a panic or a
         // mapping to thin air).
-        let snapshot = recovered.audit_snapshot();
+        let snapshot = ftl.audit_snapshot();
         for (lpn, slot) in snapshot.l2p.iter().enumerate() {
             if matches!(slot, sos_ftl::SlotSnapshot::Mapped(_)) {
-                match recovered.read(lpn as u64) {
+                match ftl.read(lpn as u64) {
                     Ok(_) | Err(FtlError::DataLost(_)) => {}
                     Err(e) => {
                         return Err(TestCaseError::fail(format!(
@@ -94,11 +92,11 @@ proptest! {
         }
         // Tagged appends work again and reopen units.
         for (index, tag) in tags.iter().enumerate() {
-            match recovered.write_placed(index as u64, &vec![0xB0; page_bytes], tag.handle()) {
+            match ftl.write_placed(index as u64, &vec![0xB0; page_bytes], tag.handle()) {
                 Ok(_) => {}
                 Err(e) => return Err(TestCaseError::fail(format!("post-recovery write: {e}"))),
             }
         }
-        prop_assert_eq!(recovered.open_reclaim_units().len(), tags.len());
+        prop_assert_eq!(ftl.open_reclaim_units().len(), tags.len());
     }
 }

@@ -108,12 +108,11 @@ proptest! {
         // The failed operation updated no mapping, so the pre-crash RAM
         // map *is* the write log replayed up to the last durable page.
         let before = ftl.audit_snapshot();
-        let config = ftl.config().clone();
-        let (mut recovered, report) = match Ftl::recover(ftl.into_device(), config) {
-            Ok(pair) => pair,
+        let report = match ftl.recover() {
+            Ok(report) => report,
             Err(e) => return Err(TestCaseError::fail(format!("recovery failed: {e}"))),
         };
-        let after = recovered.audit_snapshot();
+        let after = ftl.audit_snapshot();
 
         prop_assert_eq!(before.l2p.len(), after.l2p.len());
         for (lpn, (pre, post)) in before.l2p.iter().zip(after.l2p.iter()).enumerate() {
@@ -140,7 +139,7 @@ proptest! {
 
         // Latest durable payload survives the rebuild byte-for-byte.
         for (&lpn, &byte) in &model {
-            match recovered.read(lpn) {
+            match ftl.read(lpn) {
                 Ok(result) => {
                     prop_assert_eq!(
                         &result.data,

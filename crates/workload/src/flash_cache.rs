@@ -163,10 +163,6 @@ pub struct CacheDayReport {
     pub updated: u64,
     /// Objects evicted to make room.
     pub evicted: u64,
-    /// Backing pages written (objects + metadata).
-    pub pages_written: u64,
-    /// Backing pages read.
-    pub pages_read: u64,
 }
 
 impl CacheDayReport {
@@ -179,8 +175,6 @@ impl CacheDayReport {
         self.admitted += other.admitted;
         self.updated += other.updated;
         self.evicted += other.evicted;
-        self.pages_written += other.pages_written;
-        self.pages_read += other.pages_read;
     }
 
     /// Hit ratio over all GETs (0 when no GETs ran).
@@ -272,7 +266,6 @@ impl FlashCache {
             report.gets += 1;
             let pages = self.config.object_pages;
             if let Some(slot) = self.resident.get(&rank).copied() {
-                report.pages_read += pages;
                 match backend.get(slot, pages)? {
                     CacheReadback::Fresh => {
                         report.hits += 1;
@@ -318,7 +311,6 @@ impl FlashCache {
             temp: self.temp_for_rank(key as usize),
         };
         backend.put(slot, pages, meta)?;
-        report.pages_written += pages;
         report.updated += 1;
         Ok(())
     }
@@ -361,7 +353,6 @@ impl FlashCache {
             temp: self.temp_for_rank(key as usize),
         };
         backend.put(slot, pages, meta)?;
-        report.pages_written += pages;
         report.admitted += 1;
         self.resident.insert(key, slot);
         self.fifo.push_back(key);
@@ -379,7 +370,6 @@ impl FlashCache {
                     temp: CacheTemp::Hot,
                 },
             )?;
-            report.pages_written += 1;
         }
         Ok(())
     }
