@@ -329,6 +329,22 @@ pub struct CrashSweepReport {
     pub resurrected_trimmed: u64,
 }
 
+impl CrashSweepReport {
+    /// Adds another sweep's counts to this one and appends its
+    /// findings (summing shards or consecutive chunks of one sweep).
+    pub fn absorb(&mut self, other: CrashSweepReport) {
+        self.days += other.days;
+        self.crashes += other.crashes;
+        self.checkpoints += other.checkpoints;
+        self.findings.extend(other.findings);
+        self.sys_repaired += other.sys_repaired;
+        self.sys_lost += other.sys_lost;
+        self.spare_lost += other.spare_lost;
+        self.torn_pages += other.torn_pages;
+        self.resurrected_trimmed += other.resurrected_trimmed;
+    }
+}
+
 /// Remounts the device after a power cut and audits the rebuild.
 fn remount_and_audit<C: Classifier>(
     controller: &mut SosController<SosDevice, C>,

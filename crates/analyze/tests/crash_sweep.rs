@@ -65,17 +65,9 @@ fn crash_sweep_500_points() {
             total.crashes,
             day_chunks
         );
-        let report =
-            run_crashy_days(&mut c, 20, 5, seed.wrapping_add(day_chunks)).expect("recovery");
-        total.days += report.days;
-        total.crashes += report.crashes;
-        total.checkpoints += report.checkpoints;
-        total.findings.extend(report.findings);
-        total.sys_repaired += report.sys_repaired;
-        total.sys_lost += report.sys_lost;
-        total.spare_lost += report.spare_lost;
-        total.torn_pages += report.torn_pages;
-        total.resurrected_trimmed += report.resurrected_trimmed;
+        total.absorb(
+            run_crashy_days(&mut c, 20, 5, seed.wrapping_add(day_chunks)).expect("recovery"),
+        );
     }
     assert!(total.crashes >= 500, "crashes: {}", total.crashes);
     assert_eq!(

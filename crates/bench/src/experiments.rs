@@ -10,7 +10,7 @@
 //! `tests/runner_determinism.rs` pins.
 
 use crate::runner::{run_tasks, task_seed, RunnerReport};
-use sos_analyze::run_crashy_days;
+use sos_analyze::{run_crashy_days, CrashSweepReport};
 use sos_carbon::EmbodiedModel;
 use sos_classify::{multi_user_corpus, Classifier, FeatureExtractor, LogisticRegression};
 use sos_core::{
@@ -282,25 +282,11 @@ impl Default for CrashSweepOptions {
     }
 }
 
-/// One shard's merged-in outcome.
-struct ShardOutcome {
-    days: u64,
-    crashes: u64,
-    checkpoints: u64,
-    torn_pages: u64,
-    sys_repaired: u64,
-    sys_lost: u64,
-    spare_lost: u64,
-    resurrected_trimmed: u64,
-    findings: Vec<String>,
-}
-
 fn run_crash_shard(
-    shard: usize,
     shard_days: u64,
     checkpoint_interval: u64,
     seed: u64,
-) -> ShardOutcome {
+) -> Result<CrashSweepReport, FtlError> {
     let extractor = FeatureExtractor::default();
     let corpus = multi_user_corpus(&extractor, 1, 3);
     let mut model = LogisticRegression::default();
@@ -316,34 +302,7 @@ fn run_crash_shard(
         CloudConfig::none(),
         ControllerConfig::default(),
     );
-    match run_crashy_days(&mut controller, shard_days, checkpoint_interval, seed) {
-        Ok(report) => ShardOutcome {
-            days: report.days,
-            crashes: report.crashes,
-            checkpoints: report.checkpoints,
-            torn_pages: report.torn_pages,
-            sys_repaired: report.sys_repaired,
-            sys_lost: report.sys_lost,
-            spare_lost: report.spare_lost,
-            resurrected_trimmed: report.resurrected_trimmed,
-            findings: report
-                .findings
-                .iter()
-                .map(|finding| format!("shard {shard}: {finding}"))
-                .collect(),
-        },
-        Err(error) => ShardOutcome {
-            days: 0,
-            crashes: 0,
-            checkpoints: 0,
-            torn_pages: 0,
-            sys_repaired: 0,
-            sys_lost: 0,
-            spare_lost: 0,
-            resurrected_trimmed: 0,
-            findings: vec![format!("shard {shard}: UNRECOVERABLE — {error}")],
-        },
-    }
+    run_crashy_days(&mut controller, shard_days, checkpoint_interval, seed)
 }
 
 /// Runs the crash sweep: `shards` independent crashy device lives in
@@ -357,12 +316,7 @@ pub fn crash_sweep_report(options: &CrashSweepOptions, threads: usize) -> Experi
     let tasks: Vec<u64> = (0..shards).collect();
     let base_seed = options.base_seed;
     let (outcomes, runner) = run_tasks(&tasks, threads, |index, _| {
-        run_crash_shard(
-            index,
-            shard_days,
-            checkpoint_interval,
-            task_seed(base_seed, index),
-        )
+        run_crash_shard(shard_days, checkpoint_interval, task_seed(base_seed, index))
     });
 
     let mut output = ExperimentOutput::default();
@@ -370,27 +324,21 @@ pub fn crash_sweep_report(options: &CrashSweepOptions, threads: usize) -> Experi
         output.report,
         "# crash sweep: {shards} shard(s) x {shard_days} days, checkpoint every {checkpoint_interval} days, SOS_SEED={base_seed}\n"
     );
-    let mut total = ShardOutcome {
-        days: 0,
-        crashes: 0,
-        checkpoints: 0,
-        torn_pages: 0,
-        sys_repaired: 0,
-        sys_lost: 0,
-        spare_lost: 0,
-        resurrected_trimmed: 0,
-        findings: Vec::new(),
-    };
-    for outcome in outcomes {
-        total.days += outcome.days;
-        total.crashes += outcome.crashes;
-        total.checkpoints += outcome.checkpoints;
-        total.torn_pages += outcome.torn_pages;
-        total.sys_repaired += outcome.sys_repaired;
-        total.sys_lost += outcome.sys_lost;
-        total.spare_lost += outcome.spare_lost;
-        total.resurrected_trimmed += outcome.resurrected_trimmed;
-        total.findings.extend(outcome.findings);
+    let mut total = CrashSweepReport::default();
+    let mut findings = Vec::new();
+    for (shard, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(report) => {
+                findings.extend(
+                    report
+                        .findings
+                        .iter()
+                        .map(|finding| format!("shard {shard}: {finding}")),
+                );
+                total.absorb(report);
+            }
+            Err(error) => findings.push(format!("shard {shard}: UNRECOVERABLE — {error}")),
+        }
     }
     let _ = writeln!(output.report, "days simulated        {}", total.days);
     let _ = writeln!(output.report, "power cuts fired      {}", total.crashes);
@@ -416,15 +364,11 @@ pub fn crash_sweep_report(options: &CrashSweepOptions, threads: usize) -> Experi
         "resurrected trims     {}",
         total.resurrected_trimmed
     );
-    let _ = writeln!(
-        output.report,
-        "auditor findings      {}",
-        total.findings.len()
-    );
-    for finding in &total.findings {
+    let _ = writeln!(output.report, "auditor findings      {}", findings.len());
+    for finding in &findings {
         let _ = writeln!(output.report, "  {finding}");
     }
-    if total.findings.is_empty() {
+    if findings.is_empty() {
         output
             .report
             .push_str("\ncrash consistency holds: every remount rebuilt the pre-crash\n");

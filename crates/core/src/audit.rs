@@ -39,8 +39,6 @@ pub struct CoreState {
     pub stripe_width: u64,
     /// First SYS LPN of the reserved parity range.
     pub parity_base: u64,
-    /// Live stripes as `(stripe index, member LPNs)`, sorted by index.
-    pub stripes: Vec<(u64, Vec<u64>)>,
     /// Every stored object's placement record, sorted by id.
     pub objects: Vec<ObjectSnapshot>,
 }

@@ -2,29 +2,21 @@
 //! (TLC or QLC, full-strength ECC, wear leveling on).
 //!
 //! Every experiment that reports "SOS vs. baseline" runs the same object
-//! workload against [`BaselineDevice`] instances at these densities.
+//! workload against [`BaselineDevice`] instances at these densities. A
+//! baseline is one [`PartitionStore`] without stripe parity under the
+//! same object directory as the SOS device.
 
 use crate::object::{
-    DeviceCounters, ObjectData, ObjectError, ObjectId, ObjectStatus, ObjectStore, Partition,
+    DeviceCounters, Directory, ObjectData, ObjectError, ObjectId, ObjectStore, Partition,
 };
 use crate::partition::PartitionStore;
 use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
 use sos_ftl::{DataTag, Ftl, FtlConfig};
-use std::collections::BTreeMap;
-
-/// Location record for one stored object.
-#[derive(Debug, Clone)]
-struct ObjectInfo {
-    lpns: Vec<u64>,
-    len: usize,
-    damaged: bool,
-}
 
 /// A conventional personal storage device: one partition, one density.
 pub struct BaselineDevice {
     store: PartitionStore,
-    objects: BTreeMap<ObjectId, ObjectInfo>,
-    counters: DeviceCounters,
+    directory: Directory,
 }
 
 impl BaselineDevice {
@@ -35,8 +27,7 @@ impl BaselineDevice {
         let ftl = Ftl::new(&base, FtlConfig::conventional(ProgramMode::native(density)));
         BaselineDevice {
             store: PartitionStore::new(ftl, DataTag::sys_hot()),
-            objects: BTreeMap::new(),
-            counters: DeviceCounters::default(),
+            directory: Directory::default(),
         }
     }
 
@@ -62,6 +53,8 @@ impl BaselineDevice {
     }
 }
 
+/// Every object lives on the one partition, recorded as SYS; placement
+/// hints are ignored.
 impl ObjectStore for BaselineDevice {
     fn put(
         &mut self,
@@ -69,87 +62,28 @@ impl ObjectStore for BaselineDevice {
         bytes: &[u8],
         _partition: Partition,
     ) -> Result<(), ObjectError> {
-        if self.objects.contains_key(&id) {
-            return Err(ObjectError::Exists(id));
-        }
-        let lpns = self
-            .store
-            .write_object(bytes)?
-            .ok_or(ObjectError::NoSpace)?;
-        self.objects.insert(
-            id,
-            ObjectInfo {
-                lpns,
-                len: bytes.len(),
-                damaged: false,
-            },
-        );
-        self.counters.objects += 1;
-        self.counters.live_bytes += bytes.len() as u64;
-        self.counters.bytes_written += bytes.len() as u64;
-        Ok(())
+        self.directory
+            .put(&mut self.store, id, bytes, Partition::Sys)
     }
 
     fn get(&mut self, id: ObjectId) -> Result<ObjectData, ObjectError> {
-        let info = self
-            .objects
-            .get(&id)
-            .ok_or(ObjectError::NotFound(id))?
-            .clone();
-        let read = self.store.read_object(&info.lpns, info.len)?;
-        if read.status == ObjectStatus::PartiallyLost && !info.damaged {
-            if let Some(entry) = self.objects.get_mut(&id) {
-                entry.damaged = true;
-            }
-            self.counters.objects_damaged += 1;
-        }
-        self.counters.bytes_read += read.bytes.len() as u64;
-        self.counters.busy_us += read.latency_us;
-        Ok(ObjectData {
-            bytes: read.bytes,
-            status: read.status,
-            latency_us: read.latency_us,
-        })
+        self.directory.get(&mut self.store, id)
     }
 
     fn update(&mut self, id: ObjectId, bytes: &[u8]) -> Result<(), ObjectError> {
-        let info = self
-            .objects
-            .get(&id)
-            .ok_or(ObjectError::NotFound(id))?
-            .clone();
-        let new_lpns = self
-            .store
-            .write_object(bytes)?
-            .ok_or(ObjectError::NoSpace)?;
-        self.store.free_object(&info.lpns)?;
-        let entry = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
-        entry.lpns = new_lpns;
-        self.counters.live_bytes = self.counters.live_bytes + bytes.len() as u64 - entry.len as u64;
-        entry.len = bytes.len();
-        self.counters.bytes_written += bytes.len() as u64;
-        Ok(())
+        self.directory.update(&mut self.store, id, bytes)
     }
 
     fn delete(&mut self, id: ObjectId) -> Result<(), ObjectError> {
-        let info = self.objects.remove(&id).ok_or(ObjectError::NotFound(id))?;
-        self.store.free_object(&info.lpns)?;
-        self.counters.objects -= 1;
-        self.counters.live_bytes -= info.len as u64;
-        Ok(())
+        self.directory.delete(&mut self.store, id)
     }
 
     fn migrate(&mut self, id: ObjectId, _partition: Partition) -> Result<(), ObjectError> {
-        // Single-partition device: placement hints are ignored.
-        if self.objects.contains_key(&id) {
-            Ok(())
-        } else {
-            Err(ObjectError::NotFound(id))
-        }
+        self.directory.info(id).map(|_| ())
     }
 
     fn placement(&self, id: ObjectId) -> Option<Partition> {
-        self.objects.get(&id).map(|_| Partition::Sys)
+        self.directory.info(id).ok().map(|info| info.partition)
     }
 
     fn advance_days(&mut self, days: f64) {
@@ -158,16 +92,8 @@ impl ObjectStore for BaselineDevice {
 
     fn maintain(&mut self) -> Result<bool, ObjectError> {
         let report = self.store.ftl.scrub()?;
-        let lost = self.store.process_events();
-        if !lost.is_empty() {
-            let lost_set: std::collections::HashSet<u64> = lost.into_iter().collect();
-            for info in self.objects.values_mut() {
-                if !info.damaged && info.lpns.iter().any(|l| lost_set.contains(l)) {
-                    info.damaged = true;
-                    self.counters.objects_damaged += 1;
-                }
-            }
-        }
+        let lost = self.store.process_events()?;
+        self.directory.mark_lost_pages(Partition::Sys, lost);
         Ok(report.aborted_no_space || self.store.under_pressure(0.03))
     }
 
@@ -176,15 +102,15 @@ impl ObjectStore for BaselineDevice {
     }
 
     fn counters(&self) -> DeviceCounters {
-        let mut counters = self.counters;
-        counters.busy_us += self.store.ftl.device().stats().busy_us;
-        counters
+        self.directory
+            .counters(self.store.ftl.device().stats().busy_us)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::ObjectStatus;
 
     fn tiny_tlc() -> BaselineDevice {
         BaselineDevice::new(DeviceConfig::tiny(CellDensity::Tlc), CellDensity::Tlc)

@@ -5,16 +5,20 @@
 //! stripe parity) and a degradable SPARE partition (native PLC,
 //! priority-split approximate ECC, no preemptive wear leveling,
 //! resuscitation ladder).
+//!
+//! Each partition is a [`PartitionStore`]; SYS is the one built with
+//! stripe parity, which it keeps in step itself. The device adds only
+//! what spans both: the object directory (the same one
+//! [`crate::BaselineDevice`] keeps), migration between the partitions,
+//! and the remount that runs each partition's repair-or-declare pass.
 
 use crate::object::{
-    DeviceCounters, ObjectData, ObjectError, ObjectId, ObjectStatus, ObjectStore, Partition,
+    DeviceCounters, Directory, ObjectData, ObjectError, ObjectId, ObjectStore, Partition,
 };
 use crate::partition::PartitionStore;
-use crate::stripe::StripeManager;
 use serde::{Deserialize, Serialize};
 use sos_flash::{CellDensity, DeviceConfig, FaultPlan, Geometry};
 use sos_ftl::{DataTag, Ftl, FtlConfig, FtlError, RecoveryReport};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// SOS device configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,15 +60,6 @@ fn split_geometry(base: &Geometry, fraction: f64) -> (Geometry, Geometry) {
     (first, second)
 }
 
-/// Location record for one stored object.
-#[derive(Debug, Clone)]
-struct ObjectInfo {
-    partition: Partition,
-    lpns: Vec<u64>,
-    len: usize,
-    damaged: bool,
-}
-
 /// What the remount path recovered, repaired and gave up on. The
 /// crash-sweep harness uses this to check that every page lost in the
 /// crash window is either repaired or *declared* — silent loss is an
@@ -96,9 +91,7 @@ pub struct RemountReport {
 pub struct SosDevice {
     sys: PartitionStore,
     spare: PartitionStore,
-    stripes: StripeManager,
-    objects: BTreeMap<ObjectId, ObjectInfo>,
-    counters: DeviceCounters,
+    directory: Directory,
 }
 
 impl SosDevice {
@@ -117,27 +110,20 @@ impl SosDevice {
         spare_device.seed = config.base.seed.wrapping_add(1);
         let sys_ftl = Ftl::new(&sys_device, FtlConfig::sos_sys());
         let spare_ftl = Ftl::new(&spare_device, FtlConfig::sos_spare());
-        // Reserve the top of the SYS logical space for stripe parity.
-        let (data_pages, _parity) = StripeManager::layout(sys_ftl.logical_pages(), STRIPE_WIDTH);
-        let stripes = StripeManager::new(STRIPE_WIDTH, data_pages);
-        let mut sys = PartitionStore::new(sys_ftl, DataTag::sys_hot());
-        // Re-derive the pool so only data LPNs are handed out.
-        sys.pool = crate::partition::LpnPool::new(data_pages);
-        let spare = PartitionStore::new(spare_ftl, DataTag::spare_hot());
         SosDevice {
-            sys,
-            spare,
-            stripes,
-            objects: BTreeMap::new(),
-            counters: DeviceCounters::default(),
+            sys: PartitionStore::with_parity(sys_ftl, DataTag::sys_hot(), STRIPE_WIDTH),
+            spare: PartitionStore::new(spare_ftl, DataTag::spare_hot()),
+            directory: Directory::default(),
         }
     }
 
-    fn store(&mut self, partition: Partition) -> &mut PartitionStore {
-        match partition {
+    /// A partition's store and the directory, borrowed apart.
+    fn split(&mut self, partition: Partition) -> (&mut PartitionStore, &mut Directory) {
+        let store = match partition {
             Partition::Sys => &mut self.sys,
             Partition::Spare => &mut self.spare,
-        }
+        };
+        (store, &mut self.directory)
     }
 
     /// Read-only access to a partition (experiment harnesses).
@@ -151,10 +137,10 @@ impl SosDevice {
     /// Takes a read-only snapshot of both partition FTLs, the stripe
     /// layout, and the object directory for invariant auditing.
     pub fn audit_snapshot(&self) -> crate::audit::CoreState {
-        let objects: Vec<crate::audit::ObjectSnapshot> = self
-            .objects
+        let objects = self
+            .directory
             .iter()
-            .map(|(&id, info)| crate::audit::ObjectSnapshot {
+            .map(|(id, info)| crate::audit::ObjectSnapshot {
                 id,
                 partition: info.partition,
                 lpns: info.lpns.clone(),
@@ -165,9 +151,8 @@ impl SosDevice {
         crate::audit::CoreState {
             sys: self.sys.ftl.audit_snapshot(),
             spare: self.spare.ftl.audit_snapshot(),
-            stripe_width: self.stripes.width(),
-            parity_base: self.stripes.parity_base(),
-            stripes: self.stripes.stripe_snapshot(),
+            stripe_width: STRIPE_WIDTH,
+            parity_base: self.sys.pool.span(),
             objects,
         }
     }
@@ -176,110 +161,13 @@ impl SosDevice {
     pub fn partition_bytes(&self) -> (u64, u64) {
         let mut sys = 0;
         let mut spare = 0;
-        for info in self.objects.values() {
+        for (_, info) in self.directory.iter() {
             match info.partition {
                 Partition::Sys => sys += info.len as u64,
                 Partition::Spare => spare += info.len as u64,
             }
         }
         (sys, spare)
-    }
-
-    /// Writes an object's pages (and, on SYS, their stripe parity).
-    /// Returns `None`, with nothing left allocated or mapped, when the
-    /// partition runs out of space.
-    fn write_to(
-        &mut self,
-        partition: Partition,
-        bytes: &[u8],
-    ) -> Result<Option<Vec<u64>>, FtlError> {
-        let lpns = match self.store(partition).write_object(bytes)? {
-            Some(lpns) => lpns,
-            None => return Ok(None),
-        };
-        if partition == Partition::Sys {
-            // Maintain stripe parity for every page just written.
-            let page_bytes = self.sys.page_bytes();
-            for (index, &lpn) in lpns.iter().enumerate() {
-                let start = index * page_bytes;
-                let mut page = vec![0u8; page_bytes];
-                if start < bytes.len() {
-                    let end = (start + page_bytes).min(bytes.len());
-                    page[..end - start].copy_from_slice(&bytes[start..end]);
-                }
-                match self.stripes.on_write(&mut self.sys.ftl, lpn, &page) {
-                    Ok(()) => {}
-                    Err(FtlError::NoSpace) => {
-                        // Parity found no room: undo the data writes
-                        // as `write_object` does for its own.
-                        self.free_from(partition, &lpns)?;
-                        return Ok(None);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Ok(Some(lpns))
-    }
-
-    /// Trims an object's pages, drops them from their SYS stripes and
-    /// only then returns them to the pool. Never fails for lack of
-    /// space (see [`StripeManager::on_trim`]).
-    fn free_from(&mut self, partition: Partition, lpns: &[u64]) -> Result<(), FtlError> {
-        for &lpn in lpns {
-            self.store(partition).ftl.trim(lpn)?;
-        }
-        if partition == Partition::Sys {
-            for &lpn in lpns {
-                self.stripes.on_trim(&mut self.sys.ftl, lpn)?;
-            }
-        }
-        self.store(partition).pool.release(lpns);
-        Ok(())
-    }
-
-    /// Attempts stripe reconstruction of lost SYS pages, patching
-    /// `bytes` in place. Returns how many pages were repaired.
-    fn repair_sys_pages(
-        &mut self,
-        lpns: &[u64],
-        lost: &[u64],
-        bytes: &mut [u8],
-    ) -> Result<usize, FtlError> {
-        let page_bytes = self.sys.page_bytes();
-        let mut repaired = 0;
-        for &lost_lpn in lost {
-            let Some(position) = lpns.iter().position(|&l| l == lost_lpn) else {
-                continue;
-            };
-            if let Some(rebuilt) = self.stripes.reconstruct(&mut self.sys.ftl, lost_lpn) {
-                let start = position * page_bytes;
-                if start < bytes.len() {
-                    let end = (start + page_bytes).min(bytes.len());
-                    if let (Some(dst), Some(src)) =
-                        (bytes.get_mut(start..end), rebuilt.get(..end - start))
-                    {
-                        dst.copy_from_slice(src);
-                    }
-                }
-                // Write the repaired page back so the mapping is live
-                // again.
-                let restored = self
-                    .sys
-                    .ftl
-                    .write_placed(lost_lpn, &rebuilt, self.sys.data_tag.handle())
-                    .and_then(|_| self.stripes.on_write(&mut self.sys.ftl, lost_lpn, &rebuilt));
-                match restored {
-                    // Without free space the repair still serves this
-                    // read; the page stays lost (or its stripe stale)
-                    // until a later write.
-                    Ok(()) | Err(FtlError::NoSpace) => {}
-                    Err(e) => return Err(e),
-                }
-                repaired += 1;
-            }
-        }
-        Ok(repaired)
     }
 
     /// Writes an on-flash checkpoint on both partition FTLs, bounding
@@ -292,7 +180,7 @@ impl SosDevice {
     /// Arms a deterministic fault on one partition's flash device (the
     /// crash-sweep harness cuts power on SYS and SPARE alternately).
     pub fn arm_fault(&mut self, partition: Partition, plan: FaultPlan, seed: u64) {
-        self.store(partition).ftl.arm_fault(plan, seed);
+        self.split(partition).0.ftl.arm_fault(plan, seed);
     }
 
     /// Device operations observed by a partition's fault injector so
@@ -312,227 +200,76 @@ impl SosDevice {
         self.partition(partition).ftl.device().is_powered_off()
     }
 
-    /// The remount path: recovers both partition FTLs from flash after
-    /// a power cut and re-attaches the host state on top.
+    /// The remount path: recovers both partitions from flash after a
+    /// power cut and re-attaches the host state on top.
     ///
     /// The object directory and workload state are host metadata,
     /// modelled as crash-safe (a journaled filesystem on a separate
     /// boot device); what this path rebuilds is everything the *device*
-    /// keeps in RAM. Concretely it:
-    ///
-    /// 1. per partition ([`PartitionStore::remount`]): rebuilds the
-    ///    FTL's L2P map, valid counts and free list from the OOB scan
-    ///    ([`Ftl::recover`]), re-adopts LPN allocations from the object
-    ///    directory and re-trims resurrected pages no object references
-    ///    (trims are volatile until checkpointed),
-    /// 2. rebuilds SYS stripe membership from the directory and repairs
-    ///    crash-window SYS losses from surviving parity; what parity
-    ///    cannot rebuild is declared in [`RemountReport::sys_lost`] and
-    ///    marked as damage on the owning object,
-    /// 3. tolerates SPARE losses, declaring them in
-    ///    [`RemountReport::spare_lost`],
-    /// 4. recomputes every live stripe's parity (the RAID-5 write hole:
-    ///    a cut between a member write and its parity update leaves
-    ///    parity stale).
+    /// keeps in RAM. It runs one repair-or-declare pass
+    /// ([`PartitionStore::remount`]) on SYS and then on SPARE, marks
+    /// the owner of every page either pass declared lost as damaged,
+    /// and reports both passes. SYS repairs what its stripe parity can
+    /// and declares the rest in [`RemountReport::sys_lost`]; SPARE
+    /// keeps no parity, so it declares every loss, in
+    /// [`RemountReport::spare_lost`].
     ///
     /// On error the device is poisoned and must be discarded.
     pub fn recover_in_place(&mut self) -> Result<RemountReport, FtlError> {
-        let parity_base = self.stripes.parity_base();
-        let width = self.stripes.width();
-        let mut sys_refs: BTreeSet<u64> = BTreeSet::new();
-        let mut spare_refs: BTreeSet<u64> = BTreeSet::new();
-        for info in self.objects.values() {
-            match info.partition {
-                Partition::Sys => sys_refs.extend(info.lpns.iter().copied()),
-                Partition::Spare => spare_refs.extend(info.lpns.iter().copied()),
-            }
+        let sys = self.sys.remount(&self.directory.pages_on(Partition::Sys))?;
+        let spare = self
+            .spare
+            .remount(&self.directory.pages_on(Partition::Spare))?;
+        for (partition, lost) in [(Partition::Sys, &sys.lost), (Partition::Spare, &spare.lost)] {
+            let pages = lost.iter().map(|&(_, lpn)| lpn);
+            self.directory.mark_lost_pages(partition, pages);
         }
-        let (sys, sys_trimmed) = self.sys.remount(parity_base, &sys_refs)?;
-        let spare_span = self.spare.ftl.logical_pages();
-        let (spare, spare_trimmed) = self.spare.remount(spare_span, &spare_refs)?;
-        let mut report = RemountReport {
-            sys,
-            spare,
-            resurrected_trimmed: sys_trimmed + spare_trimmed,
-            ..RemountReport::default()
-        };
-
-        // Stripe membership is RAM state; rebuild it from the
-        // directory, then repair crash-window SYS losses from the
-        // pre-refresh parity (still consistent with the stripe unless
-        // the parity write itself tore — the documented write hole).
-        self.stripes = StripeManager::rebuild(width, parity_base, sys_refs.iter().copied());
-        let ids: Vec<ObjectId> = self.objects.keys().copied().collect();
-        let mut newly_damaged = 0u64;
-        for id in ids {
-            let Some(info) = self.objects.get(&id).cloned() else {
-                continue;
-            };
-            let mut object_lost = false;
-            for &lpn in &info.lpns {
-                match info.partition {
-                    Partition::Sys => {
-                        if self.sys.ftl.is_mapped(lpn) {
-                            continue;
-                        }
-                        if let Some(rebuilt) = self.stripes.reconstruct(&mut self.sys.ftl, lpn) {
-                            self.sys
-                                .ftl
-                                .write_placed(lpn, &rebuilt, self.sys.data_tag.handle())?;
-                            report.sys_repaired += 1;
-                        } else {
-                            // Beyond parity's reach: declare the loss so
-                            // reads surface an explicit DataLost rather
-                            // than a never-written page, and drop the
-                            // member so the refreshed parity (computed
-                            // over survivors) is never used to fabricate
-                            // its data.
-                            self.sys.ftl.declare_lost(lpn);
-                            self.stripes.forget_member(lpn);
-                            report.sys_lost.push((id, lpn));
-                            object_lost = true;
-                        }
-                    }
-                    Partition::Spare => {
-                        if !self.spare.ftl.is_mapped(lpn) {
-                            self.spare.ftl.declare_lost(lpn);
-                            report.spare_lost.push((id, lpn));
-                            object_lost = true;
-                        }
-                    }
-                }
-            }
-            if object_lost {
-                if let Some(entry) = self.objects.get_mut(&id) {
-                    if !entry.damaged {
-                        entry.damaged = true;
-                        newly_damaged += 1;
-                    }
-                }
-            }
-        }
-        self.counters.objects_damaged += newly_damaged;
-
-        // Refresh parity for every live stripe and drop parity pages of
-        // stripes with no surviving members.
-        report.parity_refreshed = self.stripes.scrub_parity(&mut self.sys.ftl)?;
-        for lpn in parity_base..self.sys.ftl.logical_pages() {
-            if self.sys.ftl.is_mapped(lpn) && !self.stripes.has_stripe(lpn - parity_base) {
-                self.sys.ftl.trim(lpn)?;
-            }
-        }
-
-        Ok(report)
+        Ok(RemountReport {
+            sys: sys.recovery,
+            spare: spare.recovery,
+            parity_refreshed: sys.parity_refreshed,
+            sys_repaired: sys.repaired,
+            sys_lost: sys.lost,
+            spare_lost: spare.lost,
+            resurrected_trimmed: sys.trimmed + spare.trimmed,
+        })
     }
 }
 
 impl ObjectStore for SosDevice {
     fn put(&mut self, id: ObjectId, bytes: &[u8], partition: Partition) -> Result<(), ObjectError> {
-        if self.objects.contains_key(&id) {
-            return Err(ObjectError::Exists(id));
-        }
-        let lpns = self
-            .write_to(partition, bytes)?
-            .ok_or(ObjectError::NoSpace)?;
-        self.objects.insert(
-            id,
-            ObjectInfo {
-                partition,
-                lpns,
-                len: bytes.len(),
-                damaged: false,
-            },
-        );
-        self.counters.objects += 1;
-        self.counters.live_bytes += bytes.len() as u64;
-        self.counters.bytes_written += bytes.len() as u64;
-        Ok(())
+        let (store, directory) = self.split(partition);
+        directory.put(store, id, bytes, partition)
     }
 
     fn get(&mut self, id: ObjectId) -> Result<ObjectData, ObjectError> {
-        let info = self
-            .objects
-            .get(&id)
-            .ok_or(ObjectError::NotFound(id))?
-            .clone();
-        let read = self
-            .store(info.partition)
-            .read_object(&info.lpns, info.len)?;
-        let mut bytes = read.bytes;
-        let mut status = read.status;
-        if info.partition == Partition::Sys && !read.lost_pages.is_empty() {
-            let repaired = self.repair_sys_pages(&info.lpns, &read.lost_pages, &mut bytes)?;
-            if repaired == read.lost_pages.len() {
-                status = ObjectStatus::Intact;
-            }
-        }
-        if status == ObjectStatus::PartiallyLost && !info.damaged {
-            if let Some(entry) = self.objects.get_mut(&id) {
-                entry.damaged = true;
-            }
-            self.counters.objects_damaged += 1;
-        }
-        self.counters.bytes_read += bytes.len() as u64;
-        self.counters.busy_us += read.latency_us;
-        Ok(ObjectData {
-            bytes,
-            status,
-            latency_us: read.latency_us,
-        })
+        let (store, directory) = self.split(self.directory.info(id)?.partition);
+        directory.get(store, id)
     }
 
     fn update(&mut self, id: ObjectId, bytes: &[u8]) -> Result<(), ObjectError> {
-        let info = self
-            .objects
-            .get(&id)
-            .ok_or(ObjectError::NotFound(id))?
-            .clone();
-        let new_lpns = self
-            .write_to(info.partition, bytes)?
-            .ok_or(ObjectError::NoSpace)?;
-        self.free_from(info.partition, &info.lpns)?;
-        let entry = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
-        entry.lpns = new_lpns;
-        self.counters.live_bytes = self.counters.live_bytes + bytes.len() as u64 - entry.len as u64;
-        entry.len = bytes.len();
-        self.counters.bytes_written += bytes.len() as u64;
-        Ok(())
+        let (store, directory) = self.split(self.directory.info(id)?.partition);
+        directory.update(store, id, bytes)
     }
 
     fn delete(&mut self, id: ObjectId) -> Result<(), ObjectError> {
-        let info = self.objects.remove(&id).ok_or(ObjectError::NotFound(id))?;
-        // Counters first, so they stay consistent with the directory
-        // even when a power cut interrupts the page frees below (the
-        // remount re-trim sweeps up whatever was left mapped).
-        self.counters.objects -= 1;
-        self.counters.live_bytes -= info.len as u64;
-        self.free_from(info.partition, &info.lpns)?;
-        Ok(())
+        let (store, directory) = self.split(self.directory.info(id)?.partition);
+        directory.delete(store, id)
     }
 
     fn migrate(&mut self, id: ObjectId, partition: Partition) -> Result<(), ObjectError> {
-        let info = self
-            .objects
-            .get(&id)
-            .ok_or(ObjectError::NotFound(id))?
-            .clone();
-        if info.partition == partition {
+        if self.directory.info(id)?.partition == partition {
             return Ok(());
         }
-        // Best-effort read (degradation carries over — §4.2), then move.
-        let data = self.get(id)?;
-        let new_lpns = self
-            .write_to(partition, &data.bytes)?
-            .ok_or(ObjectError::NoSpace)?;
-        self.free_from(info.partition, &info.lpns)?;
-        let entry = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
-        entry.partition = partition;
-        entry.lpns = new_lpns;
-        Ok(())
+        let (from, to) = match partition {
+            Partition::Sys => (&mut self.spare, &mut self.sys),
+            Partition::Spare => (&mut self.sys, &mut self.spare),
+        };
+        self.directory.migrate(from, to, id, partition)
     }
 
     fn placement(&self, id: ObjectId) -> Option<Partition> {
-        self.objects.get(&id).map(|info| info.partition)
+        self.directory.info(id).ok().map(|info| info.partition)
     }
 
     fn advance_days(&mut self, days: f64) {
@@ -543,25 +280,10 @@ impl ObjectStore for SosDevice {
     fn maintain(&mut self) -> Result<bool, ObjectError> {
         let sys_report = self.sys.ftl.scrub()?;
         let spare_report = self.spare.ftl.scrub()?;
-        let sys_lost = self.sys.process_events();
-        let spare_lost = self.spare.process_events();
-        self.stripes.refresh_stale(&mut self.sys.ftl)?;
-        // Mark objects whose pages the FTL reported lost.
-        for (partition, lost) in [(Partition::Sys, sys_lost), (Partition::Spare, spare_lost)] {
-            if lost.is_empty() {
-                continue;
-            }
-            let lost_set: std::collections::HashSet<u64> = lost.into_iter().collect();
-            for info in self.objects.values_mut() {
-                if info.partition == partition
-                    && !info.damaged
-                    && info.lpns.iter().any(|l| lost_set.contains(l))
-                {
-                    info.damaged = true;
-                    self.counters.objects_damaged += 1;
-                }
-            }
-        }
+        let sys_lost = self.sys.process_events()?;
+        let spare_lost = self.spare.process_events()?;
+        self.directory.mark_lost_pages(Partition::Sys, sys_lost);
+        self.directory.mark_lost_pages(Partition::Spare, spare_lost);
         Ok(sys_report.aborted_no_space
             || spare_report.aborted_no_space
             || self.spare.under_pressure(0.03)
@@ -573,16 +295,16 @@ impl ObjectStore for SosDevice {
     }
 
     fn counters(&self) -> DeviceCounters {
-        let mut counters = self.counters;
-        counters.busy_us +=
-            self.sys.ftl.device().stats().busy_us + self.spare.ftl.device().stats().busy_us;
-        counters
+        self.directory.counters(
+            self.sys.ftl.device().stats().busy_us + self.spare.ftl.device().stats().busy_us,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::ObjectStatus;
 
     fn device() -> SosDevice {
         SosDevice::new(&SosConfig::tiny(7))
@@ -738,8 +460,16 @@ mod tests {
         assert_eq!(device.get(1000).unwrap().bytes, a);
     }
 
-    #[test]
-    fn remount_repairs_or_declares_referenced_losses() {
+    fn lpns(device: &SosDevice, id: ObjectId) -> Vec<u64> {
+        device.directory.info(id).unwrap().lpns.clone()
+    }
+
+    /// Three nine-page objects (SYS 1 and 2, SPARE 3), then a simulated
+    /// crash window that loses one repairable SYS page of object 1, one
+    /// SYS page of object 2 together with its stripe's parity, and one
+    /// SPARE page of object 3. Returns the device, the objects' bytes,
+    /// object 2's dead page and object 3's faded page.
+    fn crash_window_losses() -> (SosDevice, Vec<u8>, u64, u64) {
         let mut device = device();
         let page = device.sys.ftl.page_bytes();
         // Nine pages per object so each spans more than one stripe.
@@ -749,21 +479,18 @@ mod tests {
         device.put(3, &data, Partition::Spare).unwrap();
         device.checkpoint().unwrap();
 
-        let width = device.stripes.width();
-        let parity_base = device.stripes.parity_base();
         // The crash window eats one member of object 1: its stripe
         // parity survives, so the remount can rebuild the page.
-        let repairable = device.objects[&1].lpns[0];
+        let repairable = lpns(&device, 1)[0];
         // Object 2 loses a member in a *different* stripe plus that
         // stripe's parity: beyond repair, must be declared.
-        let dead = *device.objects[&2]
-            .lpns
+        let dead = *lpns(&device, 2)
             .iter()
-            .find(|&&lpn| lpn / width != repairable / width)
+            .find(|&&lpn| lpn / STRIPE_WIDTH != repairable / STRIPE_WIDTH)
             .expect("nine pages span several stripes");
-        let parity = parity_base + dead / width;
+        let parity = device.sys.pool.span() + dead / STRIPE_WIDTH;
         // A SPARE page vanishes too: tolerated but declared.
-        let faded = device.objects[&3].lpns[0];
+        let faded = lpns(&device, 3)[0];
         device.sys.ftl.trim(repairable).unwrap();
         device.sys.ftl.trim(dead).unwrap();
         if device.sys.ftl.is_mapped(parity) {
@@ -773,7 +500,12 @@ mod tests {
         // Trims are volatile until checkpointed; make the simulated
         // crash-window losses durable so recovery cannot resurrect them.
         device.checkpoint().unwrap();
+        (device, data, dead, faded)
+    }
 
+    #[test]
+    fn remount_repairs_or_declares_referenced_losses() {
+        let (mut device, data, dead, faded) = crash_window_losses();
         let report = device.recover_in_place().unwrap();
         assert_eq!(report.sys_repaired, 1, "{report:?}");
         assert_eq!(report.sys_lost, vec![(2, dead)]);
@@ -787,6 +519,60 @@ mod tests {
         assert_eq!(two.bytes.len(), data.len());
         // Object 3's SPARE loss is tolerated the same way.
         assert_eq!(device.get(3).unwrap().status, ObjectStatus::PartiallyLost);
+    }
+
+    #[test]
+    fn remount_keeps_a_declared_loss_declared_across_a_second_cut() {
+        let (mut device, data, dead, _) = crash_window_losses();
+        device.recover_in_place().unwrap();
+        // Power fails again before the host takes a checkpoint. The
+        // refreshed parity no longer covers the dead page, so a rebuild
+        // from it would fabricate data: the loss must be re-declared.
+        let report = device.recover_in_place().unwrap();
+        assert_eq!(report.sys_repaired, 0, "{report:?}");
+        assert_eq!(report.sys_lost, vec![(2, dead)]);
+        assert_eq!(device.get(1).unwrap().bytes, data);
+        assert_eq!(device.get(2).unwrap().status, ObjectStatus::PartiallyLost);
+    }
+
+    #[test]
+    fn remount_declares_both_of_two_losses_in_one_stripe() {
+        let mut device = device();
+        let data: Vec<u8> = (0..device.sys.page_bytes() * 2)
+            .map(|i| (i % 241) as u8)
+            .collect();
+        device.put(1, &data, Partition::Sys).unwrap();
+        device.checkpoint().unwrap();
+        let pages = lpns(&device, 1);
+        assert_eq!(pages[0] / STRIPE_WIDTH, pages[1] / STRIPE_WIDTH);
+        for &lpn in &pages {
+            device.sys.ftl.trim(lpn).unwrap();
+        }
+        device.checkpoint().unwrap();
+        // The stripe's parity survives, but it covers two missing
+        // members: rebuilding either from it would return their XOR.
+        let report = device.recover_in_place().unwrap();
+        assert_eq!(report.sys_repaired, 0, "{report:?}");
+        assert_eq!(report.sys_lost, vec![(1, pages[0]), (1, pages[1])]);
+    }
+
+    #[test]
+    fn parity_never_rebuilds_a_member_it_stopped_covering() {
+        let mut device = device();
+        let page = device.sys.page_bytes();
+        let data: Vec<u8> = (0..page * 2).map(|i| (i % 241) as u8 + 1).collect();
+        device.put(1, &data, Partition::Sys).unwrap();
+        // GC marks a page lost this way when its relocation reads
+        // uncorrectable.
+        let lost = lpns(&device, 1)[0];
+        device.sys.ftl.declare_lost(lost);
+        // A write into the same stripe recomputes its parity without the
+        // lost member.
+        device.put(2, &[7u8; 100], Partition::Sys).unwrap();
+        assert_eq!(lpns(&device, 2)[0] / STRIPE_WIDTH, lost / STRIPE_WIDTH);
+        let one = device.get(1).unwrap();
+        assert_eq!(one.status, ObjectStatus::PartiallyLost);
+        assert_eq!(device.counters().objects_damaged, 1);
     }
 
     #[test]

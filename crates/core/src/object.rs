@@ -1,15 +1,19 @@
 //! Object-granular storage API shared by the SOS device and the
-//! baseline devices.
+//! baseline devices, and the one object directory both keep.
 //!
 //! SOS manages *files* (objects), not raw blocks: the classifier decides
 //! placement per file and the device moves whole files between
 //! partitions (§4.2, Fig. 2). [`ObjectStore`] is the interface the
-//! controller and the experiment harnesses program against.
+//! controller and the experiment harnesses program against; each device
+//! implements it by picking the partition store and handing it to the
+//! directory.
 
+use crate::partition::PartitionStore;
 use serde::{Deserialize, Serialize};
 use sos_ecc::PageStatus;
 use sos_flash::FlashError;
 use sos_ftl::FtlError;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Object identifier (matches workload file ids).
 pub type ObjectId = u64;
@@ -105,6 +109,174 @@ pub struct DeviceCounters {
     pub objects_damaged: u64,
     /// Device busy time, µs.
     pub busy_us: f64,
+}
+
+/// Location record for one stored object.
+#[derive(Debug, Clone)]
+pub(crate) struct ObjectInfo {
+    /// Partition holding the object's pages (always SYS on a
+    /// single-partition device).
+    pub partition: Partition,
+    /// Logical pages holding the object's data, in order.
+    pub lpns: Vec<u64>,
+    /// Object length in bytes.
+    pub len: usize,
+    /// Whether the object ever lost data (counted once in
+    /// [`DeviceCounters::objects_damaged`]).
+    pub damaged: bool,
+}
+
+/// The object directory both devices keep, and the object operations
+/// on top of it: one [`ObjectInfo`] per stored object, and the
+/// [`DeviceCounters`] its operations move. Each operation takes the
+/// [`PartitionStore`] to act on; the device picks it by partition.
+///
+/// Host metadata, modelled as crash-safe (a journaled filesystem on a
+/// separate boot device): the remount path reads it to decide what the
+/// recovered flash must still hold.
+#[derive(Debug, Default)]
+pub(crate) struct Directory {
+    objects: BTreeMap<ObjectId, ObjectInfo>,
+    counters: DeviceCounters,
+}
+
+impl Directory {
+    /// The record of `id`.
+    pub fn info(&self, id: ObjectId) -> Result<&ObjectInfo, ObjectError> {
+        self.objects.get(&id).ok_or(ObjectError::NotFound(id))
+    }
+
+    /// Stores a new object in `store`, recorded on `partition`.
+    pub fn put(
+        &mut self,
+        store: &mut PartitionStore,
+        id: ObjectId,
+        bytes: &[u8],
+        partition: Partition,
+    ) -> Result<(), ObjectError> {
+        if self.objects.contains_key(&id) {
+            return Err(ObjectError::Exists(id));
+        }
+        let lpns = store.write_object(bytes)?.ok_or(ObjectError::NoSpace)?;
+        let info = ObjectInfo {
+            partition,
+            lpns,
+            len: bytes.len(),
+            damaged: false,
+        };
+        self.objects.insert(id, info);
+        self.counters.objects += 1;
+        self.counters.live_bytes += bytes.len() as u64;
+        self.counters.bytes_written += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Reads `id` from `store`, the store holding it, and marks the
+    /// object damaged when the read comes back partially lost.
+    pub fn get(
+        &mut self,
+        store: &mut PartitionStore,
+        id: ObjectId,
+    ) -> Result<ObjectData, ObjectError> {
+        let info = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
+        let data = store.read_object(&info.lpns, info.len)?;
+        if data.status == ObjectStatus::PartiallyLost && !info.damaged {
+            info.damaged = true;
+            self.counters.objects_damaged += 1;
+        }
+        self.counters.bytes_read += data.bytes.len() as u64;
+        self.counters.busy_us += data.latency_us;
+        Ok(data)
+    }
+
+    /// Overwrites `id` in `store`, the store holding it: the new copy
+    /// is written before the old one is freed.
+    pub fn update(
+        &mut self,
+        store: &mut PartitionStore,
+        id: ObjectId,
+        bytes: &[u8],
+    ) -> Result<(), ObjectError> {
+        let info = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
+        let lpns = store.write_object(bytes)?.ok_or(ObjectError::NoSpace)?;
+        store.free_object(&info.lpns)?;
+        self.counters.live_bytes = self.counters.live_bytes + bytes.len() as u64 - info.len as u64;
+        self.counters.bytes_written += bytes.len() as u64;
+        info.lpns = lpns;
+        info.len = bytes.len();
+        Ok(())
+    }
+
+    /// Deletes `id` from `store`, the store holding it. The record and
+    /// the counters go first, so they stay consistent with each other
+    /// even when a power cut interrupts the frees (the remount re-trim
+    /// sweeps up whatever was left mapped).
+    pub fn delete(&mut self, store: &mut PartitionStore, id: ObjectId) -> Result<(), ObjectError> {
+        let info = self.objects.remove(&id).ok_or(ObjectError::NotFound(id))?;
+        self.counters.objects -= 1;
+        self.counters.live_bytes -= info.len as u64;
+        store.free_object(&info.lpns)?;
+        Ok(())
+    }
+
+    /// Moves `id` from `from`, the store holding it, to `to`, recorded
+    /// on `partition`: a best-effort read (degradation carries over,
+    /// §4.2), a write, then the old copy is freed.
+    pub fn migrate(
+        &mut self,
+        from: &mut PartitionStore,
+        to: &mut PartitionStore,
+        id: ObjectId,
+        partition: Partition,
+    ) -> Result<(), ObjectError> {
+        let data = self.get(from, id)?;
+        let lpns = to.write_object(&data.bytes)?.ok_or(ObjectError::NoSpace)?;
+        let info = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
+        from.free_object(&info.lpns)?;
+        info.partition = partition;
+        info.lpns = lpns;
+        Ok(())
+    }
+
+    /// Marks damaged, counting each once, every object on `partition`
+    /// holding one of the `lost` pages.
+    pub fn mark_lost_pages(&mut self, partition: Partition, lost: impl IntoIterator<Item = u64>) {
+        let lost_pages: BTreeSet<u64> = lost.into_iter().collect();
+        if lost_pages.is_empty() {
+            return;
+        }
+        for info in self.objects.values_mut() {
+            if info.partition == partition
+                && !info.damaged
+                && info.lpns.iter().any(|lpn| lost_pages.contains(lpn))
+            {
+                info.damaged = true;
+                self.counters.objects_damaged += 1;
+            }
+        }
+    }
+
+    /// Every object's record, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectInfo)> {
+        self.objects.iter().map(|(&id, info)| (id, info))
+    }
+
+    /// The pages each object on `partition` holds, in id order (what a
+    /// remount of that partition must find on flash).
+    pub fn pages_on(&self, partition: Partition) -> Vec<(ObjectId, &[u64])> {
+        self.iter()
+            .filter(|(_, info)| info.partition == partition)
+            .map(|(id, info)| (id, info.lpns.as_slice()))
+            .collect()
+    }
+
+    /// The counters, with the devices' `busy_us` added to the host-side
+    /// read time.
+    pub fn counters(&self, device_busy_us: f64) -> DeviceCounters {
+        let mut counters = self.counters;
+        counters.busy_us += device_busy_us;
+        counters
+    }
 }
 
 /// The object-granular device interface.

@@ -1,12 +1,17 @@
-//! Partition-level storage: LPN pooling and object page I/O over one
-//! FTL instance.
+//! Partition-level storage: LPN pooling, object page I/O and, where the
+//! partition keeps it, stripe parity over one FTL instance.
 //!
 //! The SOS device is "two physically separate sets of flash blocks with
 //! different data management decisions" (§4.2): each set is a
 //! [`PartitionStore`] — its own FTL over its own silicon region, with
-//! its own ECC scheme, wear policy and scrubbing rules.
+//! its own ECC scheme, wear policy and scrubbing rules. Extra redundancy
+//! is one of those decisions: SYS is built with
+//! [`PartitionStore::with_parity`], and its object writes, frees, reads
+//! and remount keep that parity in step; SPARE and the baselines are
+//! built with [`PartitionStore::new`] and keep none.
 
-use crate::object::{merge_status, ObjectStatus};
+use crate::object::{merge_status, ObjectData, ObjectId, ObjectStatus};
+use crate::stripe::StripeManager;
 use sos_ftl::{DataTag, Ftl, FtlError, FtlEvent, RecoveryReport};
 use std::collections::BTreeSet;
 
@@ -87,21 +92,8 @@ impl LpnPool {
     }
 }
 
-/// Result of reading an object's pages from one partition.
-#[derive(Debug, Clone)]
-pub struct PartitionRead {
-    /// Concatenated page payloads (trimmed to the object length by the
-    /// caller).
-    pub bytes: Vec<u8>,
-    /// Worst page status.
-    pub status: ObjectStatus,
-    /// LPNs whose pages were unrecoverable (for stripe repair).
-    pub lost_pages: Vec<u64>,
-    /// Device latency, µs.
-    pub latency_us: f64,
-}
-
-/// One partition: an FTL plus an LPN pool.
+/// One partition: an FTL, an LPN pool and, on SYS, the stripe parity
+/// over the pool's pages.
 #[derive(Debug)]
 pub struct PartitionStore {
     /// The flash translation layer owning this partition's silicon.
@@ -111,16 +103,47 @@ pub struct PartitionStore {
     /// Data tag applied to object writes (derives the placement
     /// handle, and with it the reclaim unit, for this partition's data).
     pub data_tag: DataTag,
+    /// Stripe parity over the pool's pages, kept in the FTL's logical
+    /// pages above the pool's span (SYS's extra redundancy, §4.2).
+    parity: Option<StripeManager>,
+}
+
+/// What [`PartitionStore::remount`] rebuilt, repaired and gave up on.
+#[derive(Debug, Clone, Default)]
+pub struct PartitionRemount {
+    /// The FTL rebuild report.
+    pub recovery: RecoveryReport,
+    /// Mapped pool LPNs no object references, re-trimmed.
+    pub trimmed: u64,
+    /// Referenced pages rebuilt from stripe parity.
+    pub repaired: u64,
+    /// Referenced pages beyond repair, as `(object, lpn)`, declared lost.
+    pub lost: Vec<(ObjectId, u64)>,
+    /// Live stripes whose parity was recomputed.
+    pub parity_refreshed: u64,
 }
 
 impl PartitionStore {
-    /// Wraps an FTL.
+    /// Wraps an FTL whose whole logical space holds object data.
     pub fn new(ftl: Ftl, data_tag: DataTag) -> Self {
         let pages = ftl.logical_pages();
         PartitionStore {
             ftl,
             pool: LpnPool::new(pages),
             data_tag,
+            parity: None,
+        }
+    }
+
+    /// Wraps an FTL under stripe parity of `width` data pages per parity
+    /// page: the top of the logical space holds parity, and the pool
+    /// hands out only the data LPNs below it.
+    pub fn with_parity(ftl: Ftl, data_tag: DataTag, width: u64) -> Self {
+        let (data_pages, _parity) = StripeManager::layout(ftl.logical_pages(), width);
+        PartitionStore {
+            pool: LpnPool::new(data_pages),
+            parity: Some(StripeManager::new(width, data_pages)),
+            ..PartitionStore::new(ftl, data_tag)
         }
     }
 
@@ -129,34 +152,26 @@ impl PartitionStore {
         self.ftl.page_bytes()
     }
 
-    /// Pages needed for `len` bytes.
-    pub fn pages_for(&self, len: usize) -> u64 {
-        (len as u64).div_ceil(self.page_bytes() as u64).max(1)
-    }
-
-    /// Writes an object's bytes to freshly-allocated pages. Returns the
-    /// page list, or `None` if the partition lacks space.
+    /// Writes an object's bytes to freshly-allocated pages, then brings
+    /// their stripes' parity up to date. Returns the page list, or
+    /// `None`, with nothing left allocated or mapped, if the partition
+    /// lacks space.
     pub fn write_object(&mut self, bytes: &[u8]) -> Result<Option<Vec<u64>>, FtlError> {
-        let count = self.pages_for(bytes.len());
+        let mut page = vec![0u8; self.page_bytes()];
+        // An empty object still takes one page.
+        let count = bytes.len().div_ceil(page.len()).max(1) as u64;
         let Some(lpns) = self.pool.allocate(count) else {
             return Ok(None);
         };
-        let page_bytes = self.page_bytes();
-        let mut buffer = vec![0u8; page_bytes];
         for (index, &lpn) in lpns.iter().enumerate() {
-            let start = index * page_bytes;
-            let end = (start + page_bytes).min(bytes.len());
-            buffer.iter_mut().for_each(|b| *b = 0);
-            if start < bytes.len() {
-                buffer[..end - start].copy_from_slice(&bytes[start..end]);
-            }
-            match self.ftl.write_placed(lpn, &buffer, self.data_tag.handle()) {
+            fill_page(&mut page, bytes, index);
+            match self.ftl.write_placed(lpn, &page, self.data_tag.handle()) {
                 Ok(_) => {}
                 Err(FtlError::NoSpace) => {
                     // Roll back what we wrote; physical space exhausted
                     // even though the pool had budget (e.g. after heavy
                     // retirement).
-                    for &written in &lpns[..index] {
+                    for &written in lpns.iter().take(index) {
                         let _ = self.ftl.trim(written);
                     }
                     self.pool.release(&lpns);
@@ -165,21 +180,39 @@ impl PartitionStore {
                 Err(e) => return Err(e),
             }
         }
-        Ok(Some(lpns))
+        let covered = match &mut self.parity {
+            Some(parity) => lpns.iter().enumerate().try_for_each(|(index, &lpn)| {
+                fill_page(&mut page, bytes, index);
+                parity.on_write(&mut self.ftl, lpn, &page)
+            }),
+            None => Ok(()),
+        };
+        match covered {
+            Ok(()) => Ok(Some(lpns)),
+            Err(FtlError::NoSpace) => {
+                // Parity found no room: undo the data writes too.
+                self.free_object(&lpns)?;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
     }
 
-    /// Reads an object's pages.
-    pub fn read_object(&mut self, lpns: &[u64], len: usize) -> Result<PartitionRead, FtlError> {
+    /// Reads an object's pages. A page the FTL reports lost is rebuilt
+    /// from stripe parity where the partition keeps it, and written
+    /// back; a page beyond repair reads as zeros and the object as
+    /// [`ObjectStatus::PartiallyLost`].
+    pub fn read_object(&mut self, lpns: &[u64], len: usize) -> Result<ObjectData, FtlError> {
         let page_bytes = self.page_bytes();
         let mut bytes = Vec::with_capacity(lpns.len() * page_bytes);
         let mut status = ObjectStatus::Intact;
         let mut lost = Vec::new();
-        let mut latency = 0.0;
+        let mut latency_us = 0.0;
         for &lpn in lpns {
             match self.ftl.read(lpn) {
                 Ok(result) => {
                     status = merge_status(status, result.status);
-                    latency += result.latency_us;
+                    latency_us += result.latency_us;
                     bytes.extend_from_slice(&result.data);
                 }
                 Err(FtlError::DataLost(_)) => {
@@ -190,27 +223,62 @@ impl PartitionStore {
                 Err(e) => return Err(e),
             }
         }
+        if let Some(parity) = self.parity.as_mut().filter(|_| !lost.is_empty()) {
+            let mut unrepaired = lost.len();
+            let pages = bytes.chunks_mut(page_bytes).zip(lpns);
+            for (page, &lpn) in pages.filter(|(_, lpn)| lost.contains(lpn)) {
+                let Some(rebuilt) = parity.reconstruct(&mut self.ftl, lpn) else {
+                    continue;
+                };
+                for (byte, &rebuilt_byte) in page.iter_mut().zip(&rebuilt) {
+                    *byte = rebuilt_byte;
+                }
+                let restored = self
+                    .ftl
+                    .write_placed(lpn, &rebuilt, self.data_tag.handle())
+                    .and_then(|_| parity.on_write(&mut self.ftl, lpn, &rebuilt));
+                match restored {
+                    // Without free space the repair still serves this
+                    // read; the page stays lost (or its stripe stale)
+                    // until a later write.
+                    Ok(()) | Err(FtlError::NoSpace) => {}
+                    Err(e) => return Err(e),
+                }
+                unrepaired -= 1;
+            }
+            if unrepaired == 0 {
+                status = ObjectStatus::Intact;
+            }
+        }
         bytes.truncate(len);
-        Ok(PartitionRead {
+        Ok(ObjectData {
             bytes,
             status,
-            lost_pages: lost,
-            latency_us: latency,
+            latency_us,
         })
     }
 
-    /// Frees an object's pages.
+    /// Frees an object's pages: trims them all, drops them from their
+    /// stripes and only then returns them to the pool. Never fails for
+    /// lack of space (see [`StripeManager::on_trim`]).
     pub fn free_object(&mut self, lpns: &[u64]) -> Result<(), FtlError> {
         for &lpn in lpns {
             self.ftl.trim(lpn)?;
+        }
+        if let Some(parity) = &mut self.parity {
+            for &lpn in lpns {
+                parity.on_trim(&mut self.ftl, lpn)?;
+            }
         }
         self.pool.release(lpns);
         Ok(())
     }
 
     /// Processes pending FTL events, shrinking the pool budget on
-    /// capacity loss. Returns the LPNs whose data the FTL reported lost.
-    pub fn process_events(&mut self) -> Vec<u64> {
+    /// capacity loss, then retries the parity refresh of every stripe
+    /// that a write or trim without free space left stale. Returns the
+    /// LPNs whose data the FTL reported lost.
+    pub fn process_events(&mut self) -> Result<Vec<u64>, FtlError> {
         let mut lost = Vec::new();
         for event in self.ftl.drain_events() {
             match event {
@@ -218,42 +286,95 @@ impl PartitionStore {
                 FtlEvent::DataLost { lpn } => lost.push(lpn),
             }
         }
-        lost
+        if let Some(parity) = &mut self.parity {
+            parity.refresh_stale(&mut self.ftl)?;
+        }
+        Ok(lost)
     }
 
-    /// The remount step for one partition: rebuilds the FTL from flash
-    /// ([`Ftl::recover`]), re-adopts `refs` (the pages the object
-    /// directory references) into a fresh pool over `0..span`, shrinks
-    /// the budget to what the recovered FTL sustains (wear and
-    /// retirement survive the crash in the device), and trims every
-    /// mapped LPN below `span` that `refs` does not hold. Trims are
-    /// volatile until checkpointed, so the rebuild can resurrect them,
-    /// and pages of operations that never reached the directory before
-    /// the cut are live on flash too.
+    /// The repair-or-declare remount pass for one partition after a
+    /// power cut. `objects` lists, in directory order, the pages each
+    /// object on this partition holds. The pass:
     ///
-    /// Returns the FTL rebuild report and the number of LPNs re-trimmed.
+    /// 1. rebuilds the FTL from flash ([`Ftl::recover`]);
+    /// 2. re-adopts the referenced pages into a fresh pool, with the
+    ///    budget the recovered FTL sustains (wear and retirement survive
+    ///    the crash in the device);
+    /// 3. trims every mapped pool LPN no object references: trims are
+    ///    volatile until checkpointed, and pages of operations that
+    ///    never reached the directory are live on flash too;
+    /// 4. rebuilds stripe membership (RAM state) from the referenced
+    ///    pages;
+    /// 5. rebuilds each referenced page that did not survive from the
+    ///    pre-refresh parity, when the partition keeps parity and the
+    ///    page is not already lost; otherwise declares it: marks it
+    ///    `Lost`, so reads fail with an explicit `DataLost` and the
+    ///    parity refresh drops it from its stripe;
+    /// 6. with parity: checkpoints the FTL if it declared a loss, so the
+    ///    `Lost` mark outlives another cut (without free space it stays
+    ///    in RAM), then refreshes every live stripe's parity (the RAID-5
+    ///    write hole) and trims the parity of dead stripes.
     pub fn remount(
         &mut self,
-        span: u64,
-        refs: &BTreeSet<u64>,
-    ) -> Result<(RecoveryReport, u64), FtlError> {
-        let report = self.ftl.recover()?;
+        objects: &[(ObjectId, &[u64])],
+    ) -> Result<PartitionRemount, FtlError> {
+        let recovery = self.ftl.recover()?;
+        let refs: BTreeSet<u64> = objects
+            .iter()
+            .flat_map(|&(_, lpns)| lpns.iter().copied())
+            .collect();
+        let span = self.pool.span();
         self.pool = LpnPool::new(span);
-        self.pool.reserve(refs);
+        self.pool.reserve(&refs);
         self.shrink_to(self.ftl.sustainable_pages());
-        let mut trimmed = 0;
+        let mut report = PartitionRemount {
+            recovery,
+            ..PartitionRemount::default()
+        };
         for lpn in 0..span {
             if self.ftl.is_mapped(lpn) && !refs.contains(&lpn) {
                 self.ftl.trim(lpn)?;
-                trimmed += 1;
+                report.trimmed += 1;
             }
         }
-        Ok((report, trimmed))
+        if let Some(parity) = &mut self.parity {
+            parity.rebuild(refs.iter().copied());
+        }
+        for &(id, lpns) in objects {
+            for &lpn in lpns {
+                if self.ftl.is_mapped(lpn) {
+                    continue;
+                }
+                let rebuilt = match &self.parity {
+                    Some(parity) if !self.ftl.is_lost(lpn) => {
+                        parity.reconstruct(&mut self.ftl, lpn)
+                    }
+                    _ => None,
+                };
+                if let Some(page) = rebuilt {
+                    self.ftl.write_placed(lpn, &page, self.data_tag.handle())?;
+                    report.repaired += 1;
+                } else {
+                    self.ftl.declare_lost(lpn);
+                    report.lost.push((id, lpn));
+                }
+            }
+        }
+        if let Some(parity) = &mut self.parity {
+            if !report.lost.is_empty() {
+                match self.ftl.checkpoint() {
+                    Ok(()) | Err(FtlError::NoSpace) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            report.parity_refreshed = parity.scrub_parity(&mut self.ftl)?;
+        }
+        Ok(report)
     }
 
     /// Lowers the pool budget to fit an FTL capacity of `pages` logical
-    /// pages. FTL pages outside the pool's span (the SYS parity range)
-    /// stay live whatever the pool hands out, so they come off the top.
+    /// pages. FTL pages outside the pool's span (the parity range) stay
+    /// live whatever the pool hands out, so they come off the top.
     pub fn shrink_to(&mut self, pages: u64) {
         let withheld = self.ftl.logical_pages().saturating_sub(self.pool.span());
         self.pool.shrink_budget(pages.saturating_sub(withheld));
@@ -268,6 +389,15 @@ impl PartitionStore {
     pub fn under_pressure(&self, margin: f64) -> bool {
         self.pool.allocated() as f64 >= self.pool.budget() as f64 * (1.0 - margin)
     }
+}
+
+/// Copies page `index` of `bytes` into `page`, zero-filling whatever
+/// the bytes do not reach.
+fn fill_page(page: &mut [u8], bytes: &[u8], index: usize) {
+    let chunk = bytes.chunks(page.len()).nth(index).unwrap_or_default();
+    let (head, tail) = page.split_at_mut(chunk.len());
+    head.copy_from_slice(chunk);
+    tail.fill(0);
 }
 
 #[cfg(test)]

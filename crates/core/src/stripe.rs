@@ -1,10 +1,14 @@
 //! Stripe parity for the SYS partition.
 //!
 //! §4.2: SYS blocks "are stored conservatively with additional
-//! redundancy (e.g., parity)". On top of per-page BCH, the SOS device
-//! keeps a RAID-5-style XOR parity page per stripe of `width` data LPNs,
-//! so a page the BCH cannot recover is rebuilt from its stripe peers.
+//! redundancy (e.g., parity)". On top of per-page BCH, the SYS
+//! partition store ([`crate::PartitionStore::with_parity`]) keeps a
+//! RAID-5-style XOR parity page per stripe of `width` data LPNs, so a
+//! page the BCH cannot recover is rebuilt from its stripe peers. The
+//! store owns its [`StripeManager`] and calls it on every object write,
+//! free, lost-page read and remount.
 
+use sos_ecc::PageStatus;
 use sos_ftl::{Ftl, FtlError, PlacementHandle};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,41 +52,38 @@ impl StripeManager {
         }
     }
 
-    /// Rebuilds stripe membership from the data LPNs referenced by the
+    /// Replaces stripe membership with the data LPNs referenced by the
     /// surviving object directory (the remount path: membership is RAM
     /// state and does not itself survive a crash).
-    pub fn rebuild(width: u64, parity_base: u64, data_lpns: impl IntoIterator<Item = u64>) -> Self {
-        let mut manager = StripeManager::new(width, parity_base);
+    pub fn rebuild(&mut self, data_lpns: impl IntoIterator<Item = u64>) {
+        self.members.clear();
+        self.stale.clear();
         for lpn in data_lpns {
-            debug_assert!(lpn < parity_base, "parity-range LPN in object data");
-            let stripe = manager.stripe_of(lpn);
-            let members = manager.members.entry(stripe).or_default();
-            if !members.contains(&lpn) {
-                members.push(lpn);
-            }
+            self.add_member(lpn);
         }
-        manager
-    }
-
-    /// Whether the stripe currently has live members.
-    pub fn has_stripe(&self, stripe: u64) -> bool {
-        self.members.contains_key(&stripe)
     }
 
     /// Recomputes and rewrites every live stripe's parity page from its
-    /// readable members. The remount path runs this after crash
-    /// recovery: a power cut between a member write and its parity
-    /// update (the classic RAID-5 write hole) leaves parity stale, and
-    /// a volatile trim may have resurrected a parity page for a stripe
-    /// whose membership changed. Returns the number of stripes
-    /// refreshed.
+    /// readable members, then trims the parity page of every stripe
+    /// left with no members (all of them lost, or none referenced).
+    /// The remount path runs this after crash recovery: a power cut
+    /// between a member write and its parity update (the classic RAID-5
+    /// write hole) leaves parity stale, and a volatile trim may have
+    /// resurrected a parity page for a stripe whose membership changed.
+    /// Returns the number of stripes refreshed.
     pub fn scrub_parity(&mut self, ftl: &mut Ftl) -> Result<u64, FtlError> {
         let mut refreshed = 0;
-        for (&stripe, members) in &self.members {
-            write_parity(ftl, self.parity_lpn(stripe), members, None)?;
+        for (&stripe, members) in &mut self.members {
+            write_parity(ftl, self.parity_base + stripe, members, None)?;
             refreshed += 1;
         }
+        self.members.retain(|_, members| !members.is_empty());
         self.stale.clear();
+        for lpn in self.parity_base..ftl.logical_pages() {
+            if ftl.is_mapped(lpn) && !self.members.contains_key(&(lpn - self.parity_base)) {
+                ftl.trim(lpn)?;
+            }
+        }
         Ok(refreshed)
     }
 
@@ -97,30 +98,6 @@ impl StripeManager {
             }
         }
         Ok(())
-    }
-
-    /// How many data LPNs this layout supports.
-    pub fn data_pages(&self) -> u64 {
-        self.parity_base
-    }
-
-    /// Data LPNs per stripe.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// First LPN of the reserved parity range.
-    pub fn parity_base(&self) -> u64 {
-        self.parity_base
-    }
-
-    /// Snapshot of live stripes as `(stripe index, member LPNs)` pairs,
-    /// sorted by stripe index, for invariant auditing.
-    pub fn stripe_snapshot(&self) -> Vec<(u64, Vec<u64>)> {
-        self.members
-            .iter()
-            .map(|(&stripe, members)| (stripe, members.clone()))
-            .collect()
     }
 
     /// Splits a logical page count into `(data_pages, parity_pages)`
@@ -144,13 +121,19 @@ impl StripeManager {
     /// [`FtlError::NoSpace`] the member stays recorded and the stripe is
     /// left stale; the caller undoes the write with [`Self::on_trim`].
     pub fn on_write(&mut self, ftl: &mut Ftl, lpn: u64, page: &[u8]) -> Result<(), FtlError> {
-        debug_assert!(lpn < self.parity_base, "parity range written as data");
+        let stripe = self.add_member(lpn);
+        self.refresh(ftl, stripe, Some((lpn, page)))
+    }
+
+    /// Records `lpn` as a member of its stripe; returns the stripe.
+    fn add_member(&mut self, lpn: u64) -> u64 {
+        debug_assert!(lpn < self.parity_base, "parity range used as data");
         let stripe = self.stripe_of(lpn);
         let members = self.members.entry(stripe).or_default();
         if !members.contains(&lpn) {
             members.push(lpn);
         }
-        self.refresh(ftl, stripe, Some((lpn, page)))
+        stripe
     }
 
     /// Records a member deletion and refreshes parity. Never fails for
@@ -183,11 +166,12 @@ impl StripeManager {
         stripe: u64,
         written: Option<(u64, &[u8])>,
     ) -> Result<(), FtlError> {
-        let Some(members) = self.members.get(&stripe) else {
+        let parity_lpn = self.parity_lpn(stripe);
+        let Some(members) = self.members.get_mut(&stripe) else {
             self.stale.remove(&stripe);
             return Ok(());
         };
-        match write_parity(ftl, self.parity_lpn(stripe), members, written) {
+        match write_parity(ftl, parity_lpn, members, written) {
             Ok(()) => {
                 self.stale.remove(&stripe);
                 Ok(())
@@ -200,36 +184,26 @@ impl StripeManager {
         }
     }
 
-    /// Drops a member whose data is irrecoverably lost, without touching
-    /// the FTL (the remount path calls this before [`Self::scrub_parity`],
-    /// which then recomputes parity over the surviving members). Once
-    /// dropped, [`Self::reconstruct`] refuses the LPN: the refreshed
-    /// parity no longer covers the lost data, and "rebuilding" from it
-    /// would fabricate a zero page while claiming success.
-    pub fn forget_member(&mut self, lpn: u64) {
-        let stripe = self.stripe_of(lpn);
-        if let Some(members) = self.members.get_mut(&stripe) {
-            members.retain(|&m| m != lpn);
-            if members.is_empty() {
-                self.members.remove(&stripe);
-                self.stale.remove(&stripe);
-            }
-        }
-    }
-
     /// Attempts to rebuild the payload of a lost member from its stripe
     /// peers and the parity page. Returns `None` when any peer or the
-    /// parity itself is unavailable, or when the stripe is stale.
+    /// parity itself fails to read or reads uncorrectable, or when the
+    /// stripe is stale.
     pub fn reconstruct(&self, ftl: &mut Ftl, lpn: u64) -> Option<Vec<u8>> {
         let stripe = self.stripe_of(lpn);
         let members = self.members.get(&stripe)?;
         if !members.contains(&lpn) || self.stale.contains(&stripe) {
             return None;
         }
-        let mut rebuilt = ftl.read(self.parity_lpn(stripe)).ok()?.data;
+        let mut read_clean = |page: u64| {
+            ftl.read(page)
+                .ok()
+                .filter(|result| result.status != PageStatus::Uncorrectable)
+                .map(|result| result.data)
+        };
+        let mut rebuilt = read_clean(self.parity_lpn(stripe))?;
         for &member in members {
             if member != lpn {
-                xor_into(&mut rebuilt, &ftl.read(member).ok()?.data);
+                xor_into(&mut rebuilt, &read_clean(member)?);
             }
         }
         Some(rebuilt)
@@ -240,28 +214,35 @@ impl StripeManager {
 /// order, and writes it to `parity_lpn` on the dedicated parity handle
 /// (kept apart from data reclaim units: parity is rewritten far more
 /// often). `written` is a member whose payload was just written: it is
-/// XORed in directly rather than read back. Peers that fail to read
-/// cleanly are skipped: their stripe contribution is unknown, and the
-/// parity protects the readable majority (repair of the failed peer
-/// happens via [`StripeManager::reconstruct`] before the next write, or
-/// the data is lost).
+/// XORed in directly rather than read back.
+///
+/// A member whose data is lost (the FTL reports it lost, or its read is
+/// uncorrectable) is dropped from `members`: the new parity does not
+/// cover it, so [`StripeManager::reconstruct`] must never "rebuild" it
+/// from that parity. A member that is not written at all is skipped but
+/// kept: an object free trims all its pages before it drops them from
+/// their stripes one by one.
 fn write_parity(
     ftl: &mut Ftl,
     parity_lpn: u64,
-    members: &[u64],
+    members: &mut Vec<u64>,
     written: Option<(u64, &[u8])>,
 ) -> Result<(), FtlError> {
     let mut parity = vec![0u8; ftl.page_bytes()];
-    for &member in members {
-        match written {
-            Some((lpn, page)) if lpn == member => xor_into(&mut parity, page),
-            _ => {
-                if let Ok(result) = ftl.read(member) {
-                    xor_into(&mut parity, &result.data);
-                }
-            }
+    members.retain(|&member| match written {
+        Some((lpn, page)) if lpn == member => {
+            xor_into(&mut parity, page);
+            true
         }
-    }
+        _ => match ftl.read(member) {
+            Ok(result) if result.status != PageStatus::Uncorrectable => {
+                xor_into(&mut parity, &result.data);
+                true
+            }
+            Ok(_) | Err(FtlError::DataLost(_)) => false,
+            Err(_) => true,
+        },
+    });
     ftl.write_placed(parity_lpn, &parity, PlacementHandle::PARITY)?;
     Ok(())
 }
@@ -380,7 +361,7 @@ mod tests {
             ftl.arm_fault(plan, 1);
         }
         let filler = page(&ftl, 0x77);
-        let span = stripes.data_pages() - 4;
+        let span = stripes.parity_base - 4;
         let mut full = false;
         for step in 0..10 * ftl.logical_pages() {
             let lpn = 4 + step % span;

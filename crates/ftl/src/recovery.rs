@@ -190,16 +190,18 @@ impl Ftl {
                     // A checkpoint block went bad mid-write: abandon the
                     // partial generation (GC reclaims those blocks) and
                     // retry from scratch.
-                    for block in partial {
-                        if block != failed {
-                            self.blocks[block as usize].full = true;
+                    for block in partial.into_iter().filter(|&block| block != failed) {
+                        if let Some(info) = self.blocks.get_mut(block as usize) {
+                            info.full = true;
                         }
                     }
                     self.handle_block_failure(failed);
                 }
                 Err((partial, e)) => {
                     for block in partial {
-                        self.blocks[block as usize].full = true;
+                        if let Some(info) = self.blocks.get_mut(block as usize) {
+                            info.full = true;
+                        }
                     }
                     return Err(e);
                 }
@@ -358,14 +360,20 @@ fn rebuild(
     // sequence ranges and chunk indices counting up from 0, so runs
     // split wherever a chunk index restarts at 0.
     let mut ckpt_pages: Vec<(u64, u64, u64, u64)> = Vec::new(); // (seq, chunk, flat, block)
-    for (block, probe) in first.iter().enumerate() {
-        if !probe.is_some_and(Probe::is_checkpoint) {
+    for (block, &probe) in first.iter().enumerate() {
+        let Some(probe) = probe.filter(|probe| probe.is_checkpoint()) else {
             continue;
-        }
+        };
         let block = block as u64;
         for offset in 0..ppb {
             let flat = block * ppb + offset;
-            match scan.probe(flat)? {
+            // Page 0 reuses the phase-1 probe rather than re-reading.
+            let page = if offset == 0 {
+                probe
+            } else {
+                scan.probe(flat)?
+            };
+            match page {
                 Probe::Empty => break,
                 Probe::Torn => {}
                 Probe::Valid(meta) => {
@@ -791,6 +799,11 @@ mod tests {
             bounded.scanned_pages,
             full.scanned_pages
         );
+        // One page-0 probe per block (64), read once and reused by the
+        // checkpoint gather and the roll-forward, plus the pages past
+        // page 0 of the checkpoint block and past each data block's
+        // checkpointed write pointer (40).
+        assert_eq!(bounded.scanned_pages, 104);
     }
 
     #[test]
