@@ -1,57 +1,32 @@
 //! Repo-specific lint runner: `cargo run -p sos-analyze --bin sos-lint`.
 //!
-//! Runs the token-stream lint rules, the panic-freedom pass, **and**
-//! the determinism pass over the workspace sources (see
-//! [`sos_analyze::lint`], [`sos_analyze::panicpath`], and
-//! [`sos_analyze::determinism`]) and exits non-zero when any finding
-//! survives — or when a configured entry point no longer resolves (a
-//! rename hazard) — so CI and `scripts/check.sh` can gate on it.
+//! Runs [`sos_analyze::analyze`] — the token-stream lint rules, the
+//! panic-freedom pass and the determinism pass — over the workspace
+//! sources, prints the report, and exits non-zero when any finding
+//! survives or a configured entry point no longer resolves (a rename
+//! hazard), so CI and `scripts/check.sh` can gate on it.
 //!
 //! Usage:
 //!
 //! ```text
-//! sos-lint [ROOT] [--format text|json] [--only lint|panic-path|determinism]
+//! sos-lint [ROOT] [--format text|json]
 //! ```
 //!
 //! `--format json` prints the machine-readable report
 //! ([`sos_analyze::report::JsonReport`]) on stdout; the exit code
-//! still reflects the gate. `--only` restricts the run to one pass —
-//! CI uses `--only determinism` to publish the determinism report as
-//! its own artifact.
+//! still reflects the gate.
 
-use sos_analyze::determinism::NONDETERMINISM_RULE;
-use sos_analyze::panicpath::PANIC_PATH_RULE;
-use sos_analyze::{
-    deterministic_entry_points, device_hot_entry_points, harness_entry_points,
-    recovery_entry_points, run_determinism, run_lints_on, run_panic_path, DeterminismReport,
-    JsonReport, PanicPathReport, ReportFinding, ReportSummary, Workspace,
-};
+use sos_analyze::{analyze, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pass {
-    Lint,
-    PanicPath,
-    Determinism,
-}
+const USAGE: &str = "usage: sos-lint [ROOT] [--format text|json]";
 
-struct Options {
-    root: PathBuf,
-    json: bool,
-    only: Option<Pass>,
-}
-
-impl Options {
-    fn runs(&self, pass: Pass) -> bool {
-        self.only.is_none() || self.only == Some(pass)
-    }
-}
-
-fn parse_args() -> Result<Options, String> {
+/// Parses `[ROOT] [--format text|json]` into the root and whether to
+/// print JSON.
+fn parse_args() -> Result<(PathBuf, bool), String> {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
-    let mut only = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -60,29 +35,12 @@ fn parse_args() -> Result<Options, String> {
                 Some("text") => json = false,
                 other => return Err(format!("--format expects text|json, got {other:?}")),
             },
-            "--only" => match args.next().as_deref() {
-                Some("lint") => only = Some(Pass::Lint),
-                Some("panic-path") => only = Some(Pass::PanicPath),
-                Some("determinism") => only = Some(Pass::Determinism),
-                other => {
-                    return Err(format!(
-                        "--only expects lint|panic-path|determinism, got {other:?}"
-                    ))
-                }
-            },
-            "--help" | "-h" => return Err(
-                "usage: sos-lint [ROOT] [--format text|json] [--only lint|panic-path|determinism]"
-                    .into(),
-            ),
-            _ if root.is_none() => root = Some(PathBuf::from(arg)),
-            other => return Err(format!("unexpected argument `{other}`")),
+            "--help" | "-h" => return Err(USAGE.into()),
+            _ if root.is_none() && !arg.starts_with('-') => root = Some(PathBuf::from(arg)),
+            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
         }
     }
-    Ok(Options {
-        root: root.unwrap_or_else(default_root),
-        json,
-        only,
-    })
+    Ok((root.unwrap_or_else(default_root), json))
 }
 
 fn default_root() -> PathBuf {
@@ -96,114 +54,41 @@ fn default_root() -> PathBuf {
 }
 
 fn main() -> ExitCode {
-    let options = match parse_args() {
+    let (root, json) = match parse_args() {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
-    let workspace = Workspace::load(&options.root);
-    let lint = if options.runs(Pass::Lint) {
-        run_lints_on(&workspace)
-    } else {
-        Default::default()
-    };
-    let panic_path = if options.runs(Pass::PanicPath) {
-        let mut entry_points = recovery_entry_points();
-        entry_points.extend(harness_entry_points());
-        entry_points.extend(device_hot_entry_points());
-        run_panic_path(&workspace, &entry_points)
-    } else {
-        PanicPathReport::default()
-    };
-    let determinism = if options.runs(Pass::Determinism) {
-        run_determinism(&workspace, &deterministic_entry_points())
-    } else {
-        DeterminismReport::default()
-    };
-
-    let mut findings: Vec<ReportFinding> = lint
-        .findings
-        .iter()
-        .map(|f| ReportFinding {
-            rule: f.rule.to_string(),
-            file: f.file.display().to_string(),
-            line: f.line,
-            message: f.message.clone(),
-            chain: Vec::new(),
-        })
-        .collect();
-    findings.extend(panic_path.findings.iter().map(|f| ReportFinding {
-        rule: PANIC_PATH_RULE.to_string(),
-        file: f.file.display().to_string(),
-        line: f.line,
-        message: f.message.clone(),
-        chain: f.chain.clone(),
-    }));
-    findings.extend(determinism.findings.iter().map(|f| ReportFinding {
-        rule: format!("{NONDETERMINISM_RULE}/{}", f.source),
-        file: f.file.display().to_string(),
-        line: f.line,
-        message: f.message.clone(),
-        chain: f.chain.clone(),
-    }));
-
-    let mut entry_points = panic_path.entry_points.clone();
-    entry_points.extend(determinism.entry_points.iter().cloned());
-    entry_points.sort();
-    entry_points.dedup();
-    let mut missing_entry_points = panic_path.missing_entry_points.clone();
-    missing_entry_points.extend(determinism.missing_entry_points.iter().cloned());
-    missing_entry_points.sort();
-    missing_entry_points.dedup();
-
-    let report = JsonReport {
-        version: sos_analyze::report::REPORT_VERSION,
-        findings,
-        summary: ReportSummary {
-            reachable_fns: panic_path.reachable_fns,
-            determinism_reachable_fns: determinism.reachable_fns,
-            unresolved_calls: panic_path.unresolved_calls + determinism.unresolved_calls,
-            suppressed: lint.suppressed + panic_path.suppressed + determinism.suppressed,
-            allowlisted: determinism.allowlisted,
-            entry_points,
-            missing_entry_points,
-        },
-    };
-
-    let clean = report.findings.is_empty() && report.summary.missing_entry_points.is_empty();
-    if options.json {
+    let report = analyze(&Workspace::load(&root));
+    let summary = &report.summary;
+    let clean = report.findings.is_empty() && summary.missing_entry_points.is_empty();
+    if json {
         print!("{}", report.to_json());
     } else {
-        for finding in &lint.findings {
+        for finding in &report.findings {
             println!("{finding}");
         }
-        for finding in &panic_path.findings {
-            println!("{finding}");
-        }
-        for finding in &determinism.findings {
-            println!("{finding}");
-        }
-        for entry in &report.summary.missing_entry_points {
+        for entry in &summary.missing_entry_points {
             println!("sos-lint: entry point `{entry}` matches no function (renamed?)");
         }
         if clean {
             println!(
                 "sos-lint: clean ({}) — {} panic-path fns / {} determinism fns reachable from {} entry points, {} suppression(s), {} allowlisted, {} unresolved call(s)",
-                options.root.display(),
-                report.summary.reachable_fns,
-                report.summary.determinism_reachable_fns,
-                report.summary.entry_points.len(),
-                report.summary.suppressed,
-                report.summary.allowlisted,
-                report.summary.unresolved_calls,
+                root.display(),
+                summary.reachable_fns,
+                summary.determinism_reachable_fns,
+                summary.entry_points.len(),
+                summary.suppressed,
+                summary.allowlisted,
+                summary.unresolved_calls,
             );
         } else {
             println!(
                 "sos-lint: {} finding(s), {} missing entry point(s)",
                 report.findings.len(),
-                report.summary.missing_entry_points.len()
+                summary.missing_entry_points.len()
             );
         }
     }

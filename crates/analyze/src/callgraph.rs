@@ -20,13 +20,51 @@
 //! [`CallGraph::unresolved`] — explicitly kept, never silently dropped
 //! — so a report can always say how much of the surface was beyond
 //! static resolution.
+//!
+//! `CallGraph::scan_reachable` is the one driver both reachability
+//! passes (panic freedom, determinism) run on: it walks the graph from
+//! a set of [`EntryPoint`]s and hands every reachable body to a
+//! pass-specific scanner.
 
-use crate::panicpath::EntryPoint;
 use crate::parse::lexer::TokenKind;
-use crate::parse::{SourceFile, Workspace};
+use crate::parse::{Code, SourceFile, Workspace};
+use crate::report::{Finding, JsonReport, Rule};
+use crate::suppress::SuppressionSet;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::path::PathBuf;
+
+/// A configured root of the reachability walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryPoint {
+    /// The impl type the function is defined on, if any.
+    pub owner: Option<&'static str>,
+    /// The function name.
+    pub name: &'static str,
+}
+
+impl EntryPoint {
+    /// A method entry point.
+    pub const fn method(owner: &'static str, name: &'static str) -> EntryPoint {
+        EntryPoint {
+            owner: Some(owner),
+            name,
+        }
+    }
+
+    /// A free-function entry point.
+    pub const fn function(name: &'static str) -> EntryPoint {
+        EntryPoint { owner: None, name }
+    }
+
+    /// Human-readable `Owner::name` form.
+    pub fn label(&self) -> String {
+        match self.owner {
+            Some(owner) => format!("{owner}::{}", self.name),
+            None => self.name.to_string(),
+        }
+    }
+}
 
 /// How a call site was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +208,7 @@ impl CallGraph {
             let Some((body_start, body_end)) = file.items.fns[nodes[node].item_index].body else {
                 continue;
             };
-            let calls = extract_calls(file, body_start, body_end);
+            let calls = extract_calls(&file.code_in(body_start, body_end));
             let mut resolved: BTreeSet<usize> = BTreeSet::new();
             for call in calls {
                 let candidates = resolve(
@@ -225,7 +263,7 @@ impl CallGraph {
         let mut queue: VecDeque<usize> = VecDeque::new();
         for entry in entries {
             let live: Vec<usize> = self
-                .find(entry.owner.as_deref(), &entry.name)
+                .find(entry.owner, entry.name)
                 .into_iter()
                 .filter(|&id| !self.nodes[id].is_test)
                 .collect();
@@ -255,6 +293,59 @@ impl CallGraph {
             }
         }
         reach
+    }
+
+    /// The reachability driver: walks the graph from `entries` and runs
+    /// `scan` over the body of every reachable function, in
+    /// breadth-first order. Each `(line, rule, message)` hit becomes a
+    /// [`Finding`] carrying the shortest call chain from an entry point,
+    /// unless an inline suppression of the rule's family covers its
+    /// line. Adds the findings (sorted by file and line), suppression,
+    /// unresolved-call and entry-point counts to `report`, and returns
+    /// the number of reachable functions.
+    pub(crate) fn scan_reachable(
+        &self,
+        workspace: &Workspace,
+        entries: &[EntryPoint],
+        report: &mut JsonReport,
+        mut scan: impl FnMut(&FnNode, &SourceFile, Code<'_>) -> Vec<(usize, Rule, String)>,
+    ) -> usize {
+        let reach = self.reach(entries);
+        let summary = &mut report.summary;
+        summary
+            .entry_points
+            .extend(reach.entry_points.iter().cloned());
+        summary
+            .missing_entry_points
+            .extend(reach.missing_entry_points.iter().cloned());
+        let first = report.findings.len();
+        let mut suppressions: HashMap<usize, SuppressionSet> = HashMap::new();
+        for &node_id in &reach.nodes {
+            let node = &self.nodes[node_id];
+            report.summary.unresolved_calls += self.unresolved[node_id].len();
+            let file = &workspace.files[node.file_index];
+            let Some((start, end)) = file.items.fns[node.item_index].body else {
+                continue;
+            };
+            let chain = reach.chain_to(self, node_id);
+            let set = suppressions
+                .entry(node.file_index)
+                .or_insert_with(|| SuppressionSet::collect(file));
+            for (line, rule, message) in scan(node, file, file.code_in(start, end)) {
+                report.admit(
+                    set,
+                    Finding {
+                        rule,
+                        file: file.path.clone(),
+                        line,
+                        message,
+                        chain: chain.clone(),
+                    },
+                );
+            }
+        }
+        report.sort_from(first);
+        reach.nodes.len()
     }
 }
 
@@ -287,49 +378,37 @@ impl Reachability {
 }
 
 /// Scans a body token range for call expressions.
-pub(crate) fn extract_calls(file: &SourceFile, start: usize, end: usize) -> Vec<CallSite> {
-    let source = &file.source;
-    let tokens = &file.tokens;
-    // Indices of the body's non-comment tokens.
-    let idx: Vec<usize> = (start..=end.min(tokens.len().saturating_sub(1)))
-        .filter(|&i| !tokens[i].is_comment())
-        .collect();
-    let text_at = |k: usize| tokens[idx[k]].text(source);
+fn extract_calls(code: &Code<'_>) -> Vec<CallSite> {
     let mut calls = Vec::new();
-    for k in 0..idx.len() {
-        let token = &tokens[idx[k]];
+    for (k, token) in code.tokens.iter().enumerate() {
         if token.kind != TokenKind::Ident {
             continue;
         }
-        let name = token.text(source);
-        if CALL_KEYWORDS.contains(&name) {
-            continue;
-        }
-        let Some(&next_index) = idx.get(k + 1) else {
-            continue;
-        };
-        if tokens[next_index].kind != TokenKind::Punct || tokens[next_index].text(source) != "(" {
+        let name = token.text(code.source);
+        if CALL_KEYWORDS.contains(&name)
+            || code.kind(k + 1) != Some(TokenKind::Punct)
+            || code.text(k + 1) != Some("(")
+        {
             continue;
         }
         // `name!(…)` is a macro; `fn name(…)` is a definition.
-        let prev = k.checked_sub(1).map(&text_at);
+        let prev = code.text_back(k, 1);
         if prev == Some("fn") || prev == Some("!") {
             continue;
         }
         let (kind, qualifier) = match prev {
-            Some(".") => {
-                let receiver = k.checked_sub(2).map(&text_at);
-                (
-                    CallKind::Method {
-                        on_self: receiver == Some("self"),
-                    },
-                    None,
-                )
-            }
+            Some(".") => (
+                CallKind::Method {
+                    on_self: code.text_back(k, 2) == Some("self"),
+                },
+                None,
+            ),
             Some("::") => {
-                let qualifier = k.checked_sub(2).and_then(|q| {
-                    (tokens[idx[q]].kind == TokenKind::Ident).then(|| text_at(q).to_string())
-                });
+                let qualifier = k
+                    .checked_sub(2)
+                    .filter(|&q| code.kind(q) == Some(TokenKind::Ident))
+                    .and_then(|q| code.text(q))
+                    .map(str::to_string);
                 (CallKind::Path, qualifier)
             }
             _ => (CallKind::Free, None),

@@ -48,14 +48,12 @@
 //! workspace is pinned to a zero-finding baseline by the analyzer
 //! self-test.
 
-use crate::callgraph::CallGraph;
-use crate::panicpath::EntryPoint;
-use crate::parse::lexer::{Token, TokenKind};
-use crate::parse::{SourceFile, Workspace};
-use crate::suppress::SuppressionSet;
+use crate::callgraph::{is_expression_keyword, CallGraph, EntryPoint};
+use crate::parse::lexer::TokenKind;
+use crate::parse::{Code, SourceFile, Workspace};
+use crate::report::{JsonReport, Rule};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::path::PathBuf;
 
 /// The suppression rule name for this pass.
 pub const NONDETERMINISM_RULE: &str = "nondeterminism";
@@ -89,26 +87,20 @@ const MAP_ITER_METHODS: &[&str] = &[
 /// declared identifier (`files: Vec<HashMap<…>>` still marks `files`).
 const TYPE_WRAPPERS: &[&str] = &["Vec", "VecDeque", "Option", "Box", "Arc", "Rc", "RefCell"];
 
-/// The default entry set: every function whose output must be
-/// byte-identical across `SOS_THREADS` settings and process
-/// invocations — the five experiment report functions (E11, E10, E9,
-/// E17 and the crash sweep) and the parallel runner's fan-out/seed/thread
-/// paths.
-pub fn deterministic_entry_points() -> Vec<EntryPoint> {
-    [
-        "end_to_end_report",
-        "crash_sweep_report",
-        "wl_ablation_report",
-        "capacity_variance_report",
-        "flash_cache_report",
-        "run_tasks",
-        "task_seed",
-        "thread_count",
-    ]
-    .iter()
-    .map(|name| EntryPoint::function(name))
-    .collect()
-}
+/// The entry set: every function whose output must be byte-identical
+/// across `SOS_THREADS` settings and process invocations — the five
+/// experiment report functions (E11, E10, E9, E17 and the crash sweep)
+/// and the parallel runner's fan-out/seed/thread paths.
+pub const DETERMINISTIC_ENTRY_POINTS: &[EntryPoint] = &[
+    EntryPoint::function("end_to_end_report"),
+    EntryPoint::function("crash_sweep_report"),
+    EntryPoint::function("wl_ablation_report"),
+    EntryPoint::function("capacity_variance_report"),
+    EntryPoint::function("flash_cache_report"),
+    EntryPoint::function("run_tasks"),
+    EntryPoint::function("task_seed"),
+    EntryPoint::function("thread_count"),
+];
 
 /// The category of nondeterminism source a finding flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,107 +140,36 @@ impl fmt::Display for NondetSource {
     }
 }
 
-/// One nondeterminism source reachable from an entry point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NondetFinding {
-    /// File, relative to the workspace root.
-    pub file: PathBuf,
-    /// 1-based line of the source.
-    pub line: usize,
-    /// The source category.
-    pub source: NondetSource,
-    /// Human-readable description.
-    pub message: String,
-    /// Call chain from an entry point to the containing function.
-    pub chain: Vec<String>,
-}
-
-impl fmt::Display for NondetFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [nondeterminism/{}] {} (via {})",
-            self.file.display(),
-            self.line,
-            self.source,
-            self.message,
-            self.chain.join(" -> ")
-        )
-    }
-}
-
-/// The outcome of one determinism pass.
-#[derive(Debug, Clone, Default)]
-pub struct DeterminismReport {
-    /// Entry points that resolved to at least one definition.
-    pub entry_points: Vec<String>,
-    /// Configured entry points with **no** matching definition — a
-    /// rename hazard, treated as a gate failure by `sos-lint`.
-    pub missing_entry_points: Vec<String>,
-    /// Number of reachable non-test functions scanned.
-    pub reachable_fns: usize,
-    /// Unsuppressed findings.
-    pub findings: Vec<NondetFinding>,
-    /// Findings silenced by a justified inline suppression.
-    pub suppressed: usize,
-    /// Clock/float-reduction hits inside allowlisted timing functions.
-    pub allowlisted: usize,
-    /// Call sites (across reachable functions) that resolved to no
-    /// workspace definition — recorded, never silently dropped.
-    pub unresolved_calls: usize,
-}
-
-/// Runs the pass over a parsed workspace with the given entry points.
-pub fn run_determinism(workspace: &Workspace, entries: &[EntryPoint]) -> DeterminismReport {
-    let graph = CallGraph::build(workspace);
-    let reach = graph.reach(entries);
-    let mut report = DeterminismReport {
-        reachable_fns: reach.nodes.len(),
-        entry_points: reach.entry_points.clone(),
-        missing_entry_points: reach.missing_entry_points.clone(),
-        ..DeterminismReport::default()
-    };
-
-    // Per-file suppression sets and receiver-type tables, built lazily.
-    let mut suppressions: HashMap<usize, SuppressionSet> = HashMap::new();
+/// Runs the pass from `entries`, adding its findings and counters
+/// (`determinism_reachable_fns` and `allowlisted` among them) to
+/// `report`.
+pub fn run_determinism(
+    workspace: &Workspace,
+    graph: &CallGraph,
+    entries: &[EntryPoint],
+    report: &mut JsonReport,
+) {
+    // Per-file receiver-type tables, built lazily.
     let mut type_tables: HashMap<usize, FileTypes> = HashMap::new();
-
-    for &node_id in &reach.nodes {
-        let node = &graph.nodes[node_id];
-        report.unresolved_calls += graph.unresolved[node_id].len();
-        let file = &workspace.files[node.file_index];
-        let Some((start, end)) = file.items.fns[node.item_index].body else {
-            continue;
-        };
-        let chain = reach.chain_to(&graph, node_id);
-        let allowlisted_fn =
-            node.owner.is_none() && STDERR_TIMING_ALLOWLIST.contains(&node.name.as_str());
-        let types = type_tables
-            .entry(node.file_index)
-            .or_insert_with(|| FileTypes::collect(file));
-        let set = suppressions
-            .entry(node.file_index)
-            .or_insert_with(|| SuppressionSet::collect(file));
-        for (line, source, message) in scan_sources(file, types, start, end) {
-            if allowlisted_fn && source.allowlist_eligible() {
-                report.allowlisted += 1;
-            } else if set.allows(NONDETERMINISM_RULE, line) {
-                report.suppressed += 1;
-            } else {
-                report.findings.push(NondetFinding {
-                    file: file.path.clone(),
-                    line,
-                    source,
-                    message,
-                    chain: chain.clone(),
-                });
+    let mut allowlisted = 0;
+    report.summary.determinism_reachable_fns =
+        graph.scan_reachable(workspace, entries, report, |node, file, code| {
+            let types = type_tables
+                .entry(node.file_index)
+                .or_insert_with(|| FileTypes::collect(file));
+            let allowlisted_fn =
+                node.owner.is_none() && STDERR_TIMING_ALLOWLIST.contains(&node.name.as_str());
+            let mut hits = Vec::new();
+            for (line, source, message) in scan_sources(&code, types) {
+                if allowlisted_fn && source.allowlist_eligible() {
+                    allowlisted += 1;
+                } else {
+                    hits.push((line, Rule::Nondeterminism(source), message));
+                }
             }
-        }
-    }
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    report
+            hits
+        });
+    report.summary.allowlisted += allowlisted;
 }
 
 /// Per-file receiver-type table: identifiers declared (anywhere in the
@@ -263,32 +184,24 @@ impl FileTypes {
     /// declarations (fields, params, lets) and `name = HashMap::new()`
     /// inferred bindings, for both map types and `Mutex<f64>`/`f32`.
     fn collect(file: &SourceFile) -> FileTypes {
-        let source = &file.source;
-        let tokens = &file.tokens;
-        let idx: Vec<usize> = (0..tokens.len())
-            .filter(|&i| !tokens[i].is_comment())
-            .collect();
-        let text_at = |k: usize| tokens[idx[k]].text(source);
+        let code = file.code();
         let mut map_idents = HashSet::new();
         let mut float_mutex_idents = HashSet::new();
-        for k in 0..idx.len() {
-            let token = &tokens[idx[k]];
+        for (k, token) in code.tokens.iter().enumerate() {
             if token.kind != TokenKind::Ident || file.items.line_in_test(token.line) {
                 continue;
             }
-            match text_at(k) {
+            match token.text(code.source) {
                 "HashMap" | "HashSet" => {
-                    if let Some(name) = declared_ident(source, tokens, &idx, k) {
+                    if let Some(name) = declared_ident(&code, k) {
                         map_idents.insert(name);
                     }
                 }
                 "Mutex" => {
-                    let float_param = idx.get(k + 1).is_some_and(|_| text_at(k + 1) == "<")
-                        && idx
-                            .get(k + 2)
-                            .is_some_and(|_| matches!(text_at(k + 2), "f64" | "f32"));
+                    let float_param = code.text(k + 1) == Some("<")
+                        && matches!(code.text(k + 2), Some("f64" | "f32"));
                     if float_param {
-                        if let Some(name) = declared_ident(source, tokens, &idx, k) {
+                        if let Some(name) = declared_ident(&code, k) {
                             float_mutex_idents.insert(name);
                         }
                     }
@@ -303,78 +216,64 @@ impl FileTypes {
     }
 }
 
-/// Walks left from a type name at `idx[k]` to the identifier it is
+/// Walks left from a type name at position `k` to the identifier it is
 /// declared for: skips path segments (`std::collections::`), wrapper
 /// types (`Vec<…>`), `&`/`mut`, then expects `name :` (ascription) or
 /// `name =` (inferred constructor binding).
-fn declared_ident(source: &str, tokens: &[Token], idx: &[usize], k: usize) -> Option<String> {
+fn declared_ident(code: &Code<'_>, k: usize) -> Option<String> {
     let mut j = k;
     loop {
         let p = j.checked_sub(1)?;
-        let token = &tokens[idx[p]];
-        let text = token.text(source);
+        let text = code.text(p)?;
         match text {
             // `std :: collections :: HashMap` — skip `::` and its
             // qualifying segment in one step.
             "::" => j = p.checked_sub(1)?,
             "<" | "&" | "mut" => j = p,
-            _ if token.kind == TokenKind::Ident && TYPE_WRAPPERS.contains(&text) => j = p,
+            _ if code.kind(p) == Some(TokenKind::Ident) && TYPE_WRAPPERS.contains(&text) => j = p,
             _ => break,
         }
     }
     let sep = j.checked_sub(1)?;
-    if !matches!(tokens[idx[sep]].text(source), ":" | "=") {
+    if !matches!(code.text(sep), Some(":" | "=")) {
         return None;
     }
     let name_pos = sep.checked_sub(1)?;
-    let token = &tokens[idx[name_pos]];
-    let text = token.text(source);
-    (token.kind == TokenKind::Ident && !crate::callgraph::is_expression_keyword(text))
+    let text = code.text(name_pos)?;
+    (code.kind(name_pos) == Some(TokenKind::Ident) && !is_expression_keyword(text))
         .then(|| text.to_string())
 }
 
 /// Scans one function body for nondeterminism sources.
-fn scan_sources(
-    file: &SourceFile,
-    types: &FileTypes,
-    start: usize,
-    end: usize,
-) -> Vec<(usize, NondetSource, String)> {
-    let source = &file.source;
-    let tokens = &file.tokens;
-    let idx: Vec<usize> = (start..=end.min(tokens.len().saturating_sub(1)))
-        .filter(|&i| !tokens[i].is_comment())
-        .collect();
-    let text_at = |k: usize| tokens[idx[k]].text(source);
-    let kind_at = |k: usize| tokens[idx[k]].kind;
+fn scan_sources(code: &Code<'_>, types: &FileTypes) -> Vec<(usize, NondetSource, String)> {
     let mut found = Vec::new();
-    for k in 0..idx.len() {
-        let token = &tokens[idx[k]];
+    for (k, token) in code.tokens.iter().enumerate() {
         if token.kind != TokenKind::Ident {
             continue;
         }
-        let text = token.text(source);
-        let prev = k.checked_sub(1).map(&text_at);
-        let prev2 = k.checked_sub(2).map(&text_at);
-        let next = idx.get(k + 1).map(|_| text_at(k + 1));
+        let text = token.text(code.source);
+        let (prev, prev2, next) = (code.text_back(k, 1), code.text_back(k, 2), code.text(k + 1));
+        // The identifier receiving a `.method(…)` call at `k`, when
+        // `idents` types it (`self.field.iter()` included — the field
+        // identifier sits at k-2).
+        let receiver = |idents: &HashSet<String>| {
+            k.checked_sub(2)
+                .filter(|&j| code.kind(j) == Some(TokenKind::Ident))
+                .and_then(|j| code.text(j))
+                .filter(|recv| idents.contains(*recv))
+        };
         match text {
             // `recv.iter()` / `recv.keys()` / … where `recv` is
-            // map-typed (including `self.field.iter()` — the field
-            // identifier sits at k-2).
+            // map-typed.
             _ if MAP_ITER_METHODS.contains(&text) && prev == Some(".") && next == Some("(") => {
-                if let Some(recv) = prev2 {
-                    if k >= 2
-                        && kind_at(k - 2) == TokenKind::Ident
-                        && types.map_idents.contains(recv)
-                    {
-                        found.push((
-                            token.line,
-                            NondetSource::MapIteration,
-                            format!(
-                                "`{recv}.{text}()` iterates a HashMap/HashSet in nondeterministic order"
-                            ),
-                        ));
-                    }
+                if let Some(recv) = receiver(&types.map_idents) {
+                    found.push((
+                        token.line,
+                        NondetSource::MapIteration,
+                        format!(
+                            "`{recv}.{text}()` iterates a HashMap/HashSet in nondeterministic order"
+                        ),
+                    ));
                 }
             }
             // `for x in &map { … }` — a map-typed identifier in the
@@ -382,7 +281,7 @@ fn scan_sources(
             // left to the method rule above (avoids double-reporting
             // `for k in map.keys()`).
             "for" => {
-                if let Some((line, name)) = for_loop_over_map(source, tokens, &idx, k, types) {
+                if let Some((line, name)) = for_loop_over_map(code, k, types) {
                     found.push((
                         line,
                         NondetSource::MapIteration,
@@ -403,8 +302,7 @@ fn scan_sources(
                 }
             }
             "var" | "var_os" if prev == Some("::") && prev2 == Some("env") => {
-                let arg = idx.get(k + 2).map(|_| (kind_at(k + 2), text_at(k + 2)));
-                match arg {
+                match code.kind(k + 2).zip(code.text(k + 2)) {
                     Some((TokenKind::Str, literal)) if next == Some("(") => {
                         let name = literal.trim_matches('"');
                         if !ALLOWED_ENV_VARS.contains(&name) {
@@ -456,19 +354,14 @@ fn scan_sources(
                 ));
             }
             "lock" if prev == Some(".") && next == Some("(") => {
-                if let Some(recv) = prev2 {
-                    if k >= 2
-                        && kind_at(k - 2) == TokenKind::Ident
-                        && types.float_mutex_idents.contains(recv)
-                    {
-                        found.push((
-                            token.line,
-                            NondetSource::FloatReduction,
-                            format!(
-                                "`{recv}` accumulates floats across workers; `a + b + c` depends on completion order"
-                            ),
-                        ));
-                    }
+                if let Some(recv) = receiver(&types.float_mutex_idents) {
+                    found.push((
+                        token.line,
+                        NondetSource::FloatReduction,
+                        format!(
+                            "`{recv}` accumulates floats across workers; `a + b + c` depends on completion order"
+                        ),
+                    ));
                 }
             }
             _ => {}
@@ -477,27 +370,19 @@ fn scan_sources(
     found
 }
 
-/// For a `for` keyword at `idx[k]`, finds the iterator expression
+/// For a `for` keyword at position `k`, finds the iterator expression
 /// (between the depth-0 `in` and the loop body `{`) and returns the
 /// first map-typed identifier in it that is not a method receiver.
-fn for_loop_over_map(
-    source: &str,
-    tokens: &[Token],
-    idx: &[usize],
-    k: usize,
-    types: &FileTypes,
-) -> Option<(usize, String)> {
-    let text_at = |k: usize| tokens[idx[k]].text(source);
+fn for_loop_over_map(code: &Code<'_>, k: usize, types: &FileTypes) -> Option<(usize, String)> {
     // Locate the `in` that ends the pattern (depth-0: tuple patterns
     // like `for (k, v) in …` contain parens).
     let mut depth = 0i32;
     let mut in_pos = None;
-    for j in k + 1..idx.len() {
-        let text = text_at(j);
-        match text {
+    for (j, token) in code.tokens.iter().enumerate().skip(k + 1) {
+        match token.text(code.source) {
             "(" | "[" => depth += 1,
             ")" | "]" => depth -= 1,
-            "in" if depth == 0 && tokens[idx[j]].kind == TokenKind::Ident => {
+            "in" if depth == 0 && token.kind == TokenKind::Ident => {
                 in_pos = Some(j);
                 break;
             }
@@ -505,18 +390,16 @@ fn for_loop_over_map(
             _ => {}
         }
     }
-    let in_pos = in_pos?;
-    for j in in_pos + 1..idx.len() {
-        let token = &tokens[idx[j]];
-        let text = token.text(source);
+    for (j, token) in code.tokens.iter().enumerate().skip(in_pos? + 1) {
+        let text = token.text(code.source);
         if text == "{" {
             return None;
         }
-        if token.kind == TokenKind::Ident && types.map_idents.contains(text) {
-            let next_is_dot = idx.get(j + 1).is_some_and(|_| text_at(j + 1) == ".");
-            if !next_is_dot {
-                return Some((token.line, text.to_string()));
-            }
+        if token.kind == TokenKind::Ident
+            && types.map_idents.contains(text)
+            && code.text(j + 1) != Some(".")
+        {
+            return Some((token.line, text.to_string()));
         }
     }
     None
@@ -527,12 +410,14 @@ mod tests {
     use super::*;
     use crate::parse::Workspace;
 
-    fn run(src: &str, entries: &[EntryPoint]) -> DeterminismReport {
+    fn run(src: &str, entries: &[EntryPoint]) -> JsonReport {
         let ws = Workspace::from_sources(&[("bench", "crates/bench/src/lib.rs", src)]);
-        run_determinism(&ws, entries)
+        let mut report = JsonReport::default();
+        run_determinism(&ws, &CallGraph::build(&ws), entries, &mut report);
+        report
     }
 
-    fn entry(name: &str) -> Vec<EntryPoint> {
+    fn entry(name: &'static str) -> Vec<EntryPoint> {
         vec![EntryPoint::function(name)]
     }
 
@@ -542,7 +427,10 @@ mod tests {
         let report = run(src, &entry("report"));
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
         let finding = &report.findings[0];
-        assert_eq!(finding.source, NondetSource::MapIteration);
+        assert_eq!(
+            finding.rule,
+            Rule::Nondeterminism(NondetSource::MapIteration)
+        );
         assert_eq!(finding.line, 3);
         assert_eq!(finding.chain, vec!["report", "helper", "S::tally"]);
     }
@@ -559,7 +447,10 @@ mod tests {
         let src = "pub fn report() -> u64 {\n    let mut seen = std::collections::HashSet::new();\n    seen.insert(3u64);\n    let mut total = 0;\n    for value in &seen {\n        total += value;\n    }\n    total\n}\n";
         let report = run(src, &entry("report"));
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-        assert_eq!(report.findings[0].source, NondetSource::MapIteration);
+        assert_eq!(
+            report.findings[0].rule,
+            Rule::Nondeterminism(NondetSource::MapIteration)
+        );
         assert_eq!(report.findings[0].line, 5);
     }
 
@@ -575,7 +466,10 @@ mod tests {
         let src = "pub fn report() -> usize {\n    let mut counts = std::collections::HashMap::new();\n    counts.insert(1u64, 2u64);\n    counts.keys().count()\n}\n";
         let report = run(src, &entry("report"));
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-        assert_eq!(report.findings[0].source, NondetSource::MapIteration);
+        assert_eq!(
+            report.findings[0].rule,
+            Rule::Nondeterminism(NondetSource::MapIteration)
+        );
     }
 
     #[test]
@@ -589,9 +483,12 @@ mod tests {
             ],
         );
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-        assert_eq!(report.findings[0].source, NondetSource::WallClock);
+        assert_eq!(
+            report.findings[0].rule,
+            Rule::Nondeterminism(NondetSource::WallClock)
+        );
         assert_eq!(report.findings[0].chain, vec!["report", "helper"]);
-        assert_eq!(report.allowlisted, 1);
+        assert_eq!(report.summary.allowlisted, 1);
     }
 
     #[test]
@@ -607,14 +504,14 @@ mod tests {
     fn thread_identity_and_entropy_rngs_are_found() {
         let src = "pub fn report() {\n    let _who = std::thread::current();\n    let _rng = StdRng::from_entropy();\n    let _tr = thread_rng();\n    let _os = OsRng;\n}\n";
         let report = run(src, &entry("report"));
-        let sources: Vec<NondetSource> = report.findings.iter().map(|f| f.source).collect();
+        let sources: Vec<Rule> = report.findings.iter().map(|f| f.rule).collect();
         assert_eq!(
             sources,
             vec![
-                NondetSource::ThreadIdentity,
-                NondetSource::UnseededRng,
-                NondetSource::UnseededRng,
-                NondetSource::UnseededRng,
+                Rule::Nondeterminism(NondetSource::ThreadIdentity),
+                Rule::Nondeterminism(NondetSource::UnseededRng),
+                Rule::Nondeterminism(NondetSource::UnseededRng),
+                Rule::Nondeterminism(NondetSource::UnseededRng),
             ]
         );
     }
@@ -637,8 +534,11 @@ mod tests {
             ],
         );
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-        assert_eq!(report.findings[0].source, NondetSource::FloatReduction);
-        assert_eq!(report.allowlisted, 1);
+        assert_eq!(
+            report.findings[0].rule,
+            Rule::Nondeterminism(NondetSource::FloatReduction)
+        );
+        assert_eq!(report.summary.allowlisted, 1);
     }
 
     #[test]
@@ -646,7 +546,7 @@ mod tests {
         let src = "pub fn report() -> f64 {\n    // sos-lint: allow(nondeterminism, \"diagnostic timing, stderr only\")\n    let t = std::time::Instant::now();\n    t.elapsed().as_secs_f64()\n}\n";
         let report = run(src, &entry("report"));
         assert!(report.findings.is_empty(), "{:?}", report.findings);
-        assert_eq!(report.suppressed, 1);
+        assert_eq!(report.summary.suppressed, 1);
     }
 
     #[test]
@@ -669,13 +569,13 @@ mod tests {
             "pub fn report() {}\n",
             &[EntryPoint::function("report"), EntryPoint::function("gone")],
         );
-        assert_eq!(report.entry_points, vec!["report"]);
-        assert_eq!(report.missing_entry_points, vec!["gone"]);
+        assert_eq!(report.summary.entry_points, vec!["report"]);
+        assert_eq!(report.summary.missing_entry_points, vec!["gone"]);
     }
 
     #[test]
     fn default_entry_points_cover_experiments_runner_and_kernels() {
-        let labels: Vec<String> = deterministic_entry_points()
+        let labels: Vec<String> = DETERMINISTIC_ENTRY_POINTS
             .iter()
             .map(|e| e.label())
             .collect();

@@ -35,8 +35,9 @@
 //!   every reachable nondeterminism source: map iteration, wall clock,
 //!   undeclared env reads, thread identity, entropy-seeded RNGs,
 //!   unordered float reduction). Residual risks are suppressed inline
-//!   with a mandatory written justification; `sos-lint --format json`
-//!   emits the machine-readable report ([`report`]).
+//!   with a mandatory written justification. [`analyze`] runs all three
+//!   over one call graph into one [`JsonReport`], which `sos-lint`
+//!   prints as text or, with `--format json`, as JSON ([`report`]).
 
 pub mod auditors;
 pub mod callgraph;
@@ -52,21 +53,16 @@ pub use auditors::{
     EraseDisciplineAuditor, FtlAuditorSet, GcConservationAuditor, L2pInjectivityAuditor,
     PlacementAuditor, ValidCountAuditor, WearMonotonicityAuditor,
 };
-pub use callgraph::CallGraph;
-pub use determinism::{
-    deterministic_entry_points, run_determinism, DeterminismReport, NondetFinding, NondetSource,
-};
+pub use callgraph::{CallGraph, EntryPoint};
+pub use determinism::{run_determinism, NondetSource, DETERMINISTIC_ENTRY_POINTS};
 pub use harness::{
     arg_or_exit, run_audited_days, run_crashy_days, seed_from_env, AuditFinding, AuditedFtl,
     CoreAuditorSet, CrashSweepReport, RecoveryAuditor,
 };
-pub use lint::{run_lints_on, LintFinding, LintOutcome};
-pub use panicpath::{
-    device_hot_entry_points, harness_entry_points, recovery_entry_points, run_panic_path,
-    EntryPoint, PanicPathReport,
-};
+pub use lint::run_lints_on;
+pub use panicpath::{run_panic_path, PanicConstruct, PANIC_PATH_ENTRY_POINTS};
 pub use parse::Workspace;
-pub use report::{JsonReport, ReportFinding, ReportSummary};
+pub use report::{analyze, Finding, JsonReport, ReportSummary, Rule};
 pub use suppress::SuppressionSet;
 
 use std::fmt;

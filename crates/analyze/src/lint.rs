@@ -36,10 +36,9 @@
 //! ([`crate::suppress`]): `// sos-lint: allow(<rule>, "<why>")`.
 
 use crate::parse::lexer::TokenKind;
-use crate::parse::{SourceFile, Workspace};
+use crate::parse::{Code, SourceFile, Workspace};
+use crate::report::{Finding, JsonReport, Rule};
 use crate::suppress::SuppressionSet;
-use std::fmt;
-use std::path::PathBuf;
 
 /// Crates whose non-test code must be free of `.unwrap()` / `.expect(`.
 const NO_UNWRAP_CRATES: &[&str] = &["flash", "ftl", "core", "hostfs"];
@@ -54,66 +53,33 @@ const LOSSY_CAST_TARGETS: &[&str] = &["u8", "u16", "u32"];
 /// Macros banned outside test code in every crate.
 const BANNED_MACROS: &[&str] = &["todo", "unimplemented", "dbg"];
 
-/// One lint rule violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintFinding {
-    /// File the finding is in (relative to the workspace root).
-    pub file: PathBuf,
-    /// 1-based line number.
-    pub line: usize,
-    /// The rule that fired.
-    pub rule: &'static str,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for LintFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file.display(),
-            self.line,
-            self.rule,
-            self.message
-        )
-    }
-}
-
-/// The result of a lint run: surviving findings plus the count of
-/// findings silenced by justified suppressions.
-#[derive(Debug, Clone, Default)]
-pub struct LintOutcome {
-    /// Findings not covered by a suppression, sorted by file and line.
-    pub findings: Vec<LintFinding>,
-    /// Findings silenced by a `sos-lint: allow(…)` comment.
-    pub suppressed: usize,
-}
-
-/// Runs every lint rule over an already-parsed workspace.
-pub fn run_lints_on(workspace: &Workspace) -> LintOutcome {
-    let mut outcome = LintOutcome::default();
+/// Runs every lint rule over an already-parsed workspace, adding the
+/// findings (sorted by file and line) and the suppression count to
+/// `report`.
+pub fn run_lints_on(workspace: &Workspace, report: &mut JsonReport) {
+    let first = report.findings.len();
     for file in &workspace.files {
-        lint_file(file, &mut outcome);
+        lint_file(file, report);
     }
-    outcome
-        .findings
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    outcome
+    report.sort_from(first);
 }
 
 /// Runs all rules over one parsed file.
-fn lint_file(file: &SourceFile, outcome: &mut LintOutcome) {
+fn lint_file(file: &SourceFile, report: &mut JsonReport) {
+    let finding = |line, rule, message| Finding {
+        rule: Rule::Lint(rule),
+        file: file.path.clone(),
+        line,
+        message,
+        chain: Vec::new(),
+    };
     let suppressions = SuppressionSet::collect(file);
     for (line, problem) in &suppressions.malformed {
         // Deliberately not suppressible: a broken suppression must be
         // fixed, not allowed away.
-        outcome.findings.push(LintFinding {
-            file: file.path.clone(),
-            line: *line,
-            rule: "bad-suppression",
-            message: problem.clone(),
-        });
+        report
+            .findings
+            .push(finding(*line, "bad-suppression", problem.clone()));
     }
 
     let crate_name = file.crate_name.as_str();
@@ -122,35 +88,16 @@ fn lint_file(file: &SourceFile, outcome: &mut LintOutcome) {
     let check_docs = DOC_CRATES.contains(&crate_name);
     let check_casts = NO_LOSSY_CAST_CRATES.contains(&crate_name);
 
-    let source = &file.source;
-    let tokens = &file.tokens;
-    let raw_lines: Vec<&str> = source.lines().collect();
-    let idx: Vec<usize> = (0..tokens.len())
-        .filter(|&i| !tokens[i].is_comment())
-        .collect();
-    let text_at = |k: usize| tokens[idx[k]].text(source);
+    let raw_lines: Vec<&str> = file.source.lines().collect();
+    let code = file.code();
+    let mut emit = |line, rule, message| report.admit(&suppressions, finding(line, rule, message));
 
-    let mut emit = |line: usize, rule: &'static str, message: String| {
-        if suppressions.allows(rule, line) {
-            outcome.suppressed += 1;
-        } else {
-            outcome.findings.push(LintFinding {
-                file: file.path.clone(),
-                line,
-                rule,
-                message,
-            });
-        }
-    };
-
-    for k in 0..idx.len() {
-        let token = &tokens[idx[k]];
+    for (k, token) in code.tokens.iter().enumerate() {
         if token.kind != TokenKind::Ident || file.items.line_in_test(token.line) {
             continue;
         }
-        let text = token.text(source);
-        let prev = k.checked_sub(1).map(&text_at);
-        let next = (k + 1 < idx.len()).then(|| text_at(k + 1));
+        let text = token.text(code.source);
+        let (prev, next) = (code.text_back(k, 1), code.text(k + 1));
 
         if check_unwrap
             && matches!(text, "unwrap" | "expect")
@@ -170,8 +117,7 @@ fn lint_file(file: &SourceFile, outcome: &mut LintOutcome) {
                 "f32 in carbon accounting (use f64)".to_string(),
             );
         }
-        if text == "sleep" && prev == Some("::") && k.checked_sub(2).map(&text_at) == Some("thread")
-        {
+        if text == "sleep" && prev == Some("::") && code.text_back(k, 2) == Some("thread") {
             emit(
                 token.line,
                 "no-sleep",
@@ -180,8 +126,7 @@ fn lint_file(file: &SourceFile, outcome: &mut LintOutcome) {
         }
         if BANNED_MACROS.contains(&text)
             && next == Some("!")
-            && (k + 2 < idx.len())
-            && matches!(text_at(k + 2), "(" | "[" | "{")
+            && matches!(code.text(k + 2), Some("(" | "[" | "{"))
         {
             emit(
                 token.line,
@@ -202,8 +147,10 @@ fn lint_file(file: &SourceFile, outcome: &mut LintOutcome) {
         }
         if check_docs
             && text == "pub"
-            && is_line_start(tokens, &idx, k)
-            && documentable_item(&idx, k, tokens, source)
+            // …as the first token on its line.
+            && k.checked_sub(1)
+                .is_none_or(|p| code.tokens[p].line != token.line)
+            && documentable_item(&code, k)
             && !has_doc_comment(&raw_lines, token.line)
         {
             emit(
@@ -218,32 +165,18 @@ fn lint_file(file: &SourceFile, outcome: &mut LintOutcome) {
     }
 }
 
-/// Is the token at `idx[k]` the first non-comment token on its line?
-fn is_line_start(tokens: &[crate::parse::lexer::Token], idx: &[usize], k: usize) -> bool {
-    match k.checked_sub(1) {
-        None => true,
-        Some(prev) => tokens[idx[prev]].line != tokens[idx[k]].line,
-    }
-}
-
-/// Does `pub` at `idx[k]` introduce an item the pub-docs rule covers?
-/// Matches the documentable set: `pub [async|unsafe|const] fn`,
+/// Does `pub` at position `k` introduce an item the pub-docs rule
+/// covers? Matches the documentable set: `pub [async|unsafe|const] fn`,
 /// `pub struct/enum/trait/mod/const/static/type/union` — and skips
 /// `pub mod name;` (an external module documented by `//!` in its own
 /// file).
-fn documentable_item(
-    idx: &[usize],
-    k: usize,
-    tokens: &[crate::parse::lexer::Token],
-    source: &str,
-) -> bool {
-    let text_at = |j: usize| idx.get(j).map(|&i| tokens[i].text(source));
-    match text_at(k + 1) {
+fn documentable_item(code: &Code<'_>, k: usize) -> bool {
+    match code.text(k + 1) {
         Some("fn" | "struct" | "enum" | "trait" | "const" | "static" | "type" | "union") => true,
-        Some("async" | "unsafe") => text_at(k + 2) == Some("fn"),
+        Some("async" | "unsafe") => code.text(k + 2) == Some("fn"),
         // `pub mod name;` → external file, skip; `pub mod name {` →
         // inline, documentable.
-        Some("mod") => text_at(k + 3) != Some(";"),
+        Some("mod") => code.text(k + 3) != Some(";"),
         _ => false,
     }
 }
@@ -307,16 +240,22 @@ mod tests {
     use super::*;
     use crate::parse::Workspace;
 
-    fn lint(crate_name: &str, src: &str) -> LintOutcome {
-        let path = format!("crates/{crate_name}/src/x.rs");
-        run_lints_on(&Workspace::from_sources(&[(crate_name, &path, src)]))
+    fn lint_sources(sources: &[(&str, &str, &str)]) -> JsonReport {
+        let mut report = JsonReport::default();
+        run_lints_on(&Workspace::from_sources(sources), &mut report);
+        report
     }
 
-    fn rules(outcome: &LintOutcome, rule: &str) -> Vec<usize> {
+    fn lint(crate_name: &str, src: &str) -> JsonReport {
+        let path = format!("crates/{crate_name}/src/x.rs");
+        lint_sources(&[(crate_name, &path, src)])
+    }
+
+    fn rules(outcome: &JsonReport, rule: &'static str) -> Vec<usize> {
         outcome
             .findings
             .iter()
-            .filter(|f| f.rule == rule)
+            .filter(|f| f.rule == Rule::Lint(rule))
             .map(|f| f.line)
             .collect()
     }
@@ -382,7 +321,7 @@ mod tests {
         // diagnostics both depend on it, so bench gets no exemption.
         let path = "crates/bench/src/runner.rs";
         let src = "pub fn run_tasks() { std::thread::sleep(d); }\n";
-        let out = run_lints_on(&Workspace::from_sources(&[("bench", path, src)]));
+        let out = lint_sources(&[("bench", path, src)]);
         assert_eq!(rules(&out, "no-sleep"), vec![1]);
     }
 
@@ -417,7 +356,7 @@ mod tests {
         let src = "fn f(x: u64) -> u32 {\n    x as u32 // sos-lint: allow(no-lossy-cast, \"x is a block index < 2^20\")\n}\n";
         let out = lint("ftl", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
-        assert_eq!(out.suppressed, 1);
+        assert_eq!(out.summary.suppressed, 1);
         let bad = "fn f(x: u64) -> u32 {\n    x as u32 // sos-lint: allow(no-lossy-cast)\n}\n";
         let out2 = lint("ftl", bad);
         assert_eq!(rules(&out2, "bad-suppression"), vec![2]);
@@ -428,10 +367,10 @@ mod tests {
     fn pub_docs_rule_requires_doc_comment() {
         let src = "/// documented\npub fn good() {}\npub fn bad() {}\n";
         let out = lint("core", src);
-        let docs: Vec<&LintFinding> = out
+        let docs: Vec<&Finding> = out
             .findings
             .iter()
-            .filter(|f| f.rule == "pub-docs")
+            .filter(|f| f.rule == Rule::Lint("pub-docs"))
             .collect();
         assert_eq!(docs.len(), 1);
         assert_eq!(docs[0].line, 3);

@@ -4,14 +4,15 @@
 //! crate source in the repository.
 //!
 //! Everything downstream — the lint rules, the call graph and the
-//! panic-freedom pass — consumes [`SourceFile`]s from here, so string,
-//! comment and `cfg(test)` handling exists in exactly one place.
+//! reachability passes — consumes [`SourceFile`]s from here, and scans
+//! them through one `Code` view, so string, comment and `cfg(test)`
+//! handling exists in exactly one place.
 
 pub mod items;
 pub mod lexer;
 
 use items::FileItems;
-use lexer::Token;
+use lexer::{Token, TokenKind};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -44,12 +45,56 @@ impl SourceFile {
         }
     }
 
+    /// The file's non-comment tokens.
+    pub(crate) fn code(&self) -> Code<'_> {
+        self.code_in(0, usize::MAX)
+    }
+
+    /// The non-comment tokens among tokens `start..=end` (a function
+    /// body's span).
+    pub(crate) fn code_in(&self, start: usize, end: usize) -> Code<'_> {
+        let tokens = self.tokens.iter().take(end.saturating_add(1)).skip(start);
+        Code {
+            source: &self.source,
+            tokens: tokens.filter(|token| !token.is_comment()).collect(),
+        }
+    }
+
     /// The raw text of 1-based `line` (empty when out of range).
     pub fn line_text(&self, line: usize) -> &str {
         self.source
             .lines()
             .nth(line.saturating_sub(1))
             .unwrap_or("")
+    }
+}
+
+/// A run of non-comment tokens, addressed by position: the view every
+/// rule and the call-graph extractor scan, so a comment between two
+/// tokens never hides a construct split across them. Out-of-range
+/// positions read as `None`.
+#[derive(Debug, Clone)]
+pub(crate) struct Code<'a> {
+    /// The text the tokens index into.
+    pub(crate) source: &'a str,
+    /// The non-comment tokens, in source order.
+    pub(crate) tokens: Vec<&'a Token>,
+}
+
+impl<'a> Code<'a> {
+    /// The text of token `k`.
+    pub(crate) fn text(&self, k: usize) -> Option<&'a str> {
+        self.tokens.get(k).map(|token| token.text(self.source))
+    }
+
+    /// The text of the token `back` positions before token `k`.
+    pub(crate) fn text_back(&self, k: usize, back: usize) -> Option<&'a str> {
+        self.text(k.checked_sub(back)?)
+    }
+
+    /// The kind of token `k`.
+    pub(crate) fn kind(&self, k: usize) -> Option<TokenKind> {
+        self.tokens.get(k).map(|token| token.kind)
     }
 }
 

@@ -1,32 +1,99 @@
-//! Machine-readable lint/panic-path report: `sos-lint --format json`.
+//! The analysis report: every finding of the three passes and the
+//! run's counters, printed by `sos-lint` as text or, with
+//! `--format json`, as machine-readable JSON.
+//!
+//! [`analyze`] runs the lint rules ([`crate::lint`]), the panic-freedom
+//! pass ([`crate::panicpath`]) and the determinism pass
+//! ([`crate::determinism`]) over one shared [`CallGraph`]; each pass
+//! adds its [`Finding`]s and counters to the one [`JsonReport`].
 //!
 //! The vendored `serde` is marker-traits only (the workspace has no
 //! registry access), so the report types derive those markers for API
 //! compatibility but carry their own JSON writer; unit tests pin its
 //! output byte for byte.
 
+use crate::callgraph::CallGraph;
+use crate::determinism::{
+    run_determinism, NondetSource, DETERMINISTIC_ENTRY_POINTS, NONDETERMINISM_RULE,
+};
+use crate::lint::run_lints_on;
+use crate::panicpath::{run_panic_path, PanicConstruct, PANIC_PATH_ENTRY_POINTS, PANIC_PATH_RULE};
+use crate::parse::Workspace;
+use crate::suppress::SuppressionSet;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::path::PathBuf;
 
 /// Report format version, bumped on breaking shape changes.
 /// Version 2 added the determinism-pass counters
 /// (`determinism_reachable_fns`, `allowlisted`).
 pub const REPORT_VERSION: u32 = 2;
 
-/// One finding in the JSON report — a lint-rule hit, a panic-path
-/// construct, or a nondeterminism source.
+/// The rule a finding breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// A token-stream lint rule (`no-unwrap`, `pub-docs`, …).
+    Lint(&'static str),
+    /// A panicking construct reachable from a panic-path entry point.
+    PanicPath(PanicConstruct),
+    /// A nondeterminism source reachable from a determinism entry point.
+    Nondeterminism(NondetSource),
+}
+
+impl Rule {
+    /// The name an inline suppression uses for this rule: a lint rule's
+    /// own name, or its pass's family (`panic-path`, `nondeterminism`).
+    pub(crate) fn family(self) -> &'static str {
+        match self {
+            Rule::Lint(name) => name,
+            Rule::PanicPath(_) => PANIC_PATH_RULE,
+            Rule::Nondeterminism(_) => NONDETERMINISM_RULE,
+        }
+    }
+}
+
+impl fmt::Display for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Rule::Lint(name) => f.write_str(name),
+            Rule::PanicPath(construct) => write!(f, "{PANIC_PATH_RULE}/{construct}"),
+            Rule::Nondeterminism(source) => write!(f, "{NONDETERMINISM_RULE}/{source}"),
+        }
+    }
+}
+
+/// One finding of any pass: a lint-rule hit, a panic-path construct or
+/// a nondeterminism source.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReportFinding {
-    /// Rule name (`no-unwrap`, `panic-path`, …).
-    pub rule: String,
+pub struct Finding {
+    /// The rule that fired.
+    pub rule: Rule,
     /// File path relative to the workspace root.
-    pub file: String,
+    pub file: PathBuf,
     /// 1-based line.
     pub line: usize,
     /// Human-readable description.
     pub message: String,
-    /// Call chain from an entry point (empty for plain lint findings).
+    /// Call chain from an entry point to the containing function
+    /// (empty for plain lint findings).
     pub chain: Vec<String>,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file.display(),
+            self.line,
+            self.rule,
+            self.message
+        )?;
+        if !self.chain.is_empty() {
+            write!(f, " (via {})", self.chain.join(" -> "))?;
+        }
+        Ok(())
+    }
 }
 
 /// Aggregate counters for the run.
@@ -36,7 +103,9 @@ pub struct ReportSummary {
     pub reachable_fns: usize,
     /// Non-test functions reachable from the determinism entry points.
     pub determinism_reachable_fns: usize,
-    /// Call sites that resolved to no workspace definition.
+    /// Call sites in reachable functions that resolved to no workspace
+    /// definition — recorded, never silently dropped. Summed over both
+    /// reachability passes, so a function both reach counts twice.
     pub unresolved_calls: usize,
     /// Findings silenced by justified suppressions.
     pub suppressed: usize,
@@ -44,7 +113,8 @@ pub struct ReportSummary {
     pub allowlisted: usize,
     /// Entry points that resolved to a definition.
     pub entry_points: Vec<String>,
-    /// Configured entry points with no matching definition.
+    /// Configured entry points with no matching definition — a rename
+    /// hazard, treated as a gate failure by `sos-lint`.
     pub missing_entry_points: Vec<String>,
 }
 
@@ -53,13 +123,59 @@ pub struct ReportSummary {
 pub struct JsonReport {
     /// Format version ([`REPORT_VERSION`]).
     pub version: u32,
-    /// All findings, lint rules first, then panic-path.
-    pub findings: Vec<ReportFinding>,
+    /// All findings: lint rules, then panic-path, then nondeterminism,
+    /// each pass's sorted by file and line.
+    pub findings: Vec<Finding>,
     /// Run counters.
     pub summary: ReportSummary,
 }
 
+impl Default for JsonReport {
+    fn default() -> Self {
+        JsonReport {
+            version: REPORT_VERSION,
+            findings: Vec::new(),
+            summary: ReportSummary::default(),
+        }
+    }
+}
+
+/// Runs every pass over `workspace` — the lint rules, then the
+/// panic-freedom and determinism passes over one call graph — and
+/// returns the report `sos-lint` prints and gates on.
+pub fn analyze(workspace: &Workspace) -> JsonReport {
+    let graph = CallGraph::build(workspace);
+    let mut report = JsonReport::default();
+    run_lints_on(workspace, &mut report);
+    run_panic_path(workspace, &graph, PANIC_PATH_ENTRY_POINTS, &mut report);
+    run_determinism(workspace, &graph, DETERMINISTIC_ENTRY_POINTS, &mut report);
+    let summary = &mut report.summary;
+    for labels in [&mut summary.entry_points, &mut summary.missing_entry_points] {
+        labels.sort();
+        labels.dedup();
+    }
+    report
+}
+
 impl JsonReport {
+    /// Records `finding`, or counts it as suppressed when `suppressions`
+    /// allow its rule on its line.
+    pub(crate) fn admit(&mut self, suppressions: &SuppressionSet, finding: Finding) {
+        if suppressions.allows(finding.rule.family(), finding.line) {
+            self.summary.suppressed += 1;
+        } else {
+            self.findings.push(finding);
+        }
+    }
+
+    /// Sorts the findings from index `first` on (one pass's) by file
+    /// and line, keeping emission order within a line.
+    pub(crate) fn sort_from(&mut self, first: usize) {
+        if let Some(findings) = self.findings.get_mut(first..) {
+            findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+        }
+    }
+
     /// Serializes to pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -69,8 +185,12 @@ impl JsonReport {
         for (i, finding) in self.findings.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    {\n");
-            let _ = writeln!(out, "      \"rule\": {},", quote(&finding.rule));
-            let _ = writeln!(out, "      \"file\": {},", quote(&finding.file));
+            let _ = writeln!(out, "      \"rule\": {},", quote(&finding.rule.to_string()));
+            let _ = writeln!(
+                out,
+                "      \"file\": {},",
+                quote(&finding.file.display().to_string())
+            );
             let _ = writeln!(out, "      \"line\": {},", finding.line);
             let _ = writeln!(out, "      \"message\": {},", quote(&finding.message));
             let _ = writeln!(out, "      \"chain\": {}", string_array(&finding.chain));
@@ -142,9 +262,9 @@ mod tests {
         JsonReport {
             version: REPORT_VERSION,
             findings: vec![
-                ReportFinding {
-                    rule: "panic-path".to_string(),
-                    file: "crates/ftl/src/gc.rs".to_string(),
+                Finding {
+                    rule: Rule::PanicPath(PanicConstruct::Indexing),
+                    file: PathBuf::from("crates/ftl/src/gc.rs"),
                     line: 42,
                     message: "indexing `blocks[…]` may panic \"out of bounds\"".to_string(),
                     chain: vec![
@@ -152,9 +272,9 @@ mod tests {
                         "Ftl::relocate_valid".to_string(),
                     ],
                 },
-                ReportFinding {
-                    rule: "no-unwrap".to_string(),
-                    file: "crates/flash/src/device.rs".to_string(),
+                Finding {
+                    rule: Rule::Lint("no-unwrap"),
+                    file: PathBuf::from("crates/flash/src/device.rs"),
                     line: 7,
                     message: ".unwrap() in non-test code".to_string(),
                     chain: Vec::new(),
@@ -176,7 +296,7 @@ mod tests {
   "version": 2,
   "findings": [
     {
-      "rule": "panic-path",
+      "rule": "panic-path/indexing",
       "file": "crates/ftl/src/gc.rs",
       "line": 42,
       "message": "indexing `blocks[…]` may panic \"out of bounds\"",

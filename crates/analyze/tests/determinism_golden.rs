@@ -6,9 +6,9 @@
 //! goes missing, a suppression stops counting) this fails loudly with
 //! the diff.
 
-use sos_analyze::determinism::{run_determinism, NondetSource};
-use sos_analyze::panicpath::EntryPoint;
-use sos_analyze::Workspace;
+use sos_analyze::{
+    run_determinism, CallGraph, EntryPoint, JsonReport, NondetSource, Rule, Workspace,
+};
 use std::path::PathBuf;
 
 fn fixture_root() -> PathBuf {
@@ -16,6 +16,17 @@ fn fixture_root() -> PathBuf {
         .join("tests")
         .join("fixtures")
         .join("nondet")
+}
+
+fn run(workspace: &Workspace, entries: &[EntryPoint]) -> JsonReport {
+    let mut report = JsonReport::default();
+    run_determinism(
+        workspace,
+        &CallGraph::build(workspace),
+        entries,
+        &mut report,
+    );
+    report
 }
 
 #[test]
@@ -30,20 +41,20 @@ fn fixture_detects_every_seeded_source_kind_with_chains() {
         EntryPoint::function("cache_report"),
         EntryPoint::function("diagnostics"),
     ];
-    let report = run_determinism(&workspace, &entries);
+    let report = run(&workspace, &entries);
 
     assert!(
-        report.missing_entry_points.is_empty(),
+        report.summary.missing_entry_points.is_empty(),
         "fixture entry points no longer resolve: {:?}",
-        report.missing_entry_points
+        report.summary.missing_entry_points
     );
 
     // (kind, containing fn at the end of the chain) for every finding,
     // in the pass's deterministic file/line order.
-    let got: Vec<(NondetSource, Vec<String>)> = report
+    let got: Vec<(Rule, Vec<String>)> = report
         .findings
         .iter()
-        .map(|f| (f.source, f.chain.clone()))
+        .map(|f| (f.rule, f.chain.clone()))
         .collect();
     let chain = |tail: &str| -> Vec<String> {
         vec![
@@ -53,12 +64,30 @@ fn fixture_detects_every_seeded_source_kind_with_chains() {
         ]
     };
     let expected = vec![
-        (NondetSource::MapIteration, chain("Registry::tally")),
-        (NondetSource::WallClock, chain("stamp")),
-        (NondetSource::UnseededRng, chain("pick_seed")),
-        (NondetSource::EnvRead, chain("ambient_noise")),
-        (NondetSource::ThreadIdentity, chain("worker_tag")),
-        (NondetSource::FloatReduction, chain("shared_total")),
+        (
+            Rule::Nondeterminism(NondetSource::MapIteration),
+            chain("Registry::tally"),
+        ),
+        (
+            Rule::Nondeterminism(NondetSource::WallClock),
+            chain("stamp"),
+        ),
+        (
+            Rule::Nondeterminism(NondetSource::UnseededRng),
+            chain("pick_seed"),
+        ),
+        (
+            Rule::Nondeterminism(NondetSource::EnvRead),
+            chain("ambient_noise"),
+        ),
+        (
+            Rule::Nondeterminism(NondetSource::ThreadIdentity),
+            chain("worker_tag"),
+        ),
+        (
+            Rule::Nondeterminism(NondetSource::FloatReduction),
+            chain("shared_total"),
+        ),
     ];
     assert_eq!(
         got,
@@ -74,14 +103,14 @@ fn fixture_detects_every_seeded_source_kind_with_chains() {
 
     // The justified clock read behind `diagnostics` is suppressed, and
     // nothing in the fixture hits the stderr-timing allowlist.
-    assert_eq!(report.suppressed, 1);
-    assert_eq!(report.allowlisted, 0);
+    assert_eq!(report.summary.suppressed, 1);
+    assert_eq!(report.summary.allowlisted, 0);
 }
 
 #[test]
 fn fixture_findings_carry_real_lines_and_messages() {
     let workspace = Workspace::load(&fixture_root());
-    let report = run_determinism(&workspace, &[EntryPoint::function("cache_report")]);
+    let report = run(&workspace, &[EntryPoint::function("cache_report")]);
     let source = &workspace.files[0].source;
     for finding in &report.findings {
         let line_text = source
@@ -100,7 +129,7 @@ fn fixture_findings_carry_real_lines_and_messages() {
     let env_finding = report
         .findings
         .iter()
-        .find(|f| f.source == NondetSource::EnvRead)
+        .find(|f| f.rule == Rule::Nondeterminism(NondetSource::EnvRead))
         .expect("env-read finding present");
     assert!(
         env_finding.message.contains("NODE_NAME"),

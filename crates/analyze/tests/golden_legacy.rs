@@ -15,7 +15,7 @@
 //! * `.unwrap()` split across lines by rustfmt (legacy missed it),
 //! * `my_thread::sleep` (legacy substring match fired on it).
 
-use sos_analyze::{run_lints_on, Workspace};
+use sos_analyze::{run_lints_on, JsonReport, Rule, Workspace};
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------
@@ -579,10 +579,12 @@ fn legacy_findings(sources: &[(&str, &str, &str)]) -> Vec<(String, usize, String
 
 fn ported_findings(sources: &[(&str, &str, &str)]) -> Vec<(String, usize, String, String)> {
     let workspace = Workspace::from_sources(sources);
-    run_lints_on(&workspace)
+    let mut report = JsonReport::default();
+    run_lints_on(&workspace, &mut report);
+    report
         .findings
         .into_iter()
-        .filter(|f| GOLDEN_RULES.contains(&f.rule))
+        .filter(|f| matches!(f.rule, Rule::Lint(rule) if GOLDEN_RULES.contains(&rule)))
         .map(|f| {
             (
                 f.file.display().to_string(),

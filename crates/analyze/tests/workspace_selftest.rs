@@ -9,10 +9,7 @@
 //!   no unsuppressed lint, panic-path, or nondeterminism findings, and
 //!   every configured entry point resolves.
 
-use sos_analyze::{
-    deterministic_entry_points, device_hot_entry_points, harness_entry_points,
-    recovery_entry_points, run_determinism, run_lints_on, run_panic_path, Workspace,
-};
+use sos_analyze::{analyze, Finding, JsonReport, Rule, Workspace};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -71,76 +68,63 @@ fn every_workspace_file_lexes_with_exact_spans() {
     }
 }
 
+/// The report `sos-lint` gates on, for the tree itself.
+fn tree_report() -> JsonReport {
+    analyze(&Workspace::load(&workspace_root()))
+}
+
+fn listing<'a>(findings: impl Iterator<Item = &'a Finding>) -> String {
+    findings
+        .map(|f| f.to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 #[test]
 fn workspace_is_the_zero_finding_baseline() {
-    let workspace = Workspace::load(&workspace_root());
-    let lint = run_lints_on(&workspace);
+    let report = tree_report();
     assert!(
-        lint.findings.is_empty(),
-        "lint findings in the tree:\n{}",
-        lint.findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    let mut entry_points = recovery_entry_points();
-    entry_points.extend(harness_entry_points());
-    entry_points.extend(device_hot_entry_points());
-    let report = run_panic_path(&workspace, &entry_points);
-    assert!(
-        report.missing_entry_points.is_empty(),
+        report.summary.missing_entry_points.is_empty(),
         "entry points no longer resolve (renamed?): {:?}",
-        report.missing_entry_points
+        report.summary.missing_entry_points
     );
     assert!(
         report.findings.is_empty(),
-        "panic-path findings in the tree:\n{}",
-        report
-            .findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        "findings in the tree:\n{}",
+        listing(report.findings.iter())
     );
     assert!(
-        report.reachable_fns >= 100,
+        report.summary.reachable_fns >= 100,
         "suspiciously small recovery surface: {} fns",
-        report.reachable_fns
+        report.summary.reachable_fns
     );
 }
 
 #[test]
 fn workspace_has_zero_nondeterminism_findings() {
-    let workspace = Workspace::load(&workspace_root());
-    let report = run_determinism(&workspace, &deterministic_entry_points());
+    let report = tree_report();
+    let mut nondeterministic = report
+        .findings
+        .iter()
+        .filter(|f| matches!(f.rule, Rule::Nondeterminism(_)))
+        .peekable();
     assert!(
-        report.missing_entry_points.is_empty(),
-        "determinism entry points no longer resolve (renamed?): {:?}",
-        report.missing_entry_points
-    );
-    assert!(
-        report.findings.is_empty(),
+        nondeterministic.peek().is_none(),
         "nondeterminism findings in the tree:\n{}",
-        report
-            .findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        listing(nondeterministic)
     );
     assert!(
-        report.reachable_fns >= 100,
+        report.summary.determinism_reachable_fns >= 100,
         "suspiciously small deterministic-output surface: {} fns",
-        report.reachable_fns
+        report.summary.determinism_reachable_fns
     );
     // The runner times itself on purpose: two `Instant::now` reads and
     // one `Mutex<f64>` busy-time lock in `run_tasks`. An exact pin
     // fails both on a stray new clock read in the runner and on a
     // broken allowlist match.
     assert_eq!(
-        report.allowlisted, 3,
+        report.summary.allowlisted, 3,
         "stderr-timing allowlist hits changed: {} hit(s)",
-        report.allowlisted
+        report.summary.allowlisted
     );
 }

@@ -200,8 +200,10 @@ impl PartitionStore {
 
     /// Reads an object's pages. A page the FTL reports lost is rebuilt
     /// from stripe parity where the partition keeps it, and written
-    /// back; a page beyond repair reads as zeros and the object as
-    /// [`ObjectStatus::PartiallyLost`].
+    /// back; a page beyond repair reads as zeros. The object's status is
+    /// the worst status among the pages that read back, or
+    /// [`ObjectStatus::PartiallyLost`] when a lost page stays
+    /// unrepaired.
     pub fn read_object(&mut self, lpns: &[u64], len: usize) -> Result<ObjectData, FtlError> {
         let page_bytes = self.page_bytes();
         let mut bytes = Vec::with_capacity(lpns.len() * page_bytes);
@@ -216,15 +218,14 @@ impl PartitionStore {
                     bytes.extend_from_slice(&result.data);
                 }
                 Err(FtlError::DataLost(_)) => {
-                    status = ObjectStatus::PartiallyLost;
                     lost.push(lpn);
                     bytes.extend(std::iter::repeat_n(0u8, page_bytes));
                 }
                 Err(e) => return Err(e),
             }
         }
+        let mut unrepaired = lost.len();
         if let Some(parity) = self.parity.as_mut().filter(|_| !lost.is_empty()) {
-            let mut unrepaired = lost.len();
             let pages = bytes.chunks_mut(page_bytes).zip(lpns);
             for (page, &lpn) in pages.filter(|(_, lpn)| lost.contains(lpn)) {
                 let Some(rebuilt) = parity.reconstruct(&mut self.ftl, lpn) else {
@@ -246,9 +247,9 @@ impl PartitionStore {
                 }
                 unrepaired -= 1;
             }
-            if unrepaired == 0 {
-                status = ObjectStatus::Intact;
-            }
+        }
+        if unrepaired > 0 {
+            status = ObjectStatus::PartiallyLost;
         }
         bytes.truncate(len);
         Ok(ObjectData {
@@ -403,15 +404,18 @@ fn fill_page(page: &mut [u8], bytes: &[u8], index: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
+    use sos_flash::{CellDensity, DeviceConfig, FaultAt, FaultKind, FaultPlan, ProgramMode};
     use sos_ftl::FtlConfig;
 
-    fn store() -> PartitionStore {
-        let ftl = Ftl::new(
+    fn tlc_ftl() -> Ftl {
+        Ftl::new(
             &DeviceConfig::tiny(CellDensity::Tlc),
             FtlConfig::conventional(ProgramMode::native(CellDensity::Tlc)),
-        );
-        PartitionStore::new(ftl, DataTag::sys_hot())
+        )
+    }
+
+    fn store() -> PartitionStore {
+        PartitionStore::new(tlc_ftl(), DataTag::sys_hot())
     }
 
     #[test]
@@ -474,5 +478,30 @@ mod tests {
             .unwrap();
         assert!(result.is_none());
         assert_eq!(store.pool.allocated(), 0, "failed write must not leak");
+    }
+
+    #[test]
+    fn a_parity_repair_does_not_hide_an_uncorrectable_page() {
+        let mut store = PartitionStore::with_parity(tlc_ftl(), DataTag::sys_hot(), 4);
+        let data = [5u8; 5000];
+        let lpns = store.write_object(&data).unwrap().expect("space");
+        assert_eq!(lpns.len(), 3);
+        store.ftl.declare_lost(lpns[0]);
+        // Page 0's read fails in the FTL without touching flash, so the
+        // noise lands on page 1's read; parity still rebuilds page 0,
+        // because the rebuild's own read of page 1 comes after it.
+        let noise = FaultPlan {
+            kind: FaultKind::ReadNoise { bits: 400 },
+            at: FaultAt::OpCount(0),
+        };
+        store.ftl.arm_fault(noise, 7);
+        let read = store.read_object(&lpns, data.len()).unwrap();
+        let page_bytes = store.page_bytes();
+        assert_eq!(
+            read.bytes[..page_bytes],
+            data[..page_bytes],
+            "page 0 repaired"
+        );
+        assert_eq!(read.status, ObjectStatus::PartiallyLost);
     }
 }

@@ -406,12 +406,15 @@ fn rebuild(
         let mut payload = Vec::new();
         let mut intact = true;
         for &(_, _, flat, _) in run {
+            // An unreadable page fails this generation; any other device
+            // error (a power cut above all) fails the recovery itself.
             let outcome = match scan.device.read(geometry.page_addr(flat)) {
                 Ok(outcome) => outcome,
-                Err(_) => {
+                Err(FlashError::BadBlock(_) | FlashError::TornPage(_)) => {
                     intact = false;
                     break;
                 }
+                Err(e) => return Err(e.into()),
             };
             match codec.decode_with_dirty(&outcome.data, &outcome.injected_positions) {
                 Ok(decoded) if decoded.status != PageStatus::Uncorrectable => {

@@ -37,12 +37,9 @@ esac
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo run -q -p sos-analyze --bin sos-lint
-run cargo run -q -p sos-analyze --bin sos-lint -- --only determinism
 mkdir -p target
 cargo run -q -p sos-analyze --bin sos-lint -- --format json > target/sos-lint-report.json || true
 echo "==> sos-lint JSON report: target/sos-lint-report.json"
-cargo run -q -p sos-analyze --bin sos-lint -- --only determinism --format json > target/sos-determinism-report.json || true
-echo "==> determinism JSON report: target/sos-determinism-report.json"
 # The benchmark is its own package with its own lock file: a change to
 # the API it consumes, or a lock rewrite, fails here in seconds.
 run cargo check --offline --locked --manifest-path perfbench/Cargo.toml

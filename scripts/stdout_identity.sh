@@ -10,6 +10,11 @@
 # Prints one line per binary — `same` or `DIFF`, each with both sides'
 # wall seconds — and, under a `DIFF`, the first differing line.
 #
+# Then runs both sides' `sos-lint` over the exported base tree, once
+# per output format (text, `--format json`), with the tree's path
+# replaced by `<root>`, and prints one `same` or `DIFF` line per format
+# comparing stdout and exit status.
+#
 # Then builds and runs each side's perfbench with the command line in
 # BENCHMARK.json (the base with its own target dir) at
 # `--workload all --seed 7 --seconds 10 --trace 0`, and prints one
@@ -18,7 +23,7 @@
 #
 # Usage: scripts/stdout_identity.sh <base-rev>
 #
-# Exit 0: every binary and every digest matches. Exit 1: at least one
+# Exit 0: every binary, both sos-lint formats and every digest match. Exit 1: at least one
 # `DIFF` (everything still runs). Exit 2: usage error.
 # Takes about 15 minutes on 2 cores. Deliberately not a CI gate: a bug
 # fix may legitimately change stdout.
@@ -47,9 +52,9 @@ mkdir -p "$scratch/out" "$base_src"
 git archive "$base" | tar -x -C "$base_src"
 
 echo "==> building base ${base:0:12}"
-(cd "$base_src" && CARGO_TARGET_DIR="$base_target" cargo build --release --offline -q -p sos-bench --bins)
+(cd "$base_src" && CARGO_TARGET_DIR="$base_target" cargo build --release --offline -q -p sos-bench -p sos-analyze --bins)
 echo "==> building working tree"
-cargo build --release --offline -q -p sos-bench --bins
+cargo build --release --offline -q -p sos-bench -p sos-analyze --bins
 
 # Runs one binary, writing stdout to $3, and prints "<exit status>
 # <wall seconds>" (stderr carries wall-clock diagnostics, so it is not
@@ -99,6 +104,30 @@ for src in crates/bench/src/bin/*.rs; do
     fi
 done
 
+# Runs one side's sos-lint over the base tree in format $2, writing its
+# stdout (tree path replaced by <root>) and then its exit status to $3.
+run_lint() {
+    local exe="$1" format="$2" out="$3" status=0
+    "$exe" "$base_src" --format "$format" >"$out.raw" 2>/dev/null || status=$?
+    sed "s|$base_src|<root>|g" "$out.raw" >"$out"
+    echo "exit $status" >>"$out"
+}
+
+lint_differed=0
+for format in text json; do
+    base_out="$scratch/out/sos-lint-$format.base"
+    work_out="$scratch/out/sos-lint-$format.work"
+    run_lint "$base_target/release/sos-lint" "$format" "$base_out"
+    run_lint "$work_target/release/sos-lint" "$format" "$work_out"
+    if cmp -s "$base_out" "$work_out"; then
+        echo "same sos-lint --format $format ($(tail -n 1 "$work_out"))"
+    else
+        lint_differed=$((lint_differed + 1))
+        echo "DIFF sos-lint --format $format:"
+        diff "$base_out" "$work_out" | head -n 6 || true
+    fi
+done
+
 # Prints "<workload> <sim_digest>" for each record line of one side's
 # perfbench run; a failed build or run prints nothing, which the
 # comparison reports as a missing digest.
@@ -127,8 +156,8 @@ for workload in $(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.js
     fi
 done
 
-if ((differed + digests_differed > 0)); then
-    echo "stdout_identity: $differed of $count binaries and $digests_differed of $digests perfbench digests differ from ${base:0:12}"
+if ((differed + lint_differed + digests_differed > 0)); then
+    echo "stdout_identity: $differed of $count binaries, $lint_differed of 2 sos-lint formats and $digests_differed of $digests perfbench digests differ from ${base:0:12}"
     exit 1
 fi
-echo "stdout_identity: all $count binaries byte-identical and all $digests perfbench digests unchanged vs ${base:0:12}"
+echo "stdout_identity: all $count binaries and both sos-lint formats byte-identical and all $digests perfbench digests unchanged vs ${base:0:12}"
