@@ -249,9 +249,12 @@ impl CallGraph {
             .collect()
     }
 
-    /// Total number of unresolved call sites across the graph.
-    pub fn unresolved_total(&self) -> usize {
-        self.unresolved.iter().map(Vec::len).sum()
+    /// Unresolved call sites in the functions `nodes`, each function
+    /// counted once however often it is listed.
+    pub fn unresolved_total(&self, nodes: impl IntoIterator<Item = usize>) -> usize {
+        let nodes: BTreeSet<usize> = nodes.into_iter().collect();
+        let count = |node: usize| self.unresolved.get(node).map_or(0, Vec::len);
+        nodes.into_iter().map(count).sum()
     }
 
     /// Resolves `entries` to their non-test definitions and walks the
@@ -300,16 +303,16 @@ impl CallGraph {
     /// breadth-first order. Each `(line, rule, message)` hit becomes a
     /// [`Finding`] carrying the shortest call chain from an entry point,
     /// unless an inline suppression of the rule's family covers its
-    /// line. Adds the findings (sorted by file and line), suppression,
-    /// unresolved-call and entry-point counts to `report`, and returns
-    /// the number of reachable functions.
+    /// line. Adds the findings (sorted by file and line), suppression
+    /// and entry-point counts to `report`, and returns the reachable
+    /// functions' ids.
     pub(crate) fn scan_reachable(
         &self,
         workspace: &Workspace,
         entries: &[EntryPoint],
         report: &mut JsonReport,
         mut scan: impl FnMut(&FnNode, &SourceFile, Code<'_>) -> Vec<(usize, Rule, String)>,
-    ) -> usize {
+    ) -> Vec<usize> {
         let reach = self.reach(entries);
         let summary = &mut report.summary;
         summary
@@ -322,7 +325,6 @@ impl CallGraph {
         let mut suppressions: HashMap<usize, SuppressionSet> = HashMap::new();
         for &node_id in &reach.nodes {
             let node = &self.nodes[node_id];
-            report.summary.unresolved_calls += self.unresolved[node_id].len();
             let file = &workspace.files[node.file_index];
             let Some((start, end)) = file.items.fns[node.item_index].body else {
                 continue;
@@ -345,7 +347,7 @@ impl CallGraph {
             }
         }
         report.sort_from(first);
-        reach.nodes.len()
+        reach.nodes
     }
 }
 
@@ -595,7 +597,7 @@ mod tests {
             .map(|c| c.name.as_str())
             .collect();
         assert_eq!(unresolved, vec!["push", "external", "Some"]);
-        assert_eq!(g.unresolved_total(), 3);
+        assert_eq!(g.unresolved_total(ids), 3);
     }
 
     #[test]

@@ -142,34 +142,35 @@ impl fmt::Display for NondetSource {
 
 /// Runs the pass from `entries`, adding its findings and counters
 /// (`determinism_reachable_fns` and `allowlisted` among them) to
-/// `report`.
+/// `report`. Returns the reachable functions' ids.
 pub fn run_determinism(
     workspace: &Workspace,
     graph: &CallGraph,
     entries: &[EntryPoint],
     report: &mut JsonReport,
-) {
+) -> Vec<usize> {
     // Per-file receiver-type tables, built lazily.
     let mut type_tables: HashMap<usize, FileTypes> = HashMap::new();
     let mut allowlisted = 0;
-    report.summary.determinism_reachable_fns =
-        graph.scan_reachable(workspace, entries, report, |node, file, code| {
-            let types = type_tables
-                .entry(node.file_index)
-                .or_insert_with(|| FileTypes::collect(file));
-            let allowlisted_fn =
-                node.owner.is_none() && STDERR_TIMING_ALLOWLIST.contains(&node.name.as_str());
-            let mut hits = Vec::new();
-            for (line, source, message) in scan_sources(&code, types) {
-                if allowlisted_fn && source.allowlist_eligible() {
-                    allowlisted += 1;
-                } else {
-                    hits.push((line, Rule::Nondeterminism(source), message));
-                }
+    let reached = graph.scan_reachable(workspace, entries, report, |node, file, code| {
+        let types = type_tables
+            .entry(node.file_index)
+            .or_insert_with(|| FileTypes::collect(file));
+        let allowlisted_fn =
+            node.owner.is_none() && STDERR_TIMING_ALLOWLIST.contains(&node.name.as_str());
+        let mut hits = Vec::new();
+        for (line, source, message) in scan_sources(&code, types) {
+            if allowlisted_fn && source.allowlist_eligible() {
+                allowlisted += 1;
+            } else {
+                hits.push((line, Rule::Nondeterminism(source), message));
             }
-            hits
-        });
+        }
+        hits
+    });
+    report.summary.determinism_reachable_fns = reached.len();
     report.summary.allowlisted += allowlisted;
+    reached
 }
 
 /// Per-file receiver-type table: identifiers declared (anywhere in the

@@ -10,7 +10,7 @@
 use crate::auditors::{FtlAuditorSet, PlacementAuditor};
 use crate::{StateAuditor, Violation};
 use sos_classify::Classifier;
-use sos_core::{CoreState, Partition, RemountReport, SosController, SosDevice};
+use sos_core::{CoreState, ObjectError, Partition, RemountReport, SosController, SosDevice};
 use sos_flash::{FaultAt, FaultKind, FaultPlan, FlashError};
 use sos_ftl::{Ftl, FtlError, ReadResult, ScrubReport, SlotSnapshot};
 
@@ -47,35 +47,18 @@ impl CoreAuditorSet {
 
     /// Audits one device snapshot, tagging violations by partition.
     pub fn audit(&mut self, state: &CoreState) -> Vec<AuditFinding> {
-        let mut findings: Vec<AuditFinding> = self
-            .sys
-            .audit(&state.sys)
-            .into_iter()
-            .map(|violation| AuditFinding {
-                source: "sys",
-                violation,
-            })
-            .collect();
-        findings.extend(
-            self.spare
-                .audit(&state.spare)
-                .into_iter()
-                .map(|violation| AuditFinding {
-                    source: "spare",
-                    violation,
-                }),
-        );
-        findings.extend(
-            self.placement
-                .audit(state)
-                .into_iter()
-                .map(|violation| AuditFinding {
-                    source: "core",
-                    violation,
-                }),
-        );
+        let mut findings: Vec<AuditFinding> = tag("sys", self.sys.audit(&state.sys)).collect();
+        findings.extend(tag("spare", self.spare.audit(&state.spare)));
+        findings.extend(tag("core", self.placement.audit(state)));
         findings
     }
+}
+
+/// Tags each violation with the snapshot it was found in.
+fn tag(source: &'static str, violations: Vec<Violation>) -> impl Iterator<Item = AuditFinding> {
+    violations
+        .into_iter()
+        .map(move |violation| AuditFinding { source, violation })
 }
 
 /// An FTL wrapper that audits the complete state after every operation.
@@ -110,11 +93,6 @@ impl AuditedFtl {
     /// Read access to the wrapped FTL.
     pub fn inner(&self) -> &Ftl {
         &self.ftl
-    }
-
-    /// Unwraps back into the plain FTL, discarding audit state.
-    pub fn into_inner(self) -> Ftl {
-        self.ftl
     }
 
     /// Drains the violations collected so far.
@@ -208,11 +186,6 @@ pub fn run_audited_days<C: Classifier>(
 pub struct RecoveryAuditor;
 
 impl RecoveryAuditor {
-    /// A short, stable name for reports (mirrors [`StateAuditor`]).
-    pub fn name(&self) -> &'static str {
-        "recovery"
-    }
-
     /// Audits one crash-and-remount cycle.
     pub fn audit_remount(
         before: &CoreState,
@@ -310,8 +283,12 @@ impl RecoveryAuditor {
 pub struct CrashSweepReport {
     /// Simulated days driven.
     pub days: u64,
-    /// Power cuts that fired (each followed by a full remount).
+    /// Power cuts that fired during a day or a checkpoint (each
+    /// followed by a full remount).
     pub crashes: u64,
+    /// Power cuts that fired inside a remount (each followed by a
+    /// retried remount).
+    pub recovery_cuts: u64,
     /// Checkpoints taken between days.
     pub checkpoints: u64,
     /// Every auditor finding, tagged with its source snapshot
@@ -331,10 +308,11 @@ pub struct CrashSweepReport {
 
 impl CrashSweepReport {
     /// Adds another sweep's counts to this one and appends its
-    /// findings (summing shards or consecutive chunks of one sweep).
+    /// findings (summing the shards of one sweep).
     pub fn absorb(&mut self, other: CrashSweepReport) {
         self.days += other.days;
         self.crashes += other.crashes;
+        self.recovery_cuts += other.recovery_cuts;
         self.checkpoints += other.checkpoints;
         self.findings.extend(other.findings);
         self.sys_repaired += other.sys_repaired;
@@ -345,24 +323,57 @@ impl CrashSweepReport {
     }
 }
 
-/// Remounts the device after a power cut and audits the rebuild.
+/// The sweep's power cuts: xorshift64 draws of operation offsets.
+struct CutSchedule {
+    rng: u64,
+    seed: u64,
+}
+
+impl CutSchedule {
+    /// Arms a power cut `1..=span` operations ahead, on SYS when `turn`
+    /// is even and on SPARE when it is odd.
+    fn arm(&mut self, device: &mut SosDevice, turn: u64, span: u64) {
+        let partition = match turn % 2 {
+            0 => Partition::Sys,
+            _ => Partition::Spare,
+        };
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        let at = device.injector_op_count(partition) + 1 + self.rng % span;
+        let plan = FaultPlan {
+            kind: FaultKind::PowerCut,
+            at: FaultAt::OpCount(at),
+        };
+        device.arm_fault(partition, plan, self.seed);
+    }
+}
+
+/// The remount loop: arms one cut 1..=40 operations into the recovery,
+/// calls [`SosDevice::recover_in_place`] again after each cut that fires
+/// inside it, then audits the state that finally comes up against the
+/// one pre-crash snapshot.
 fn remount_and_audit<C: Classifier>(
     controller: &mut SosController<SosDevice, C>,
     auditors: &mut CoreAuditorSet,
     report: &mut CrashSweepReport,
-) -> Result<(), FtlError> {
+    cuts: &mut CutSchedule,
+) -> Result<(), ObjectError> {
     report.crashes += 1;
     let before = controller.device.audit_snapshot();
-    let remount = controller.device.recover_in_place()?;
+    // Halving the count pairs the recovery's cut with both kinds of day
+    // cut on each partition.
+    cuts.arm(&mut controller.device, report.crashes / 2, 40);
+    let remount = loop {
+        match controller.device.recover_in_place() {
+            Ok(remount) => break remount,
+            Err(FtlError::Device(FlashError::PowerLoss)) => report.recovery_cuts += 1,
+            Err(error) => return Err(error.into()),
+        }
+    };
     let after = controller.device.audit_snapshot();
-    report.findings.extend(
-        RecoveryAuditor::audit_remount(&before, &after, &remount)
-            .into_iter()
-            .map(|violation| AuditFinding {
-                source: "recovery",
-                violation,
-            }),
-    );
+    let violations = RecoveryAuditor::audit_remount(&before, &after, &remount);
+    report.findings.extend(tag("recovery", violations));
     // Recovery rebuilds wear and GC statistics from scratch, so the
     // stateful auditors must not compare across the remount: start a
     // fresh set and re-baseline it on the recovered snapshot.
@@ -378,102 +389,89 @@ fn remount_and_audit<C: Classifier>(
 }
 
 /// Runs an SOS-device simulation for `days`, cutting power at a
-/// scheduled device operation every day and remounting through the full
-/// recovery path each time.
+/// scheduled device operation and remounting through the full recovery
+/// path after every cut. Every crash sweep runs through it.
 ///
-/// Each day a [`FaultKind::PowerCut`] is armed a small, seed-derived
-/// number of operations (1..=101) into the day, alternating between the
-/// SYS and SPARE partitions; over hundreds of days the cut lands on
-/// essentially every operation offset of the daily op stream. After a
-/// crash the device is remounted via
-/// [`SosDevice::recover_in_place`](sos_core::SosDevice::recover_in_place)
-/// and audited: the [`RecoveryAuditor`] checks the rebuild against the
-/// pre-crash snapshot, then a fresh [`CoreAuditorSet`] re-verifies every
-/// standing invariant. Checkpoints are taken every
+/// Each day a [`FaultKind::PowerCut`] is armed a seed-derived 1..=101
+/// operations into the day, unless a cut is still pending on either
+/// partition; it lands on SYS after an even number of crashes and on
+/// SPARE after an odd one. After each crash the remount loop arms a
+/// second cut inside the recovery (a cut that does not fire there
+/// stays pending for a later day), retries the remount after it, and
+/// audits the result: the [`RecoveryAuditor`] checks the rebuild
+/// against the pre-crash snapshot, then a fresh [`CoreAuditorSet`]
+/// re-verifies every standing invariant. Checkpoints are taken every
 /// `checkpoint_interval_days` (0 never checkpoints, forcing full-device
-/// recovery scans); a cut can land inside the checkpoint write itself,
-/// which the generational checkpoint format must survive.
+/// recovery scans); a pending cut can land inside the checkpoint write
+/// itself, which the generational checkpoint format must survive. No
+/// cut is left armed when the sweep returns.
 ///
-/// `seed` drives the crash schedule (the per-day op offsets) and the
-/// injector's fault payloads (how torn pages are scrambled). The
-/// workload's own randomness comes from the controller's construction
-/// seeds, so the same controller setup plus the same `seed` replays the
-/// identical crash sequence — pair with [`seed_from_env`] to make runs
-/// reproducible from the command line.
+/// `seed` drives the cut schedule and the injector's fault payloads
+/// (how torn pages are scrambled). The workload's own randomness comes
+/// from the controller's construction seeds, so the same controller
+/// setup plus the same `seed` replays the identical crash sequence —
+/// pair with [`seed_from_env`] to make runs reproducible from the
+/// command line.
 ///
 /// # Errors
 ///
-/// Propagates any [`FtlError`] from recovery or checkpointing other
-/// than the injected power loss itself; a healthy sweep returns a
-/// report with an empty `findings` vector.
+/// Returns the error of a day that halted on anything but a power loss,
+/// and any error from recovery or checkpointing other than the injected
+/// power loss itself; a healthy sweep returns a report with an empty
+/// `findings` vector.
 pub fn run_crashy_days<C: Classifier>(
     controller: &mut SosController<SosDevice, C>,
     days: u64,
     checkpoint_interval_days: u64,
     seed: u64,
-) -> Result<CrashSweepReport, FtlError> {
+) -> Result<CrashSweepReport, ObjectError> {
     let mut auditors = CoreAuditorSet::new();
     let mut report = CrashSweepReport {
         days,
         ..CrashSweepReport::default()
     };
-    let mut target = Partition::Sys;
-    // xorshift64: cheap, deterministic op-offset schedule.
-    let mut rng = seed | 1;
+    let mut cuts = CutSchedule {
+        rng: seed | 1,
+        seed,
+    };
     for day in 1..=days {
-        // Arm the day's power cut unless one is still pending from a
-        // quiet day (a cut armed on a partition that then saw no
-        // traffic fires at that partition's next operation instead).
-        let pending = controller
-            .device
-            .partition(target)
-            .ftl
-            .injector()
-            .is_some_and(|injector| !injector.pending().is_empty());
+        let pending = [Partition::Sys, Partition::Spare]
+            .into_iter()
+            .any(|partition| {
+                controller
+                    .device
+                    .partition(partition)
+                    .ftl
+                    .injector()
+                    .is_some_and(|injector| !injector.pending().is_empty())
+            });
         if !pending {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let offset = 1 + rng % 101;
-            let at = controller.device.injector_op_count(target) + offset;
-            controller.device.arm_fault(
-                target,
-                FaultPlan {
-                    kind: FaultKind::PowerCut,
-                    at: FaultAt::OpCount(at),
-                },
-                seed.wrapping_add(day),
-            );
+            cuts.arm(&mut controller.device, report.crashes, 101);
         }
         controller.run_day();
-        if controller.crashed() {
-            remount_and_audit(controller, &mut auditors, &mut report)?;
-            target = match target {
-                Partition::Sys => Partition::Spare,
-                Partition::Spare => Partition::Sys,
-            };
-        } else {
-            report
+        match controller.halt() {
+            None => report
                 .findings
-                .extend(auditors.audit(&controller.device.audit_snapshot()));
+                .extend(auditors.audit(&controller.device.audit_snapshot())),
+            Some(ObjectError::PowerLoss) => {
+                remount_and_audit(controller, &mut auditors, &mut report, &mut cuts)?
+            }
+            Some(error) => return Err(error.clone()),
         }
         if checkpoint_interval_days != 0 && day.is_multiple_of(checkpoint_interval_days) {
             match controller.device.checkpoint() {
                 Ok(()) => report.checkpoints += 1,
-                // The armed cut landed inside the checkpoint write
-                // itself; the generational format falls back to the
-                // previous checkpoint at recovery.
+                // The cut landed inside the checkpoint write itself; the
+                // generational format falls back to the previous
+                // checkpoint at recovery.
                 Err(FtlError::Device(FlashError::PowerLoss)) => {
-                    remount_and_audit(controller, &mut auditors, &mut report)?;
-                    target = match target {
-                        Partition::Sys => Partition::Spare,
-                        Partition::Spare => Partition::Sys,
-                    };
+                    remount_and_audit(controller, &mut auditors, &mut report, &mut cuts)?
                 }
-                Err(e) => return Err(e),
+                Err(error) => return Err(error.into()),
             }
         }
     }
+    controller.device.disarm_faults();
     Ok(report)
 }
 

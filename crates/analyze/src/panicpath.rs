@@ -113,17 +113,19 @@ impl fmt::Display for PanicConstruct {
 }
 
 /// Runs the pass from `entries`, adding its findings and counters
-/// (`reachable_fns` among them) to `report`.
+/// (`reachable_fns` among them) to `report`. Returns the reachable
+/// functions' ids.
 pub fn run_panic_path(
     workspace: &Workspace,
     graph: &CallGraph,
     entries: &[EntryPoint],
     report: &mut JsonReport,
-) {
-    report.summary.reachable_fns =
-        graph.scan_reachable(workspace, entries, report, |_, _, code| {
-            scan_constructs(&code)
-        });
+) -> Vec<usize> {
+    let reached = graph.scan_reachable(workspace, entries, report, |_, _, code| {
+        scan_constructs(&code)
+    });
+    report.summary.reachable_fns = reached.len();
+    reached
 }
 
 /// Scans one function body for panicking constructs.
@@ -389,7 +391,10 @@ mod tests {
     #[test]
     fn unresolved_calls_are_counted() {
         let src = "impl Ftl {\n    pub fn recover(&self, v: Vec<u8>) { v.contains(&1); }\n}\n";
-        let report = run(src, &entry("Ftl", "recover"));
-        assert_eq!(report.summary.unresolved_calls, 1);
+        let ws = Workspace::from_sources(&[("ftl", "crates/ftl/src/lib.rs", src)]);
+        let graph = CallGraph::build(&ws);
+        let entries = entry("Ftl", "recover");
+        let reached = run_panic_path(&ws, &graph, &entries, &mut JsonReport::default());
+        assert_eq!(graph.unresolved_total(reached), 1);
     }
 }

@@ -104,8 +104,8 @@ pub struct ReportSummary {
     /// Non-test functions reachable from the determinism entry points.
     pub determinism_reachable_fns: usize,
     /// Call sites in reachable functions that resolved to no workspace
-    /// definition — recorded, never silently dropped. Summed over both
-    /// reachability passes, so a function both reach counts twice.
+    /// definition — recorded, never silently dropped. A function either
+    /// reachability pass reaches is counted once, however many reach it.
     pub unresolved_calls: usize,
     /// Findings silenced by justified suppressions.
     pub suppressed: usize,
@@ -147,8 +147,10 @@ pub fn analyze(workspace: &Workspace) -> JsonReport {
     let graph = CallGraph::build(workspace);
     let mut report = JsonReport::default();
     run_lints_on(workspace, &mut report);
-    run_panic_path(workspace, &graph, PANIC_PATH_ENTRY_POINTS, &mut report);
-    run_determinism(workspace, &graph, DETERMINISTIC_ENTRY_POINTS, &mut report);
+    let panic_path = run_panic_path(workspace, &graph, PANIC_PATH_ENTRY_POINTS, &mut report);
+    let determinism = run_determinism(workspace, &graph, DETERMINISTIC_ENTRY_POINTS, &mut report);
+    report.summary.unresolved_calls =
+        graph.unresolved_total(panic_path.into_iter().chain(determinism));
     let summary = &mut report.summary;
     for labels in [&mut summary.entry_points, &mut summary.missing_entry_points] {
         labels.sort();
@@ -349,6 +351,15 @@ mod tests {
 }
 "#;
         assert_eq!(report.to_json(), golden);
+    }
+
+    #[test]
+    fn a_function_both_passes_reach_counts_its_unresolved_calls_once() {
+        let src = "pub fn run_tasks() { external(); }\n";
+        let ws = Workspace::from_sources(&[("bench", "crates/bench/src/runner.rs", src)]);
+        let report = analyze(&ws);
+        assert!(report.summary.reachable_fns > 0 && report.summary.determinism_reachable_fns > 0);
+        assert!(report.to_json().contains("\"unresolved_calls\": 1,"));
     }
 
     #[test]

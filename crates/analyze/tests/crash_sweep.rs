@@ -1,16 +1,19 @@
 //! Crash-sweep acceptance: power cuts at scheduled operations across a
-//! simulated device life, each followed by a full remount, with every
-//! auditor re-run after every crash.
+//! simulated device life, each followed by a remount with a second cut
+//! armed inside it (the remount is retried when that cut fires), with
+//! every auditor re-run after every crash.
 //!
-//! The long sweep covers 500+ crash points with seed-swept op offsets
-//! (1..=101 operations into the day, alternating partitions), which
-//! lands cuts on essentially every position of the daily op stream:
-//! mid-write, mid-GC, mid-scrub, mid-checkpoint.
+//! Day cuts land 1..=101 operations into a day, alternating partitions;
+//! what the tests check is what `CrashSweepReport` counts: crashes,
+//! cuts inside recovery, checkpoints taken, and zero findings.
 
 use sos_analyze::harness::{run_crashy_days, seed_from_env};
 use sos_classify::{multi_user_corpus, Classifier, FeatureExtractor, LogisticRegression};
 use sos_core::{CloudConfig, ControllerConfig, ObjectStore, SosConfig, SosController, SosDevice};
 use sos_workload::{DeviceLife, UsageProfile, WorkloadConfig};
+
+/// Days of the acceptance sweep's one device life.
+const DAYS: u64 = 800;
 
 fn controller(seed: u64) -> SosController<SosDevice, LogisticRegression> {
     let extractor = FeatureExtractor::default();
@@ -47,29 +50,22 @@ fn crash_sweep_remounts_cleanly() {
     assert!(!c.crashed(), "device crashed with no fault armed");
 }
 
-/// The full acceptance sweep: >= 500 crash points, zero violations,
-/// zero unreported SYS loss, torn pages never resurfacing. Run by the
-/// CI crash-sweep job (`cargo test --release -- --ignored`).
+/// The full acceptance sweep, one device life: >= 500 crash points
+/// and >= 100 cuts inside recovery, zero violations, zero unreported
+/// SYS loss, torn pages never resurfacing. Run by the CI crash-sweep
+/// job (`cargo test --release -- --include-ignored`).
 #[test]
 #[ignore = "long sweep; run explicitly or via the CI crash-sweep job"]
 fn crash_sweep_500_points() {
     let seed = seed_from_env(11);
     let mut c = controller(seed);
-    let mut total = sos_analyze::CrashSweepReport::default();
-    let mut day_chunks = 0u64;
-    while total.crashes < 500 {
-        day_chunks += 1;
-        assert!(
-            day_chunks <= 40,
-            "sweep not reaching 500 crashes: {} after {} chunks",
-            total.crashes,
-            day_chunks
-        );
-        total.absorb(
-            run_crashy_days(&mut c, 20, 5, seed.wrapping_add(day_chunks)).expect("recovery"),
-        );
-    }
+    let total = run_crashy_days(&mut c, DAYS, 5, seed).expect("recovery");
     assert!(total.crashes >= 500, "crashes: {}", total.crashes);
+    assert!(
+        total.recovery_cuts >= 100,
+        "cuts inside recovery: {}",
+        total.recovery_cuts
+    );
     assert_eq!(
         total.findings,
         vec![],
@@ -77,9 +73,10 @@ fn crash_sweep_500_points() {
         total.crashes
     );
     println!(
-        "crash sweep: {} days, {} crashes, {} checkpoints, {} torn, {} repaired, {} sys lost (declared), {} spare lost (declared), {} resurrected trims",
+        "crash sweep: {} days, {} crashes, {} cuts inside recovery, {} checkpoints, {} torn, {} repaired, {} sys lost (declared), {} spare lost (declared), {} resurrected trims",
         total.days,
         total.crashes,
+        total.recovery_cuts,
         total.checkpoints,
         total.torn_pages,
         total.sys_repaired,

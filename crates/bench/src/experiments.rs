@@ -14,8 +14,8 @@ use sos_analyze::{run_crashy_days, CrashSweepReport};
 use sos_carbon::EmbodiedModel;
 use sos_classify::{multi_user_corpus, Classifier, FeatureExtractor, LogisticRegression};
 use sos_core::{
-    format_comparison, run_design, CloudConfig, ControllerConfig, DesignKind, ObjectStore,
-    SimConfig, SimResult, SosConfig, SosController, SosDevice,
+    format_comparison, run_design, CloudConfig, ControllerConfig, DesignKind, ObjectError,
+    ObjectStore, SimConfig, SimResult, SosConfig, SosController, SosDevice,
 };
 use sos_ecc::PageStatus;
 use sos_flash::{CellDensity, DeviceConfig, DeviceStats, ProgramMode};
@@ -286,7 +286,7 @@ fn run_crash_shard(
     shard_days: u64,
     checkpoint_interval: u64,
     seed: u64,
-) -> Result<CrashSweepReport, FtlError> {
+) -> Result<CrashSweepReport, ObjectError> {
     let extractor = FeatureExtractor::default();
     let corpus = multi_user_corpus(&extractor, 1, 3);
     let mut model = LogisticRegression::default();
@@ -340,31 +340,21 @@ pub fn crash_sweep_report(options: &CrashSweepOptions, threads: usize) -> Experi
             Err(error) => findings.push(format!("shard {shard}: UNRECOVERABLE — {error}")),
         }
     }
-    let _ = writeln!(output.report, "days simulated        {}", total.days);
-    let _ = writeln!(output.report, "power cuts fired      {}", total.crashes);
-    let _ = writeln!(output.report, "checkpoints taken     {}", total.checkpoints);
-    let _ = writeln!(output.report, "torn pages found      {}", total.torn_pages);
-    let _ = writeln!(
-        output.report,
-        "SYS pages repaired    {}",
-        total.sys_repaired
-    );
-    let _ = writeln!(
-        output.report,
-        "SYS pages lost        {} (declared)",
-        total.sys_lost
-    );
-    let _ = writeln!(
-        output.report,
-        "SPARE pages lost      {} (declared)",
-        total.spare_lost
-    );
-    let _ = writeln!(
-        output.report,
-        "resurrected trims     {}",
-        total.resurrected_trimmed
-    );
-    let _ = writeln!(output.report, "auditor findings      {}", findings.len());
+    let counts = [
+        ("days simulated", total.days, ""),
+        ("power cuts fired", total.crashes, ""),
+        ("cuts inside recovery", total.recovery_cuts, ""),
+        ("checkpoints taken", total.checkpoints, ""),
+        ("torn pages found", total.torn_pages, ""),
+        ("SYS pages repaired", total.sys_repaired, ""),
+        ("SYS pages lost", total.sys_lost, " (declared)"),
+        ("SPARE pages lost", total.spare_lost, " (declared)"),
+        ("resurrected trims", total.resurrected_trimmed, ""),
+        ("auditor findings", findings.len() as u64, ""),
+    ];
+    for (label, count, note) in counts {
+        let _ = writeln!(output.report, "{label:<22}{count}{note}");
+    }
     for finding in &findings {
         let _ = writeln!(output.report, "  {finding}");
     }

@@ -90,10 +90,10 @@ pub struct SosController<D: ObjectStore, C: Classifier> {
     pub quality: QualityTimeline,
     /// Cumulative statistics.
     pub stats: ControllerStats,
-    /// Set when the device reported a power loss mid-operation; the
-    /// remaining day is abandoned and every further day is a no-op
-    /// until the host remounts (`clear_crashed`).
-    crashed: bool,
+    /// Why the current day stopped early: a power loss (the device
+    /// awaits remount) or a storage failure. While set, every further
+    /// day is a no-op until the host clears it (`clear_crashed`).
+    halt: Option<ObjectError>,
 }
 
 impl<D: ObjectStore, C: Classifier> SosController<D, C> {
@@ -118,7 +118,7 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
             read_latency: LatencyRecorder::new(),
             quality: QualityTimeline::default(),
             stats: ControllerStats::default(),
-            crashed: false,
+            halt: None,
         }
     }
 
@@ -127,16 +127,30 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
         &self.cloud
     }
 
-    /// Whether the device reported a power loss and awaits remount.
+    /// Whether the last day halted, on a power loss (the device awaits
+    /// remount) or a storage failure; see [`Self::halt`].
     pub fn crashed(&self) -> bool {
-        self.crashed
+        self.halt.is_some()
+    }
+
+    /// The error that halted the last day, if one did.
+    pub fn halt(&self) -> Option<&ObjectError> {
+        self.halt.as_ref()
     }
 
     /// Acknowledges a completed remount: the harness recovers the
     /// device (e.g. [`crate::SosDevice::recover_in_place`]) and then
-    /// clears the flag so simulation can resume.
+    /// clears the halt so simulation can resume.
     pub fn clear_crashed(&mut self) {
-        self.crashed = false;
+        self.halt = None;
+    }
+
+    /// Records a failed step's error as the halt that ends the day: the
+    /// one place the halt is set.
+    fn settle(&mut self, step: Result<(), ObjectError>) {
+        if let Err(error) = step {
+            self.halt = Some(error);
+        }
     }
 
     /// Generates content bytes for a new file. Sampled media files get a
@@ -169,63 +183,62 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
         data
     }
 
-    fn handle_create(&mut self, id: ObjectId, class: FileClass, bytes: u64) {
+    /// Creates a file. A create that fails never reached the directory,
+    /// so it is dropped from the workload too; one that finds no space
+    /// anywhere is counted as rejected rather than halting the day.
+    fn handle_create(
+        &mut self,
+        id: ObjectId,
+        class: FileClass,
+        bytes: u64,
+    ) -> Result<(), ObjectError> {
         let content = self.content_for(id, class, bytes);
-        // §4.4: "new file data will first be written to high-endurance
-        // pseudo-QLC memory"; the daemon demotes later. Under SYS-side
-        // space pressure new data spills directly to SPARE (it would be
-        // demoted there shortly anyway); only when the whole device is
-        // short does the §4.5 auto-delete fallback fire.
-        let mut attempts = [Partition::Sys, Partition::Spare].into_iter();
-        loop {
-            let Some(partition) = attempts.next() else {
-                // Both partitions full: free space once, final retry on
-                // SPARE.
-                self.autodelete();
-                match self.device.put(id, &content, Partition::Spare) {
-                    Ok(()) => {
-                        self.stats.creates += 1;
-                        self.cloud.maybe_backup(id, &content);
-                    }
-                    Err(ObjectError::PowerLoss) => {
-                        self.crashed = true;
-                        self.originals.remove(&id);
-                        let _ = self.life.force_delete(id);
-                    }
-                    Err(_) => {
-                        self.stats.rejected_creates += 1;
-                        self.originals.remove(&id);
-                        let _ = self.life.force_delete(id);
-                    }
-                }
-                return;
-            };
-            match self.device.put(id, &content, partition) {
-                Ok(()) => {
-                    self.stats.creates += 1;
-                    self.cloud.maybe_backup(id, &content);
-                    return;
-                }
-                Err(ObjectError::NoSpace) => continue,
-                Err(ObjectError::PowerLoss) => {
-                    // The interrupted create never reached the
-                    // directory; drop it from the workload too.
-                    self.crashed = true;
-                    self.originals.remove(&id);
-                    let _ = self.life.force_delete(id);
-                    return;
-                }
-                Err(error) => panic!("create {id} failed: {error}"),
+        let placed = self.place_new(id, &content);
+        match placed {
+            Ok(true) => {
+                self.stats.creates += 1;
+                self.cloud.maybe_backup(id, &content);
+                return Ok(());
             }
+            Ok(false) => self.stats.rejected_creates += 1,
+            Err(_) => {}
+        }
+        self.originals.remove(&id);
+        let _ = self.life.force_delete(id);
+        placed.map(|_| ())
+    }
+
+    /// Puts a new object, returning whether it was placed.
+    ///
+    /// §4.4: "new file data will first be written to high-endurance
+    /// pseudo-QLC memory"; the daemon demotes later. Under SYS-side
+    /// space pressure new data spills directly to SPARE (it would be
+    /// demoted there shortly anyway); only when the whole device is
+    /// short does the §4.5 auto-delete fallback fire, before one final
+    /// try on SPARE whose failure, short of a power loss, rejects the
+    /// create.
+    fn place_new(&mut self, id: ObjectId, content: &[u8]) -> Result<bool, ObjectError> {
+        for partition in [Partition::Sys, Partition::Spare] {
+            match self.device.put(id, content, partition) {
+                Ok(()) => return Ok(true),
+                Err(ObjectError::NoSpace) => {}
+                Err(error) => return Err(error),
+            }
+        }
+        self.autodelete()?;
+        match self.device.put(id, content, Partition::Spare) {
+            Ok(()) => Ok(true),
+            Err(ObjectError::PowerLoss) => Err(ObjectError::PowerLoss),
+            Err(_) => Ok(false),
         }
     }
 
-    fn handle_update(&mut self, id: ObjectId, bytes: u64) {
+    fn handle_update(&mut self, id: ObjectId, bytes: u64) -> Result<(), ObjectError> {
         if self.device.placement(id).is_none() {
-            return; // create was rejected earlier
+            return Ok(()); // create was rejected earlier
         }
         let Some(meta) = self.life.file(id) else {
-            return;
+            return Ok(());
         };
         let class = meta.class;
         let content = self.content_for(id, class, bytes.max(4096));
@@ -233,17 +246,15 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
             Ok(()) => {
                 self.stats.updates += 1;
                 self.cloud.refresh(id, &content);
+                Ok(())
             }
-            Err(ObjectError::NoSpace) => {
-                self.autodelete();
-            }
-            Err(ObjectError::NotFound(_)) => {}
-            Err(ObjectError::PowerLoss) => self.crashed = true,
-            Err(error) => panic!("update {id} failed: {error}"),
+            Err(ObjectError::NoSpace) => self.autodelete(),
+            Err(ObjectError::NotFound(_)) => Ok(()),
+            Err(error) => Err(error),
         }
     }
 
-    fn handle_read(&mut self, id: ObjectId) {
+    fn handle_read(&mut self, id: ObjectId) -> Result<(), ObjectError> {
         match self.device.get(id) {
             Ok(data) => {
                 self.stats.reads += 1;
@@ -255,62 +266,67 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
                 }
             }
             Err(ObjectError::NotFound(_)) => {}
-            Err(ObjectError::PowerLoss) => self.crashed = true,
-            Err(_) => {
-                self.stats.lost_reads += 1;
-            }
+            Err(ObjectError::PowerLoss) => return Err(ObjectError::PowerLoss),
+            Err(_) => self.stats.lost_reads += 1,
         }
+        Ok(())
     }
 
-    fn handle_delete(&mut self, id: ObjectId) {
-        if let Err(ObjectError::PowerLoss) = self.device.delete(id) {
-            // The entry may already be gone from the directory; any
-            // half-freed pages are swept up by the remount re-trim.
-            self.crashed = true;
-        }
+    /// Deletes a file from the device and forgets it everywhere else.
+    /// Only a power loss fails it: the entry may already be gone from
+    /// the directory, and any half-freed pages are swept up by the
+    /// remount re-trim.
+    fn handle_delete(&mut self, id: ObjectId) -> Result<(), ObjectError> {
+        let deleted = self.device.delete(id);
         self.cloud.forget(id);
         self.originals.remove(&id);
+        match deleted {
+            Err(ObjectError::PowerLoss) => Err(ObjectError::PowerLoss),
+            _ => Ok(()),
+        }
     }
 
     /// The §4.5 auto-delete fallback: delete daemon-recommended
     /// expendable files until `AUTODELETE_FRACTION` of capacity is
     /// freed.
-    pub fn autodelete(&mut self) {
+    fn autodelete(&mut self) -> Result<(), ObjectError> {
         let target = (self.device.capacity_bytes() as f64 * AUTODELETE_FRACTION) as u64;
         let now = self.life.day() as f64;
         let recommendations = self.daemon.deletion_recommendations(self.life.files(), now);
         let mut freed = 0u64;
         for (id, _score) in recommendations {
-            if self.crashed || freed >= target {
+            if freed >= target {
                 break;
             }
             if let Some(size) = self.life.force_delete(id) {
-                if let Err(ObjectError::PowerLoss) = self.device.delete(id) {
-                    self.crashed = true;
-                }
-                self.cloud.forget(id);
-                self.originals.remove(&id);
                 freed += size;
                 self.stats.autodeletes += 1;
+                self.handle_delete(id)?;
             }
         }
+        Ok(())
     }
 
     /// Measures PSNR of all sampled media still alive; repairs from the
-    /// cloud when quality fell through the floor.
+    /// cloud when quality fell through the floor. A power loss halts
+    /// the day and ends the pass with what it measured so far.
     pub fn measure_quality(&mut self) -> Vec<f64> {
+        let mut psnrs = Vec::new();
+        let pass = self.sample_quality(&mut psnrs);
+        self.settle(pass);
+        psnrs
+    }
+
+    fn sample_quality(&mut self, psnrs: &mut Vec<f64>) -> Result<(), ObjectError> {
         // Measure in id order: each `get` disturbs device state
         // (read-disturb counters, error-sampling RNG draws), so the walk
         // order must be stable run to run — the BTreeMap guarantees it.
         let ids: Vec<ObjectId> = self.originals.keys().copied().collect();
-        let mut psnrs = Vec::with_capacity(ids.len());
+        psnrs.reserve(ids.len());
         for id in ids {
             let data = match self.device.get(id) {
                 Ok(data) => data,
-                Err(ObjectError::PowerLoss) => {
-                    self.crashed = true;
-                    break;
-                }
+                Err(ObjectError::PowerLoss) => return Err(ObjectError::PowerLoss),
                 Err(_) => continue,
             };
             let Some(original) = self.originals.get(&id) else {
@@ -323,44 +339,47 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
             };
             if quality < REPAIR_PSNR_FLOOR {
                 if let Some(golden) = self.cloud.fetch(id) {
-                    if self.device.update(id, &golden).is_ok() {
-                        self.stats.cloud_repairs += 1;
-                        // Re-measure after repair.
-                        if let Ok(repaired) = self.device.get(id) {
-                            if let Ok(decoded) = decode(&repaired.bytes) {
-                                psnrs.push(psnr(original, &decoded));
-                                continue;
+                    match self.device.update(id, &golden) {
+                        Ok(()) => {
+                            self.stats.cloud_repairs += 1;
+                            // Re-measure after repair.
+                            if let Ok(repaired) = self.device.get(id) {
+                                if let Ok(decoded) = decode(&repaired.bytes) {
+                                    psnrs.push(psnr(original, &decoded));
+                                    continue;
+                                }
                             }
                         }
+                        Err(ObjectError::PowerLoss) => return Err(ObjectError::PowerLoss),
+                        Err(_) => {}
                     }
                 }
             }
             psnrs.push(quality);
         }
-        psnrs
+        Ok(())
     }
 
-    /// Runs one simulated day end to end. A power loss mid-day abandons
-    /// the rest of the day (the machine is off); the caller remounts
-    /// via the device's recovery path and `clear_crashed`.
+    /// Runs one simulated day end to end. A power loss or storage
+    /// failure mid-day halts it: the rest of the day is abandoned (for
+    /// a power loss, the machine is off), and the caller remounts via
+    /// the device's recovery path and `clear_crashed`.
     pub fn run_day(&mut self) {
-        if self.crashed {
-            return;
+        if self.halt.is_none() {
+            let day = self.day();
+            self.settle(day);
         }
-        let trace = self.life.next_day();
-        for op in trace.ops {
-            if self.crashed {
-                return;
-            }
+    }
+
+    /// One day's steps, stopping at the first that fails.
+    fn day(&mut self) -> Result<(), ObjectError> {
+        for op in self.life.next_day().ops {
             match op {
-                TraceOp::Create { file, class, bytes } => self.handle_create(file, class, bytes),
-                TraceOp::Update { file, bytes } => self.handle_update(file, bytes),
-                TraceOp::Read { file, .. } => self.handle_read(file),
-                TraceOp::Delete { file } => self.handle_delete(file),
+                TraceOp::Create { file, class, bytes } => self.handle_create(file, class, bytes)?,
+                TraceOp::Update { file, bytes } => self.handle_update(file, bytes)?,
+                TraceOp::Read { file, .. } => self.handle_read(file)?,
+                TraceOp::Delete { file } => self.handle_delete(file)?,
             }
-        }
-        if self.crashed {
-            return;
         }
         self.device.advance_days(1.0);
         let now = self.life.day() as f64;
@@ -374,11 +393,7 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
                     match self.device.migrate(decision.file, Partition::Spare) {
                         Ok(()) => self.stats.demotions += 1,
                         Err(ObjectError::NoSpace) | Err(ObjectError::NotFound(_)) => {}
-                        Err(ObjectError::PowerLoss) => {
-                            self.crashed = true;
-                            return;
-                        }
-                        Err(error) => panic!("migrate failed: {error}"),
+                        Err(error) => return Err(error),
                     }
                 }
             }
@@ -392,33 +407,26 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
         {
             let pressure = match self.device.maintain() {
                 Ok(pressure) => pressure,
-                Err(ObjectError::PowerLoss) => {
-                    self.crashed = true;
-                    return;
-                }
+                Err(ObjectError::PowerLoss) => return Err(ObjectError::PowerLoss),
                 Err(_) => true,
             };
             if pressure {
-                self.autodelete();
+                self.autodelete()?;
             }
         }
-        if self.crashed {
-            return;
-        }
 
-        // Periodic quality measurement.
+        // Periodic quality measurement, last: a power loss inside it
+        // halts the day from within `measure_quality`.
         if self.life.day().is_multiple_of(QUALITY_PERIOD_DAYS) {
             let psnrs = self.measure_quality();
             self.quality.record(now, psnrs);
         }
+        Ok(())
     }
 
-    /// Runs `days` simulated days, stopping early on a power loss.
+    /// Runs `days` simulated days; once one halts, the rest are no-ops.
     pub fn run_days(&mut self, days: u32) {
         for _ in 0..days {
-            if self.crashed {
-                break;
-            }
             self.run_day();
         }
     }
@@ -428,6 +436,7 @@ impl<D: ObjectStore, C: Classifier> SosController<D, C> {
 mod tests {
     use super::*;
     use crate::device::{SosConfig, SosDevice};
+    use crate::object::{DeviceCounters, ObjectData};
     use sos_classify::{multi_user_corpus, LogisticRegression};
     use sos_workload::{UsageProfile, WorkloadConfig};
 
@@ -436,14 +445,80 @@ mod tests {
         cloud: CloudConfig,
         config: ControllerConfig,
     ) -> SosController<SosDevice, LogisticRegression> {
+        controller_on(SosDevice::new(&SosConfig::tiny(11)), profile, cloud, config)
+    }
+
+    fn controller_on<D: ObjectStore>(
+        device: D,
+        profile: UsageProfile,
+        cloud: CloudConfig,
+        config: ControllerConfig,
+    ) -> SosController<D, LogisticRegression> {
         let extractor = FeatureExtractor::default();
         let corpus = multi_user_corpus(&extractor, 1, 42);
         let mut model = LogisticRegression::default();
         model.train(&corpus.features, &corpus.labels);
-        let device = SosDevice::new(&SosConfig::tiny(11));
         let capacity = device.capacity_bytes();
         let life = DeviceLife::new(WorkloadConfig::phone(capacity, profile, 11));
         SosController::new(device, model, extractor, life, cloud, config)
+    }
+
+    /// A store whose every `put` fails with a storage error and which
+    /// holds nothing.
+    struct BrokenStore;
+
+    impl ObjectStore for BrokenStore {
+        fn put(&mut self, _: ObjectId, _: &[u8], _: Partition) -> Result<(), ObjectError> {
+            Err(ObjectError::Storage("program failed".into()))
+        }
+        fn get(&mut self, id: ObjectId) -> Result<ObjectData, ObjectError> {
+            Err(ObjectError::NotFound(id))
+        }
+        fn update(&mut self, id: ObjectId, _: &[u8]) -> Result<(), ObjectError> {
+            Err(ObjectError::NotFound(id))
+        }
+        fn delete(&mut self, id: ObjectId) -> Result<(), ObjectError> {
+            Err(ObjectError::NotFound(id))
+        }
+        fn migrate(&mut self, id: ObjectId, _: Partition) -> Result<(), ObjectError> {
+            Err(ObjectError::NotFound(id))
+        }
+        fn placement(&self, _: ObjectId) -> Option<Partition> {
+            None
+        }
+        fn advance_days(&mut self, _: f64) {}
+        fn maintain(&mut self) -> Result<bool, ObjectError> {
+            Ok(false)
+        }
+        fn capacity_bytes(&self) -> u64 {
+            1 << 30
+        }
+        fn counters(&self) -> DeviceCounters {
+            DeviceCounters::default()
+        }
+    }
+
+    #[test]
+    fn a_storage_failure_halts_the_day_without_a_panic() {
+        let mut c = controller_on(
+            BrokenStore,
+            UsageProfile::Typical,
+            CloudConfig::none(),
+            ControllerConfig::default(),
+        );
+        c.run_day();
+        assert!(c.crashed());
+        assert_eq!(
+            c.halt(),
+            Some(&ObjectError::Storage("program failed".into()))
+        );
+        assert_eq!(c.stats.creates, 0);
+        // A halted controller runs no day until the halt is cleared.
+        c.run_days(3);
+        assert_eq!(c.life.day(), 1);
+        c.clear_crashed();
+        c.run_day();
+        assert_eq!(c.life.day(), 2);
     }
 
     #[test]
@@ -500,7 +575,7 @@ mod tests {
         );
         c.run_days(10);
         let files_before = c.life.file_count();
-        c.autodelete();
+        c.autodelete().unwrap();
         // Something expendable existed after 10 days of media-heavy use.
         assert!(c.stats.autodeletes > 0, "nothing deleted");
         assert!(c.life.file_count() < files_before);

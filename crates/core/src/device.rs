@@ -183,6 +183,12 @@ impl SosDevice {
         self.split(partition).0.ftl.arm_fault(plan, seed);
     }
 
+    /// Drops every fault still armed on either partition.
+    pub fn disarm_faults(&mut self) {
+        self.sys.ftl.disarm_faults();
+        self.spare.ftl.disarm_faults();
+    }
+
     /// Device operations observed by a partition's fault injector so
     /// far (0 when no injector is attached). Crash schedules are
     /// expressed relative to this count.
@@ -192,12 +198,6 @@ impl SosDevice {
             .injector()
             .map(|injector| injector.op_count())
             .unwrap_or(0)
-    }
-
-    /// Whether a partition's flash device has latched power-off (every
-    /// operation fails with `PowerLoss` until remount).
-    pub fn is_powered_off(&self, partition: Partition) -> bool {
-        self.partition(partition).ftl.device().is_powered_off()
     }
 
     /// The remount path: recovers both partitions from flash after a
@@ -214,7 +214,11 @@ impl SosDevice {
     /// keeps no parity, so it declares every loss, in
     /// [`RemountReport::spare_lost`].
     ///
-    /// On error the device is poisoned and must be discarded.
+    /// Every step is recomputed from flash and the directory, so after
+    /// an error (a power cut inside it above all) the call can simply be
+    /// retried. The report describes the call that succeeded: its
+    /// `sys_lost`/`spare_lost` name every page still lost, its
+    /// `sys_repaired` only the repairs it made itself.
     pub fn recover_in_place(&mut self) -> Result<RemountReport, FtlError> {
         let sys = self.sys.remount(&self.directory.pages_on(Partition::Sys))?;
         let spare = self
@@ -445,7 +449,7 @@ mod tests {
             }
         }
         assert!(crashed, "armed power cut never fired");
-        assert!(device.is_powered_off(Partition::Sys));
+        assert!(device.sys.ftl.device().is_powered_off());
 
         let report = device.recover_in_place().unwrap();
         assert!(report.sys.used_checkpoint, "checkpoint must bound the scan");
@@ -533,6 +537,99 @@ mod tests {
         assert_eq!(report.sys_lost, vec![(2, dead)]);
         assert_eq!(device.get(1).unwrap().bytes, data);
         assert_eq!(device.get(2).unwrap().status, ObjectStatus::PartiallyLost);
+    }
+
+    #[test]
+    fn remount_reads_the_spare_checkpoint_through_full_ecc() {
+        // SPARE's own ECC leaves the page tail to a CRC; a checkpoint
+        // decoded through it would fail on any tail bit error, and the
+        // full scan that follows could resurrect the declared page.
+        let (mut device, _, _, faded) = crash_window_losses();
+        for remount in 0..4 {
+            let report = device.recover_in_place().unwrap();
+            assert!(
+                report.spare.used_checkpoint,
+                "remount {remount}: {report:?}"
+            );
+            assert_eq!(report.spare_lost, vec![(3, faded)], "remount {remount}");
+        }
+    }
+
+    /// The crash-window losses of [`crash_window_losses`], then a real
+    /// power cut on SYS a few operations into a burst of creates.
+    fn crash_image() -> SosDevice {
+        let (mut device, data, _, _) = crash_window_losses();
+        cut_power(&mut device, Partition::Sys, 7);
+        for id in 10..200 {
+            match device.put(id, &data, Partition::Sys) {
+                Ok(()) => {}
+                Err(ObjectError::PowerLoss) => return device,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        panic!("armed power cut never fired");
+    }
+
+    /// Arms a power cut `ops` operations past `partition`'s injector
+    /// count.
+    fn cut_power(device: &mut SosDevice, partition: Partition, ops: u64) {
+        use sos_flash::{FaultAt, FaultKind};
+        let at = device.injector_op_count(partition) + ops;
+        let plan = FaultPlan {
+            kind: FaultKind::PowerCut,
+            at: FaultAt::OpCount(at),
+        };
+        device.arm_fault(partition, plan, 99);
+    }
+
+    /// What a remount must reproduce however often it was cut: the
+    /// directory, each partition's mapped LPNs, and the declared losses.
+    #[derive(Debug, PartialEq)]
+    struct RemountOutcome {
+        directory: Vec<crate::audit::ObjectSnapshot>,
+        mapped: [Vec<u64>; 2],
+        lost: [Vec<(ObjectId, u64)>; 2],
+    }
+
+    fn remount_outcome(device: &SosDevice, report: &RemountReport) -> RemountOutcome {
+        let mapped = |store: &PartitionStore| {
+            let pages = store.ftl.logical_pages();
+            (0..pages).filter(|&lpn| store.ftl.is_mapped(lpn)).collect()
+        };
+        RemountOutcome {
+            directory: device.audit_snapshot().objects,
+            mapped: [mapped(&device.sys), mapped(&device.spare)],
+            lost: [report.sys_lost.clone(), report.spare_lost.clone()],
+        }
+    }
+
+    #[test]
+    fn remount_cut_at_any_operation_is_retried_to_the_uncut_outcome() {
+        let mut uncut = crash_image();
+        let report = uncut.recover_in_place().unwrap();
+        let expected = remount_outcome(&uncut, &report);
+        assert_eq!(expected.lost[0].len(), 1, "{report:?}");
+        assert_eq!(expected.lost[1].len(), 1, "{report:?}");
+        for partition in [Partition::Sys, Partition::Spare] {
+            let mut cuts = 0;
+            for ops in 1.. {
+                let mut device = crash_image();
+                cut_power(&mut device, partition, ops);
+                match device.recover_in_place() {
+                    Err(FtlError::Device(sos_flash::FlashError::PowerLoss)) => cuts += 1,
+                    Err(e) => panic!("{partition:?} cut {ops} ops in: unexpected {e}"),
+                    // The remount finished before the cut was due.
+                    Ok(_) => break,
+                }
+                let report = device.recover_in_place().unwrap();
+                assert_eq!(
+                    remount_outcome(&device, &report),
+                    expected,
+                    "{partition:?} cut {ops} ops into the remount"
+                );
+            }
+            assert!(cuts > 0, "no {partition:?} cut landed inside the remount");
+        }
     }
 
     #[test]

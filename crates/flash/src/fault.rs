@@ -73,24 +73,12 @@ pub struct FaultPlan {
     pub at: FaultAt,
 }
 
-/// A fault that fired, for post-mortem inspection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultRecord {
-    /// The fault that fired.
-    pub kind: FaultKind,
-    /// Injector operation count at the moment it fired.
-    pub op_count: u64,
-    /// Simulated day it fired.
-    pub day: f64,
-}
-
 /// Deterministic fault scheduler for a flash device.
 #[derive(Debug)]
 pub struct FaultInjector {
     rng: StdRng,
     plans: Vec<FaultPlan>,
     op_count: u64,
-    fired: Vec<FaultRecord>,
 }
 
 impl FaultInjector {
@@ -102,7 +90,6 @@ impl FaultInjector {
             rng: StdRng::seed_from_u64(seed),
             plans: Vec::new(),
             op_count: 0,
-            fired: Vec::new(),
         }
     }
 
@@ -110,6 +97,11 @@ impl FaultInjector {
     /// the first applicable operation after it becomes due.
     pub fn arm(&mut self, plan: FaultPlan) {
         self.plans.push(plan);
+    }
+
+    /// Drops every fault still armed.
+    pub fn disarm(&mut self) {
+        self.plans.clear();
     }
 
     /// Operations observed since the injector was attached.
@@ -120,11 +112,6 @@ impl FaultInjector {
     /// Faults still armed.
     pub fn pending(&self) -> &[FaultPlan] {
         &self.plans
-    }
-
-    /// Faults that have fired, in order.
-    pub fn fired(&self) -> &[FaultRecord] {
-        &self.fired
     }
 
     /// Called by the device before each operation; returns the fault to
@@ -139,13 +126,7 @@ impl FaultInjector {
             .plans
             .iter()
             .position(|plan| plan.kind.applies_to(op) && due(plan))?;
-        let plan = self.plans.swap_remove(index);
-        self.fired.push(FaultRecord {
-            kind: plan.kind,
-            op_count: self.op_count,
-            day,
-        });
-        Some(plan.kind)
+        Some(self.plans.swap_remove(index).kind)
     }
 
     /// Flips `bits` random bit positions in `data` (transient read
@@ -191,8 +172,7 @@ mod tests {
         assert_eq!(inj.on_op(FaultOp::Read, 0.0), None);
         assert_eq!(inj.on_op(FaultOp::Program, 0.0), Some(FaultKind::PowerCut));
         assert_eq!(inj.on_op(FaultOp::Program, 0.0), None);
-        assert_eq!(inj.fired().len(), 1);
-        assert_eq!(inj.fired()[0].op_count, 3);
+        assert!(inj.pending().is_empty());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use config::DeviceConfig;
 pub use density::{CellDensity, ProgramMode};
 pub use device::{BlockSnapshot, DeviceStats, FlashDevice, FlashError, ReadOutcome};
 pub use errors::ErrorModel;
-pub use fault::{FaultAt, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRecord};
+pub use fault::{FaultAt, FaultInjector, FaultKind, FaultOp, FaultPlan};
 pub use geometry::{BlockAddr, Geometry, PageAddr};
 pub use oob::{OobMeta, PageKind};
 pub use rbercache::RberCache;

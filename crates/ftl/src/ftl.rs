@@ -275,6 +275,13 @@ impl Ftl {
         }
     }
 
+    /// Drops every fault still armed on the device's injector.
+    pub fn disarm_faults(&mut self) {
+        if let Some(injector) = self.device.injector_mut() {
+            injector.disarm();
+        }
+    }
+
     /// The device's fault injector, if one is attached.
     pub fn injector(&self) -> Option<&FaultInjector> {
         self.device.injector()

@@ -47,8 +47,8 @@ use crate::config::FtlConfig;
 use crate::ftl::{exported_pages, BlockInfo, Ftl, FtlError, Slot};
 use crate::placement::{PlacementHandle, StreamPlacement};
 use crate::stats::FtlStats;
-use sos_ecc::{crc32, PageCodec, PageStatus};
-use sos_flash::{FlashDevice, FlashError, OobMeta, PageKind};
+use sos_ecc::{crc32, EccScheme, PageCodec, PageStatus};
+use sos_flash::{FlashDevice, FlashError, Geometry, OobMeta, PageKind};
 use std::collections::{HashSet, VecDeque};
 
 /// A decoded checkpoint ready to apply: `(data_seq, l2p slots,
@@ -142,6 +142,16 @@ impl Scan<'_> {
     }
 }
 
+/// The codec of checkpoint pages on every partition: full BCH, which
+/// fits every supported spare area. A checkpoint is the FTL's own
+/// metadata, so it never rides a partition's approximate scheme, whose
+/// unprotected tail would fail the payload CRC on one bit error and
+/// force the full scan the checkpoint exists to avoid.
+fn checkpoint_codec(geometry: &Geometry) -> Result<PageCodec, FtlError> {
+    let (data, spare) = (geometry.page_bytes as usize, geometry.spare_bytes as usize);
+    Ok(PageCodec::new(EccScheme::Bch { t: 18 }, data, spare)?)
+}
+
 /// The RAM tables [`rebuild`] derives from flash.
 struct Rebuilt {
     l2p: Vec<Slot>,
@@ -164,17 +174,17 @@ impl Ftl {
         self.ensure_free_space()?;
         let data_seq = self.next_seq();
         let payload = self.checkpoint_payload(data_seq);
-        let chunk_bytes = self.codec.data_bytes();
-        let chunks: Vec<Vec<u8>> = payload
-            .chunks(chunk_bytes)
+        let codec = checkpoint_codec(self.device.geometry())?;
+        let pages: Vec<Vec<u8>> = payload
+            .chunks(codec.data_bytes())
             .map(|c| {
                 let mut chunk = c.to_vec();
-                chunk.resize(chunk_bytes, 0);
-                chunk
+                chunk.resize(codec.data_bytes(), 0);
+                codec.frame(&chunk)
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         for _attempt in 0..3 {
-            match self.write_checkpoint_once(&chunks) {
+            match self.write_checkpoint_once(&pages) {
                 Ok(blocks) => {
                     // Retire the previous generation now that the new
                     // one is durable.
@@ -210,20 +220,16 @@ impl Ftl {
         Err(FtlError::NoSpace)
     }
 
-    /// One attempt at writing every checkpoint chunk; returns the blocks
-    /// used, or the partially-used blocks alongside the error.
+    /// One attempt at programming every framed checkpoint page; returns
+    /// the blocks used, or the partially-used blocks alongside the error.
     #[allow(clippy::type_complexity)]
     fn write_checkpoint_once(
         &mut self,
-        chunks: &[Vec<u8>],
+        pages: &[Vec<u8>],
     ) -> Result<Vec<u64>, (Vec<u64>, FtlError)> {
         let mut blocks: Vec<u64> = Vec::new();
         let mut current: Option<u64> = None;
-        for (index, chunk) in chunks.iter().enumerate() {
-            let raw = match self.codec.frame(chunk) {
-                Ok(raw) => raw,
-                Err(e) => return Err((blocks, e.into())),
-            };
+        for (index, raw) in pages.iter().enumerate() {
             loop {
                 let block = match current {
                     Some(block) => block,
@@ -250,7 +256,7 @@ impl Ftl {
                     PlacementHandle::CKPT.stream(),
                 );
                 let addr = self.page_addr(self.flat_page(block, page));
-                match self.device.program(addr, &raw, oob) {
+                match self.device.program(addr, raw, oob) {
                     Ok(_) => break,
                     Err(e) => return Err((blocks, e.into())),
                 }
@@ -293,14 +299,14 @@ impl Ftl {
     /// cut, by scanning OOB metadata.
     ///
     /// The device is power-cycled first. The rebuild sees only the
-    /// device, the configuration and the codec (firmware configuration
+    /// device and the configuration (firmware configuration
     /// is code, not state, so it survives the crash by construction),
     /// never the RAM tables it replaces. Those tables are replaced only
     /// when the scan succeeds: on error the FTL keeps its device, and a
     /// later `recover` may retry.
     pub fn recover(&mut self) -> Result<RecoveryReport, FtlError> {
         self.device.power_cycle();
-        let (rebuilt, report) = rebuild(&mut self.device, &self.config, &self.codec)?;
+        let (rebuilt, report) = rebuild(&mut self.device, &self.config)?;
         self.l2p = rebuilt.l2p;
         self.blocks = rebuilt.blocks;
         self.free = rebuilt.free;
@@ -325,9 +331,9 @@ impl Ftl {
 fn rebuild(
     device: &mut FlashDevice,
     config: &FtlConfig,
-    codec: &PageCodec,
 ) -> Result<(Rebuilt, RecoveryReport), FtlError> {
     let geometry = *device.geometry();
+    let codec = checkpoint_codec(&geometry)?;
     let total_blocks = geometry.total_blocks();
     let ppb = geometry.pages_per_block as u64;
     let logical_pages = exported_pages(

@@ -1,7 +1,5 @@
 #!/usr/bin/env bash
-# Full local gate: everything CI runs, in the same order, except the CI
-# crash-sweep job's ignored long sweep (`cargo test --release -p
-# sos-analyze --test crash_sweep -- --include-ignored`).
+# Full local gate: everything CI runs, in the same order.
 # Usage: scripts/check.sh [--fast | --examples-only]
 #   --fast skips the builds and test suites (lint-only gate).
 #   --examples-only runs just the examples smoke test (the CI `examples`
@@ -47,6 +45,13 @@ run cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 if [[ "$fast" -eq 0 ]]; then
     run cargo build --release
     run cargo test -q
+    # The crash-sweep job: crash-injection tests, then the 500+ crash
+    # point sweep with cuts inside recovery.
+    run cargo test --release -q -p sos-flash fault
+    run cargo test --release -q -p sos-ftl recovery
+    run cargo test --release -q -p sos-ftl --test proptest_recovery
+    run cargo test --release -q -p sos-core remount
+    run cargo test --release -q -p sos-analyze --test crash_sweep -- --include-ignored
     # Benchmark contract: traced and untraced digests agree, every
     # BENCHMARK.json metric is printed, seeds round-trip exactly.
     run cargo test --offline --locked --manifest-path perfbench/Cargo.toml
