@@ -254,7 +254,8 @@ impl StateAuditor<FtlState> for FtlAuditorSet {
 }
 
 /// Checks the SOS partition rules (§4.2/§4.4): the SYS partition runs
-/// pseudo-QLC with every live data stripe covered by parity, objects
+/// pseudo-QLC with every live data stripe covered by parity (on flash
+/// or, written back since the last flush, in controller RAM), objects
 /// never sit in the reserved parity range, and the SPARE partition sits
 /// on physical PLC (possibly resuscitated to a lower pseudo-density).
 #[derive(Debug, Default)]
@@ -319,7 +320,9 @@ impl StateAuditor<CoreState> for PlacementAuditor {
                             continue;
                         }
                         // Parity coverage: every stripe with live data
-                        // must have a mapped parity page.
+                        // must have a mapped parity page, or its parity
+                        // in controller RAM (written back since the last
+                        // flush).
                         if !matches!(state.sys.l2p[lpn as usize], SlotSnapshot::Mapped(_)) {
                             continue;
                         }
@@ -328,11 +331,12 @@ impl StateAuditor<CoreState> for PlacementAuditor {
                             continue;
                         }
                         let parity_lpn = state.parity_base + stripe;
-                        let covered = state
-                            .sys
-                            .l2p
-                            .get(parity_lpn as usize)
-                            .is_some_and(|slot| matches!(slot, SlotSnapshot::Mapped(_)));
+                        let covered = state.ram_parity.contains(&stripe)
+                            || state
+                                .sys
+                                .l2p
+                                .get(parity_lpn as usize)
+                                .is_some_and(|slot| matches!(slot, SlotSnapshot::Mapped(_)));
                         if !covered {
                             violations.push(Violation::SysParityMissing { stripe, parity_lpn });
                         }

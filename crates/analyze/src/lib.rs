@@ -181,7 +181,8 @@ pub enum Violation {
         /// First LPN of the parity range.
         parity_base: u64,
     },
-    /// A stripe holding live SYS data has no readable parity page.
+    /// A stripe holding live SYS data has neither a mapped parity page
+    /// nor its parity in controller RAM.
     SysParityMissing {
         /// The stripe index.
         stripe: u64,

@@ -54,7 +54,9 @@ const UNWRAP_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"
 ///   plus the background paths (GC, scrub) whose abort would take down
 ///   a device mid-service. `StreamPlacement`'s reclaim-unit bookkeeping
 ///   is included explicitly: it runs inside the write, GC, and retire
-///   paths, where a panic is a device abort;
+///   paths, where a panic is a device abort. So are the SYS store's
+///   object write and free and the parity flush: the RAM parity they
+///   keep is what a media loss before the next flush is rebuilt from;
 /// * the experiment harness's parallel runner: a worker panic poisons
 ///   the shared result mutex and aborts the whole experiment, so its
 ///   fan-out, seeding, and thread-count paths get the same audit;
@@ -78,6 +80,9 @@ pub const PANIC_PATH_ENTRY_POINTS: &[EntryPoint] = &[
     EntryPoint::method("StreamPlacement", "open_units"),
     EntryPoint::method("SosDevice", "recover_in_place"),
     EntryPoint::method("StripeManager", "scrub_parity"),
+    EntryPoint::method("StripeManager", "flush"),
+    EntryPoint::method("PartitionStore", "write_object"),
+    EntryPoint::method("PartitionStore", "free_object"),
     EntryPoint::method("HostFs", "remount"),
     EntryPoint::function("run_tasks"),
     EntryPoint::function("task_seed"),

@@ -10,7 +10,7 @@ use sos_analyze::{
     AuditedFtl, CoreAuditorSet, EraseDisciplineAuditor, FtlAuditorSet, PlacementAuditor,
     StateAuditor, Violation,
 };
-use sos_core::{ObjectStore, Partition, SosConfig, SosDevice};
+use sos_core::{CoreState, ObjectStore, Partition, SosConfig, SosDevice};
 use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
 use sos_ftl::{Ftl, FtlConfig, FtlState, SlotSnapshot};
 
@@ -296,11 +296,8 @@ fn sys_object_in_parity_range_is_detected() {
     );
 }
 
-#[test]
-fn missing_stripe_parity_is_detected() {
-    let device = populated_device();
-    let mut state = device.audit_snapshot();
-    // Pick a live SYS data page and erase its stripe's parity mapping.
+/// The stripe of a live SYS data page, and its parity LPN.
+fn live_sys_stripe(state: &CoreState) -> (u64, u64) {
     let lpn = state
         .objects
         .iter()
@@ -309,8 +306,41 @@ fn missing_stripe_parity_is_detected() {
         .find(|&lpn| matches!(state.sys.l2p[lpn as usize], SlotSnapshot::Mapped(_)))
         .expect("a live SYS page exists");
     let stripe = lpn / state.stripe_width;
-    let parity_lpn = state.parity_base + stripe;
+    (stripe, state.parity_base + stripe)
+}
+
+#[test]
+fn missing_stripe_parity_is_detected() {
+    let mut device = populated_device();
+    // The checkpoint flushes every stripe's parity to flash.
+    device.checkpoint().expect("checkpoint");
+    let mut state = device.audit_snapshot();
+    assert!(state.ram_parity.is_empty(), "{:?}", state.ram_parity);
+    // Pick a live SYS data page and erase its stripe's parity mapping.
+    let (stripe, parity_lpn) = live_sys_stripe(&state);
     state.sys.l2p[parity_lpn as usize] = SlotSnapshot::Unmapped;
+    let violations = PlacementAuditor.audit(&state);
+    assert_eq!(
+        violations,
+        vec![Violation::SysParityMissing { stripe, parity_lpn }]
+    );
+}
+
+#[test]
+fn stripe_neither_mapped_nor_in_ram_is_detected() {
+    // Before any flush every written stripe's parity lives in RAM only:
+    // the snapshot audits clean although no parity page is mapped.
+    let device = populated_device();
+    let mut state = device.audit_snapshot();
+    let (stripe, parity_lpn) = live_sys_stripe(&state);
+    assert!(!matches!(
+        state.sys.l2p[parity_lpn as usize],
+        SlotSnapshot::Mapped(_)
+    ));
+    assert!(state.ram_parity.contains(&stripe));
+    assert_eq!(PlacementAuditor.audit(&state), vec![]);
+    // Drop the stripe from the RAM set: nothing covers it any more.
+    state.ram_parity.remove(&stripe);
     let violations = PlacementAuditor.audit(&state);
     assert_eq!(
         violations,

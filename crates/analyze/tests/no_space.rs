@@ -1,7 +1,8 @@
 //! A SYS partition that runs out of physical space part-way through an
 //! operation must leave the device consistent: a write that reports
-//! `NoSpace` leaves nothing allocated or mapped, pages go back to the
-//! pool only once no object holds them, and the device audits clean.
+//! `NoSpace` leaves nothing allocated or mapped, a parity flush without
+//! room keeps its stripes' parity in RAM, pages go back to the pool only
+//! once no object holds them, and the device audits clean.
 
 use sos_analyze::CoreAuditorSet;
 use sos_core::{ObjectError, ObjectStore, Partition, SosConfig, SosDevice};
@@ -10,10 +11,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 fn payload(id: u64, len: usize) -> Vec<u8> {
     (0..len).map(|i| (id * 31 + i as u64 % 251) as u8).collect()
-}
-
-fn sys_host_writes(device: &SosDevice) -> u64 {
-    device.partition(Partition::Sys).ftl.stats().host_writes
 }
 
 /// Checks the audit, the directory and the pool, and reads every object
@@ -44,8 +41,8 @@ fn assert_consistent(device: &mut SosDevice, expected: &BTreeMap<u64, Vec<u8>>) 
 
 /// Shrinks the SYS partition by `retired` blocks without telling the
 /// pool (maintenance never runs), then puts `pages`-page objects until
-/// one fails. Returns whether that put failed on a parity write, i.e.
-/// after all its data pages were written.
+/// one fails, and ends the day. Returns whether the day-end parity flush
+/// found no room, leaving stripes' parity in RAM.
 fn fill_shrunken_sys(pages: usize, retired: u64) -> bool {
     let mut device = SosDevice::new(&SosConfig::tiny(5));
     let len = pages * device.partition(Partition::Sys).page_bytes();
@@ -65,25 +62,23 @@ fn fill_shrunken_sys(pages: usize, retired: u64) -> bool {
         device.update(0, &payload(0, len)).expect("churn update");
     }
     let mut expected = BTreeMap::from([(0, payload(0, len))]);
-    let mut parity_failure = false;
     for id in 1.. {
         let bytes = payload(id, len);
-        let before = sys_host_writes(&device);
         match device.put(id, &bytes, Partition::Sys) {
             Ok(()) => {
                 expected.insert(id, bytes);
             }
-            Err(ObjectError::NoSpace) => {
-                parity_failure = sys_host_writes(&device) - before >= pages as u64;
-                break;
-            }
+            Err(ObjectError::NoSpace) => break,
             Err(error) => panic!("put {id} failed: {error}"),
         }
     }
+    // The day-end flush cannot fail: without room for a stripe's parity
+    // page the parity stays in RAM, where the audit counts it as cover.
+    device.advance_days(1.0);
+    let flush_failure = !device.audit_snapshot().ram_parity.is_empty();
     assert_consistent(&mut device, &expected);
-    // With no space left a delete may fail to refresh its stripe's
-    // parity (the stripe goes stale); its pages are released all the
-    // same.
+    // A delete XORs its pages out of the RAM parity, which needs no
+    // space; its pages are released.
     for id in (1..expected.len() as u64).step_by(3) {
         device.delete(id).expect("delete");
         expected.remove(&id);
@@ -99,11 +94,15 @@ fn fill_shrunken_sys(pages: usize, retired: u64) -> bool {
         sys.ftl.sustainable_pages() - parity_pages
     );
     assert_consistent(&mut device, &expected);
-    parity_failure
+    flush_failure
 }
 
 #[test]
 fn sys_running_out_of_space_mid_write_leaves_the_device_consistent() {
-    let parity_failures = (1..=8).filter(|&pages| fill_shrunken_sys(pages, 8)).count();
-    assert!(parity_failures > 0, "no put ran out of space on parity");
+    // Twelve retired blocks: with parity programmed only at flush, eight
+    // leave the FTL room for the pool's whole budget and its parity.
+    let flush_failures = (1..=8)
+        .filter(|&pages| fill_shrunken_sys(pages, 12))
+        .count();
+    assert!(flush_failures > 0, "no parity flush ran out of space");
 }

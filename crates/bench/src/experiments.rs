@@ -59,17 +59,19 @@ fn runner_diagnostics(label: &str, runner: &RunnerReport, flash: Option<&DeviceS
 }
 
 /// The deterministic `perf:` stdout line of E11 and E17: RBER-memo hit
-/// rate and flash page totals, then reclaim-unit lifecycle and placement
-/// mix.
-fn perf_line(flash: &DeviceStats, placement: &PlacementStats) -> String {
+/// rate and flash page totals (with, for E11, how many of the pages
+/// programmed were SYS stripe parity), then reclaim-unit lifecycle and
+/// placement mix.
+fn perf_line(flash: &DeviceStats, placement: &PlacementStats, parity: Option<u64>) -> String {
     let lookups = flash.rber_cache_hits + flash.rber_cache_misses;
     let hit_rate = if lookups == 0 {
         0.0
     } else {
         flash.rber_cache_hits as f64 / lookups as f64
     };
+    let parity = parity.map_or_else(String::new, |pages| format!(" ({pages} parity)"));
     format!(
-        "perf: rber-cache {} hits / {} misses ({:.1}% hit), {} pages read, {} programmed; \
+        "perf: rber-cache {} hits / {} misses ({:.1}% hit), {} pages read, {} programmed{}; \
          reclaim units {} opened / {} filled / {} erased ({:.1} pages/erase, \
          {:.1}% host-placed)",
         flash.rber_cache_hits,
@@ -77,6 +79,7 @@ fn perf_line(flash: &DeviceStats, placement: &PlacementStats) -> String {
         hit_rate * 100.0,
         flash.reads,
         flash.programs,
+        parity,
         placement.units_opened,
         placement.units_filled,
         placement.units_erased,
@@ -171,9 +174,11 @@ pub fn end_to_end_report(options: &EndToEndOptions, threads: usize) -> Experimen
     let mut output = ExperimentOutput::default();
     let mut flash = DeviceStats::default();
     let mut placement = PlacementStats::default();
+    let mut parity = 0;
     for result in &results {
         flash.absorb(&result.flash);
         placement.absorb(&result.placement);
+        parity += result.parity_programs;
     }
     let designs = DesignKind::ALL.len();
     for (profile_index, &profile) in profiles.iter().enumerate() {
@@ -241,7 +246,11 @@ pub fn end_to_end_report(options: &EndToEndOptions, threads: usize) -> Experimen
         }
         output.report.push('\n');
     }
-    let _ = writeln!(output.report, "{}", perf_line(&flash, &placement));
+    let _ = writeln!(
+        output.report,
+        "{}",
+        perf_line(&flash, &placement, Some(parity))
+    );
     output
         .report
         .push_str("expected shape: SOS ~2/3 of TLC carbon; zero SYS loss; SPARE media\n");
@@ -963,7 +972,7 @@ pub fn flash_cache_report(options: &FlashCacheOptions, threads: usize) -> Experi
         flash.absorb(&outcome.flash);
         placement.absorb(&outcome.placement);
     }
-    let _ = writeln!(output.report, "{}", perf_line(&flash, &placement));
+    let _ = writeln!(output.report, "{}", perf_line(&flash, &placement, None));
     output.diagnostics = runner_diagnostics("E17", &runner, Some(&flash));
     output
 }
@@ -1039,9 +1048,15 @@ mod tests {
             reloc_pages: 12,
         };
         assert_eq!(
-            perf_line(&flash, &placement),
+            perf_line(&flash, &placement, None),
             "perf: rber-cache 30 hits / 10 misses (75.0% hit), 200 pages read, 50 programmed; \
              reclaim units 5 opened / 4 filled / 4 erased (15.0 pages/erase, 80.0% host-placed)"
+        );
+        assert_eq!(
+            perf_line(&flash, &placement, Some(12)),
+            "perf: rber-cache 30 hits / 10 misses (75.0% hit), 200 pages read, 50 programmed \
+             (12 parity); reclaim units 5 opened / 4 filled / 4 erased (15.0 pages/erase, \
+             80.0% host-placed)"
         );
     }
 
@@ -1055,13 +1070,13 @@ mod tests {
             ..PlacementStats::default()
         };
         assert_eq!(
-            perf_line(&DeviceStats::default(), &unerased),
+            perf_line(&DeviceStats::default(), &unerased, None),
             "perf: rber-cache 0 hits / 0 misses (0.0% hit), 0 pages read, 0 programmed; \
              reclaim units 1 opened / 0 filled / 0 erased (9.0 pages/erase, 77.8% host-placed)"
         );
         // Nothing appended: 100% host-placed.
         assert_eq!(
-            perf_line(&DeviceStats::default(), &PlacementStats::default()),
+            perf_line(&DeviceStats::default(), &PlacementStats::default(), None),
             "perf: rber-cache 0 hits / 0 misses (0.0% hit), 0 pages read, 0 programmed; \
              reclaim units 0 opened / 0 filled / 0 erased (0.0 pages/erase, 100.0% host-placed)"
         );

@@ -9,6 +9,7 @@
 
 use crate::object::{ObjectId, Partition};
 use sos_ftl::FtlState;
+use std::collections::BTreeSet;
 
 /// One stored object's placement record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +27,8 @@ pub struct ObjectSnapshot {
 }
 
 /// A complete snapshot of the SOS device's auditable state: both
-/// partition FTLs, the stripe-parity layout, and the object directory.
+/// partition FTLs, the stripe-parity layout and RAM-parity set, and the
+/// object directory.
 ///
 /// Produced by [`crate::SosDevice::audit_snapshot`].
 #[derive(Debug, Clone)]
@@ -39,6 +41,10 @@ pub struct CoreState {
     pub stripe_width: u64,
     /// First SYS LPN of the reserved parity range.
     pub parity_base: u64,
+    /// SYS stripes whose parity lives in controller RAM (written back
+    /// since the last flush), so their on-flash parity page may be stale
+    /// or absent.
+    pub ram_parity: BTreeSet<u64>,
     /// Every stored object's placement record, sorted by id.
     pub objects: Vec<ObjectSnapshot>,
 }

@@ -92,7 +92,7 @@ impl ObjectStore for BaselineDevice {
 
     fn maintain(&mut self) -> Result<bool, ObjectError> {
         let report = self.store.ftl.scrub()?;
-        let lost = self.store.process_events()?;
+        let lost = self.store.process_events();
         self.directory.mark_lost_pages(Partition::Sys, lost);
         Ok(report.aborted_no_space || self.store.under_pressure(0.03))
     }

@@ -143,7 +143,7 @@ impl SosDevice {
             .map(|(id, info)| crate::audit::ObjectSnapshot {
                 id,
                 partition: info.partition,
-                lpns: info.lpns.clone(),
+                lpns: info.pages.lpns.clone(),
                 len: info.len,
                 damaged: info.damaged,
             })
@@ -153,8 +153,14 @@ impl SosDevice {
             spare: self.spare.ftl.audit_snapshot(),
             stripe_width: STRIPE_WIDTH,
             parity_base: self.sys.pool.span(),
+            ram_parity: self.sys.dirty_stripes().collect(),
             objects,
         }
+    }
+
+    /// SYS parity pages programmed so far, counted apart from data.
+    pub fn parity_programs(&self) -> u64 {
+        self.sys.parity_programs()
     }
 
     /// Live bytes per partition `(sys, spare)`.
@@ -170,9 +176,11 @@ impl SosDevice {
         (sys, spare)
     }
 
-    /// Writes an on-flash checkpoint on both partition FTLs, bounding
-    /// the OOB scan a later remount must perform.
+    /// Flushes SYS's RAM parity, then writes an on-flash checkpoint on
+    /// both partition FTLs, bounding the OOB scan a later remount must
+    /// perform.
     pub fn checkpoint(&mut self) -> Result<(), FtlError> {
+        self.sys.flush_parity()?;
         self.sys.ftl.checkpoint()?;
         self.spare.ftl.checkpoint()
     }
@@ -276,7 +284,17 @@ impl ObjectStore for SosDevice {
         self.directory.info(id).ok().map(|info| info.partition)
     }
 
+    /// Ends the day: flushes SYS's RAM parity, then advances both
+    /// partitions' clocks. The trait method cannot fail, so a flush
+    /// error is left for the next device call to meet: a power cut
+    /// inside the flush leaves the device off, and that call returns
+    /// [`ObjectError::PowerLoss`] (halting the controller's day); a
+    /// stripe the flush could not program stays dirty in RAM, and
+    /// reconstructable, until the next flush.
     fn advance_days(&mut self, days: f64) {
+        // A flush error can only be the device's own, which its next
+        // call reports again.
+        self.sys.flush_parity().ok();
         self.sys.ftl.advance_days(days);
         self.spare.ftl.advance_days(days);
     }
@@ -284,8 +302,9 @@ impl ObjectStore for SosDevice {
     fn maintain(&mut self) -> Result<bool, ObjectError> {
         let sys_report = self.sys.ftl.scrub()?;
         let spare_report = self.spare.ftl.scrub()?;
-        let sys_lost = self.sys.process_events()?;
-        let spare_lost = self.spare.process_events()?;
+        let sys_lost = self.sys.process_events();
+        let spare_lost = self.spare.process_events();
+        self.sys.flush_parity()?;
         self.directory.mark_lost_pages(Partition::Sys, sys_lost);
         self.directory.mark_lost_pages(Partition::Spare, spare_lost);
         Ok(sys_report.aborted_no_space
@@ -465,7 +484,7 @@ mod tests {
     }
 
     fn lpns(device: &SosDevice, id: ObjectId) -> Vec<u64> {
-        device.directory.info(id).unwrap().lpns.clone()
+        device.directory.info(id).unwrap().pages.lpns.clone()
     }
 
     /// Three nine-page objects (SYS 1 and 2, SPARE 3), then a simulated
@@ -659,17 +678,209 @@ mod tests {
         let page = device.sys.page_bytes();
         let data: Vec<u8> = (0..page * 2).map(|i| (i % 241) as u8 + 1).collect();
         device.put(1, &data, Partition::Sys).unwrap();
-        // GC marks a page lost this way when its relocation reads
-        // uncorrectable.
+        device.checkpoint().unwrap();
+        // The crash window eats page 0 together with its stripe's
+        // parity: the remount declares it, and its parity refresh drops
+        // it from the stripe.
         let lost = lpns(&device, 1)[0];
-        device.sys.ftl.declare_lost(lost);
-        // A write into the same stripe recomputes its parity without the
-        // lost member.
+        device.sys.ftl.trim(lost).unwrap();
+        let parity = device.sys.pool.span() + lost / STRIPE_WIDTH;
+        device.sys.ftl.trim(parity).unwrap();
+        device.sys.ftl.checkpoint().unwrap();
+        let report = device.recover_in_place().unwrap();
+        assert_eq!(report.sys_lost, vec![(1, lost)]);
+        // A write into the same stripe loads the refreshed parity into
+        // RAM and XORs the new member in; neither covers the lost page.
         device.put(2, &[7u8; 100], Partition::Sys).unwrap();
         assert_eq!(lpns(&device, 2)[0] / STRIPE_WIDTH, lost / STRIPE_WIDTH);
         let one = device.get(1).unwrap();
         assert_eq!(one.status, ObjectStatus::PartiallyLost);
         assert_eq!(device.counters().objects_damaged, 1);
+    }
+
+    /// One page of distinct content per `seed`.
+    fn one_page(device: &SosDevice, seed: u8) -> Vec<u8> {
+        (0..device.sys.page_bytes())
+            .map(|i| (i as u8).wrapping_mul(seed | 1).wrapping_add(seed))
+            .collect()
+    }
+
+    #[test]
+    fn a_loss_before_the_flush_is_rebuilt_from_ram_parity() {
+        let mut device = device();
+        let data: Vec<u8> = (0..device.sys.page_bytes() * 3)
+            .map(|i| (i % 239) as u8)
+            .collect();
+        device.put(1, &data, Partition::Sys).unwrap();
+        // No flush yet: the stripe's parity exists only in RAM.
+        let lost = lpns(&device, 1)[1];
+        let stripe = lost / STRIPE_WIDTH;
+        assert!(device.audit_snapshot().ram_parity.contains(&stripe));
+        assert!(!device.sys.ftl.is_mapped(device.sys.pool.span() + stripe));
+        device.sys.ftl.declare_lost(lost);
+        let read = device.get(1).unwrap();
+        assert_eq!(read.status, ObjectStatus::Intact);
+        assert_eq!(read.bytes, data);
+    }
+
+    #[test]
+    fn remount_declares_a_page_its_stale_parity_would_rebuild_wrong() {
+        let mut device = device();
+        for id in 1..=3 {
+            let data = one_page(&device, 37 * id as u8);
+            device.put(id, &data, Partition::Sys).unwrap();
+        }
+        // The stripe's parity reaches flash.
+        device.checkpoint().unwrap();
+        let stripe = lpns(&device, 1)[0] / STRIPE_WIDTH;
+        // One member is freed and another written: the parity moves to
+        // RAM, and the copy on flash goes stale.
+        device.delete(2).unwrap();
+        let four = one_page(&device, 201);
+        device.put(4, &four, Partition::Sys).unwrap();
+        for id in [1, 3, 4] {
+            assert_eq!(lpns(&device, id)[0] / STRIPE_WIDTH, stripe, "object {id}");
+        }
+        // The power cut loses the RAM parity, and its crash window eats
+        // object 1's page (the FTL's own checkpoint makes the trim
+        // durable without flushing parity). The stale parity still
+        // folds in object 2 instead of object 4.
+        let missing = lpns(&device, 1)[0];
+        device.sys.ftl.trim(missing).unwrap();
+        device.sys.ftl.checkpoint().unwrap();
+        let report = device.recover_in_place().unwrap();
+        assert_eq!(report.sys_repaired, 0, "{report:?}");
+        assert_eq!(report.sys_lost, vec![(1, missing)]);
+        assert_eq!(device.get(1).unwrap().status, ObjectStatus::PartiallyLost);
+        assert_eq!(device.get(3).unwrap().bytes, one_page(&device, 111));
+        assert_eq!(device.get(4).unwrap().bytes, four);
+    }
+
+    #[test]
+    fn a_cut_inside_the_day_end_flush_halts_the_next_call_and_remounts() {
+        let data = |device: &SosDevice, id: u8| {
+            let pages = 3 * device.sys.page_bytes();
+            (0..pages).map(|i| (i as u8) ^ id).collect::<Vec<u8>>()
+        };
+        let (mut repaired, mut declared) = (0, 0);
+        for ops in 1.. {
+            let mut device = device();
+            for id in 1..=4 {
+                let bytes = data(&device, id);
+                device.put(id.into(), &bytes, Partition::Sys).unwrap();
+            }
+            device.checkpoint().unwrap();
+            // An update and a delete leave their stripes' parity dirty,
+            // object 3's second page among them.
+            let updated = data(&device, 11);
+            device.update(1, &updated).unwrap();
+            device.delete(2).unwrap();
+            let victim = lpns(&device, 3)[1];
+            let ram_parity = device.audit_snapshot().ram_parity;
+            assert!(ram_parity.contains(&(victim / STRIPE_WIDTH)));
+            // The crash window will eat that page (the FTL's own
+            // checkpoint makes the trim durable without a flush).
+            device.sys.ftl.trim(victim).unwrap();
+            device.sys.ftl.checkpoint().unwrap();
+            cut_power(&mut device, Partition::Sys, ops);
+            device.advance_days(1.0);
+            if !device.sys.ftl.device().is_powered_off() {
+                // The flush finished before the cut was due.
+                break;
+            }
+            assert_eq!(device.get(4).unwrap_err(), ObjectError::PowerLoss);
+            let report = device.recover_in_place().unwrap();
+            // The victim is rebuilt exactly when its stripe's parity
+            // reached flash before the cut, and declared when the parity
+            // there is stale; never rebuilt wrong.
+            let three = device.get(3).unwrap();
+            if report.sys_lost.is_empty() {
+                assert_eq!(report.sys_repaired, 1, "cut {ops}: {report:?}");
+                assert_eq!(three.bytes, data(&device, 3), "cut {ops}");
+                repaired += 1;
+            } else {
+                assert_eq!(report.sys_lost, vec![(3, victim)], "cut {ops}");
+                assert_eq!(report.sys_repaired, 0, "cut {ops}: {report:?}");
+                assert_eq!(three.status, ObjectStatus::PartiallyLost);
+                declared += 1;
+            }
+            assert_eq!(device.get(1).unwrap().bytes, updated, "cut {ops}");
+            // The remount refreshed every stripe's parity, whatever the
+            // cut left on flash: a media loss now is rebuilt exactly.
+            device.sys.ftl.declare_lost(lpns(&device, 4)[1]);
+            let four = device.get(4).unwrap();
+            assert_eq!(four.status, ObjectStatus::Intact, "cut {ops}");
+            assert_eq!(four.bytes, data(&device, 4), "cut {ops}");
+        }
+        assert!(
+            repaired > 0 && declared > 0,
+            "{repaired} repaired, {declared} declared"
+        );
+    }
+
+    #[test]
+    fn remount_retry_declares_a_loss_whose_mark_missed_the_checkpoint() {
+        use sos_flash::{FaultAt, FaultKind};
+        // Object 1's first page and its stripe's parity vanish in the
+        // crash window; object 2 shares the stripe, and object 3 spans
+        // it and the next one, whose parity the refresh programs after.
+        let image = || {
+            let mut device = device();
+            let two_pages: Vec<u8> = (0..device.sys.page_bytes() * 2)
+                .map(|i| (i % 233) as u8)
+                .collect();
+            device.put(1, &two_pages, Partition::Sys).unwrap();
+            let peer = one_page(&device, 9);
+            device.put(2, &peer, Partition::Sys).unwrap();
+            let eight_pages = vec![3u8; device.sys.page_bytes() * 8];
+            device.put(3, &eight_pages, Partition::Sys).unwrap();
+            device.checkpoint().unwrap();
+            let dead = lpns(&device, 1)[0];
+            let stripe = dead / STRIPE_WIDTH;
+            assert_eq!(lpns(&device, 2)[0] / STRIPE_WIDTH, stripe);
+            device.sys.ftl.trim(dead).unwrap();
+            let parity = device.sys.pool.span() + stripe;
+            device.sys.ftl.trim(parity).unwrap();
+            device.sys.ftl.checkpoint().unwrap();
+            (device, dead, peer)
+        };
+        let mut retried = 0;
+        for ops in 1.. {
+            let (mut device, dead, peer) = image();
+            let checkpoint = device.sys.ftl.checkpoint_seq();
+            // The remount's checkpoint finds no room: three program
+            // failures use up its attempts, so the `Lost` mark it sets on
+            // the dead page stays in RAM while the parity refresh drops
+            // the page from its stripe. A cut `ops` operations in then
+            // lands before, inside or after that refresh.
+            for _ in 0..3 {
+                let plan = FaultPlan {
+                    kind: FaultKind::FailProgram,
+                    at: FaultAt::OpCount(0),
+                };
+                device.arm_fault(Partition::Sys, plan, 5);
+            }
+            cut_power(&mut device, Partition::Sys, ops);
+            match device.recover_in_place() {
+                Err(FtlError::Device(sos_flash::FlashError::PowerLoss)) => {}
+                Ok(report) => {
+                    assert_eq!(device.sys.ftl.checkpoint_seq(), checkpoint);
+                    assert_eq!(report.sys_lost, vec![(1, dead)]);
+                    break;
+                }
+                Err(e) => panic!("cut {ops} ops in: unexpected {e}"),
+            }
+            retried += 1;
+            device.disarm_faults();
+            // Parity refreshed without the dead page rebuilds it as
+            // zeros; the checksum turns that into a declared loss.
+            let report = device.recover_in_place().unwrap();
+            assert_eq!(report.sys_repaired, 0, "cut {ops}: {report:?}");
+            assert_eq!(report.sys_lost, vec![(1, dead)], "cut {ops}");
+            assert_eq!(device.get(1).unwrap().status, ObjectStatus::PartiallyLost);
+            assert_eq!(device.get(2).unwrap().bytes, peer, "cut {ops}");
+        }
+        assert!(retried > 0, "no cut landed inside the remount");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! implements it by picking the partition store and handing it to the
 //! directory.
 
-use crate::partition::PartitionStore;
+use crate::partition::{ObjectPages, PartitionStore};
 use serde::{Deserialize, Serialize};
 use sos_ecc::PageStatus;
 use sos_flash::FlashError;
@@ -117,8 +117,9 @@ pub(crate) struct ObjectInfo {
     /// Partition holding the object's pages (always SYS on a
     /// single-partition device).
     pub partition: Partition,
-    /// Logical pages holding the object's data, in order.
-    pub lpns: Vec<u64>,
+    /// The object's pages, with each page's checksum where its
+    /// partition keeps parity.
+    pub pages: ObjectPages,
     /// Object length in bytes.
     pub len: usize,
     /// Whether the object ever lost data (counted once in
@@ -133,7 +134,8 @@ pub(crate) struct ObjectInfo {
 ///
 /// Host metadata, modelled as crash-safe (a journaled filesystem on a
 /// separate boot device): the remount path reads it to decide what the
-/// recovered flash must still hold.
+/// recovered flash must still hold, and checks every page it rebuilds
+/// from parity against the checksum recorded here.
 #[derive(Debug, Default)]
 pub(crate) struct Directory {
     objects: BTreeMap<ObjectId, ObjectInfo>,
@@ -157,10 +159,10 @@ impl Directory {
         if self.objects.contains_key(&id) {
             return Err(ObjectError::Exists(id));
         }
-        let lpns = store.write_object(bytes)?.ok_or(ObjectError::NoSpace)?;
+        let pages = store.write_object(bytes)?.ok_or(ObjectError::NoSpace)?;
         let info = ObjectInfo {
             partition,
-            lpns,
+            pages,
             len: bytes.len(),
             damaged: false,
         };
@@ -179,7 +181,7 @@ impl Directory {
         id: ObjectId,
     ) -> Result<ObjectData, ObjectError> {
         let info = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
-        let data = store.read_object(&info.lpns, info.len)?;
+        let data = store.read_object(&info.pages.lpns, info.len)?;
         if data.status == ObjectStatus::PartiallyLost && !info.damaged {
             info.damaged = true;
             self.counters.objects_damaged += 1;
@@ -198,11 +200,11 @@ impl Directory {
         bytes: &[u8],
     ) -> Result<(), ObjectError> {
         let info = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
-        let lpns = store.write_object(bytes)?.ok_or(ObjectError::NoSpace)?;
-        store.free_object(&info.lpns)?;
+        let pages = store.write_object(bytes)?.ok_or(ObjectError::NoSpace)?;
+        store.free_object(&info.pages.lpns)?;
         self.counters.live_bytes = self.counters.live_bytes + bytes.len() as u64 - info.len as u64;
         self.counters.bytes_written += bytes.len() as u64;
-        info.lpns = lpns;
+        info.pages = pages;
         info.len = bytes.len();
         Ok(())
     }
@@ -215,7 +217,7 @@ impl Directory {
         let info = self.objects.remove(&id).ok_or(ObjectError::NotFound(id))?;
         self.counters.objects -= 1;
         self.counters.live_bytes -= info.len as u64;
-        store.free_object(&info.lpns)?;
+        store.free_object(&info.pages.lpns)?;
         Ok(())
     }
 
@@ -230,11 +232,11 @@ impl Directory {
         partition: Partition,
     ) -> Result<(), ObjectError> {
         let data = self.get(from, id)?;
-        let lpns = to.write_object(&data.bytes)?.ok_or(ObjectError::NoSpace)?;
+        let pages = to.write_object(&data.bytes)?.ok_or(ObjectError::NoSpace)?;
         let info = self.objects.get_mut(&id).ok_or(ObjectError::NotFound(id))?;
-        from.free_object(&info.lpns)?;
+        from.free_object(&info.pages.lpns)?;
         info.partition = partition;
-        info.lpns = lpns;
+        info.pages = pages;
         Ok(())
     }
 
@@ -248,7 +250,7 @@ impl Directory {
         for info in self.objects.values_mut() {
             if info.partition == partition
                 && !info.damaged
-                && info.lpns.iter().any(|lpn| lost_pages.contains(lpn))
+                && info.pages.lpns.iter().any(|lpn| lost_pages.contains(lpn))
             {
                 info.damaged = true;
                 self.counters.objects_damaged += 1;
@@ -263,10 +265,10 @@ impl Directory {
 
     /// The pages each object on `partition` holds, in id order (what a
     /// remount of that partition must find on flash).
-    pub fn pages_on(&self, partition: Partition) -> Vec<(ObjectId, &[u64])> {
+    pub fn pages_on(&self, partition: Partition) -> Vec<(ObjectId, &ObjectPages)> {
         self.iter()
             .filter(|(_, info)| info.partition == partition)
-            .map(|(id, info)| (id, info.lpns.as_slice()))
+            .map(|(id, info)| (id, &info.pages))
             .collect()
     }
 

@@ -11,7 +11,7 @@
 //! built with [`PartitionStore::new`] and keep none.
 
 use crate::object::{merge_status, ObjectData, ObjectId, ObjectStatus};
-use crate::stripe::StripeManager;
+use crate::stripe::{page_checksum, StripeManager};
 use sos_ftl::{DataTag, Ftl, FtlError, FtlEvent, RecoveryReport};
 use std::collections::BTreeSet;
 
@@ -108,6 +108,18 @@ pub struct PartitionStore {
     parity: Option<StripeManager>,
 }
 
+/// The pages [`PartitionStore::write_object`] wrote an object to, as
+/// the object directory records them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ObjectPages {
+    /// Logical pages holding the object's data, in order.
+    pub lpns: Vec<u64>,
+    /// Each page's [`page_checksum`] as written, on a partition that
+    /// keeps parity (empty on one that does not): the remount keeps a
+    /// page rebuilt from parity only when it matches.
+    pub sums: Vec<u64>,
+}
+
 /// What [`PartitionStore::remount`] rebuilt, repaired and gave up on.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionRemount {
@@ -152,11 +164,11 @@ impl PartitionStore {
         self.ftl.page_bytes()
     }
 
-    /// Writes an object's bytes to freshly-allocated pages, then brings
-    /// their stripes' parity up to date. Returns the page list, or
-    /// `None`, with nothing left allocated or mapped, if the partition
-    /// lacks space.
-    pub fn write_object(&mut self, bytes: &[u8]) -> Result<Option<Vec<u64>>, FtlError> {
+    /// Writes an object's bytes to freshly-allocated pages, then XORs
+    /// each into its stripe's RAM parity and checksums it, where the
+    /// partition keeps parity. Returns the pages, or `None`, with
+    /// nothing left allocated or mapped, if the partition lacks space.
+    pub fn write_object(&mut self, bytes: &[u8]) -> Result<Option<ObjectPages>, FtlError> {
         let mut page = vec![0u8; self.page_bytes()];
         // An empty object still takes one page.
         let count = bytes.len().div_ceil(page.len()).max(1) as u64;
@@ -180,22 +192,16 @@ impl PartitionStore {
                 Err(e) => return Err(e),
             }
         }
-        let covered = match &mut self.parity {
-            Some(parity) => lpns.iter().enumerate().try_for_each(|(index, &lpn)| {
+        let mut sums = Vec::new();
+        if let Some(parity) = &mut self.parity {
+            sums.reserve_exact(lpns.len());
+            for (index, &lpn) in lpns.iter().enumerate() {
                 fill_page(&mut page, bytes, index);
-                parity.on_write(&mut self.ftl, lpn, &page)
-            }),
-            None => Ok(()),
-        };
-        match covered {
-            Ok(()) => Ok(Some(lpns)),
-            Err(FtlError::NoSpace) => {
-                // Parity found no room: undo the data writes too.
-                self.free_object(&lpns)?;
-                Ok(None)
+                parity.on_write(&mut self.ftl, lpn, &page)?;
+                sums.push(page_checksum(&page));
             }
-            Err(e) => Err(e),
         }
+        Ok(Some(ObjectPages { lpns, sums }))
     }
 
     /// Reads an object's pages. A page the FTL reports lost is rebuilt
@@ -234,15 +240,11 @@ impl PartitionStore {
                 for (byte, &rebuilt_byte) in page.iter_mut().zip(&rebuilt) {
                     *byte = rebuilt_byte;
                 }
-                let restored = self
-                    .ftl
-                    .write_placed(lpn, &rebuilt, self.data_tag.handle())
-                    .and_then(|_| parity.on_write(&mut self.ftl, lpn, &rebuilt));
-                match restored {
-                    // Without free space the repair still serves this
-                    // read; the page stays lost (or its stripe stale)
-                    // until a later write.
-                    Ok(()) | Err(FtlError::NoSpace) => {}
+                // The parity already covers the rebuilt page. Without
+                // free space the repair still serves this read; the page
+                // stays lost until a later read repairs it.
+                match self.ftl.write_placed(lpn, &rebuilt, self.data_tag.handle()) {
+                    Ok(_) | Err(FtlError::NoSpace) => {}
                     Err(e) => return Err(e),
                 }
                 unrepaired -= 1;
@@ -259,27 +261,47 @@ impl PartitionStore {
         })
     }
 
-    /// Frees an object's pages: trims them all, drops them from their
-    /// stripes and only then returns them to the pool. Never fails for
-    /// lack of space (see [`StripeManager::on_trim`]).
+    /// Frees an object's pages: reads each page and XORs it out of its
+    /// stripe's parity (see [`StripeManager::on_free`]), trims it, and
+    /// only then returns them all to the pool. Never fails for lack of
+    /// space.
     pub fn free_object(&mut self, lpns: &[u64]) -> Result<(), FtlError> {
         for &lpn in lpns {
-            self.ftl.trim(lpn)?;
-        }
-        if let Some(parity) = &mut self.parity {
-            for &lpn in lpns {
-                parity.on_trim(&mut self.ftl, lpn)?;
+            if let Some(parity) = &mut self.parity {
+                parity.on_free(&mut self.ftl, lpn)?;
             }
+            self.ftl.trim(lpn)?;
         }
         self.pool.release(lpns);
         Ok(())
     }
 
+    /// Programs the RAM parity of every dirty stripe, where the
+    /// partition keeps parity (see [`StripeManager::flush`]). Never
+    /// fails for lack of space: a stripe without room stays dirty.
+    pub fn flush_parity(&mut self) -> Result<(), FtlError> {
+        match &mut self.parity {
+            Some(parity) => parity.flush(&mut self.ftl),
+            None => Ok(()),
+        }
+    }
+
+    /// Parity pages programmed so far (0 without parity).
+    pub fn parity_programs(&self) -> u64 {
+        self.parity
+            .as_ref()
+            .map_or(0, StripeManager::parity_programs)
+    }
+
+    /// The stripes whose parity lives in RAM, in stripe order (none
+    /// without parity).
+    pub fn dirty_stripes(&self) -> impl Iterator<Item = u64> + '_ {
+        self.parity.iter().flat_map(StripeManager::dirty_stripes)
+    }
+
     /// Processes pending FTL events, shrinking the pool budget on
-    /// capacity loss, then retries the parity refresh of every stripe
-    /// that a write or trim without free space left stale. Returns the
-    /// LPNs whose data the FTL reported lost.
-    pub fn process_events(&mut self) -> Result<Vec<u64>, FtlError> {
+    /// capacity loss. Returns the LPNs whose data the FTL reported lost.
+    pub fn process_events(&mut self) -> Vec<u64> {
         let mut lost = Vec::new();
         for event in self.ftl.drain_events() {
             match event {
@@ -287,10 +309,7 @@ impl PartitionStore {
                 FtlEvent::DataLost { lpn } => lost.push(lpn),
             }
         }
-        if let Some(parity) = &mut self.parity {
-            parity.refresh_stale(&mut self.ftl)?;
-        }
-        Ok(lost)
+        lost
     }
 
     /// The repair-or-declare remount pass for one partition after a
@@ -308,21 +327,26 @@ impl PartitionStore {
     ///    pages;
     /// 5. rebuilds each referenced page that did not survive from the
     ///    pre-refresh parity, when the partition keeps parity and the
-    ///    page is not already lost; otherwise declares it: marks it
-    ///    `Lost`, so reads fail with an explicit `DataLost` and the
-    ///    parity refresh drops it from its stripe;
+    ///    page is not already lost, and keeps the rebuild only if it
+    ///    matches the page's recorded checksum: RAM parity died with the
+    ///    power, so the on-flash parity may predate the stripe's last
+    ///    member writes and frees. Every other such page is declared:
+    ///    marked `Lost`, so reads fail with an explicit `DataLost` and
+    ///    the parity refresh drops it from its stripe;
     /// 6. with parity: checkpoints the FTL if it declared a loss, so the
     ///    `Lost` mark outlives another cut (without free space it stays
-    ///    in RAM), then refreshes every live stripe's parity (the RAID-5
-    ///    write hole) and trims the parity of dead stripes.
+    ///    in RAM, and a retry after a cut re-declares the page because
+    ///    its rebuild fails the checksum), then refreshes every live
+    ///    stripe's parity (the RAID-5 write hole) and trims the parity
+    ///    of dead stripes.
     pub fn remount(
         &mut self,
-        objects: &[(ObjectId, &[u64])],
+        objects: &[(ObjectId, &ObjectPages)],
     ) -> Result<PartitionRemount, FtlError> {
         let recovery = self.ftl.recover()?;
         let refs: BTreeSet<u64> = objects
             .iter()
-            .flat_map(|&(_, lpns)| lpns.iter().copied())
+            .flat_map(|&(_, pages)| pages.lpns.iter().copied())
             .collect();
         let span = self.pool.span();
         self.pool = LpnPool::new(span);
@@ -341,15 +365,15 @@ impl PartitionStore {
         if let Some(parity) = &mut self.parity {
             parity.rebuild(refs.iter().copied());
         }
-        for &(id, lpns) in objects {
-            for &lpn in lpns {
+        for &(id, pages) in objects {
+            for (index, &lpn) in pages.lpns.iter().enumerate() {
                 if self.ftl.is_mapped(lpn) {
                     continue;
                 }
                 let rebuilt = match &self.parity {
-                    Some(parity) if !self.ftl.is_lost(lpn) => {
-                        parity.reconstruct(&mut self.ftl, lpn)
-                    }
+                    Some(parity) if !self.ftl.is_lost(lpn) => parity
+                        .reconstruct(&mut self.ftl, lpn)
+                        .filter(|page| pages.sums.get(index) == Some(&page_checksum(page))),
                     _ => None,
                 };
                 if let Some(page) = rebuilt {
@@ -442,7 +466,7 @@ mod tests {
     fn object_write_read_roundtrip() {
         let mut store = store();
         let data: Vec<u8> = (0..5000).map(|i| (i % 255) as u8).collect();
-        let lpns = store.write_object(&data).unwrap().expect("space");
+        let lpns = store.write_object(&data).unwrap().expect("space").lpns;
         assert_eq!(lpns.len(), 3); // 5000 bytes over 2048-byte pages
         let read = store.read_object(&lpns, data.len()).unwrap();
         assert_eq!(read.bytes, data);
@@ -453,7 +477,7 @@ mod tests {
     #[test]
     fn empty_object_takes_one_page() {
         let mut store = store();
-        let lpns = store.write_object(&[]).unwrap().expect("space");
+        let lpns = store.write_object(&[]).unwrap().expect("space").lpns;
         assert_eq!(lpns.len(), 1);
         let read = store.read_object(&lpns, 0).unwrap();
         assert!(read.bytes.is_empty());
@@ -463,7 +487,11 @@ mod tests {
     fn free_returns_budget() {
         let mut store = store();
         let before = store.pool.allocated();
-        let lpns = store.write_object(&[7u8; 4096]).unwrap().expect("space");
+        let lpns = store
+            .write_object(&[7u8; 4096])
+            .unwrap()
+            .expect("space")
+            .lpns;
         assert!(store.pool.allocated() > before);
         store.free_object(&lpns).unwrap();
         assert_eq!(store.pool.allocated(), before);
@@ -484,7 +512,7 @@ mod tests {
     fn a_parity_repair_does_not_hide_an_uncorrectable_page() {
         let mut store = PartitionStore::with_parity(tlc_ftl(), DataTag::sys_hot(), 4);
         let data = [5u8; 5000];
-        let lpns = store.write_object(&data).unwrap().expect("space");
+        let lpns = store.write_object(&data).unwrap().expect("space").lpns;
         assert_eq!(lpns.len(), 3);
         store.ftl.declare_lost(lpns[0]);
         // Page 0's read fails in the FTL without touching flash, so the

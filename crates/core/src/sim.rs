@@ -103,6 +103,9 @@ pub struct SimResult {
     pub flash: DeviceStats,
     /// Placement-mix counters summed over the design's FTLs.
     pub placement: PlacementStats,
+    /// SYS stripe-parity pages programmed (0 for baselines), counted
+    /// apart from data: the FTL counts them as host writes.
+    pub parity_programs: u64,
 }
 
 /// Embodied carbon per exported GB for a device built from
@@ -153,8 +156,8 @@ fn trained_classifier(seed: u64) -> (LogisticRegression, FeatureExtractor) {
 }
 
 /// Runs `device` through the simulated life of `kind` and assembles its
-/// [`SimResult`]. `inspect` names the finished device's FTLs and the
-/// fraction of its bytes on SPARE.
+/// [`SimResult`]. `inspect` names the finished device's FTLs, the
+/// fraction of its bytes on SPARE and the parity pages it programmed.
 fn run_life<D, F>(
     kind: DesignKind,
     device: D,
@@ -164,7 +167,7 @@ fn run_life<D, F>(
 ) -> SimResult
 where
     D: ObjectStore,
-    F: for<'a> Fn(&'a D) -> (Vec<&'a Ftl>, f64),
+    F: for<'a> Fn(&'a D) -> (Vec<&'a Ftl>, f64, u64),
 {
     let density = match kind {
         DesignKind::TlcBaseline => CellDensity::Tlc,
@@ -201,7 +204,7 @@ where
     controller
         .quality
         .record(controller.life.day() as f64, psnrs);
-    let (ftls, spare_byte_fraction) = inspect(&controller.device);
+    let (ftls, spare_byte_fraction, parity_programs) = inspect(&controller.device);
     let mut flash = DeviceStats::default();
     let mut placement = PlacementStats::default();
     for ftl in &ftls {
@@ -227,6 +230,7 @@ where
         spare_byte_fraction,
         flash,
         placement,
+        parity_programs,
     }
 }
 
@@ -241,7 +245,7 @@ pub fn run_design(kind: DesignKind, config: &SimConfig) -> SimResult {
             };
             let raw = device.partition().ftl.device().geometry().raw_bytes();
             run_life(kind, device, raw, config, |device| {
-                (vec![&device.partition().ftl], 0.0)
+                (vec![&device.partition().ftl], 0.0, 0)
             })
         }
         DesignKind::Sos => {
@@ -255,7 +259,8 @@ pub fn run_design(kind: DesignKind, config: &SimConfig) -> SimResult {
                     &device.partition(Partition::Sys).ftl,
                     &device.partition(Partition::Spare).ftl,
                 ];
-                (ftls, spare_bytes as f64 / total as f64)
+                let parity_programs = device.parity_programs();
+                (ftls, spare_bytes as f64 / total as f64, parity_programs)
             })
         }
     }
