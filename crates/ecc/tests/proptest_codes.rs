@@ -115,4 +115,27 @@ proptest! {
         corrupted[bit / 8] ^= 1 << (bit % 8);
         prop_assert_ne!(crc32(&corrupted), crc32(&data));
     }
+
+    /// The sliced kernel equals a bitwise CRC-32 on page-sized buffers,
+    /// from any start offset (so every block alignment and tail length).
+    #[test]
+    fn crc_matches_bitwise_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..=5000),
+        start in 0usize..16,
+    ) {
+        let data = &data[start.min(data.len())..];
+        prop_assert_eq!(crc32(data), bitwise_crc32(data));
+    }
+}
+
+/// CRC-32 (reflected IEEE polynomial) one bit at a time.
+fn bitwise_crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
 }

@@ -93,6 +93,13 @@ impl OobMeta {
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, bitwise) over a byte slice.
+///
+/// This is the same function as `sos_ecc::crc32`, computed one bit at a
+/// time over the 18-byte record. It runs on every program's OOB seal
+/// and every recovery probe. Calling `sos_ecc::crc32` instead needs a
+/// `sos-flash → sos-ecc` dependency, which rewrites `perfbench/Cargo.lock`,
+/// so the fold waits for a change that may touch the benchmark's files.
+/// The integration test `oob_seal_is_the_ecc_crc32` pins the two equal.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in bytes {

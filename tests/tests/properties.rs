@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sos_ecc::{BchCode, EccScheme, PageCodec, PageStatus};
-use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
+use sos_flash::{CellDensity, DeviceConfig, OobMeta, ProgramMode};
 use sos_ftl::{Ftl, FtlConfig, FtlError, WearLevelingConfig};
 use std::collections::HashMap;
 
@@ -141,6 +141,24 @@ proptest! {
                     prop_assert_eq!(&read, content);
                 }
             }
+        }
+    }
+
+    /// The OOB seal's own bitwise CRC equals `sos_ecc::crc32` over the
+    /// record's 18-byte layout (LE `lpn`, LE `seq`, `stream`, kind byte
+    /// 0 for data and 1 for checkpoint), so folding it into the ECC
+    /// crate changes no stored seal.
+    #[test]
+    fn oob_seal_is_the_ecc_crc32(lpn in any::<u64>(), seq in any::<u64>(), stream in any::<u8>()) {
+        for (meta, kind) in [
+            (OobMeta::data(lpn, seq, stream), 0u8),
+            (OobMeta::checkpoint(lpn, seq, stream), 1u8),
+        ] {
+            let mut layout = Vec::with_capacity(18);
+            layout.extend_from_slice(&lpn.to_le_bytes());
+            layout.extend_from_slice(&seq.to_le_bytes());
+            layout.extend_from_slice(&[stream, kind]);
+            prop_assert_eq!(meta.crc, sos_ecc::crc32(&layout));
         }
     }
 }
