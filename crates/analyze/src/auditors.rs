@@ -19,10 +19,6 @@ use std::collections::{HashMap, HashSet};
 pub struct L2pInjectivityAuditor;
 
 impl StateAuditor<FtlState> for L2pInjectivityAuditor {
-    fn name(&self) -> &'static str {
-        "l2p-injectivity"
-    }
-
     // sos-lint: allow(panic-path, "snapshot vectors are sized from the same geometry the offsets were derived from")
     fn audit(&mut self, state: &FtlState) -> Vec<Violation> {
         let mut violations = Vec::new();
@@ -81,10 +77,6 @@ impl StateAuditor<FtlState> for L2pInjectivityAuditor {
 pub struct ValidCountAuditor;
 
 impl StateAuditor<FtlState> for ValidCountAuditor {
-    fn name(&self) -> &'static str {
-        "valid-count"
-    }
-
     fn audit(&mut self, state: &FtlState) -> Vec<Violation> {
         let mut violations = Vec::new();
         for (block, map) in state.blocks.iter().enumerate() {
@@ -110,10 +102,6 @@ impl StateAuditor<FtlState> for ValidCountAuditor {
 pub struct EraseDisciplineAuditor;
 
 impl StateAuditor<FtlState> for EraseDisciplineAuditor {
-    fn name(&self) -> &'static str {
-        "erase-discipline"
-    }
-
     fn audit(&mut self, state: &FtlState) -> Vec<Violation> {
         let mut violations = Vec::new();
         for snapshot in &state.device {
@@ -155,10 +143,6 @@ pub struct WearMonotonicityAuditor {
 }
 
 impl StateAuditor<FtlState> for WearMonotonicityAuditor {
-    fn name(&self) -> &'static str {
-        "wear-monotonicity"
-    }
-
     fn audit(&mut self, state: &FtlState) -> Vec<Violation> {
         let mut violations = Vec::new();
         let current: Vec<(u32, bool)> = state
@@ -198,10 +182,6 @@ pub struct GcConservationAuditor {
 }
 
 impl StateAuditor<FtlState> for GcConservationAuditor {
-    fn name(&self) -> &'static str {
-        "gc-conservation"
-    }
-
     fn audit(&mut self, state: &FtlState) -> Vec<Violation> {
         let mut violations = Vec::new();
         let live = state.mapped_pages() + state.lost_pages();
@@ -239,10 +219,6 @@ impl FtlAuditorSet {
 }
 
 impl StateAuditor<FtlState> for FtlAuditorSet {
-    fn name(&self) -> &'static str {
-        "ftl"
-    }
-
     fn audit(&mut self, state: &FtlState) -> Vec<Violation> {
         let mut violations = self.injectivity.audit(state);
         violations.extend(self.valid_count.audit(state));
@@ -262,10 +238,6 @@ impl StateAuditor<FtlState> for FtlAuditorSet {
 pub struct PlacementAuditor;
 
 impl StateAuditor<CoreState> for PlacementAuditor {
-    fn name(&self) -> &'static str {
-        "placement"
-    }
-
     // sos-lint: allow(panic-path, "lpns are filtered against the snapshot's l2p length before use and stripe_width is validated nonzero at mount")
     fn audit(&mut self, state: &CoreState) -> Vec<Violation> {
         let mut violations = Vec::new();

@@ -1,21 +1,19 @@
-//! Audited harnesses: per-operation FTL auditing for tests and
-//! interval auditing for long simulations.
-//!
-//! [`AuditedFtl`] wraps an [`Ftl`] and re-audits the full state after
-//! every mutating operation. [`run_audited_days`] drives an
-//! [`SosController`] for a number of simulated days, auditing the whole
-//! device at a configurable day interval — cheap enough to leave on in
-//! long experiments.
+//! The crash-sweep harness: [`run_crashy_days`] drives an
+//! [`SosController`] day by day, cuts power at scheduled device
+//! operations, remounts through the recovery path, and audits the whole
+//! device with a [`CoreAuditorSet`] after every uncut day and a
+//! [`RecoveryAuditor`] after every remount. Also the replay inputs the
+//! bench binaries share ([`seed_from_env`], [`arg_or_exit`]).
 
 use crate::auditors::{FtlAuditorSet, PlacementAuditor};
 use crate::{StateAuditor, Violation};
 use sos_classify::Classifier;
 use sos_core::{CoreState, ObjectError, Partition, RemountReport, SosController, SosDevice};
 use sos_flash::{FaultAt, FaultKind, FaultPlan, FlashError};
-use sos_ftl::{Ftl, FtlError, ReadResult, ScrubReport, SlotSnapshot};
+use sos_ftl::{FtlError, SlotSnapshot};
 
 /// A violation tagged with the state it was found in (`"sys"`,
-/// `"spare"`, `"core"`, or `"ftl"` for a bare [`AuditedFtl`]).
+/// `"spare"`, `"core"`, or `"recovery"` for the remount checks).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditFinding {
     /// Which snapshot the violation was found in.
@@ -59,110 +57,6 @@ fn tag(source: &'static str, violations: Vec<Violation>) -> impl Iterator<Item =
     violations
         .into_iter()
         .map(move |violation| AuditFinding { source, violation })
-}
-
-/// An FTL wrapper that audits the complete state after every operation.
-///
-/// Intended for tests: violations accumulate in [`AuditedFtl::violations`]
-/// instead of panicking, so a test decides how strictly to react.
-#[derive(Debug)]
-pub struct AuditedFtl {
-    ftl: Ftl,
-    auditors: FtlAuditorSet,
-    /// Violations found so far, in operation order.
-    pub violations: Vec<Violation>,
-}
-
-impl AuditedFtl {
-    /// Wraps an FTL, auditing its (clean) initial state.
-    pub fn new(ftl: Ftl) -> Self {
-        let mut audited = AuditedFtl {
-            ftl,
-            auditors: FtlAuditorSet::new(),
-            violations: Vec::new(),
-        };
-        audited.check();
-        audited
-    }
-
-    fn check(&mut self) {
-        let state = self.ftl.audit_snapshot();
-        self.violations.extend(self.auditors.audit(&state));
-    }
-
-    /// Read access to the wrapped FTL.
-    pub fn inner(&self) -> &Ftl {
-        &self.ftl
-    }
-
-    /// Drains the violations collected so far.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
-    }
-
-    /// [`Ftl::write`], followed by a full audit.
-    pub fn write(&mut self, lpn: u64, data: &[u8]) -> Result<f64, FtlError> {
-        let result = self.ftl.write(lpn, data);
-        self.check();
-        result
-    }
-
-    /// [`Ftl::read`], followed by a full audit (reads mutate statistics
-    /// and can surface lost data).
-    pub fn read(&mut self, lpn: u64) -> Result<ReadResult, FtlError> {
-        let result = self.ftl.read(lpn);
-        self.check();
-        result
-    }
-
-    /// [`Ftl::trim`], followed by a full audit.
-    pub fn trim(&mut self, lpn: u64) -> Result<(), FtlError> {
-        let result = self.ftl.trim(lpn);
-        self.check();
-        result
-    }
-
-    /// [`Ftl::scrub`], followed by a full audit.
-    pub fn scrub(&mut self) -> Result<ScrubReport, FtlError> {
-        let result = self.ftl.scrub();
-        self.check();
-        result
-    }
-
-    /// [`Ftl::advance_days`] (no audit needed: time alone moves no
-    /// mapping state, only the error clock).
-    pub fn advance_days(&mut self, days: f64) {
-        self.ftl.advance_days(days);
-    }
-}
-
-/// Runs an SOS-device simulation for `days`, auditing the whole device
-/// every `interval_days` (0 audits only at the end). Returns all tagged
-/// findings; a healthy run returns an empty vector.
-///
-/// The run is fully deterministic: every source of randomness is the
-/// seed baked into the controller's device and workload configuration
-/// at construction time, so re-building the controller from the same
-/// seeds replays the identical simulation. Bench binaries wire those
-/// seeds to [`seed_from_env`] so any run can be reproduced from the
-/// command line.
-pub fn run_audited_days<C: Classifier>(
-    controller: &mut SosController<SosDevice, C>,
-    days: u64,
-    interval_days: u64,
-) -> Vec<AuditFinding> {
-    let mut auditors = CoreAuditorSet::new();
-    let mut findings = Vec::new();
-    for day in 1..=days {
-        controller.run_day();
-        if interval_days != 0 && day.is_multiple_of(interval_days) {
-            findings.extend(auditors.audit(&controller.device.audit_snapshot()));
-        }
-    }
-    if interval_days == 0 || days == 0 || !days.is_multiple_of(interval_days) {
-        findings.extend(auditors.audit(&controller.device.audit_snapshot()));
-    }
-    findings
 }
 
 /// Checks that a crash-and-remount cycle rebuilt the device to exactly

@@ -10,14 +10,11 @@
 //!   discipline, wear monotonicity, SYS/SPARE placement and parity
 //!   coverage, and GC live-data conservation. Auditors return structured
 //!   [`Violation`] reports; they never panic.
-//! * **Audited harnesses** ([`harness`]) — wrap an [`sos_ftl::Ftl`] so
-//!   every operation is followed by a full audit (for tests), and drive
-//!   an [`sos_core::SosController`] simulation with audits at a
-//!   configurable day interval (for long runs). Per-operation checking
-//!   is always compiled in; no cargo feature gates it.
-//!   [`run_crashy_days`] is the crash-sweep variant: it cuts power at a
+//! * **Crash-sweep harness** ([`harness`]) — [`run_crashy_days`] drives
+//!   an [`sos_core::SosController`] simulation, cuts power at a
 //!   scheduled device operation every day, remounts via the recovery
-//!   path, and re-runs every auditor plus the [`RecoveryAuditor`]
+//!   path, and re-runs every auditor (through [`CoreAuditorSet`]) after
+//!   each uncut day, plus the [`RecoveryAuditor`] after each remount
 //!   (rebuilt state must equal the pre-crash state minus the *declared*
 //!   crash window).
 //! * **Static analysis** ([`parse`], [`lint`], [`callgraph`],
@@ -56,8 +53,8 @@ pub use auditors::{
 pub use callgraph::{CallGraph, EntryPoint};
 pub use determinism::{run_determinism, NondetSource, DETERMINISTIC_ENTRY_POINTS};
 pub use harness::{
-    arg_or_exit, run_audited_days, run_crashy_days, seed_from_env, AuditFinding, AuditedFtl,
-    CoreAuditorSet, CrashSweepReport, RecoveryAuditor,
+    arg_or_exit, run_crashy_days, seed_from_env, AuditFinding, CoreAuditorSet, CrashSweepReport,
+    RecoveryAuditor,
 };
 pub use lint::run_lints_on;
 pub use panicpath::{run_panic_path, PanicConstruct, PANIC_PATH_ENTRY_POINTS};
@@ -326,9 +323,6 @@ impl fmt::Display for Violation {
 /// conservation compare successive snapshots. Stateless auditors simply
 /// ignore their history.
 pub trait StateAuditor<S> {
-    /// A short, stable name for reports.
-    fn name(&self) -> &'static str;
-
     /// Audits one snapshot, returning every violation found (empty when
     /// the snapshot is clean).
     fn audit(&mut self, state: &S) -> Vec<Violation>;

@@ -7,12 +7,80 @@
 
 use proptest::prelude::*;
 use sos_analyze::{
-    AuditedFtl, CoreAuditorSet, EraseDisciplineAuditor, FtlAuditorSet, PlacementAuditor,
-    StateAuditor, Violation,
+    CoreAuditorSet, EraseDisciplineAuditor, FtlAuditorSet, PlacementAuditor, StateAuditor,
+    Violation,
 };
 use sos_core::{CoreState, ObjectStore, Partition, SosConfig, SosDevice};
 use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
-use sos_ftl::{Ftl, FtlConfig, FtlState, SlotSnapshot};
+use sos_ftl::{Ftl, FtlConfig, FtlError, FtlState, ReadResult, ScrubReport, SlotSnapshot};
+
+/// An FTL wrapper that audits the complete state after every mutating
+/// operation. Violations accumulate instead of panicking, so a test
+/// decides how strictly to react.
+struct AuditedFtl {
+    ftl: Ftl,
+    auditors: FtlAuditorSet,
+    violations: Vec<Violation>,
+}
+
+impl AuditedFtl {
+    /// Wraps an FTL, auditing its (clean) initial state.
+    fn new(ftl: Ftl) -> Self {
+        let mut audited = AuditedFtl {
+            ftl,
+            auditors: FtlAuditorSet::new(),
+            violations: Vec::new(),
+        };
+        audited.check();
+        audited
+    }
+
+    fn check(&mut self) {
+        let state = self.ftl.audit_snapshot();
+        self.violations.extend(self.auditors.audit(&state));
+    }
+
+    fn inner(&self) -> &Ftl {
+        &self.ftl
+    }
+
+    /// Drains the violations collected so far.
+    fn take_violations(&mut self) -> Vec<Violation> {
+        std::mem::take(&mut self.violations)
+    }
+
+    fn write(&mut self, lpn: u64, data: &[u8]) -> Result<f64, FtlError> {
+        let result = self.ftl.write(lpn, data);
+        self.check();
+        result
+    }
+
+    /// Reads mutate statistics and can surface lost data, so they are
+    /// audited too.
+    fn read(&mut self, lpn: u64) -> Result<ReadResult, FtlError> {
+        let result = self.ftl.read(lpn);
+        self.check();
+        result
+    }
+
+    fn trim(&mut self, lpn: u64) -> Result<(), FtlError> {
+        let result = self.ftl.trim(lpn);
+        self.check();
+        result
+    }
+
+    fn scrub(&mut self) -> Result<ScrubReport, FtlError> {
+        let result = self.ftl.scrub();
+        self.check();
+        result
+    }
+
+    /// No audit needed: time alone moves no mapping state, only the
+    /// error clock.
+    fn advance_days(&mut self, days: f64) {
+        self.ftl.advance_days(days);
+    }
+}
 
 fn populated_ftl() -> Ftl {
     let mut ftl = Ftl::new(

@@ -12,6 +12,13 @@
 //! set by the *physical* cell and its stress history. Pseudo-modes (wider
 //! spacing on the same silicon) therefore get lower error rates and higher
 //! effective endurance without any special-casing.
+//!
+//! [`CellModel::rber`] is `rber_static × disturb_multiplier`: the static
+//! term (wear, retention, Q-function) changes only on program, erase,
+//! mode change or a clock tick, and the device's per-block error sampler
+//! memoizes it per page type; only the one-multiply disturb term is
+//! evaluated on every read. [`CellModel::page_rber`] is the unmemoized
+//! reference the sampler is tested against.
 
 use crate::density::{CellDensity, ProgramMode};
 use serde::{Deserialize, Serialize};
@@ -70,13 +77,6 @@ pub struct CellState {
     pub retention_days: f64,
     /// Reads issued to the block since it was last programmed.
     pub reads_since_program: u64,
-}
-
-impl CellState {
-    /// A fresh, never-cycled block holding freshly-written data.
-    pub fn fresh() -> Self {
-        CellState::default()
-    }
 }
 
 /// Noise model of one physical cell technology.
@@ -149,7 +149,7 @@ impl CellModel {
     ///
     /// Both inputs change only on program, erase, or an `advance_days`
     /// clock tick — never on a read — which is what makes the result
-    /// memoizable per block (see [`RberCache`](crate::RberCache)). The
+    /// memoizable per block (the device's per-block error sampler). The
     /// transcendental work (`powf`, `ln`) all lives here.
     pub fn sigma_static(&self, pec: u32, retention_days: f64) -> f64 {
         let rated = self.physical.rated_endurance() as f64;
@@ -166,16 +166,6 @@ impl CellModel {
     /// that changes on the per-read hot path, and it costs one multiply.
     pub fn disturb_multiplier(&self, reads_since_program: u64) -> f64 {
         1.0 + self.read_disturb_coef * (reads_since_program as f64 / 1e6)
-    }
-
-    /// Threshold-voltage standard deviation under a given stress history.
-    ///
-    /// Wear widens distributions (oxide damage), retention shifts and
-    /// widens them over time — faster on worn cells — and heavy read
-    /// traffic adds disturb noise.
-    pub fn sigma(&self, state: CellState) -> f64 {
-        self.sigma_static(state.pec, state.retention_days)
-            * self.disturb_multiplier(state.reads_since_program)
     }
 
     /// Raw bit error rate at zero read disturb: the memoizable part of
@@ -229,9 +219,10 @@ impl CellModel {
     /// Per-page raw bit error rate: [`CellModel::rber`] with the
     /// page-type asymmetry factor applied, computed naively with no
     /// caching. This is the reference oracle the memoized read path
-    /// ([`RberCache`](crate::RberCache)) must reproduce **bit-identically**;
-    /// the property test in `tests/proptest_rber.rs` pins that
-    /// equivalence across program/erase/advance_days invalidations.
+    /// (the device's per-block error sampler) must reproduce
+    /// **bit-identically**; the property test in `tests/proptest_rber.rs`
+    /// pins that equivalence across program/erase/advance_days
+    /// invalidations.
     ///
     /// # Panics
     ///
@@ -344,7 +335,7 @@ mod tests {
     fn fresh_rber_matches_calibration_target() {
         for d in CellDensity::ALL {
             let m = CellModel::for_density(d);
-            let r = m.rber(ProgramMode::native(d), CellState::fresh());
+            let r = m.rber(ProgramMode::native(d), CellState::default());
             let target = base_rber(d);
             assert!(
                 (r / target - 1.0).abs() < 0.05,
@@ -357,7 +348,7 @@ mod tests {
     fn rber_increases_with_wear_retention_and_reads() {
         let m = CellModel::for_density(CellDensity::Plc);
         let mode = ProgramMode::native(CellDensity::Plc);
-        let base = m.rber(mode, CellState::fresh());
+        let base = m.rber(mode, CellState::default());
         let worn = m.rber(
             mode,
             CellState {
@@ -495,6 +486,6 @@ mod tests {
     #[should_panic(expected = "physical density must match")]
     fn mode_mismatch_panics() {
         let m = CellModel::for_density(CellDensity::Tlc);
-        let _ = m.rber(ProgramMode::native(CellDensity::Qlc), CellState::fresh());
+        let _ = m.rber(ProgramMode::native(CellDensity::Qlc), CellState::default());
     }
 }

@@ -7,21 +7,20 @@
 //! drives retention error growth; the FTL advances it.
 //!
 //! There is one way to do each part. Page state lives in the
-//! struct-of-arrays [`store`](crate::store). A read's error count comes
-//! from the block-batched sampler ([`batch`](crate::batch)), and a read
-//! outside the batcher's envelope takes one
-//! [`ErrorModel::sample_error_count`] draw instead. Neither is a
-//! switch: the oracles they are checked against live only in tests.
+//! struct-of-arrays [`store`](crate::store). Each block has one error
+//! sampler ([`batch`](crate::batch)): one call per read returns the
+//! read's error count, its RBER and whether the static RBER term was a
+//! memo hit, and the device flips that many bits. Neither is a switch:
+//! the oracles they are checked against live only in tests.
 
 use crate::batch::ErrorBatcher;
-use crate::cell::CellState;
+use crate::cell::{CellModel, CellState};
 use crate::config::DeviceConfig;
 use crate::density::{CellDensity, ProgramMode};
-use crate::errors::ErrorModel;
+use crate::errors::inject_errors;
 use crate::fault::{FaultInjector, FaultKind, FaultOp};
 use crate::geometry::{Geometry, PageAddr};
 use crate::oob::OobMeta;
-use crate::rbercache::RberCache;
 use crate::store::PageStore;
 use crate::timing::TimingModel;
 use rand::rngs::StdRng;
@@ -138,13 +137,9 @@ struct BlockState {
     next_page: u32,
     /// Reads since last program anywhere in the block (read disturb).
     reads_since_program: u64,
-    /// Memo of the static RBER term for resident data; keyed on exact
-    /// retention age and page type, invalidated by the `(mode, pec)`
-    /// epoch so erases and mode changes can never serve stale values.
-    rber_cache: RberCache,
-    /// Batched error-count sampler: one Poisson draw covers a run of
-    /// reads sharing the block's static RBER (see `batch`).
-    batcher: ErrorBatcher,
+    /// Error sampler: the static RBER memo and the batched error-count
+    /// draw, invalidated together by the `(mode, pec)` epoch.
+    sampler: ErrorBatcher,
 }
 
 /// Cumulative operation counters.
@@ -214,7 +209,7 @@ pub struct BlockSnapshot {
 pub struct FlashDevice {
     geometry: Geometry,
     physical: CellDensity,
-    error_model: ErrorModel,
+    cell_model: CellModel,
     timing: TimingModel,
     rng: StdRng,
     now_days: f64,
@@ -236,14 +231,13 @@ impl FlashDevice {
                 bad: false,
                 next_page: 0,
                 reads_since_program: 0,
-                rber_cache: RberCache::new(),
-                batcher: ErrorBatcher::default(),
+                sampler: ErrorBatcher::default(),
             })
             .collect();
         FlashDevice {
             geometry: config.geometry,
             physical: config.physical_density,
-            error_model: ErrorModel::for_density(config.physical_density),
+            cell_model: CellModel::for_density(config.physical_density),
             timing: TimingModel::default(),
             rng: StdRng::seed_from_u64(config.seed),
             now_days: 0.0,
@@ -300,9 +294,9 @@ impl FlashDevice {
         self.physical
     }
 
-    /// The error model used for bit-error injection.
-    pub fn error_model(&self) -> &ErrorModel {
-        &self.error_model
+    /// The cell model the read path's error rates come from.
+    pub fn cell_model(&self) -> &CellModel {
+        &self.cell_model
     }
 
     /// The timing model.
@@ -634,46 +628,25 @@ impl FlashDevice {
             .page
             .checked_rem(cell_state_mode.logical.bits_per_cell())
             .unwrap_or(0);
-        // Hot path: the wear/retention/Q-function work is memoized per
-        // block; only the linear disturb multiplier depends on this
-        // read's count. Bit-identical to `CellModel::page_rber` (the
-        // naive oracle) by construction — see `rbercache`.
-        let model = self.error_model.cell;
-        let (static_rber, cache_hit) = match self.blocks.get_mut(block as usize) {
-            Some(state) => {
-                state
-                    .rber_cache
-                    .lookup(&model, cell_state_mode, pec, retention_days, page_type)
-            }
+        let draw = match self.blocks.get_mut(block as usize) {
+            Some(state) => state.sampler.sample(
+                &mut self.rng,
+                &self.cell_model,
+                cell_state_mode,
+                pec,
+                retention_days,
+                page_type,
+                reads,
+                data.len() * 8,
+            ),
             None => return Err(FlashError::InvalidAddress),
         };
-        if cache_hit {
+        if draw.memo_hit {
             self.stats.rber_cache_hits += 1;
         } else {
             self.stats.rber_cache_misses += 1;
         }
-        let multiplier = model.disturb_multiplier(reads);
-        let rber = (static_rber * multiplier).min(0.5);
-        let nbits = data.len() * 8;
-        // Batched sampling: one Poisson draw covers a run of reads
-        // sharing this block's static RBER; the batcher declines (and we
-        // fall back to the per-page draw) outside its exactness envelope.
-        let batched = self.blocks.get_mut(block as usize).and_then(|state| {
-            state.batcher.sample(
-                &mut self.rng,
-                cell_state_mode,
-                pec,
-                static_rber,
-                multiplier,
-                reads,
-                nbits,
-            )
-        });
-        let count = match batched {
-            Some(c) => c.min(nbits),
-            None => ErrorModel::sample_error_count(&mut self.rng, nbits, rber),
-        };
-        let mut positions = ErrorModel::inject_errors(&mut self.rng, &mut data, count);
+        let mut positions = inject_errors(&mut self.rng, &mut data, draw.count);
         if let Some(FaultKind::ReadNoise { bits }) = fault {
             if let Some(inj) = self.injector.as_mut() {
                 positions.extend(inj.flip_bits(&mut data, bits));
@@ -687,7 +660,7 @@ impl FlashDevice {
         Ok(ReadOutcome {
             data,
             injected_positions: positions,
-            rber,
+            rber: draw.rber,
             latency_us: latency,
         })
     }
@@ -703,7 +676,7 @@ impl FlashDevice {
             Some(oldest) => (self.now_days - oldest).max(0.0),
             None => 0.0,
         };
-        Ok(self.error_model.rber(
+        Ok(self.cell_model.rber(
             state.mode,
             CellState {
                 pec: state.pec,

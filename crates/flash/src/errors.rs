@@ -1,135 +1,121 @@
-//! Bit-error sampling and uncorrectable-page probability.
+//! Bit-error sampling: how many bits of a page read flip, and which.
 //!
-//! [`CellModel`] gives a raw bit error rate; this
-//! module turns it into concrete flipped bits on reads (for the device
-//! simulator) and into page-level uncorrectable probabilities (for FTL
-//! scrubbing and retirement policy, §4.3 of the paper).
+//! [`CellModel`](crate::cell::CellModel) gives a raw bit error rate;
+//! these free functions turn it into concrete flipped bits on reads.
+//! The per-block sampler ([`batch`](crate::batch)) calls
+//! [`sample_error_count`] outside its batch envelope and shares the one
+//! inverse-CDF Poisson walk ([`poisson_walk`]) for its batch and
+//! top-up draws; the device then flips the drawn count of bits with
+//! [`inject_errors`].
 
-use crate::cell::{CellModel, CellState};
-use crate::density::{CellDensity, ProgramMode};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-/// Error model: cell physics plus sampling helpers.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ErrorModel {
-    /// The underlying threshold-voltage model.
-    pub cell: CellModel,
+/// Samples the number of bit errors in `nbits` independent bits each
+/// flipping with probability `p`.
+///
+/// Uses the exact-ish regime split standard for simulators: inverse
+/// CDF Poisson sampling for small means, a normal approximation for
+/// large ones. Both are accurate for the `p <= 1e-2` regime flash
+/// operates in. Saturated probabilities (`p > 0.5`, which the RBER
+/// clamp produces at deep end of life) sample the *complement* —
+/// `nbits` minus a single draw at `1 - p` — so every regime costs one
+/// draw instead of `nbits` per-bit coin flips.
+pub(crate) fn sample_error_count<R: Rng + ?Sized>(rng: &mut R, nbits: usize, p: f64) -> usize {
+    if p <= 0.0 || nbits == 0 {
+        return 0;
+    }
+    if p >= 1.0 {
+        return nbits;
+    }
+    if p > 0.5 {
+        // Binomial symmetry: errors = nbits - successes(1 - p). The
+        // complement probability is < 0.5, landing in the Poisson /
+        // normal machinery below with a single draw.
+        return nbits - sample_error_count(rng, nbits, 1.0 - p);
+    }
+    let lambda = nbits as f64 * p;
+    if lambda < 50.0 {
+        sample_poisson(rng, lambda).min(nbits)
+    } else {
+        // Normal approximation to Binomial(n, p).
+        let sigma = (lambda * (1.0 - p)).sqrt();
+        let z = sample_standard_normal(rng);
+        ((lambda + sigma * z).round().max(0.0) as usize).min(nbits)
+    }
 }
 
-impl ErrorModel {
-    /// Model for a given physical cell density.
-    pub fn for_density(density: CellDensity) -> Self {
-        ErrorModel {
-            cell: CellModel::for_density(density),
+/// Inverse-CDF Poisson draw (one uniform), for means comfortably below
+/// the exp(-λ) underflow region.
+pub(crate) fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> usize {
+    if lambda <= 0.0 {
+        return 0;
+    }
+    poisson_walk(rng.gen(), lambda)
+}
+
+/// The inverse-CDF walk every Poisson draw shares: the smallest `k`
+/// whose `Poisson(lambda)` CDF reaches the uniform `u`, stopping early
+/// once the terms underflow.
+pub(crate) fn poisson_walk(u: f64, lambda: f64) -> usize {
+    let mut cumulative = (-lambda).exp();
+    let mut term = cumulative;
+    let mut k = 0usize;
+    while u > cumulative {
+        k += 1;
+        term *= lambda / k as f64;
+        cumulative += term;
+        if term < 1e-300 {
+            break;
         }
     }
+    k
+}
 
-    /// Raw bit error rate for `mode` under stress `state`.
-    pub fn rber(&self, mode: ProgramMode, state: CellState) -> f64 {
-        self.cell.rber(mode, state)
+/// Samples `count` distinct bit positions in `[0, nbits)`.
+fn sample_error_positions<R: Rng + ?Sized>(rng: &mut R, nbits: usize, count: usize) -> Vec<usize> {
+    let count = count.min(nbits);
+    if count == 0 {
+        return Vec::new();
     }
-
-    /// Samples the number of bit errors in `nbits` independent bits each
-    /// flipping with probability `p`.
-    ///
-    /// Uses the exact-ish regime split standard for simulators: inverse
-    /// CDF Poisson sampling for small means, a normal approximation for
-    /// large ones. Both are accurate for the `p <= 1e-2` regime flash
-    /// operates in. Saturated probabilities (`p > 0.5`, which the RBER
-    /// clamp produces at deep end of life) sample the *complement* —
-    /// `nbits` minus a single draw at `1 - p` — so every regime costs
-    /// one draw instead of the `nbits` per-bit coin flips the old
-    /// degenerate branch burned (≈32k `gen_bool` calls per page read).
-    /// The saturated regime therefore consumes a different RNG stream
-    /// than before; see EXPERIMENTS.md for the trajectory note.
-    pub fn sample_error_count<R: Rng + ?Sized>(rng: &mut R, nbits: usize, p: f64) -> usize {
-        if p <= 0.0 || nbits == 0 {
-            return 0;
-        }
-        if p >= 1.0 {
-            return nbits;
-        }
-        if p > 0.5 {
-            // Binomial symmetry: errors = nbits - successes(1 - p). The
-            // complement probability is < 0.5, landing in the Poisson /
-            // normal machinery below with a single draw.
-            return nbits - Self::sample_error_count(rng, nbits, 1.0 - p);
-        }
-        let lambda = nbits as f64 * p;
-        if lambda < 50.0 {
-            // Inverse-CDF Poisson.
-            let u: f64 = rng.gen();
-            let mut cumulative = (-lambda).exp();
-            let mut term = cumulative;
-            let mut k = 0usize;
-            while u > cumulative && k < nbits {
-                k += 1;
-                term *= lambda / k as f64;
-                cumulative += term;
-                if term < 1e-300 {
-                    break;
-                }
-            }
-            k.min(nbits)
-        } else {
-            // Normal approximation to Binomial(n, p).
-            let sigma = (lambda * (1.0 - p)).sqrt();
-            let z = sample_standard_normal(rng);
-            ((lambda + sigma * z).round().max(0.0) as usize).min(nbits)
-        }
-    }
-
-    /// Samples `count` distinct bit positions in `[0, nbits)`.
-    pub fn sample_error_positions<R: Rng + ?Sized>(
-        rng: &mut R,
-        nbits: usize,
-        count: usize,
-    ) -> Vec<usize> {
-        let count = count.min(nbits);
-        if count == 0 {
-            return Vec::new();
-        }
-        // Rejection sampling is fast because error counts are tiny
-        // relative to page size in every non-degenerate regime.
-        if count * 4 < nbits {
-            let mut seen = std::collections::HashSet::with_capacity(count);
-            let mut out = Vec::with_capacity(count);
-            while out.len() < count {
-                let pos = rng.gen_range(0..nbits);
-                if seen.insert(pos) {
-                    out.push(pos);
-                }
-            }
-            out
-        } else {
-            // Dense regime: partial Fisher-Yates over all positions.
-            let mut all: Vec<usize> = (0..nbits).collect();
-            for i in 0..count {
-                let j = rng.gen_range(i..nbits);
-                all.swap(i, j);
-            }
-            all.truncate(count);
-            all
-        }
-    }
-
-    /// Flips `count` random distinct bits of `data` in place and returns
-    /// the flipped bit positions.
-    pub fn inject_errors<R: Rng + ?Sized>(
-        rng: &mut R,
-        data: &mut [u8],
-        count: usize,
-    ) -> Vec<usize> {
-        let nbits = data.len() * 8;
-        let positions = Self::sample_error_positions(rng, nbits, count);
-        for &pos in &positions {
-            if let Some(byte) = data.get_mut(pos / 8) {
-                *byte ^= 1 << (pos % 8);
+    // Rejection sampling is fast because error counts are tiny
+    // relative to page size in every non-degenerate regime.
+    if count * 4 < nbits {
+        let mut seen = std::collections::HashSet::with_capacity(count);
+        let mut out = Vec::with_capacity(count);
+        while out.len() < count {
+            let pos = rng.gen_range(0..nbits);
+            if seen.insert(pos) {
+                out.push(pos);
             }
         }
-        positions
+        out
+    } else {
+        // Dense regime: partial Fisher-Yates over all positions.
+        let mut all: Vec<usize> = (0..nbits).collect();
+        for i in 0..count {
+            let j = rng.gen_range(i..nbits);
+            all.swap(i, j);
+        }
+        all.truncate(count);
+        all
     }
+}
+
+/// Flips `count` random distinct bits of `data` in place and returns
+/// the flipped bit positions.
+pub(crate) fn inject_errors<R: Rng + ?Sized>(
+    rng: &mut R,
+    data: &mut [u8],
+    count: usize,
+) -> Vec<usize> {
+    let nbits = data.len() * 8;
+    let positions = sample_error_positions(rng, nbits, count);
+    for &pos in &positions {
+        if let Some(byte) = data.get_mut(pos / 8) {
+            *byte ^= 1 << (pos % 8);
+        }
+    }
+    positions
 }
 
 /// Samples a standard normal variate via Box–Muller.
@@ -152,7 +138,7 @@ mod tests {
         let p = 1e-3;
         let trials = 2000;
         let total: usize = (0..trials)
-            .map(|_| ErrorModel::sample_error_count(&mut rng, nbits, p))
+            .map(|_| sample_error_count(&mut rng, nbits, p))
             .sum();
         let mean = total as f64 / trials as f64;
         let expect = nbits as f64 * p;
@@ -165,8 +151,8 @@ mod tests {
     #[test]
     fn sample_count_zero_for_zero_p() {
         let mut rng = StdRng::seed_from_u64(7);
-        assert_eq!(ErrorModel::sample_error_count(&mut rng, 4096, 0.0), 0);
-        assert_eq!(ErrorModel::sample_error_count(&mut rng, 0, 0.5), 0);
+        assert_eq!(sample_error_count(&mut rng, 4096, 0.0), 0);
+        assert_eq!(sample_error_count(&mut rng, 0, 0.5), 0);
     }
 
     #[test]
@@ -176,7 +162,7 @@ mod tests {
         let p = 1e-3; // lambda ~ 1049 -> normal path
         let trials = 500;
         let total: usize = (0..trials)
-            .map(|_| ErrorModel::sample_error_count(&mut rng, nbits, p))
+            .map(|_| sample_error_count(&mut rng, nbits, p))
             .sum();
         let mean = total as f64 / trials as f64;
         let expect = nbits as f64 * p;
@@ -193,7 +179,7 @@ mod tests {
         for &p in &[0.5, 0.6, 0.9, 0.99] {
             let trials = 300;
             let total: usize = (0..trials)
-                .map(|_| ErrorModel::sample_error_count(&mut rng, nbits, p))
+                .map(|_| sample_error_count(&mut rng, nbits, p))
                 .sum();
             let mean = total as f64 / trials as f64;
             let expect = nbits as f64 * p;
@@ -204,8 +190,8 @@ mod tests {
         }
         // Certainty is exact, with no randomness consumed.
         let mut a = StdRng::seed_from_u64(5);
-        assert_eq!(ErrorModel::sample_error_count(&mut a, 4096, 1.0), 4096);
-        assert_eq!(ErrorModel::sample_error_count(&mut a, 4096, 2.0), 4096);
+        assert_eq!(sample_error_count(&mut a, 4096, 1.0), 4096);
+        assert_eq!(sample_error_count(&mut a, 4096, 2.0), 4096);
     }
 
     #[test]
@@ -215,8 +201,8 @@ mod tests {
             let mut b = StdRng::seed_from_u64(99);
             for _ in 0..50 {
                 assert_eq!(
-                    ErrorModel::sample_error_count(&mut a, 17408, p),
-                    ErrorModel::sample_error_count(&mut b, 17408, p),
+                    sample_error_count(&mut a, 17408, p),
+                    sample_error_count(&mut b, 17408, p),
                 );
             }
         }
@@ -226,7 +212,7 @@ mod tests {
     fn positions_are_distinct_and_in_range() {
         let mut rng = StdRng::seed_from_u64(11);
         for &count in &[0usize, 1, 17, 900, 4096] {
-            let pos = ErrorModel::sample_error_positions(&mut rng, 4096, count);
+            let pos = sample_error_positions(&mut rng, 4096, count);
             assert_eq!(pos.len(), count.min(4096));
             let set: std::collections::HashSet<_> = pos.iter().collect();
             assert_eq!(set.len(), pos.len(), "duplicates at count {count}");
@@ -238,7 +224,7 @@ mod tests {
     fn inject_flips_exactly_count_bits() {
         let mut rng = StdRng::seed_from_u64(13);
         let mut data = vec![0u8; 512];
-        let flipped = ErrorModel::inject_errors(&mut rng, &mut data, 33);
+        let flipped = inject_errors(&mut rng, &mut data, 33);
         assert_eq!(flipped.len(), 33);
         let ones: u32 = data.iter().map(|b| b.count_ones()).sum();
         assert_eq!(ones, 33);
@@ -249,7 +235,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let original: Vec<u8> = (0..256).map(|i| (i * 31 % 251) as u8).collect();
         let mut data = original.clone();
-        let flipped = ErrorModel::inject_errors(&mut rng, &mut data, 40);
+        let flipped = inject_errors(&mut rng, &mut data, 40);
         // Flipping the same positions again restores the data.
         for pos in flipped {
             data[pos / 8] ^= 1 << (pos % 8);

@@ -18,7 +18,12 @@
 //!   raw bit error rate (RBER) is derived from the overlap of adjacent
 //!   level distributions via a Q-function, so pseudo-modes and density
 //!   effects fall out of the physics rather than being hard-coded
-//!   ([`cell`], [`errors`]).
+//!   ([`cell`]).
+//! * **Bit-error injection on reads** — each block has one error
+//!   sampler that memoizes the static RBER term, draws error counts in
+//!   Poisson batches, and falls back to a per-page draw outside the
+//!   batch envelope; the device flips the drawn bits (`batch.rs`,
+//!   `errors.rs`).
 //! * **Operation timing** — per-density read/program/erase latencies
 //!   ([`timing`]).
 //!
@@ -30,11 +35,10 @@ pub mod cell;
 pub mod config;
 pub mod density;
 pub mod device;
-pub mod errors;
+pub(crate) mod errors;
 pub mod fault;
 pub mod geometry;
 pub mod oob;
-pub mod rbercache;
 pub(crate) mod store;
 pub mod timing;
 
@@ -42,9 +46,7 @@ pub use cell::CellState;
 pub use config::DeviceConfig;
 pub use density::{CellDensity, ProgramMode};
 pub use device::{BlockSnapshot, DeviceStats, FlashDevice, FlashError, ReadOutcome};
-pub use errors::ErrorModel;
 pub use fault::{FaultAt, FaultInjector, FaultKind, FaultOp, FaultPlan};
 pub use geometry::{BlockAddr, Geometry, PageAddr};
 pub use oob::{OobMeta, PageKind};
-pub use rbercache::RberCache;
 pub use timing::TimingModel;

@@ -3,11 +3,11 @@
 //! cache-invalidation event — program, erase, mode change, and
 //! `advance_days` clock ticks.
 //!
-//! The test drives a real [`FlashDevice`] (whose read path goes through
-//! the per-block [`sos_flash::RberCache`]) with randomized operation
-//! sequences while maintaining an independent shadow of the stress
-//! state, then recomputes each read's RBER from scratch through the
-//! oracle and compares `f64::to_bits`.
+//! The test drives a real [`FlashDevice`] (whose read path memoizes the
+//! static RBER term in each block's error sampler) with randomized
+//! operation sequences while maintaining an independent shadow of the
+//! stress state, then recomputes each read's RBER from scratch through
+//! the oracle and compares `f64::to_bits`.
 
 use proptest::prelude::*;
 use sos_flash::cell::{CellModel, CellState};

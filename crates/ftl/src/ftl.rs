@@ -114,8 +114,6 @@ pub struct ReadResult {
     pub status: PageStatus,
     /// Bits corrected by ECC.
     pub corrected_bits: usize,
-    /// Raw bit error rate the device assigned to this read.
-    pub rber: f64,
     /// End-to-end latency, µs.
     pub latency_us: f64,
 }
@@ -396,7 +394,6 @@ impl Ftl {
             data: report.data,
             status: report.status,
             corrected_bits: report.corrected_bits,
-            rber: outcome.rber,
             latency_us: outcome.latency_us,
         })
     }

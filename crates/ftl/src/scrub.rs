@@ -85,7 +85,7 @@ impl Ftl {
             // would see after a typical retention interval.
             let mode = self.device.block_mode(block)?;
             let pec = self.device.block_pec(block)?;
-            let fresh_rber = self.device.error_model().rber(
+            let fresh_rber = self.device.cell_model().rber(
                 mode,
                 CellState {
                     pec: pec + 1,
@@ -145,7 +145,7 @@ impl Ftl {
             .collect();
         for density in ladder {
             let candidate = ProgramMode::pseudo(physical, density);
-            let fresh_rber = self.device.error_model().rber(
+            let fresh_rber = self.device.cell_model().rber(
                 candidate,
                 CellState {
                     pec: pec + 1,

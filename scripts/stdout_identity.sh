@@ -5,8 +5,9 @@
 #
 # Exports <base-rev> with `git archive` into target/ (built with its own
 # target dir) and builds the working tree alongside it, then runs every
-# binary named in crates/bench/src/bin/*.rs at default args with
-# SOS_THREADS=2 on both sides and compares stdout and exit status.
+# binary named in crates/bench/src/bin/*.rs and every examples/*.rs
+# binary (all but the `lib` library) at default args with SOS_THREADS=2
+# on both sides and compares stdout and exit status.
 # Prints one line per binary — `same` or `DIFF`, each with both sides'
 # wall seconds — and, under a `DIFF`, the first differing line.
 #
@@ -25,7 +26,7 @@
 #
 # Exit 0: every binary, both sos-lint formats and every digest match. Exit 1: at least one
 # `DIFF` (everything still runs). Exit 2: usage error.
-# Takes about 15 minutes on 2 cores. Deliberately not a CI gate: a bug
+# Takes about 20 minutes on 2 cores. Deliberately not a CI gate: a bug
 # fix may legitimately change stdout.
 set -euo pipefail
 
@@ -52,9 +53,9 @@ mkdir -p "$scratch/out" "$base_src"
 git archive "$base" | tar -x -C "$base_src"
 
 echo "==> building base ${base:0:12}"
-(cd "$base_src" && CARGO_TARGET_DIR="$base_target" cargo build --release --offline -q -p sos-bench -p sos-analyze --bins)
+(cd "$base_src" && CARGO_TARGET_DIR="$base_target" cargo build --release --offline -q -p sos-bench -p sos-analyze -p sos-examples --bins)
 echo "==> building working tree"
-cargo build --release --offline -q -p sos-bench -p sos-analyze --bins
+cargo build --release --offline -q -p sos-bench -p sos-analyze -p sos-examples --bins
 
 # Runs one binary, writing stdout to $3, and prints "<exit status>
 # <wall seconds>" (stderr carries wall-clock diagnostics, so it is not
@@ -73,7 +74,8 @@ run_bin() {
 
 count=0
 differed=0
-for src in crates/bench/src/bin/*.rs; do
+for src in crates/bench/src/bin/*.rs examples/*.rs; do
+    [[ "$src" == examples/lib.rs ]] && continue
     name="$(basename "$src" .rs)"
     base_out="$scratch/out/$name.base"
     work_out="$scratch/out/$name.work"
