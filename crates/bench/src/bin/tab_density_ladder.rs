@@ -2,7 +2,8 @@
 //! gains, pseudo-mode trades and the split-device arithmetic.
 
 use sos_flash::density::split_device_bits_per_cell;
-use sos_flash::{CellDensity, ProgramMode, TimingModel};
+use sos_flash::timing::latencies;
+use sos_flash::{CellDensity, ProgramMode};
 
 fn main() {
     println!("# E2 — density ladder and pseudo-mode trades");
@@ -10,10 +11,9 @@ fn main() {
         "{:<22} {:>5} {:>7} {:>10} {:>11} {:>10} {:>10}",
         "mode", "bits", "levels", "endurance", "gain vs TLC", "tR (us)", "tPROG (us)"
     );
-    let timing = TimingModel::default();
     for density in CellDensity::ALL {
         let mode = ProgramMode::native(density);
-        let latency = timing.latencies(mode);
+        let latency = latencies(mode);
         println!(
             "{:<22} {:>5} {:>7} {:>10} {:>10.1}% {:>10.0} {:>10.0}",
             mode.to_string(),
@@ -32,7 +32,7 @@ fn main() {
         (CellDensity::Qlc, CellDensity::Tlc),
     ] {
         let mode = ProgramMode::pseudo(physical, logical);
-        let latency = timing.latencies(mode);
+        let latency = latencies(mode);
         println!(
             "{:<22} {:>5} {:>7} {:>10} {:>10.1}% {:>10.0} {:>10.0}",
             mode.to_string(),

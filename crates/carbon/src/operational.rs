@@ -9,7 +9,8 @@
 
 use crate::embodied::EmbodiedModel;
 use serde::{Deserialize, Serialize};
-use sos_flash::{ProgramMode, TimingModel};
+use sos_flash::timing::latencies;
+use sos_flash::ProgramMode;
 
 /// Energy model for flash operations.
 ///
@@ -57,7 +58,6 @@ impl EnergyModel {
     #[allow(clippy::too_many_arguments)]
     pub fn lifetime_kwh(
         &self,
-        timing: &TimingModel,
         mode: ProgramMode,
         page_bytes: usize,
         daily_read_bytes: f64,
@@ -66,7 +66,7 @@ impl EnergyModel {
         pages_per_block: u32,
         days: f64,
     ) -> f64 {
-        let latency = timing.latencies(mode);
+        let latency = latencies(mode);
         let reads_per_day = daily_read_bytes / page_bytes as f64;
         let programs_per_day = daily_write_bytes / page_bytes as f64 * write_amplification;
         let erases_per_day = programs_per_day / pages_per_block as f64;
@@ -82,7 +82,6 @@ impl EnergyModel {
     #[allow(clippy::too_many_arguments)]
     pub fn lifetime_kg(
         &self,
-        timing: &TimingModel,
         mode: ProgramMode,
         page_bytes: usize,
         daily_read_bytes: f64,
@@ -92,7 +91,6 @@ impl EnergyModel {
         days: f64,
     ) -> f64 {
         self.lifetime_kwh(
-            timing,
             mode,
             page_bytes,
             daily_read_bytes,
@@ -137,11 +135,9 @@ pub fn phone_lifecycle(
 ) -> LifecycleSplit {
     let embodied = EmbodiedModel::default();
     let energy = EnergyModel::default();
-    let timing = TimingModel::default();
     let capacity_bytes = capacity_gb * 1e9;
     let daily_write = capacity_bytes * dwpd;
     let operational_kg = energy.lifetime_kg(
-        &timing,
         mode,
         4096,
         daily_write * read_multiple,

@@ -49,14 +49,13 @@ const SYS_CELL_FRACTION: f64 = 0.5;
 /// SYS stripe width (data pages per parity page).
 const STRIPE_WIDTH: u64 = 8;
 
-/// Splits a geometry's blocks between two sub-devices by plane rows.
+/// Splits a geometry's blocks between two sub-devices.
 fn split_geometry(base: &Geometry, fraction: f64) -> (Geometry, Geometry) {
-    let first_blocks = ((base.blocks_per_plane as f64 * fraction).round() as u32)
-        .clamp(1, base.blocks_per_plane - 1);
+    let first_blocks = ((base.blocks as f64 * fraction).round() as u32).clamp(1, base.blocks - 1);
     let mut first = *base;
-    first.blocks_per_plane = first_blocks;
+    first.blocks = first_blocks;
     let mut second = *base;
-    second.blocks_per_plane = base.blocks_per_plane - first_blocks;
+    second.blocks = base.blocks - first_blocks;
     (first, second)
 }
 
@@ -468,7 +467,7 @@ mod tests {
             }
         }
         assert!(crashed, "armed power cut never fired");
-        assert!(device.sys.ftl.device().is_powered_off());
+        assert_eq!(device.get(1).unwrap_err(), ObjectError::PowerLoss);
 
         let report = device.recover_in_place().unwrap();
         assert!(report.sys.used_checkpoint, "checkpoint must bound the scan");
@@ -784,7 +783,8 @@ mod tests {
             device.sys.ftl.checkpoint().unwrap();
             cut_power(&mut device, Partition::Sys, ops);
             device.advance_days(1.0);
-            if !device.sys.ftl.device().is_powered_off() {
+            let injector = device.sys.ftl.injector();
+            if injector.is_some_and(|injector| !injector.pending().is_empty()) {
                 // The flush finished before the cut was due.
                 break;
             }
@@ -885,12 +885,15 @@ mod tests {
 
     #[test]
     fn geometry_split_is_complementary() {
-        let base = DeviceConfig::tiny(CellDensity::Plc).geometry;
-        let (sys, spare) = split_geometry(&base, 0.5);
-        assert_eq!(
-            sys.blocks_per_plane + spare.blocks_per_plane,
-            base.blocks_per_plane
-        );
-        assert_eq!(sys.page_bytes, base.page_bytes);
+        // Every SOS digest rests on these block counts.
+        for (base, blocks) in [
+            (DeviceConfig::tiny(CellDensity::Plc).geometry, 32),
+            (DeviceConfig::sim_small(CellDensity::Plc).geometry, 128),
+        ] {
+            let (sys, spare) = split_geometry(&base, SYS_CELL_FRACTION);
+            assert_eq!((sys.blocks, spare.blocks), (blocks, blocks));
+            assert_eq!(sys.blocks + spare.blocks, base.blocks);
+            assert_eq!(sys.page_bytes, base.page_bytes);
+        }
     }
 }

@@ -84,23 +84,26 @@ pub struct CellState {
 /// Calibrated so that a fresh cell read immediately after programming at
 /// native density exhibits the `base_rber` typical for its generation, and
 /// so that wear/retention growth reproduces the published endurance ladder
-/// (see [`CellDensity::rated_endurance`]).
+/// (see [`CellDensity::rated_endurance`]). Only the density and the
+/// beginning-of-life sigma derived from it vary between models; the
+/// stress coefficients are shared constants.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CellModel {
     /// Physical cell density this model describes.
-    pub physical: CellDensity,
+    physical: CellDensity,
     /// Threshold-voltage standard deviation at beginning of life, in
     /// units of the (normalised) voltage window.
-    pub sigma0: f64,
-    /// Wear coefficient: fractional sigma growth at rated endurance.
-    pub wear_coef: f64,
-    /// Wear exponent (super-linearity of wear damage).
-    pub wear_exp: f64,
-    /// Retention coefficient: sigma growth per `ln(1 + days)` at full wear.
-    pub retention_coef: f64,
-    /// Read-disturb coefficient: sigma growth per million reads.
-    pub read_disturb_coef: f64,
+    sigma0: f64,
 }
+
+/// Wear coefficient: fractional sigma growth at rated endurance.
+const WEAR_COEF: f64 = 0.85;
+/// Wear exponent (super-linearity of wear damage).
+const WEAR_EXP: f64 = 1.1;
+/// Retention coefficient: sigma growth per `ln(1 + days)` at full wear.
+const RETENTION_COEF: f64 = 0.10;
+/// Read-disturb coefficient: sigma growth per million reads.
+const READ_DISTURB_COEF: f64 = 0.03;
 
 /// Beginning-of-life RBER targets per density, from published
 /// characterisation studies (Grupp FAST'12, Zambelli IMW'19 and the PLC
@@ -136,10 +139,6 @@ impl CellModel {
         CellModel {
             physical,
             sigma0: spacing / (2.0 * x0),
-            wear_coef: 0.85,
-            wear_exp: 1.1,
-            retention_coef: 0.10,
-            read_disturb_coef: 0.03,
         }
     }
 
@@ -154,9 +153,9 @@ impl CellModel {
     pub fn sigma_static(&self, pec: u32, retention_days: f64) -> f64 {
         let rated = self.physical.rated_endurance() as f64;
         let wear_frac = pec as f64 / rated;
-        let wear = 1.0 + self.wear_coef * wear_frac.powf(self.wear_exp);
-        let retention = 1.0
-            + self.retention_coef * (1.0 + retention_days).ln() * (0.3 + 0.7 * wear_frac.min(2.0));
+        let wear = 1.0 + WEAR_COEF * wear_frac.powf(WEAR_EXP);
+        let retention =
+            1.0 + RETENTION_COEF * (1.0 + retention_days).ln() * (0.3 + 0.7 * wear_frac.min(2.0));
         self.sigma0 * wear * retention
     }
 
@@ -165,7 +164,7 @@ impl CellModel {
     /// factor linear in the read count. This is the only stress term
     /// that changes on the per-read hot path, and it costs one multiply.
     pub fn disturb_multiplier(&self, reads_since_program: u64) -> f64 {
-        1.0 + self.read_disturb_coef * (reads_since_program as f64 / 1e6)
+        1.0 + READ_DISTURB_COEF * (reads_since_program as f64 / 1e6)
     }
 
     /// Raw bit error rate at zero read disturb: the memoizable part of

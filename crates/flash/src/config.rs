@@ -16,7 +16,7 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// Minimal device for unit tests: 4 MiB, single channel.
+    /// Minimal device for unit tests: 4 MiB.
     pub fn tiny(density: CellDensity) -> Self {
         DeviceConfig {
             geometry: Geometry::tiny(),
@@ -31,10 +31,7 @@ impl DeviceConfig {
     pub fn sim_small(density: CellDensity) -> Self {
         DeviceConfig {
             geometry: Geometry {
-                channels: 2,
-                dies_per_channel: 1,
-                planes_per_die: 2,
-                blocks_per_plane: 64,
+                blocks: 256,
                 pages_per_block: 64,
                 page_bytes: 4096,
                 spare_bytes: 256,

@@ -19,10 +19,10 @@ use crate::config::DeviceConfig;
 use crate::density::{CellDensity, ProgramMode};
 use crate::errors::inject_errors;
 use crate::fault::{FaultInjector, FaultKind, FaultOp};
-use crate::geometry::{Geometry, PageAddr};
+use crate::geometry::Geometry;
 use crate::oob::OobMeta;
 use crate::store::PageStore;
-use crate::timing::TimingModel;
+use crate::timing::{latencies, transfer_us};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -210,7 +210,6 @@ pub struct FlashDevice {
     geometry: Geometry,
     physical: CellDensity,
     cell_model: CellModel,
-    timing: TimingModel,
     rng: StdRng,
     now_days: f64,
     blocks: Vec<BlockState>,
@@ -238,7 +237,6 @@ impl FlashDevice {
             geometry: config.geometry,
             physical: config.physical_density,
             cell_model: CellModel::for_density(config.physical_density),
-            timing: TimingModel::default(),
             rng: StdRng::seed_from_u64(config.seed),
             now_days: 0.0,
             blocks,
@@ -266,11 +264,6 @@ impl FlashDevice {
         self.injector.as_mut()
     }
 
-    /// Whether a power cut has taken the device offline.
-    pub fn is_powered_off(&self) -> bool {
-        self.powered_off
-    }
-
     /// Restores power after a [`FlashError::PowerLoss`]. NAND contents
     /// (including any torn page) survive the cycle; armed faults stay
     /// armed.
@@ -289,19 +282,9 @@ impl FlashDevice {
         &self.geometry
     }
 
-    /// Physical cell density of the array.
-    pub fn physical_density(&self) -> CellDensity {
-        self.physical
-    }
-
     /// The cell model the read path's error rates come from.
     pub fn cell_model(&self) -> &CellModel {
         &self.cell_model
-    }
-
-    /// The timing model.
-    pub fn timing(&self) -> &TimingModel {
-        &self.timing
     }
 
     /// Current simulated time, in days since power-on.
@@ -323,6 +306,16 @@ impl FlashDevice {
     /// Full page size (data + spare bytes).
     pub fn page_total_bytes(&self) -> usize {
         (self.geometry.page_bytes + self.geometry.spare_bytes) as usize
+    }
+
+    /// Splits a flat page index into its block and its page within the
+    /// block. A zero-page geometry maps every index past the last block.
+    fn locate(&self, index: u64) -> (u64, u32) {
+        let per_block = self.geometry.pages_per_block as u64;
+        let block = index.checked_div(per_block).unwrap_or(u64::MAX);
+        // A remainder of a u32 divisor always fits u32.
+        let page = u32::try_from(index.checked_rem(per_block).unwrap_or(0)).unwrap_or(u32::MAX);
+        (block, page)
     }
 
     fn block_state(&self, block: u64) -> Result<&BlockState, FlashError> {
@@ -435,7 +428,7 @@ impl FlashDevice {
         state.pec = state.pec.saturating_add(1);
         state.next_page = 0;
         state.reads_since_program = 0;
-        let latency = self.timing.latencies(state.mode).erase_us;
+        let latency = latencies(state.mode).erase_us;
         self.stats.erases += 1;
         self.stats.busy_us += latency;
         // Physical erase failure: negligible until the cell is cycled far
@@ -453,25 +446,21 @@ impl FlashDevice {
         Ok(latency)
     }
 
-    /// Programs a page together with its OOB metadata. `data` must be
-    /// exactly `page_bytes + spare_bytes` long; pages must be programmed
-    /// in order within their block. Data and OOB record are stored
-    /// atomically, as on real NAND where the spare area is part of the
-    /// same program pulse. A power cut during the program leaves the
-    /// page *torn*: scrambled contents and an OOB record whose CRC check
-    /// fails.
+    /// Programs the page at flat index `index`
+    /// (`block * pages_per_block + page`) together with its OOB
+    /// metadata. `data` must be exactly `page_bytes + spare_bytes` long;
+    /// pages must be programmed in order within their block. Data and
+    /// OOB record are stored atomically, as on real NAND where the spare
+    /// area is part of the same program pulse. A power cut during the
+    /// program leaves the page *torn*: scrambled contents and an OOB
+    /// record whose CRC check fails.
     ///
     /// Returns the operation latency in µs.
-    pub fn program(
-        &mut self,
-        addr: PageAddr,
-        data: &[u8],
-        oob: OobMeta,
-    ) -> Result<f64, FlashError> {
+    pub fn program(&mut self, index: u64, data: &[u8], oob: OobMeta) -> Result<f64, FlashError> {
         if self.powered_off {
             return Err(FlashError::PowerLoss);
         }
-        let block = self.geometry.block_index(addr.block);
+        let (block, page) = self.locate(index);
         let expected_len = self.page_total_bytes();
         if data.len() != expected_len {
             return Err(FlashError::WrongDataLength {
@@ -488,11 +477,11 @@ impl FlashDevice {
                 return Err(FlashError::BadBlock(block));
             }
             let usable = state.mode.usable_pages(pages_per_block);
-            if addr.page >= usable {
+            if page >= usable {
                 return Err(FlashError::PageOutOfRange { block, usable });
             }
-            if addr.page != state.next_page {
-                return Err(if addr.page < state.next_page {
+            if page != state.next_page {
+                return Err(if page < state.next_page {
                     FlashError::NotErased(block)
                 } else {
                     FlashError::OutOfOrderProgram {
@@ -522,7 +511,7 @@ impl FlashDevice {
                 state.reads_since_program = 0;
                 self.stats.programs += 1;
                 self.store
-                    .program(block, addr.page, &torn, now, oob.torn(), true);
+                    .program(block, page, &torn, now, oob.torn(), true);
                 self.powered_off = true;
                 return Err(FlashError::PowerLoss);
             }
@@ -550,48 +539,47 @@ impl FlashDevice {
         }
         state.next_page += 1;
         state.reads_since_program = 0;
-        let latency =
-            self.timing.latencies(state.mode).program_us + self.timing.transfer_us(data.len());
+        let latency = latencies(state.mode).program_us + transfer_us(data.len());
         self.stats.programs += 1;
         self.stats.busy_us += latency;
-        self.store.program(block, addr.page, data, now, oob, false);
+        self.store.program(block, page, data, now, oob, false);
         Ok(latency)
     }
 
-    /// Reads a page's OOB metadata without transferring the payload.
+    /// Reads the OOB metadata of the page at flat index `index` without
+    /// transferring the payload.
     ///
     /// Recovery scans use this; every call (including probes of
     /// unprogrammed pages) is counted in [`DeviceStats::oob_reads`] so
     /// scan cost stays observable. OOB words are short and heavily
     /// checksummed, so no bit errors are injected — a torn page is
     /// detected because its stored record fails [`OobMeta::is_valid`].
-    pub fn read_oob(&mut self, addr: PageAddr) -> Result<OobMeta, FlashError> {
+    pub fn read_oob(&mut self, index: u64) -> Result<OobMeta, FlashError> {
         if self.powered_off {
             return Err(FlashError::PowerLoss);
         }
-        let block = self.geometry.block_index(addr.block);
+        let (block, page) = self.locate(index);
         {
             let state = self.block_state(block)?;
             if state.bad {
                 return Err(FlashError::BadBlock(block));
             }
         }
-        let index = block * self.geometry.pages_per_block as u64 + addr.page as u64;
         self.stats.oob_reads += 1;
-        let page = self
+        let view = self
             .store
-            .view(block, addr.page)
+            .view(block, page)
             .ok_or(FlashError::PageNotProgrammed(index))?;
-        Ok(page.oob)
+        Ok(view.oob)
     }
 
-    /// Reads a page, injecting bit errors per the block's stress history.
-    pub fn read(&mut self, addr: PageAddr) -> Result<ReadOutcome, FlashError> {
+    /// Reads the page at flat index `index`, injecting bit errors per the
+    /// block's stress history.
+    pub fn read(&mut self, index: u64) -> Result<ReadOutcome, FlashError> {
         if self.powered_off {
             return Err(FlashError::PowerLoss);
         }
-        let block = self.geometry.block_index(addr.block);
-        let index = block * self.geometry.pages_per_block as u64 + addr.page as u64;
+        let (block, page) = self.locate(index);
         let now = self.now_days;
         {
             let state = self.block_state(block)?;
@@ -612,20 +600,19 @@ impl FlashDevice {
         let cell_state_mode = state.mode;
         let reads = state.reads_since_program;
         let pec = state.pec;
-        let page = self
+        let view = self
             .store
-            .view(block, addr.page)
+            .view(block, page)
             .ok_or(FlashError::PageNotProgrammed(index))?;
-        if page.torn {
+        if view.torn {
             self.stats.reads += 1;
             return Err(FlashError::TornPage(index));
         }
-        let retention_days = (now - page.programmed_day).max(0.0);
-        let mut data = page.data.to_vec();
+        let retention_days = (now - view.programmed_day).max(0.0);
+        let mut data = view.data.to_vec();
         // Per-page-type asymmetry: lower pages of a multi-bit wordline
         // are more reliable than upper pages.
-        let page_type = addr
-            .page
+        let page_type = page
             .checked_rem(cell_state_mode.logical.bits_per_cell())
             .unwrap_or(0);
         let draw = match self.blocks.get_mut(block as usize) {
@@ -652,8 +639,7 @@ impl FlashDevice {
                 positions.extend(inj.flip_bits(&mut data, bits));
             }
         }
-        let latency =
-            self.timing.latencies(cell_state_mode).read_us + self.timing.transfer_us(data.len());
+        let latency = latencies(cell_state_mode).read_us + transfer_us(data.len());
         self.stats.reads += 1;
         self.stats.bit_errors_injected += positions.len() as u64;
         self.stats.busy_us += latency;
@@ -697,11 +683,6 @@ impl FlashDevice {
         Ok(())
     }
 
-    /// Number of good (not bad) blocks remaining.
-    pub fn good_blocks(&self) -> u64 {
-        self.blocks.iter().filter(|b| !b.bad).count() as u64
-    }
-
     /// Snapshots every block's management state for invariant auditing.
     ///
     /// The `programmed` lists are reconstructed from the page store, so
@@ -741,11 +722,8 @@ mod tests {
         FlashDevice::new(&DeviceConfig::tiny(density))
     }
 
-    fn page(device: &FlashDevice, block: u64, page: u32) -> PageAddr {
-        PageAddr {
-            block: device.geometry().block_addr(block),
-            page,
-        }
+    fn page(device: &FlashDevice, block: u64, page: u32) -> u64 {
+        block * device.geometry().pages_per_block as u64 + page as u64
     }
 
     fn fill(device: &FlashDevice, byte: u8) -> Vec<u8> {
@@ -890,9 +868,10 @@ mod tests {
     #[test]
     fn mark_bad_removes_block_from_service() {
         let mut dev = tiny_device(CellDensity::Tlc);
-        let before = dev.good_blocks();
+        let bad = |dev: &FlashDevice| dev.snapshot_blocks().iter().filter(|b| b.bad).count();
+        assert_eq!(bad(&dev), 0);
         dev.mark_bad(5).unwrap();
-        assert_eq!(dev.good_blocks(), before - 1);
+        assert_eq!(bad(&dev), 1);
         assert!(matches!(dev.erase(5).unwrap_err(), FlashError::BadBlock(5)));
         assert!(matches!(
             dev.read(page(&dev, 5, 0)).unwrap_err(),
@@ -1013,7 +992,6 @@ mod tests {
             .program(page(&dev, 0, 1), &data, OobMeta::data(1, 2, 0))
             .unwrap_err();
         assert_eq!(err, FlashError::PowerLoss);
-        assert!(dev.is_powered_off());
         // Everything fails until power returns.
         assert_eq!(
             dev.read(page(&dev, 0, 0)).unwrap_err(),
@@ -1088,6 +1066,51 @@ mod tests {
             "noise must be transient"
         );
         assert_eq!(clean.data, data);
+    }
+
+    #[test]
+    fn flat_index_errors_carry_the_callers_index() {
+        use crate::fault::{FaultAt, FaultInjector, FaultKind, FaultPlan};
+        let mut dev = tiny_device(CellDensity::Tlc);
+        let data = fill(&dev, 0x55);
+        let total = dev.geometry().total_pages();
+        for index in [total, total + 1, u64::MAX] {
+            assert_eq!(dev.read(index).unwrap_err(), FlashError::InvalidAddress);
+            assert_eq!(dev.read_oob(index).unwrap_err(), FlashError::InvalidAddress);
+            assert_eq!(
+                dev.program(index, &data, meta()).unwrap_err(),
+                FlashError::InvalidAddress
+            );
+        }
+        // The last page of the device is in range.
+        assert_eq!(
+            dev.read(total - 1).unwrap_err(),
+            FlashError::PageNotProgrammed(total - 1)
+        );
+        let unwritten = page(&dev, 7, 3);
+        assert_eq!(
+            dev.read(unwritten).unwrap_err(),
+            FlashError::PageNotProgrammed(unwritten)
+        );
+        assert_eq!(
+            dev.read_oob(unwritten).unwrap_err(),
+            FlashError::PageNotProgrammed(unwritten)
+        );
+        let mut inj = FaultInjector::new(6);
+        inj.arm(FaultPlan {
+            kind: FaultKind::PowerCut,
+            at: FaultAt::OpCount(2),
+        });
+        dev.attach_injector(inj);
+        dev.program(page(&dev, 5, 0), &data, meta()).unwrap();
+        let torn = page(&dev, 5, 1);
+        assert_eq!(
+            dev.program(torn, &data, meta()).unwrap_err(),
+            FlashError::PowerLoss
+        );
+        dev.power_cycle();
+        assert_eq!(dev.read(torn).unwrap_err(), FlashError::TornPage(torn));
+        assert_eq!(dev.read(page(&dev, 5, 0)).unwrap().data, data);
     }
 
     #[test]

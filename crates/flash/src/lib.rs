@@ -10,9 +10,10 @@
 //!   which a physically dense cell (e.g. PLC) is programmed with fewer
 //!   levels (e.g. pseudo-QLC) trading capacity for margin and endurance
 //!   ([`density`]).
-//! * **Device geometry** — channels, dies, planes, blocks and pages, with
-//!   NAND programming constraints (erase-before-program, in-order page
-//!   programming within a block) ([`geometry`], [`device`]).
+//! * **Device geometry** — blocks and pages, with one flat page index as
+//!   the page address, and NAND programming constraints
+//!   (erase-before-program, in-order page programming within a block)
+//!   ([`geometry`], [`device`]).
 //! * **A voltage-window error model** — threshold-voltage distributions
 //!   widen with program/erase wear, retention time and read disturb; the
 //!   raw bit error rate (RBER) is derived from the overlap of adjacent
@@ -25,7 +26,7 @@
 //!   batch envelope; the device flips the drawn bits (`batch.rs`,
 //!   `errors.rs`).
 //! * **Operation timing** — per-density read/program/erase latencies
-//!   ([`timing`]).
+//!   from fixed calibration constants ([`timing`]).
 //!
 //! The entry point is [`device::FlashDevice`]; presets for realistic
 //! devices live in [`config`].
@@ -47,6 +48,5 @@ pub use config::DeviceConfig;
 pub use density::{CellDensity, ProgramMode};
 pub use device::{BlockSnapshot, DeviceStats, FlashDevice, FlashError, ReadOutcome};
 pub use fault::{FaultAt, FaultInjector, FaultKind, FaultOp, FaultPlan};
-pub use geometry::{BlockAddr, Geometry, PageAddr};
+pub use geometry::Geometry;
 pub use oob::{OobMeta, PageKind};
-pub use timing::TimingModel;

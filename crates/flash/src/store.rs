@@ -315,10 +315,7 @@ mod tests {
 
     fn geo() -> Geometry {
         Geometry {
-            channels: 1,
-            dies_per_channel: 1,
-            planes_per_die: 1,
-            blocks_per_plane: 4,
+            blocks: 4,
             pages_per_block: 8,
             page_bytes: 32,
             spare_bytes: 4,
@@ -453,7 +450,7 @@ mod tests {
     /// boundaries and the partial last word are both exercised.
     fn shadow_geometry() -> Geometry {
         Geometry {
-            blocks_per_plane: 3,
+            blocks: 3,
             pages_per_block: 70,
             ..geo()
         }

@@ -7,8 +7,10 @@
 //! programmed as pseudo-QLC takes roughly QLC time.
 //!
 //! Latencies are returned in microseconds. They are deterministic
-//! functions of the programmed density so simulations are reproducible;
-//! queueing/contention effects are the FTL's concern, not the chip's.
+//! functions of the programmed density, with fixed calibration
+//! constants, so simulations are reproducible. Queueing and channel/die
+//! contention are left out, which is why the geometry has no
+//! parallelism hierarchy.
 
 use crate::density::ProgramMode;
 use serde::{Deserialize, Serialize};
@@ -24,60 +26,41 @@ pub struct OpLatencies {
     pub erase_us: f64,
 }
 
-/// Parameterised timing model.
+// Calibrated against public datasheet ballparks: SLC reads ~30 µs /
+// programs ~200 µs, TLC ~60/800 µs, QLC ~100/1600 µs, with PLC projected
+// at ~180/3200 µs (nearline-class, §4.5).
+
+/// Fixed read overhead (sense amp setup), µs.
+const READ_BASE_US: f64 = 20.0;
+/// Additional read time per voltage level, µs.
+const READ_PER_LEVEL_US: f64 = 5.0;
+/// Program time per voltage level (ISPP steps), µs.
+const PROGRAM_PER_LEVEL_US: f64 = 100.0;
+/// Fixed erase time, µs.
+const ERASE_BASE_US: f64 = 2000.0;
+/// Additional erase time per *physical* level, µs.
+const ERASE_PER_LEVEL_US: f64 = 60.0;
+/// Channel transfer bandwidth for page data, MB/s.
+const CHANNEL_MB_S: f64 = 800.0;
+
+/// Array latencies for a block programmed in `mode`.
 ///
-/// Defaults are calibrated against public datasheet ballparks: SLC reads
-/// ~30 µs / programs ~200 µs, TLC ~60/800 µs, QLC ~100/1600 µs, with PLC
-/// projected at ~180/3200 µs (nearline-class, §4.5).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TimingModel {
-    /// Fixed read overhead (sense amp setup), µs.
-    pub read_base_us: f64,
-    /// Additional read time per voltage level, µs.
-    pub read_per_level_us: f64,
-    /// Program time per voltage level (ISPP steps), µs.
-    pub program_per_level_us: f64,
-    /// Fixed erase time, µs.
-    pub erase_base_us: f64,
-    /// Additional erase time per *physical* level, µs.
-    pub erase_per_level_us: f64,
-    /// Channel transfer bandwidth for page data, MB/s.
-    pub channel_mb_s: f64,
-}
-
-impl Default for TimingModel {
-    fn default() -> Self {
-        TimingModel {
-            read_base_us: 20.0,
-            read_per_level_us: 5.0,
-            program_per_level_us: 100.0,
-            erase_base_us: 2000.0,
-            erase_per_level_us: 60.0,
-            channel_mb_s: 800.0,
-        }
+/// Read and program scale with the *logical* level count (that is what
+/// the sense/ISPP machinery has to resolve); erase scales with the
+/// *physical* level count (the whole window must be discharged).
+pub fn latencies(mode: ProgramMode) -> OpLatencies {
+    let logical_levels = mode.logical.levels() as f64;
+    let physical_levels = mode.physical.levels() as f64;
+    OpLatencies {
+        read_us: READ_BASE_US + READ_PER_LEVEL_US * logical_levels,
+        program_us: PROGRAM_PER_LEVEL_US * logical_levels,
+        erase_us: ERASE_BASE_US + ERASE_PER_LEVEL_US * physical_levels,
     }
 }
 
-impl TimingModel {
-    /// Array latencies for a block programmed in `mode`.
-    ///
-    /// Read and program scale with the *logical* level count (that is what
-    /// the sense/ISPP machinery has to resolve); erase scales with the
-    /// *physical* level count (the whole window must be discharged).
-    pub fn latencies(&self, mode: ProgramMode) -> OpLatencies {
-        let logical_levels = mode.logical.levels() as f64;
-        let physical_levels = mode.physical.levels() as f64;
-        OpLatencies {
-            read_us: self.read_base_us + self.read_per_level_us * logical_levels,
-            program_us: self.program_per_level_us * logical_levels,
-            erase_us: self.erase_base_us + self.erase_per_level_us * physical_levels,
-        }
-    }
-
-    /// Time to move `bytes` over the channel, in µs.
-    pub fn transfer_us(&self, bytes: usize) -> f64 {
-        bytes as f64 / self.channel_mb_s
-    }
+/// Time to move `bytes` over the channel, in µs.
+pub fn transfer_us(bytes: usize) -> f64 {
+    bytes as f64 / CHANNEL_MB_S
 }
 
 #[cfg(test)]
@@ -87,11 +70,10 @@ mod tests {
 
     #[test]
     fn denser_modes_are_slower() {
-        let t = TimingModel::default();
         let mut prev_read = 0.0;
         let mut prev_prog = 0.0;
         for d in CellDensity::ALL {
-            let l = t.latencies(ProgramMode::native(d));
+            let l = latencies(ProgramMode::native(d));
             assert!(l.read_us > prev_read, "{d} read");
             assert!(l.program_us > prev_prog, "{d} program");
             prev_read = l.read_us;
@@ -101,8 +83,7 @@ mod tests {
 
     #[test]
     fn datasheet_ballparks() {
-        let t = TimingModel::default();
-        let tlc = t.latencies(ProgramMode::native(CellDensity::Tlc));
+        let tlc = latencies(ProgramMode::native(CellDensity::Tlc));
         assert!(
             (40.0..=100.0).contains(&tlc.read_us),
             "TLC tR {}",
@@ -113,16 +94,15 @@ mod tests {
             "TLC tPROG {}",
             tlc.program_us
         );
-        let plc = t.latencies(ProgramMode::native(CellDensity::Plc));
+        let plc = latencies(ProgramMode::native(CellDensity::Plc));
         assert!(plc.program_us >= 2.0 * tlc.program_us, "PLC much slower");
     }
 
     #[test]
     fn pseudo_mode_regains_speed() {
-        let t = TimingModel::default();
-        let native = t.latencies(ProgramMode::native(CellDensity::Plc));
-        let pqlc = t.latencies(ProgramMode::pseudo(CellDensity::Plc, CellDensity::Qlc));
-        let qlc = t.latencies(ProgramMode::native(CellDensity::Qlc));
+        let native = latencies(ProgramMode::native(CellDensity::Plc));
+        let pqlc = latencies(ProgramMode::pseudo(CellDensity::Plc, CellDensity::Qlc));
+        let qlc = latencies(ProgramMode::native(CellDensity::Qlc));
         assert!(pqlc.program_us < native.program_us);
         assert!((pqlc.program_us - qlc.program_us).abs() < 1e-9);
         // Erase still pays for the physical window.
@@ -131,9 +111,8 @@ mod tests {
 
     #[test]
     fn transfer_time_scales_with_bytes() {
-        let t = TimingModel::default();
-        assert!((t.transfer_us(8192) - 2.0 * t.transfer_us(4096)).abs() < 1e-9);
+        assert!((transfer_us(8192) - 2.0 * transfer_us(4096)).abs() < 1e-9);
         // 4 KiB at 800 MB/s is ~5 µs.
-        assert!((t.transfer_us(4096) - 5.12).abs() < 0.2);
+        assert!((transfer_us(4096) - 5.12).abs() < 0.2);
     }
 }

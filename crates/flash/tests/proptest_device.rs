@@ -3,13 +3,10 @@
 //! model assigns.
 
 use proptest::prelude::*;
-use sos_flash::{CellDensity, DeviceConfig, FlashDevice, OobMeta, PageAddr, ProgramMode};
+use sos_flash::{CellDensity, DeviceConfig, FlashDevice, OobMeta, ProgramMode};
 
-fn addr(device: &FlashDevice, block: u64, page: u32) -> PageAddr {
-    PageAddr {
-        block: device.geometry().block_addr(block),
-        page,
-    }
+fn addr(device: &FlashDevice, block: u64, page: u32) -> u64 {
+    block * device.geometry().pages_per_block as u64 + page as u64
 }
 
 proptest! {
@@ -41,30 +38,6 @@ proptest! {
             let low = model.rber(mode, state(pec_low));
             let high = model.rber(mode, state(pec_low + delta));
             prop_assert!(high >= low, "{mode}: {high} < {low}");
-        }
-    }
-
-    /// The geometry addressing is a bijection for arbitrary shapes.
-    #[test]
-    fn geometry_bijection(
-        channels in 1u32..4,
-        dies in 1u32..3,
-        planes in 1u32..3,
-        blocks in 1u32..20,
-        pages in 1u32..32,
-    ) {
-        let geometry = sos_flash::Geometry {
-            channels,
-            dies_per_channel: dies,
-            planes_per_die: planes,
-            blocks_per_plane: blocks,
-            pages_per_block: pages,
-            page_bytes: 512,
-            spare_bytes: 32,
-        };
-        for index in 0..geometry.total_pages() {
-            let address = geometry.page_addr(index);
-            prop_assert_eq!(geometry.page_index(address), index);
         }
     }
 

@@ -10,8 +10,8 @@
 //! the oracle and compares `f64::to_bits`.
 
 use proptest::prelude::*;
-use sos_flash::cell::{CellModel, CellState};
-use sos_flash::{CellDensity, DeviceConfig, FlashDevice, OobMeta, PageAddr, ProgramMode};
+use sos_flash::cell::CellState;
+use sos_flash::{CellDensity, DeviceConfig, FlashDevice, OobMeta, ProgramMode};
 
 /// Shadow of one block's stress state, maintained outside the device.
 struct Shadow {
@@ -42,12 +42,11 @@ proptest! {
     ) {
         let config = DeviceConfig::tiny(CellDensity::Plc).with_seed(seed);
         let mut device = FlashDevice::new(&config);
-        let model = CellModel::for_density(device.physical_density());
-        let geometry = *device.geometry();
-        let pages_per_block = geometry.pages_per_block;
+        let model = *device.cell_model();
+        let pages_per_block = device.geometry().pages_per_block;
         let data = vec![0x5Au8; device.page_total_bytes()];
         let block = 0u64;
-        let addr = |page: u32| PageAddr { block: geometry.block_addr(block), page };
+        let addr = |page: u32| block * pages_per_block as u64 + page as u64;
         let mut shadow = Shadow {
             pec: 0,
             reads_since_program: 0,
@@ -160,10 +159,10 @@ proptest! {
     #[test]
     fn repeated_reads_stay_bit_identical(seed in any::<u64>(), reads in 2u32..20) {
         let mut device = FlashDevice::new(&DeviceConfig::tiny(CellDensity::Plc).with_seed(seed));
-        let model = CellModel::for_density(device.physical_density());
-        let geometry = *device.geometry();
+        let model = *device.cell_model();
         let data = vec![0xC3u8; device.page_total_bytes()];
-        let addr = PageAddr { block: geometry.block_addr(1), page: 0 };
+        // Page 0 of block 1.
+        let addr = device.geometry().pages_per_block as u64;
         device.program(addr, &data, OobMeta::data(0, 1, 0)).map_err(|e| TestCaseError::fail(e.to_string()))?;
         device.advance_days(12.5);
         let mode = device.block_mode(1).map_err(|e| TestCaseError::fail(e.to_string()))?;

@@ -7,9 +7,7 @@ use crate::placement::{PlacementHandle, PlacementStats, ReclaimUnit, StreamPlace
 use crate::recovery::CheckpointHandle;
 use crate::stats::FtlStats;
 use sos_ecc::{CodecError, PageCodec, PageStatus};
-use sos_flash::{
-    DeviceConfig, FaultInjector, FaultPlan, FlashDevice, FlashError, OobMeta, PageAddr,
-};
+use sos_flash::{DeviceConfig, FaultInjector, FaultPlan, FlashDevice, FlashError, OobMeta};
 use std::collections::VecDeque;
 
 /// Errors surfaced by FTL operations.
@@ -112,8 +110,6 @@ pub struct ReadResult {
     pub data: Vec<u8>,
     /// ECC status of the page.
     pub status: PageStatus,
-    /// Bits corrected by ECC.
-    pub corrected_bits: usize,
     /// End-to-end latency, µs.
     pub latency_us: f64,
 }
@@ -363,8 +359,7 @@ impl Ftl {
             Some(Slot::Lost) => return Err(FtlError::DataLost(lpn)),
             Some(Slot::Mapped(loc)) => *loc,
         };
-        let addr = self.page_addr(location);
-        let outcome = match self.device.read(addr) {
+        let outcome = match self.device.read(location) {
             Ok(o) => o,
             Err(FlashError::BadBlock(_)) | Err(FlashError::TornPage(_)) => {
                 // A mapping should never point at a torn page (recovery
@@ -393,7 +388,6 @@ impl Ftl {
         Ok(ReadResult {
             data: report.data,
             status: report.status,
-            corrected_bits: report.corrected_bits,
             latency_us: outcome.latency_us,
         })
     }
@@ -435,11 +429,6 @@ impl Ftl {
         }
     }
 
-    /// Number of free (erased, ready) blocks.
-    pub fn free_blocks(&self) -> usize {
-        self.free.len()
-    }
-
     // ------------------------------------------------------------------
     // Internals shared with gc.rs / scrub.rs.
     // ------------------------------------------------------------------
@@ -453,10 +442,6 @@ impl Ftl {
         } else {
             Ok(())
         }
-    }
-
-    pub(crate) fn page_addr(&self, flat: u64) -> PageAddr {
-        self.device.geometry().page_addr(flat)
     }
 
     pub(crate) fn flat_page(&self, block: u64, page: u32) -> u64 {
@@ -516,12 +501,12 @@ impl Ftl {
     ) -> Result<f64, FtlError> {
         loop {
             let (block, page) = self.alloc_page(handle)?;
-            let addr = self.page_addr(self.flat_page(block, page));
+            let flat = self.flat_page(block, page);
             // OOB metadata rides the same program pulse: LPN, a fresh
             // monotonic sequence number, and the handle's wire stream,
             // so a post-crash scan can rebuild the L2P map latest-wins.
             let oob = OobMeta::data(lpn, self.next_seq(), handle.stream());
-            match self.device.program(addr, raw, oob) {
+            match self.device.program(flat, raw, oob) {
                 Ok(latency) => {
                     // Invalidate the previous location, if any.
                     if let Some(Slot::Mapped(old)) = self.l2p.get(lpn as usize).copied() {
@@ -535,7 +520,6 @@ impl Ftl {
                         }
                         info.last_write_day = day;
                     }
-                    let flat = self.flat_page(block, page);
                     if let Some(slot) = self.l2p.get_mut(lpn as usize) {
                         *slot = Slot::Mapped(flat);
                     }
@@ -748,7 +732,6 @@ mod tests {
         assert_ne!(units[0].block, units[1].block);
         assert_eq!(units[0].handle, hot.handle());
         assert_eq!(units[1].handle, cold.handle());
-        assert_eq!(units[0].written, 1);
     }
 
     #[test]

@@ -154,8 +154,6 @@ pub struct ReclaimUnit {
     pub block: u64,
     /// The handle currently appending into it.
     pub handle: PlacementHandle,
-    /// Pages appended while this unit has been open.
-    pub written: u64,
 }
 
 /// Placement-mix counters: what the device programmed, bucketed by who
@@ -234,14 +232,8 @@ impl StreamPlacement {
     /// `handle`, closing any previous unit for it first.
     pub fn open_unit(&mut self, handle: PlacementHandle, block: u64) {
         self.close_unit(handle, false);
-        self.units.insert(
-            handle.stream(),
-            ReclaimUnit {
-                block,
-                handle,
-                written: 0,
-            },
-        );
+        self.units
+            .insert(handle.stream(), ReclaimUnit { block, handle });
         self.stats.units_opened += 1;
     }
 
@@ -252,9 +244,6 @@ impl StreamPlacement {
 
     /// Records one page appended through `handle` into its open unit.
     pub fn note_append(&mut self, handle: PlacementHandle) {
-        if let Some(unit) = self.units.get_mut(&handle.stream()) {
-            unit.written += 1;
-        }
         if handle == PlacementHandle::GC {
             self.stats.reloc_pages += 1;
         } else {
@@ -360,7 +349,7 @@ mod tests {
         backend.note_append(handle);
         backend.note_append(handle);
         let unit = backend.close_unit(handle, true).expect("open unit");
-        assert_eq!(unit.written, 2);
+        assert_eq!(unit.block, 3);
         backend.note_erase();
         let stats = backend.stats();
         assert_eq!(stats.units_opened, 1);

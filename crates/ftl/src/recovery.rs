@@ -125,9 +125,8 @@ impl Scan<'_> {
     /// [`RecoveryReport::scanned_pages`]; a torn page is recorded in
     /// [`RecoveryReport::torn_pages`].
     fn probe(&mut self, flat: u64) -> Result<Probe, FtlError> {
-        let addr = self.device.geometry().page_addr(flat);
         self.report.scanned_pages += 1;
-        match self.device.read_oob(addr) {
+        match self.device.read_oob(flat) {
             Err(FlashError::PageNotProgrammed(_)) => Ok(Probe::Empty),
             Err(e) => Err(e.into()),
             Ok(meta) if !meta.is_valid() => {
@@ -255,8 +254,8 @@ impl Ftl {
                     self.next_seq(),
                     PlacementHandle::CKPT.stream(),
                 );
-                let addr = self.page_addr(self.flat_page(block, page));
-                match self.device.program(addr, raw, oob) {
+                let flat = self.flat_page(block, page);
+                match self.device.program(flat, raw, oob) {
                     Ok(_) => break,
                     Err(e) => return Err((blocks, e.into())),
                 }
@@ -414,7 +413,7 @@ fn rebuild(
         for &(_, _, flat, _) in run {
             // An unreadable page fails this generation; any other device
             // error (a power cut above all) fails the recovery itself.
-            let outcome = match scan.device.read(geometry.page_addr(flat)) {
+            let outcome = match scan.device.read(flat) {
                 Ok(outcome) => outcome,
                 Err(FlashError::BadBlock(_) | FlashError::TornPage(_)) => {
                     intact = false;

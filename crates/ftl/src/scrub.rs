@@ -22,8 +22,6 @@ pub struct ScrubReport {
     pub resuscitated: u64,
     /// Blocks retired from service.
     pub retired: u64,
-    /// Pages relocated during the pass.
-    pub pages_moved: u64,
     /// The pass stopped early because no space was left to relocate
     /// into — the host must free data (the paper's §4.5 auto-delete
     /// fallback moment).
@@ -106,7 +104,6 @@ impl Ftl {
                 }
                 Err(e) => return Err(e),
             };
-            report.pages_moved += moved;
             self.stats.refresh_page_moves += moved;
             if fresh_rber <= refresh_at {
                 // Retention-driven only: plain refresh.

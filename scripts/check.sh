@@ -14,7 +14,7 @@ run() {
 
 # Examples smoke test: every example exits 0 at default args.
 examples() {
-    run cargo build --release -p sos-examples --bins
+    run cargo build --release --locked -p sos-examples --bins
     for src in examples/*.rs; do
         name="$(basename "$src" .rs)"
         [[ "$name" == lib ]] && continue
@@ -43,15 +43,15 @@ echo "==> sos-lint JSON report: target/sos-lint-report.json"
 run cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
 if [[ "$fast" -eq 0 ]]; then
-    run cargo build --release
-    run cargo test -q
+    run cargo build --release --locked
+    run cargo test -q --locked
     # The crash-sweep job: crash-injection tests, then the 500+ crash
     # point sweep with cuts inside recovery.
-    run cargo test --release -q -p sos-flash fault
-    run cargo test --release -q -p sos-ftl recovery
-    run cargo test --release -q -p sos-ftl --test proptest_recovery
-    run cargo test --release -q -p sos-core remount
-    run cargo test --release -q -p sos-analyze --test crash_sweep -- --include-ignored
+    run cargo test --release -q --locked -p sos-flash fault
+    run cargo test --release -q --locked -p sos-ftl recovery
+    run cargo test --release -q --locked -p sos-ftl --test proptest_recovery
+    run cargo test --release -q --locked -p sos-core remount
+    run cargo test --release -q --locked -p sos-analyze --test crash_sweep -- --include-ignored
     # Benchmark contract: traced and untraced digests agree, every
     # BENCHMARK.json metric is printed, seeds round-trip exactly.
     run cargo test --offline --locked --manifest-path perfbench/Cargo.toml

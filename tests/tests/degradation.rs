@@ -11,7 +11,7 @@ use sos_media::{decode, psnr, synthetic_photo, ImageCodec};
 fn micro_config(seed: u64) -> DeviceConfig {
     let mut config = DeviceConfig::tiny(CellDensity::Plc).with_seed(seed);
     config.geometry = Geometry {
-        blocks_per_plane: 24,
+        blocks: 24,
         ..config.geometry
     };
     config
