@@ -20,8 +20,8 @@ use sos_core::{
 use sos_ecc::PageStatus;
 use sos_flash::{CellDensity, DeviceConfig, DeviceStats, ProgramMode};
 use sos_ftl::{
-    DataClass, DataTag, Ftl, FtlConfig, FtlError, GcPolicy, PlacementHandle, PlacementStats,
-    ResuscitationPolicy, Temperature, WearLevelingConfig,
+    Ftl, FtlConfig, FtlError, GcPolicy, PlacementHandle, PlacementStats, ResuscitationPolicy,
+    WearLevelingConfig,
 };
 use sos_workload::{
     CacheBackend, CacheBackendError, CacheClass, CacheDayReport, CacheReadback, CacheTemp,
@@ -642,11 +642,13 @@ pub fn capacity_variance_report(threads: usize) -> ExperimentOutput {
 pub enum CachePlacement {
     /// Every write lands on the default stream — the no-FDP baseline.
     NoHints,
-    /// Two fixed streams, pre-tag style: metadata on the default
+    /// Two fixed streams, pre-FDP style: metadata on the default
     /// handle, every object on one undifferentiated cold handle.
     LegacyStreams,
-    /// Typed [`DataTag`]s: metadata as SYS/hot, objects as SPARE with
-    /// popularity-derived temperature.
+    /// Class- and temperature-specific handles: metadata on the default
+    /// (hot SYS) handle, objects on [`PlacementHandle::SPARE_HOT`] or
+    /// [`PlacementHandle::SPARE_COLD`] by popularity-derived
+    /// temperature.
     Fdp,
 }
 
@@ -718,32 +720,19 @@ impl FtlCacheBackend {
 
 impl CacheBackend for FtlCacheBackend {
     fn put(&mut self, slot: u64, pages: u64, meta: ObjectMeta) -> Result<(), CacheBackendError> {
+        let handle = match (self.policy, meta.class, meta.temp) {
+            (CachePlacement::NoHints, ..) | (_, CacheClass::Metadata, _) => {
+                PlacementHandle::DEFAULT
+            }
+            (CachePlacement::LegacyStreams, ..) => PlacementHandle::COLD,
+            (CachePlacement::Fdp, _, CacheTemp::Hot) => PlacementHandle::SPARE_HOT,
+            (CachePlacement::Fdp, _, CacheTemp::Cold) => PlacementHandle::SPARE_COLD,
+        };
         for page in 0..pages {
             let lpn = self.lpn(slot, page);
-            let result = match self.policy {
-                CachePlacement::NoHints => self.ftl.write(lpn, &self.payload),
-                CachePlacement::LegacyStreams => {
-                    let handle = match meta.class {
-                        CacheClass::Metadata => PlacementHandle::DEFAULT,
-                        CacheClass::Object => PlacementHandle::COLD,
-                    };
-                    self.ftl.write_placed(lpn, &self.payload, handle)
-                }
-                CachePlacement::Fdp => {
-                    let tag = match meta.class {
-                        CacheClass::Metadata => DataTag::sys_hot(),
-                        CacheClass::Object => {
-                            let temp = match meta.temp {
-                                CacheTemp::Hot => Temperature::Hot,
-                                CacheTemp::Cold => Temperature::Cold,
-                            };
-                            DataTag::new(DataClass::Spare, temp)
-                        }
-                    };
-                    self.ftl.write_placed(lpn, &self.payload, tag.handle())
-                }
-            };
-            result.map_err(map_cache_error)?;
+            self.ftl
+                .write_placed(lpn, &self.payload, handle)
+                .map_err(map_cache_error)?;
         }
         Ok(())
     }

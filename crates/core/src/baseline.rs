@@ -11,7 +11,7 @@ use crate::object::{
 };
 use crate::partition::PartitionStore;
 use sos_flash::{CellDensity, DeviceConfig, ProgramMode};
-use sos_ftl::{DataTag, Ftl, FtlConfig};
+use sos_ftl::{Ftl, FtlConfig, PlacementHandle};
 
 /// A conventional personal storage device: one partition, one density.
 pub struct BaselineDevice {
@@ -26,7 +26,7 @@ impl BaselineDevice {
         base.physical_density = density;
         let ftl = Ftl::new(&base, FtlConfig::conventional(ProgramMode::native(density)));
         BaselineDevice {
-            store: PartitionStore::new(ftl, DataTag::sys_hot()),
+            store: PartitionStore::new(ftl, PlacementHandle::DEFAULT),
             directory: Directory::default(),
         }
     }

@@ -18,7 +18,7 @@ use crate::object::{
 use crate::partition::PartitionStore;
 use serde::{Deserialize, Serialize};
 use sos_flash::{CellDensity, DeviceConfig, FaultPlan, Geometry};
-use sos_ftl::{DataTag, Ftl, FtlConfig, FtlError, RecoveryReport};
+use sos_ftl::{Ftl, FtlConfig, FtlError, PlacementHandle, RecoveryReport};
 
 /// SOS device configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,20 +43,17 @@ impl SosConfig {
     }
 }
 
-/// Fraction of physical blocks given to the SYS partition (the paper's
-/// split is 50/50 by silicon, §4.2).
-const SYS_CELL_FRACTION: f64 = 0.5;
 /// SYS stripe width (data pages per parity page).
 const STRIPE_WIDTH: u64 = 8;
 
-/// Splits a geometry's blocks between two sub-devices.
-fn split_geometry(base: &Geometry, fraction: f64) -> (Geometry, Geometry) {
-    let first_blocks = ((base.blocks as f64 * fraction).round() as u32).clamp(1, base.blocks - 1);
-    let mut first = *base;
-    first.blocks = first_blocks;
-    let mut second = *base;
-    second.blocks = base.blocks - first_blocks;
-    (first, second)
+/// Splits a geometry's blocks between the SYS and SPARE sub-devices:
+/// half the silicon each (§4.2), SYS taking the odd block.
+fn split_geometry(base: &Geometry) -> (Geometry, Geometry) {
+    let mut sys = *base;
+    sys.blocks = base.blocks.div_ceil(2);
+    let mut spare = *base;
+    spare.blocks = base.blocks - sys.blocks;
+    (sys, spare)
 }
 
 /// What the remount path recovered, repaired and gave up on. The
@@ -100,8 +97,7 @@ impl SosDevice {
     ///
     /// Panics on configuration errors (ECC not fitting the spare area).
     pub fn new(config: &SosConfig) -> Self {
-        let (sys_geometry, spare_geometry) =
-            split_geometry(&config.base.geometry, SYS_CELL_FRACTION);
+        let (sys_geometry, spare_geometry) = split_geometry(&config.base.geometry);
         let mut sys_device = config.base.clone();
         sys_device.geometry = sys_geometry;
         let mut spare_device = config.base.clone();
@@ -110,8 +106,8 @@ impl SosDevice {
         let sys_ftl = Ftl::new(&sys_device, FtlConfig::sos_sys());
         let spare_ftl = Ftl::new(&spare_device, FtlConfig::sos_spare());
         SosDevice {
-            sys: PartitionStore::with_parity(sys_ftl, DataTag::sys_hot(), STRIPE_WIDTH),
-            spare: PartitionStore::new(spare_ftl, DataTag::spare_hot()),
+            sys: PartitionStore::with_parity(sys_ftl, PlacementHandle::DEFAULT, STRIPE_WIDTH),
+            spare: PartitionStore::new(spare_ftl, PlacementHandle::SPARE_HOT),
             directory: Directory::default(),
         }
     }
@@ -890,10 +886,18 @@ mod tests {
             (DeviceConfig::tiny(CellDensity::Plc).geometry, 32),
             (DeviceConfig::sim_small(CellDensity::Plc).geometry, 128),
         ] {
-            let (sys, spare) = split_geometry(&base, SYS_CELL_FRACTION);
+            let (sys, spare) = split_geometry(&base);
             assert_eq!((sys.blocks, spare.blocks), (blocks, blocks));
             assert_eq!(sys.blocks + spare.blocks, base.blocks);
             assert_eq!(sys.page_bytes, base.page_bytes);
+        }
+        // SYS takes the odd block: the rounded half of every count.
+        let mut base = DeviceConfig::tiny(CellDensity::Plc).geometry;
+        for blocks in 2..=257 {
+            base.blocks = blocks;
+            let (sys, spare) = split_geometry(&base);
+            assert_eq!(sys.blocks, (blocks as f64 * 0.5).round() as u32);
+            assert_eq!(sys.blocks + spare.blocks, blocks);
         }
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::object::{merge_status, ObjectData, ObjectId, ObjectStatus};
 use crate::stripe::{page_checksum, StripeManager};
-use sos_ftl::{DataTag, Ftl, FtlError, FtlEvent, RecoveryReport};
+use sos_ftl::{Ftl, FtlError, FtlEvent, PlacementHandle, RecoveryReport};
 use std::collections::BTreeSet;
 
 /// Virtual page allocator over an FTL's logical space.
@@ -100,9 +100,9 @@ pub struct PartitionStore {
     pub ftl: Ftl,
     /// Virtual page pool.
     pub pool: LpnPool,
-    /// Data tag applied to object writes (derives the placement
-    /// handle, and with it the reclaim unit, for this partition's data).
-    pub data_tag: DataTag,
+    /// Placement handle of object writes: the reclaim unit this
+    /// partition's data appends into.
+    handle: PlacementHandle,
     /// Stripe parity over the pool's pages, kept in the FTL's logical
     /// pages above the pool's span (SYS's extra redundancy, §4.2).
     parity: Option<StripeManager>,
@@ -137,12 +137,12 @@ pub struct PartitionRemount {
 
 impl PartitionStore {
     /// Wraps an FTL whose whole logical space holds object data.
-    pub fn new(ftl: Ftl, data_tag: DataTag) -> Self {
+    pub fn new(ftl: Ftl, handle: PlacementHandle) -> Self {
         let pages = ftl.logical_pages();
         PartitionStore {
             ftl,
             pool: LpnPool::new(pages),
-            data_tag,
+            handle,
             parity: None,
         }
     }
@@ -150,12 +150,12 @@ impl PartitionStore {
     /// Wraps an FTL under stripe parity of `width` data pages per parity
     /// page: the top of the logical space holds parity, and the pool
     /// hands out only the data LPNs below it.
-    pub fn with_parity(ftl: Ftl, data_tag: DataTag, width: u64) -> Self {
+    pub fn with_parity(ftl: Ftl, handle: PlacementHandle, width: u64) -> Self {
         let (data_pages, _parity) = StripeManager::layout(ftl.logical_pages(), width);
         PartitionStore {
             pool: LpnPool::new(data_pages),
             parity: Some(StripeManager::new(width, data_pages)),
-            ..PartitionStore::new(ftl, data_tag)
+            ..PartitionStore::new(ftl, handle)
         }
     }
 
@@ -177,7 +177,7 @@ impl PartitionStore {
         };
         for (index, &lpn) in lpns.iter().enumerate() {
             fill_page(&mut page, bytes, index);
-            match self.ftl.write_placed(lpn, &page, self.data_tag.handle()) {
+            match self.ftl.write_placed(lpn, &page, self.handle) {
                 Ok(_) => {}
                 Err(FtlError::NoSpace) => {
                     // Roll back what we wrote; physical space exhausted
@@ -243,7 +243,7 @@ impl PartitionStore {
                 // The parity already covers the rebuilt page. Without
                 // free space the repair still serves this read; the page
                 // stays lost until a later read repairs it.
-                match self.ftl.write_placed(lpn, &rebuilt, self.data_tag.handle()) {
+                match self.ftl.write_placed(lpn, &rebuilt, self.handle) {
                     Ok(_) | Err(FtlError::NoSpace) => {}
                     Err(e) => return Err(e),
                 }
@@ -377,7 +377,7 @@ impl PartitionStore {
                     _ => None,
                 };
                 if let Some(page) = rebuilt {
-                    self.ftl.write_placed(lpn, &page, self.data_tag.handle())?;
+                    self.ftl.write_placed(lpn, &page, self.handle)?;
                     report.repaired += 1;
                 } else {
                     self.ftl.declare_lost(lpn);
@@ -439,7 +439,7 @@ mod tests {
     }
 
     fn store() -> PartitionStore {
-        PartitionStore::new(tlc_ftl(), DataTag::sys_hot())
+        PartitionStore::new(tlc_ftl(), PlacementHandle::DEFAULT)
     }
 
     #[test]
@@ -510,7 +510,7 @@ mod tests {
 
     #[test]
     fn a_parity_repair_does_not_hide_an_uncorrectable_page() {
-        let mut store = PartitionStore::with_parity(tlc_ftl(), DataTag::sys_hot(), 4);
+        let mut store = PartitionStore::with_parity(tlc_ftl(), PlacementHandle::DEFAULT, 4);
         let data = [5u8; 5000];
         let lpns = store.write_object(&data).unwrap().expect("space").lpns;
         assert_eq!(lpns.len(), 3);

@@ -142,6 +142,11 @@ impl CellModel {
         }
     }
 
+    /// Physical cell density this model describes.
+    pub fn physical(&self) -> CellDensity {
+        self.physical
+    }
+
     /// The slow-changing part of the threshold-voltage standard
     /// deviation: beginning-of-life sigma widened by wear (oxide damage)
     /// and retention (charge leakage over time, faster on worn cells).

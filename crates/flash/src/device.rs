@@ -7,16 +7,16 @@
 //! drives retention error growth; the FTL advances it.
 //!
 //! There is one way to do each part. Page state lives in the
-//! struct-of-arrays [`store`](crate::store). Each block has one error
-//! sampler ([`batch`](crate::batch)): one call per read returns the
-//! read's error count, its RBER and whether the static RBER term was a
-//! memo hit, and the device flips that many bits. Neither is a switch:
-//! the oracles they are checked against live only in tests.
+//! struct-of-arrays `store` module. Each block has one error sampler
+//! (the `batch` module): one call per read returns the read's error
+//! count, its RBER and whether the static RBER term was a memo hit, and
+//! the device flips that many bits. Neither is a switch: the oracles
+//! they are checked against live only in tests.
 
 use crate::batch::ErrorBatcher;
 use crate::cell::{CellModel, CellState};
 use crate::config::DeviceConfig;
-use crate::density::{CellDensity, ProgramMode};
+use crate::density::ProgramMode;
 use crate::errors::inject_errors;
 use crate::fault::{FaultInjector, FaultKind, FaultOp};
 use crate::geometry::Geometry;
@@ -208,7 +208,6 @@ pub struct BlockSnapshot {
 #[derive(Debug)]
 pub struct FlashDevice {
     geometry: Geometry,
-    physical: CellDensity,
     cell_model: CellModel,
     rng: StdRng,
     now_days: f64,
@@ -235,7 +234,6 @@ impl FlashDevice {
             .collect();
         FlashDevice {
             geometry: config.geometry,
-            physical: config.physical_density,
             cell_model: CellModel::for_density(config.physical_density),
             rng: StdRng::seed_from_u64(config.seed),
             now_days: 0.0,
@@ -365,7 +363,8 @@ impl FlashDevice {
     pub fn set_block_mode(&mut self, block: u64, mode: ProgramMode) -> Result<(), FlashError> {
         // sos-lint: allow(panic-path, "mode/array density mismatch is a firmware configuration bug, not a data-dependent condition")
         assert_eq!(
-            mode.physical, self.physical,
+            mode.physical,
+            self.cell_model.physical(),
             "mode physical density must match the array"
         );
         let state = self
@@ -717,6 +716,7 @@ impl FlashDevice {
 mod tests {
     use super::*;
     use crate::config::DeviceConfig;
+    use crate::density::CellDensity;
 
     fn tiny_device(density: CellDensity) -> FlashDevice {
         FlashDevice::new(&DeviceConfig::tiny(density))

@@ -129,8 +129,7 @@ impl Ftl {
             open: self
                 .placement
                 .open_units()
-                .iter()
-                .map(|unit| (unit.handle.stream(), unit.block))
+                .map(|(handle, block)| (handle.stream(), block))
                 .collect(),
             stats: self.stats,
             device: self.device.snapshot_blocks(),

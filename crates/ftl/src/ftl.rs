@@ -3,7 +3,7 @@
 //! read path with ECC decode.
 
 use crate::config::{FtlConfig, GC_HIGH_WATERMARK, OVER_PROVISIONING};
-use crate::placement::{PlacementHandle, PlacementStats, ReclaimUnit, StreamPlacement};
+use crate::placement::{PlacementHandle, PlacementStats, StreamPlacement};
 use crate::recovery::CheckpointHandle;
 use crate::stats::FtlStats;
 use sos_ecc::{CodecError, PageCodec, PageStatus};
@@ -204,7 +204,7 @@ impl Ftl {
             l2p: vec![Slot::Unmapped; logical_pages as usize],
             blocks,
             free: (0..total_blocks).collect(),
-            placement: StreamPlacement::new(),
+            placement: StreamPlacement::default(),
             logical_pages,
             last_reported_capacity: logical_pages,
             stats: FtlStats::default(),
@@ -314,19 +314,13 @@ impl Ftl {
         self.placement.stats()
     }
 
-    /// The currently open reclaim units, ordered by wire stream id.
-    pub fn open_reclaim_units(&self) -> Vec<ReclaimUnit> {
-        self.placement.open_units()
-    }
-
     /// Writes one logical page on the default placement handle.
     pub fn write(&mut self, lpn: u64, data: &[u8]) -> Result<f64, FtlError> {
         self.write_placed(lpn, data, PlacementHandle::DEFAULT)
     }
 
     /// Writes one logical page into the reclaim unit open for `handle`.
-    /// This is the one placed write; a typed [`crate::DataTag`] places
-    /// through `tag.handle()`.
+    /// This is the one placed write.
     ///
     /// Returns the device latency in µs.
     pub fn write_placed(
@@ -622,7 +616,6 @@ pub(crate) fn exported_pages(total_blocks: u64, usable_per_block: u32) -> u64 {
 mod tests {
     use super::*;
     use crate::config::FtlConfig;
-    use crate::placement::{DataClass, DataTag, Temperature};
     use sos_flash::{CellDensity, ProgramMode};
 
     fn small_ftl() -> Ftl {
@@ -702,36 +695,37 @@ mod tests {
     #[test]
     fn streams_land_in_distinct_blocks() {
         let mut ftl = small_ftl();
-        ftl.write_placed(0, &page_of(&ftl, 1), PlacementHandle::PARITY)
-            .unwrap();
-        ftl.write_placed(1, &page_of(&ftl, 2), PlacementHandle::COLD)
-            .unwrap();
-        let loc0 = match ftl.l2p[0] {
-            Slot::Mapped(l) => l,
-            _ => panic!(),
-        };
-        let loc1 = match ftl.l2p[1] {
-            Slot::Mapped(l) => l,
-            _ => panic!(),
-        };
+        let handles = [
+            PlacementHandle::DEFAULT,
+            PlacementHandle::PARITY,
+            PlacementHandle::COLD,
+            PlacementHandle::SPARE_COLD,
+        ];
+        for (lpn, handle) in handles.into_iter().enumerate() {
+            ftl.write_placed(lpn as u64, &page_of(&ftl, lpn as u8), handle)
+                .unwrap();
+        }
+        // One open reclaim unit per handle, ordered by wire byte, each
+        // holding the page written through it.
+        let open = ftl.audit_snapshot().open;
+        let wire: Vec<u8> = open.iter().map(|&(stream, _)| stream).collect();
+        assert_eq!(wire, [0, 1, 2, 4]);
         let ppb = ftl.device.geometry().pages_per_block as u64;
-        assert_ne!(loc0 / ppb, loc1 / ppb, "streams must use separate blocks");
-    }
-
-    #[test]
-    fn tagged_writes_land_in_distinct_reclaim_units() {
-        let mut ftl = small_ftl();
-        let hot = DataTag::new(DataClass::Sys, Temperature::Hot);
-        let cold = DataTag::new(DataClass::Spare, Temperature::Cold);
-        ftl.write_placed(0, &page_of(&ftl, 1), hot.handle())
-            .unwrap();
-        ftl.write_placed(1, &page_of(&ftl, 2), cold.handle())
-            .unwrap();
-        let units = ftl.open_reclaim_units();
-        assert_eq!(units.len(), 2);
-        assert_ne!(units[0].block, units[1].block);
-        assert_eq!(units[0].handle, hot.handle());
-        assert_eq!(units[1].handle, cold.handle());
+        let mut blocks = Vec::new();
+        for (lpn, &(_, block)) in open.iter().enumerate() {
+            match ftl.l2p[lpn] {
+                Slot::Mapped(loc) => assert_eq!(loc / ppb, block, "lpn {lpn}"),
+                _ => panic!("lpn {lpn} unmapped"),
+            }
+            blocks.push(block);
+        }
+        blocks.sort_unstable();
+        blocks.dedup();
+        assert_eq!(
+            blocks.len(),
+            handles.len(),
+            "streams must use separate blocks"
+        );
     }
 
     #[test]

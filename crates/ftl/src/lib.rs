@@ -4,8 +4,8 @@
 //! Data to Save the Planet"* (HotOS '23). It provides:
 //!
 //! * logical-to-physical page mapping with FDP-style data placement —
-//!   reclaim units, placement handles and typed data tags
-//!   ([`placement`]) — driven by the write path in [`ftl`],
+//!   a [`PlacementHandle`] on each write names the reclaim unit it
+//!   appends into ([`placement`]) — driven by the write path in [`ftl`],
 //! * garbage collection (greedy and cost-benefit) and optional static
 //!   wear leveling — disabled on the SOS SPARE partition per §4.3
 //!   ([`gc`]),
@@ -28,9 +28,7 @@ pub mod stats;
 pub use audit::{BlockMapSnapshot, FtlState, SlotSnapshot};
 pub use config::{FtlConfig, GcPolicy, ResuscitationPolicy, ScrubConfig, WearLevelingConfig};
 pub use ftl::{Ftl, FtlError, FtlEvent, ReadResult};
-pub use placement::{
-    DataClass, DataTag, PlacementHandle, PlacementStats, ReclaimUnit, StreamPlacement, Temperature,
-};
+pub use placement::{PlacementHandle, PlacementStats};
 pub use recovery::RecoveryReport;
 pub use scrub::ScrubReport;
 pub use stats::{FtlStats, WearSummary};

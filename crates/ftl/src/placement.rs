@@ -1,61 +1,45 @@
-//! FDP-style placement: reclaim units, placement handles, and typed
-//! data tags (§4.3; NVMe Flexible Data Placement, arXiv:2503.11665).
+//! FDP-style placement (§4.3; NVMe Flexible Data Placement,
+//! arXiv:2503.11665).
 //!
 //! FDP has one host directive — a placement handle on each write — and
 //! this module keeps that shape:
 //!
-//! * a [`ReclaimUnit`] is the host-visible append unit (one erase block
-//!   in this simulator) a handle currently appends into;
-//! * a [`PlacementHandle`] names where a write should land; its wire
-//!   byte (private constants below) is what per-page OOB metadata and
-//!   checkpoints store;
-//! * a [`DataTag`] is what hosts actually know about their data — its
-//!   class and temperature — and maps deterministically onto a handle;
-//! * [`StreamPlacement`] tracks open/close/append on reclaim units and
-//!   keeps the placement-mix counters ([`PlacementStats`]) behind the
+//! * a [`PlacementHandle`] names where a write should land. Its
+//!   constants are the wire map: the byte each one holds is what
+//!   per-page OOB metadata and checkpoints store;
+//! * the crate-private `StreamPlacement` tracks which reclaim unit (one
+//!   erase block in this simulator) each handle appends into, and keeps
+//!   the placement-mix counters ([`PlacementStats`]) behind the
 //!   per-reclaim-unit write-amp reporting.
 //!
 //! [`crate::Ftl::write_placed`] is the one placed write.
 
 use std::collections::BTreeMap;
 
-// Wire bytes of the placement handles, as stored in per-page OOB
-// metadata and checkpoints. Pinned by
-// `tag_handles_are_wire_compatible_and_injective`.
-
-/// Unhinted writes (hot SYS data).
-const WIRE_DEFAULT: u8 = 0;
-/// Stripe parity pages (`sos-core`'s SYS redundancy).
-const WIRE_PARITY: u8 = 1;
-/// Cold SYS data ([`Temperature::Cold`] SYS tags).
-const WIRE_COLD: u8 = 2;
-/// Spare-class (degradable) hot data.
-const WIRE_SPARE_HOT: u8 = 3;
-/// Spare-class (degradable) cold data.
-const WIRE_SPARE_COLD: u8 = 4;
-/// Checkpoint pages (and the remap target for host hints that collide
-/// with the reserved GC byte).
-const WIRE_CKPT: u8 = 254;
-/// Internal relocation traffic from garbage collection and refresh.
-const WIRE_GC: u8 = 255;
-
 /// A placement handle: where a write should land. FDP's analogue of a
 /// stream id, but typed, so call sites name intent (`GC`, `CKPT`,
-/// `DEFAULT`) instead of magic numbers.
+/// `SPARE_HOT`) instead of magic numbers. Each constant's byte is in
+/// every OOB record and checkpoint, so it may never change (pinned by
+/// `handles_are_wire_compatible_and_distinct`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlacementHandle(u8);
 
 impl PlacementHandle {
-    /// Handle for unhinted host writes (hot SYS data).
-    pub const DEFAULT: PlacementHandle = PlacementHandle(WIRE_DEFAULT);
-    /// Handle for stripe parity pages.
-    pub const PARITY: PlacementHandle = PlacementHandle(WIRE_PARITY);
-    /// Handle for cold SYS data.
-    pub const COLD: PlacementHandle = PlacementHandle(WIRE_COLD);
-    /// Internal relocation handle for GC and refresh traffic.
-    pub const GC: PlacementHandle = PlacementHandle(WIRE_GC);
-    /// Internal handle for checkpoint pages.
-    pub const CKPT: PlacementHandle = PlacementHandle(WIRE_CKPT);
+    /// Unhinted host writes (hot SYS data).
+    pub const DEFAULT: PlacementHandle = PlacementHandle(0);
+    /// Stripe parity pages (`sos-core`'s SYS redundancy).
+    pub const PARITY: PlacementHandle = PlacementHandle(1);
+    /// Cold SYS data.
+    pub const COLD: PlacementHandle = PlacementHandle(2);
+    /// Hot SPARE (degradable) data.
+    pub const SPARE_HOT: PlacementHandle = PlacementHandle(3);
+    /// Cold SPARE (degradable) data.
+    pub const SPARE_COLD: PlacementHandle = PlacementHandle(4);
+    /// Checkpoint pages (and the remap target for host hints that
+    /// collide with the reserved GC byte).
+    pub const CKPT: PlacementHandle = PlacementHandle(254);
+    /// Internal relocation traffic from garbage collection and refresh.
+    pub const GC: PlacementHandle = PlacementHandle(255);
 
     /// Maps a host-supplied placement hint (a raw wire byte) onto a
     /// handle. The reserved GC byte is remapped to the adjacent internal
@@ -63,8 +47,8 @@ impl PlacementHandle {
     /// the reserved values (pinned by `sos-core`'s
     /// `reserved_stream_hint_is_remapped`).
     pub const fn from_host_hint(hint: u8) -> PlacementHandle {
-        if hint == WIRE_GC {
-            PlacementHandle(WIRE_CKPT)
+        if hint == PlacementHandle::GC.0 {
+            PlacementHandle::CKPT
         } else {
             PlacementHandle(hint)
         }
@@ -78,82 +62,8 @@ impl PlacementHandle {
     /// Whether this handle is reserved for FTL-internal traffic and
     /// must be rejected on the host write path.
     pub const fn is_reserved(self) -> bool {
-        self.0 == WIRE_GC
+        self.0 == PlacementHandle::GC.0
     }
-}
-
-/// Data class: which durability contract the data lives under (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DataClass {
-    /// Significant data: must never be silently lost.
-    Sys,
-    /// Degradable data: may decay instead of being rewritten.
-    Spare,
-}
-
-/// Update temperature: how soon the data is expected to be overwritten
-/// or die. Separating temperatures into different reclaim units lets
-/// whole units invalidate together, which is the FDP write-amp lever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Temperature {
-    /// Frequently overwritten / short-lived.
-    Hot,
-    /// Rarely overwritten / long-lived.
-    Cold,
-}
-
-/// What the host knows about a write: class and temperature. This is
-/// the typed replacement for magic stream numbers; [`DataTag::handle`]
-/// derives the placement handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DataTag {
-    /// Durability class (SYS vs SPARE).
-    pub class: DataClass,
-    /// Update temperature.
-    pub temp: Temperature,
-}
-
-impl DataTag {
-    /// A tag for `class` data at `temp`.
-    pub const fn new(class: DataClass, temp: Temperature) -> DataTag {
-        DataTag { class, temp }
-    }
-
-    /// Shorthand for hot SYS data (the legacy default placement).
-    pub const fn sys_hot() -> DataTag {
-        DataTag::new(DataClass::Sys, Temperature::Hot)
-    }
-
-    /// Shorthand for hot SPARE data.
-    pub const fn spare_hot() -> DataTag {
-        DataTag::new(DataClass::Spare, Temperature::Hot)
-    }
-
-    /// Derives the placement handle. The mapping is deterministic and
-    /// wire-compatible: hot SYS data lands on the default handle so
-    /// devices written before typed tags existed decode unchanged, while
-    /// the other class/temperature combinations get their own reclaim
-    /// units.
-    pub const fn handle(self) -> PlacementHandle {
-        let wire = match (self.class, self.temp) {
-            (DataClass::Sys, Temperature::Hot) => WIRE_DEFAULT,
-            (DataClass::Sys, Temperature::Cold) => WIRE_COLD,
-            (DataClass::Spare, Temperature::Hot) => WIRE_SPARE_HOT,
-            (DataClass::Spare, Temperature::Cold) => WIRE_SPARE_COLD,
-        };
-        PlacementHandle(wire)
-    }
-}
-
-/// The host-visible append unit a placement handle writes into: one
-/// erase block in this simulator (real FDP reclaim units span several
-/// blocks; here a unit is exactly the FTL's open block for a handle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReclaimUnit {
-    /// Flat physical block index backing the unit.
-    pub block: u64,
-    /// The handle currently appending into it.
-    pub handle: PlacementHandle,
 }
 
 /// Placement-mix counters: what the device programmed, bucketed by who
@@ -214,32 +124,25 @@ impl PlacementStats {
 ///
 /// This is the open-block-per-stream allocator re-expressed as reclaim
 /// units. Block selection stays with the FTL (it pops its free list);
-/// this tracks which unit each handle appends into and the lifecycle
+/// this tracks which block each handle appends into and the lifecycle
 /// telemetry.
 #[derive(Debug, Default)]
-pub struct StreamPlacement {
-    units: BTreeMap<u8, ReclaimUnit>,
+pub(crate) struct StreamPlacement {
+    units: BTreeMap<PlacementHandle, u64>,
     stats: PlacementStats,
 }
 
 impl StreamPlacement {
-    /// An empty backend with no open units.
-    pub fn new() -> StreamPlacement {
-        StreamPlacement::default()
-    }
-
     /// Binds a fresh (erased) block as the open reclaim unit for
-    /// `handle`, closing any previous unit for it first.
+    /// `handle`, replacing any previous unit for it.
     pub fn open_unit(&mut self, handle: PlacementHandle, block: u64) {
-        self.close_unit(handle, false);
-        self.units
-            .insert(handle.stream(), ReclaimUnit { block, handle });
+        self.units.insert(handle, block);
         self.stats.units_opened += 1;
     }
 
     /// The block backing the open reclaim unit for `handle`, if any.
     pub fn unit_for(&self, handle: PlacementHandle) -> Option<u64> {
-        self.units.get(&handle.stream()).map(|unit| unit.block)
+        self.units.get(&handle).copied()
     }
 
     /// Records one page appended through `handle` into its open unit.
@@ -253,26 +156,16 @@ impl StreamPlacement {
 
     /// Closes the open unit for `handle`. `filled` distinguishes a
     /// unit that ran out of pages from one abandoned early.
-    pub fn close_unit(&mut self, handle: PlacementHandle, filled: bool) -> Option<ReclaimUnit> {
-        let unit = self.units.remove(&handle.stream())?;
-        if filled {
+    pub fn close_unit(&mut self, handle: PlacementHandle, filled: bool) {
+        if self.units.remove(&handle).is_some() && filled {
             self.stats.units_filled += 1;
         }
-        Some(unit)
     }
 
     /// Closes whatever unit is backed by `block` (block failure or
     /// retirement removes it from service regardless of handle).
     pub fn evict_block(&mut self, block: u64) {
-        let handles: Vec<PlacementHandle> = self
-            .units
-            .values()
-            .filter(|unit| unit.block == block)
-            .map(|unit| unit.handle)
-            .collect();
-        for handle in handles {
-            self.close_unit(handle, false);
-        }
+        self.units.retain(|_, open| *open != block);
     }
 
     /// Records that a reclaim unit was erased.
@@ -280,11 +173,10 @@ impl StreamPlacement {
         self.stats.units_erased += 1;
     }
 
-    /// The currently open reclaim units, ordered by wire stream id.
-    pub fn open_units(&self) -> Vec<ReclaimUnit> {
-        let mut units: Vec<ReclaimUnit> = self.units.values().copied().collect();
-        units.sort_by_key(|unit| unit.handle.stream());
-        units
+    /// The currently open reclaim units as `(handle, block)`, ordered
+    /// by wire byte.
+    pub fn open_units(&self) -> impl Iterator<Item = (PlacementHandle, u64)> + '_ {
+        self.units.iter().map(|(&handle, &block)| (handle, block))
     }
 
     /// Cumulative placement-mix counters.
@@ -298,21 +190,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tag_handles_are_wire_compatible_and_injective() {
-        let tags = [
-            DataTag::new(DataClass::Sys, Temperature::Hot),
-            DataTag::new(DataClass::Sys, Temperature::Cold),
-            DataTag::new(DataClass::Spare, Temperature::Hot),
-            DataTag::new(DataClass::Spare, Temperature::Cold),
-        ];
+    fn handles_are_wire_compatible_and_distinct() {
         // The wire map: these bytes are in every OOB record and every
         // checkpoint, so they may never change.
         let wire = [
             (PlacementHandle::DEFAULT, 0),
             (PlacementHandle::PARITY, 1),
             (PlacementHandle::COLD, 2),
-            (tags[2].handle(), 3),
-            (tags[3].handle(), 4),
+            (PlacementHandle::SPARE_HOT, 3),
+            (PlacementHandle::SPARE_COLD, 4),
             (PlacementHandle::CKPT, 254),
             (PlacementHandle::GC, 255),
             (PlacementHandle::from_host_hint(255), 254),
@@ -320,14 +206,17 @@ mod tests {
         for (handle, byte) in wire {
             assert_eq!(handle.stream(), byte, "{handle:?}");
         }
-        assert_eq!(tags[0].handle(), PlacementHandle::DEFAULT);
-        assert_eq!(tags[1].handle(), PlacementHandle::COLD);
-        let mut handles: Vec<PlacementHandle> = tags.iter().map(|tag| tag.handle()).collect();
-        handles.sort_unstable();
-        handles.dedup();
-        assert_eq!(handles.len(), tags.len(), "tag → handle must be injective");
-        for handle in handles {
-            assert!(!handle.is_reserved());
+        let mut data = vec![
+            PlacementHandle::DEFAULT,
+            PlacementHandle::COLD,
+            PlacementHandle::SPARE_HOT,
+            PlacementHandle::SPARE_COLD,
+        ];
+        data.sort_unstable();
+        data.dedup();
+        assert_eq!(data.len(), 4, "data handles must be distinct");
+        for handle in data {
+            assert!(!handle.is_reserved(), "{handle:?}");
         }
     }
 
@@ -342,14 +231,14 @@ mod tests {
 
     #[test]
     fn unit_lifecycle_counts() {
-        let mut backend = StreamPlacement::new();
+        let mut backend = StreamPlacement::default();
         let handle = PlacementHandle::DEFAULT;
         backend.open_unit(handle, 3);
+        backend.note_append(handle);
+        backend.note_append(handle);
         assert_eq!(backend.unit_for(handle), Some(3));
-        backend.note_append(handle);
-        backend.note_append(handle);
-        let unit = backend.close_unit(handle, true).expect("open unit");
-        assert_eq!(unit.block, 3);
+        backend.close_unit(handle, true);
+        assert_eq!(backend.unit_for(handle), None);
         backend.note_erase();
         let stats = backend.stats();
         assert_eq!(stats.units_opened, 1);
@@ -363,7 +252,7 @@ mod tests {
 
     #[test]
     fn evict_closes_without_fill() {
-        let mut backend = StreamPlacement::new();
+        let mut backend = StreamPlacement::default();
         backend.open_unit(PlacementHandle::GC, 9);
         backend.note_append(PlacementHandle::GC);
         backend.evict_block(9);
@@ -373,11 +262,11 @@ mod tests {
 
     #[test]
     fn reopening_a_handle_closes_the_previous_unit() {
-        let mut backend = StreamPlacement::new();
+        let mut backend = StreamPlacement::default();
         backend.open_unit(PlacementHandle::COLD, 1);
         backend.open_unit(PlacementHandle::COLD, 2);
         assert_eq!(backend.unit_for(PlacementHandle::COLD), Some(2));
-        assert_eq!(backend.open_units().len(), 1);
+        assert_eq!(backend.open_units().count(), 1);
     }
 
     #[test]

@@ -309,7 +309,7 @@ impl Ftl {
         self.l2p = rebuilt.l2p;
         self.blocks = rebuilt.blocks;
         self.free = rebuilt.free;
-        self.placement = StreamPlacement::new();
+        self.placement = StreamPlacement::default();
         self.stats = FtlStats {
             lost_pages: report.lost_mappings,
             ..FtlStats::default()

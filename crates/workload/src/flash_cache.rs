@@ -34,7 +34,7 @@ pub enum CacheClass {
     Object,
 }
 
-/// Temperature the cache derives for a key from its popularity rank.
+/// How hot the cache judges a key to be, from its popularity rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheTemp {
     /// Popular key: expected to be overwritten / re-admitted soon.

@@ -35,6 +35,8 @@ esac
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo run -q -p sos-analyze --bin sos-lint
+# Doc links to private or deleted items fail here.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 mkdir -p target
 cargo run -q -p sos-analyze --bin sos-lint -- --format json > target/sos-lint-report.json || true
 echo "==> sos-lint JSON report: target/sos-lint-report.json"
