@@ -695,6 +695,25 @@ mod tests {
     #[test]
     fn streams_land_in_distinct_blocks() {
         let mut ftl = small_ftl();
+        ftl.write_placed(0, &page_of(&ftl, 1), PlacementHandle::PARITY)
+            .unwrap();
+        ftl.write_placed(1, &page_of(&ftl, 2), PlacementHandle::COLD)
+            .unwrap();
+        let loc0 = match ftl.l2p[0] {
+            Slot::Mapped(l) => l,
+            _ => panic!(),
+        };
+        let loc1 = match ftl.l2p[1] {
+            Slot::Mapped(l) => l,
+            _ => panic!(),
+        };
+        let ppb = ftl.device.geometry().pages_per_block as u64;
+        assert_ne!(loc0 / ppb, loc1 / ppb, "streams must use separate blocks");
+    }
+
+    #[test]
+    fn tagged_writes_land_in_distinct_reclaim_units() {
+        let mut ftl = small_ftl();
         let handles = [
             PlacementHandle::DEFAULT,
             PlacementHandle::PARITY,
