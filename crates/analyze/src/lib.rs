@@ -19,17 +19,16 @@
 //!   crash window).
 //! * **Static analysis** ([`parse`], [`lint`], [`callgraph`],
 //!   [`panicpath`], [`determinism`], `sos-lint` binary) — a spanned
-//!   Rust lexer and item extractor feed the lint rules (no
-//!   `.unwrap()`/`.expect()` in non-test storage-stack code, no `f32`
-//!   in carbon accounting, documented public items in
-//!   `sos-core`/`sos-ftl`, no `std::thread::sleep`, no
-//!   `todo!()`/`unimplemented!()`/`dbg!()`, no lossy `as` casts in
-//!   `sos-flash`/`sos-ftl`), the **panic-freedom pass** (a workspace
-//!   call graph walked from the recovery entry points — `Ftl::recover`,
-//!   GC, scrub, remount — flagging every reachable panicking construct
-//!   with its call chain), and the **determinism pass** (the same graph
-//!   walked from the experiment/runner entry points, flagging
-//!   every reachable nondeterminism source: map iteration, wall clock,
+//!   Rust lexer and item extractor feed the lint rules (no lossy `as`
+//!   casts in `sos-flash`/`sos-ftl`, no malformed or unknown-rule
+//!   suppressions; the rules rustc and clippy already have are set in
+//!   the workspace `Cargo.toml` and `clippy.toml`), the **panic-freedom
+//!   pass** (a workspace call graph walked from the recovery entry
+//!   points — `Ftl::recover`, GC, scrub, remount — flagging every
+//!   reachable panicking construct with its call chain), and the
+//!   **determinism pass** (the same graph walked from the
+//!   experiment/runner entry points, flagging every reachable
+//!   nondeterminism source: map iteration, wall clock,
 //!   undeclared env reads, thread identity, entropy-seeded RNGs,
 //!   unordered float reduction). Residual risks are suppressed inline
 //!   with a mandatory written justification. [`analyze`] runs all three
@@ -56,7 +55,6 @@ pub use harness::{
     arg_or_exit, run_crashy_days, seed_from_env, AuditFinding, CoreAuditorSet, CrashSweepReport,
     RecoveryAuditor,
 };
-pub use lint::run_lints_on;
 pub use panicpath::{run_panic_path, PanicConstruct, PANIC_PATH_ENTRY_POINTS};
 pub use parse::Workspace;
 pub use report::{analyze, Finding, JsonReport, ReportSummary, Rule};

@@ -4,7 +4,7 @@
 //! `proc-macro2` the analyzer carries its own lexer. It produces a flat
 //! token stream in which **every byte of the input is accounted for**:
 //! each token records its byte span, line and column, comments are
-//! tokens (the suppression parser and the pub-docs rule need them), and
+//! tokens (the suppression parser needs them), and
 //! string/char literals are single tokens, so no downstream pass ever
 //! has to reason about quoting or escaping again. This replaces the old
 //! line-oriented `clean_source` blanking pass: string/comment handling

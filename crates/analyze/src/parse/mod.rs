@@ -59,14 +59,6 @@ impl SourceFile {
             tokens: tokens.filter(|token| !token.is_comment()).collect(),
         }
     }
-
-    /// The raw text of 1-based `line` (empty when out of range).
-    pub fn line_text(&self, line: usize) -> &str {
-        self.source
-            .lines()
-            .nth(line.saturating_sub(1))
-            .unwrap_or("")
-    }
 }
 
 /// A run of non-comment tokens, addressed by position: the view every

@@ -32,7 +32,7 @@ pub const REPORT_VERSION: u32 = 2;
 /// The rule a finding breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// A token-stream lint rule (`no-unwrap`, `pub-docs`, …).
+    /// A token-stream lint rule (`no-lossy-cast`, `bad-suppression`).
     Lint(&'static str),
     /// A panicking construct reachable from a panic-path entry point.
     PanicPath(PanicConstruct),
@@ -275,10 +275,11 @@ mod tests {
                     ],
                 },
                 Finding {
-                    rule: Rule::Lint("no-unwrap"),
+                    rule: Rule::Lint("no-lossy-cast"),
                     file: PathBuf::from("crates/flash/src/device.rs"),
                     line: 7,
-                    message: ".unwrap() in non-test code".to_string(),
+                    message: "lossy `as u32` cast in storage-stack code (use u32::try_from)"
+                        .to_string(),
                     chain: Vec::new(),
                 },
             ],
@@ -305,10 +306,10 @@ mod tests {
       "chain": ["Ftl::gc_once", "Ftl::relocate_valid"]
     },
     {
-      "rule": "no-unwrap",
+      "rule": "no-lossy-cast",
       "file": "crates/flash/src/device.rs",
       "line": 7,
-      "message": ".unwrap() in non-test code",
+      "message": "lossy `as u32` cast in storage-stack code (use u32::try_from)",
       "chain": []
     }
   ],

@@ -8,7 +8,9 @@
 //!
 //! A suppression with no justification string is itself a finding
 //! (`bad-suppression`) — the whole point of the mechanism is that every
-//! accepted risk carries a written argument for why it is safe.
+//! accepted risk carries a written argument for why it is safe. So is
+//! one naming a rule outside [`SUPPRESSIBLE_RULES`]: a suppression that
+//! can never match a finding would otherwise sit in the tree unnoticed.
 //!
 //! Attachment rules:
 //!
@@ -21,13 +23,20 @@
 //!   is the form used for invariant-dense code (ECC math, the recovery
 //!   scan) where per-line annotations would drown the code.
 
+use crate::determinism::NONDETERMINISM_RULE;
+use crate::lint::NO_LOSSY_CAST_RULE;
+use crate::panicpath::PANIC_PATH_RULE;
 use crate::parse::lexer::TokenKind;
 use crate::parse::SourceFile;
+
+/// The rules a suppression may name: every rule sos-lint runs except
+/// `bad-suppression`, which is deliberately not suppressible.
+pub const SUPPRESSIBLE_RULES: &[&str] = &[PANIC_PATH_RULE, NONDETERMINISM_RULE, NO_LOSSY_CAST_RULE];
 
 /// One parsed suppression and the line range it covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Suppression {
-    /// The rule being allowed (e.g. `panic-path`, `no-unwrap`).
+    /// The rule being allowed (e.g. `panic-path`, `no-lossy-cast`).
     pub rule: String,
     /// The mandatory human-written justification.
     pub justification: String,
@@ -104,6 +113,12 @@ fn parse_allow(directive: &str) -> Result<(String, String), String> {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
     {
         return Err(format!("bad rule name `{rule}`"));
+    }
+    if !SUPPRESSIBLE_RULES.contains(&rule.as_str()) {
+        return Err(format!(
+            "`{rule}` is not a rule sos-lint can suppress ({})",
+            SUPPRESSIBLE_RULES.join(", ")
+        ));
     }
     let tail = rest[comma + 1..].trim();
     let Some(tail) = tail.strip_prefix('"') else {
@@ -217,6 +232,22 @@ mod tests {
             let set = SuppressionSet::collect(&file);
             assert!(set.entries.is_empty(), "{bad} parsed");
             assert_eq!(set.malformed.len(), 1, "{bad} not reported");
+        }
+    }
+
+    #[test]
+    fn suppression_naming_a_rule_sos_lint_does_not_run_is_malformed() {
+        for rule in ["no-unwrap", "pub-docs", "bad-suppression", "no-such-rule"] {
+            let file = parse(&format!("// sos-lint: allow({rule}, \"x\")\nfn f() {{}}\n"));
+            let set = SuppressionSet::collect(&file);
+            assert!(set.entries.is_empty(), "{rule} parsed");
+            assert_eq!(set.malformed.len(), 1, "{rule} not reported");
+            assert!(set.malformed[0].1.contains(rule), "{:?}", set.malformed);
+        }
+        for rule in SUPPRESSIBLE_RULES {
+            let file = parse(&format!("// sos-lint: allow({rule}, \"x\")\nfn f() {{}}\n"));
+            let set = SuppressionSet::collect(&file);
+            assert_eq!(set.entries.len(), 1, "{rule} rejected: {:?}", set.malformed);
         }
     }
 

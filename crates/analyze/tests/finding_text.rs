@@ -26,7 +26,7 @@ fn each_rule_family_renders_its_finding_line() {
     assert_eq!(
         findings,
         [
-            "crates/demo/src/lib.rs:28: [no-debug-macros] todo!() in non-test code",
+            "crates/demo/src/lib.rs:28: [bad-suppression] missing justification: use allow(<rule>, \"<why>\")",
             "crates/demo/src/lib.rs:14: [panic-path/unwrap] .unwrap() on a recovery-reachable path (via Ftl::recover -> Ftl::replay)",
             "crates/demo/src/lib.rs:24: [nondeterminism/map-iteration] `seen.iter()` iterates a HashMap/HashSet in nondeterministic order (via end_to_end_report -> tally)",
         ],

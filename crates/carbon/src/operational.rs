@@ -55,7 +55,10 @@ impl EnergyModel {
     /// `daily_read_bytes` / `daily_write_bytes` are host traffic;
     /// `write_amplification` scales physical programs (and the
     /// proportional erases); `days` is the device life.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one scalar per independent factor of the energy model"
+    )]
     pub fn lifetime_kwh(
         &self,
         mode: ProgramMode,
@@ -79,7 +82,10 @@ impl EnergyModel {
     }
 
     /// Operational carbon over the device life, kgCO2e.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "forwards lifetime_kwh's factors unchanged"
+    )]
     pub fn lifetime_kg(
         &self,
         mode: ProgramMode,

@@ -55,9 +55,10 @@ fn best_split(
     let total = indices.len();
     let mut best: Option<(usize, f64, f64)> = None;
     let mut best_imbalance = usize::MAX;
-    // `features` is row-major: the loop variable selects a column inside
-    // each row, so there is no slice to iterate directly.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`features` is row-major: the index selects a column inside each row, so there is no slice to iterate"
+    )]
     for feature in 0..dims {
         // Sort candidate values.
         let mut values: Vec<(f64, bool)> = indices

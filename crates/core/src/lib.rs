@@ -29,6 +29,11 @@
 //! assert_eq!(data.bytes, b"family photo");
 //! ```
 
+#![warn(missing_docs)]
+// The storage stack degrades, it never aborts: a panic would end the
+// simulated device life and every lifetime claim past it.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod audit;
 pub mod baseline;
 pub mod cloud;

@@ -132,7 +132,10 @@ pub fn carbon_per_exported_gb(
 /// past the cap the classifier is simply retrained per call, with
 /// identical results.
 // sos-lint: allow(panic-path, "a poisoned classifier cache only occurs if training panicked, which is already fatal to the experiment")
-// sos-lint: allow(no-unwrap, "the cache-lock .expect() is unreachable unless training already panicked; there is no value to degrade to")
+#[expect(
+    clippy::expect_used,
+    reason = "the cache lock is poisoned only if training already panicked; there is no value to degrade to"
+)]
 fn trained_classifier(seed: u64) -> (LogisticRegression, FeatureExtractor) {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};

@@ -31,6 +31,10 @@
 //! The entry point is [`device::FlashDevice`]; presets for realistic
 //! devices live in [`config`].
 
+// The storage stack degrades, it never aborts: a panic would end the
+// simulated device life and every lifetime claim past it.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub(crate) mod batch;
 pub mod cell;
 pub mod config;

@@ -16,6 +16,11 @@
 //!   checkpoint ([`recovery`]),
 //! * write-amplification / wear / loss statistics ([`stats`]).
 
+#![warn(missing_docs)]
+// The storage stack degrades, it never aborts: a panic would end the
+// simulated device life and every lifetime claim past it.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod audit;
 pub mod config;
 pub mod ftl;

@@ -221,7 +221,6 @@ impl Ftl {
 
     /// One attempt at programming every framed checkpoint page; returns
     /// the blocks used, or the partially-used blocks alongside the error.
-    #[allow(clippy::type_complexity)]
     fn write_checkpoint_once(
         &mut self,
         pages: &[Vec<u8>],

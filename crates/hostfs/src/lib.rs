@@ -13,6 +13,10 @@
 //!   hints and [`shrink`](fs::HostFs::shrink) support that relocates
 //!   extents below a reduced ceiling.
 
+// The storage stack degrades, it never aborts: a panic would end the
+// simulated device life and every lifetime claim past it.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod alloc;
 pub mod fs;
 pub mod store;

@@ -47,7 +47,6 @@ impl Zipf {
     /// Samples a rank in `0..n` (0 is the hottest).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         // sos-lint: allow(panic-path, "Zipf::new asserts n > 0, so the cumulative table always has a last element")
-        // sos-lint: allow(no-unwrap, "Zipf::new asserts n > 0, so the cumulative table always has a last element")
         let total = *self.cumulative.last().expect("non-empty");
         let u = rng.gen_range(0.0..total);
         self.cumulative.partition_point(|&c| c <= u)

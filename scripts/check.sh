@@ -33,7 +33,10 @@ case "${1:-}" in
 esac
 
 run cargo fmt --all --check
+# Clippy also enforces the workspace lint table (Cargo.toml, clippy.toml):
+# no unwrap in the storage stack, no todo!/dbg!, no f32, no sleep, docs.
 run cargo clippy --workspace --all-targets -- -D warnings
+# sos-lint: lossy casts, suppressions, panic-freedom and determinism.
 run cargo run -q -p sos-analyze --bin sos-lint
 # Doc links to private or deleted items fail here.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
